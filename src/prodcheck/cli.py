@@ -3,7 +3,7 @@
     prodcheck FILE [--mode decide|gates|oracle-check] [--root NAME]
                    [--report text|json] [--max-columns N] [--finitize-cap N]
                    [--oracle-prod-cap N] [--oracle-steps N]
-                   [--dump-equations] [--verbose]
+                   [--dump-equations] [--dump-diagram] [--verbose]
 
 Exit codes: 0 every analyzed constant is productive, 1 some constant is
 (data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import dogame
-from .equations import FinitizeCapError, TranslationError
+from .equations import FinitizeCapError
 from .ioalg import conat_str, is_top, render
 from .prodterm import pretty
 from . import equations as eqmod
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "rb") as handle:
             text = handle.read().decode("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 10
     try:
@@ -223,15 +223,12 @@ def main(argv=None) -> int:
             out.write("\n".join(_gate_lines(spec, gates)) + "\n")
             return 0
         verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates)
-    except (TranslationError, TranslateError) as exc:
+    except (TranslateError, SolverError) as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 12
     except (FinitizeCapError, SolverCapError) as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
-    except SolverError as exc:
-        print("prodcheck: %s" % exc, file=sys.stderr)
-        return 12
     _debug_dumps(spec, iospec, args, out)
     if args.mode == "oracle-check":
         return _oracle_check(spec, cls, gates, verdicts, caps, out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .streamspec import App, Classification, Cons, StreamSpec, SVar
+from .streamspec import App, Classification, Cons, StreamSpec, SVar, reachable_symbols
 
 _INF_DEP = 10**9
 
@@ -115,18 +115,6 @@ def do_low_function(
 # constants
 
 
-def _reachable_stream_symbols(spec: StreamSpec, cls: Classification, name: str):
-    seen = set()
-    todo = [name]
-    while todo:
-        s = todo.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        todo.extend(cls.depends.get(s, ()))
-    return seen
-
-
 def _single_rule_value(shapes_of, assign, g, supplies, prod_cap, budget):
     """Production of g under a committed rule per symbol; (lo, exact)."""
     path: dict = {}
@@ -181,7 +169,7 @@ def do_low_constant(
     oracle's state space.
     """
     sig = spec.signature
-    reach = _reachable_stream_symbols(spec, cls, name)
+    reach = reachable_symbols(spec, cls, name)
     for s in sorted(reach):
         if cls.symbol_class.get(s) in ("friendly", "unfriendly"):
             raise ValueError("game oracle does not cover nesting symbol %r" % s)

@@ -83,19 +83,20 @@ def inf_all(parts: list) -> IOExpr:
     return expr
 
 
-def expr_str(e: IOExpr) -> str:
+def expr_str(e: IOExpr, var=var_str) -> str:
+    """ASCII rendering; `var` renders each variable occurrence."""
     if isinstance(e, EEmpty):
         return "eps"
     if isinstance(e, EVar):
-        return var_str(e.var)
+        return var(e.var)
     if isinstance(e, EStep):
-        return e.sym + expr_str(e.body)
+        return e.sym + expr_str(e.body, var)
     parts = []
     while isinstance(e, EInf):
         parts.append(e.left)
         e = e.right
     parts.append(e)
-    return "/\\ { %s }" % ", ".join(expr_str(p) for p in parts)
+    return "/\\ { %s }" % ", ".join(expr_str(p, var) for p in parts)
 
 
 def expr_vars(e: IOExpr, consumed: bool = False):
@@ -133,8 +134,7 @@ class EquationBuilder:
         if klass == "unfriendly":
             bad = next(sh for sh in self.cls.shapes[symbol] if sh.nesting)
             raise TranslationError(
-                "symbol %r is not translatable: unfriendly nesting rule %r"
-                % (symbol, str(bad.rule))
+                "cannot translate %r: unfriendly nesting rule %r" % (symbol, str(bad.rule))
             )
 
     def rhs(self, v) -> IOExpr:
@@ -226,21 +226,7 @@ class IOSpec:
             if v in visited:
                 return var_str(v)
             visited.add(v)
-            return "mu %s. %s" % (var_str(v), expr(self.equations[v]))
-
-        def expr(e):
-            if isinstance(e, EEmpty):
-                return "eps"
-            if isinstance(e, EVar):
-                return var(e.var)
-            if isinstance(e, EStep):
-                return e.sym + expr(e.body)
-            parts = []
-            while isinstance(e, EInf):
-                parts.append(e.left)
-                e = e.right
-            parts.append(e)
-            return "/\\ { %s }" % ", ".join(expr(p) for p in parts)
+            return "mu %s. %s" % (var_str(v), expr_str(self.equations[v], var))
 
         return var(root)
 

@@ -158,45 +158,26 @@ def prepend(sym: str, t: IOTerm) -> IOTerm:
     return IOTerm(sym + t.prefix, t.loop)
 
 
-# ---------------------------------------------------------------------------
-# positional state machine shared by compose
-
-
-def _length(t: IOTerm) -> int:
-    return len(t.prefix) + len(t.loop)
-
-
-def _start(t: IOTerm):
-    return 0 if _length(t) else None
-
-
-def _head(t: IOTerm, pos):
-    if pos is None:
-        return None
-    s = t.prefix + t.loop
-    return s[pos]
-
-
-def _advance(t: IOTerm, pos):
-    pos += 1
-    if pos < _length(t):
-        return pos
-    if t.loop:
-        return len(t.prefix)  # wrap to loop start
-    return None
-
-
 def compose(s: IOTerm, t: IOTerm) -> IOTerm:
     """Sequential composition: interpret(compose(s, t)) = interpret(s) o interpret(t).
 
     Runs the communication between the two sequences symbol by symbol.  The
     pair of residual positions fully determines the future, so when a pair
     repeats the emitted segment in between is the loop (pigeonhole over the
-    finitely many position pairs).
+    finitely many position pairs).  A position equal to its word's length
+    marks a finite word that has ended.
     """
     s = normalize(s)
     t = normalize(t)
-    ps, pt = _start(s), _start(t)
+    ws, wt = s.prefix + s.loop, t.prefix + t.loop
+
+    def advance(u: IOTerm, word: str, pos: int) -> int:
+        pos += 1
+        if pos == len(word) and u.loop:
+            return len(u.prefix)  # wrap to loop start
+        return pos
+
+    ps = pt = 0
     out: list[str] = []
     seen: dict = {}
     while True:
@@ -207,124 +188,43 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
             assert loop, "cycle without progress"
             return normalize(IOTerm("".join(out[:i]), loop))
         seen[key] = len(out)
-        a = _head(s, ps)
-        if a is None:
+        if ps == len(ws):
             return normalize(IOTerm("".join(out), ""))
-        if a == PLUS:
+        if ws[ps] == PLUS:
             out.append(PLUS)
-            ps = _advance(s, ps)
+            ps = advance(s, ws, ps)
             continue
-        b = _head(t, pt)
-        if b is None:
+        if pt == len(wt):
             return normalize(IOTerm("".join(out), ""))
-        if b == PLUS:  # internal hand-over of one element
-            ps = _advance(s, ps)
-            pt = _advance(t, pt)
+        if wt[pt] == PLUS:  # internal hand-over of one element
+            ps = advance(s, ws, ps)
+            pt = advance(t, wt, pt)
         else:
             out.append(MINUS)
-            pt = _advance(t, pt)
-
-
-# ---------------------------------------------------------------------------
-# pointwise infimum
-
-
-class _Staircase:
-    """Tail shape of a normalized term's interpretation.
-
-    kind 'const': finite word, value `q` once `settle` inputs were consumed;
-    kind 'top'  : all-'+' loop, TOP from `settle` inputs on;
-    kind 'per'  : proper loop, gains `q` outputs per `p` further inputs.
-    """
-
-    def __init__(self, t: IOTerm):
-        self.term = t
-        self.settle = t.prefix.count(MINUS)
-        if t.finite:
-            self.kind = "const"
-            self.p, self.q = 0, t.prefix.count(PLUS)
-        else:
-            self.p = t.loop.count(MINUS)
-            self.q = t.loop.count(PLUS)
-            self.kind = "top" if self.p == 0 else "per"
-
-    def __call__(self, n: CoNat) -> CoNat:
-        return interpret(self.term, n)
-
-
-def _stair_word(values: list) -> str:
-    """Finite word whose interpretation walks through `values` (all finite)."""
-    if not values:
-        return ""
-    parts = [PLUS * int(values[0])]
-    for prev, cur in zip(values, values[1:]):
-        parts.append(MINUS + PLUS * int(cur - prev))
-    return "".join(parts)
+            pt = advance(t, wt, pt)
 
 
 def infimum(s: IOTerm, t: IOTerm) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
-    Built from the value sequence min(f(n), g(n)) directly: both staircases
-    are eventually affine with period p and gain q, so the minimum either
-    goes constant, hits TOP, or is eventually tracked by the slower side.
-    The residual-suffix unfolding used for `compose` does not terminate here
-    (requirement removal produces unboundedly many distinct residuals), so we
-    close the loop on values instead.
+    Solves the one-root system X = s /\\ t, where each operand with a loop
+    continues with its own variable L = loop L, so that the solver is the
+    single engine for rational infima.
     """
-    s = normalize(s)
-    t = normalize(t)
-    f, g = _Staircase(s), _Staircase(t)
+    from .equations import EEmpty, EInf, EVar, IOSpec, steps
+    from .solver import solve  # solver imports this module
 
-    def m(n):
-        return min(f(n), g(n))
+    equations: dict = {}
 
-    n_base = max(f.settle, g.settle)
+    def operand(name: tuple, u: IOTerm):
+        if not u.loop:
+            return steps(u.prefix, EEmpty())
+        equations[name] = steps(u.loop, EVar(name))
+        return steps(u.prefix, EVar(name))
 
-    if f.kind == "top" and g.kind == "top":
-        vals = [m(i) for i in range(n_base)]
-        return normalize(IOTerm(_stair_word(vals) + (MINUS if n_base else ""), PLUS))
-
-    if f.kind == "const" and g.kind == "const":
-        vals = [m(i) for i in range(n_base + 1)]
-        return normalize(IOTerm(_stair_word(vals), ""))
-
-    if f.kind == "const" or g.kind == "const":
-        c = f.q if f.kind == "const" else g.q
-        other = g if f.kind == "const" else f
-        n = n_base
-        while other(n) < c:
-            n += 1  # the other side is unbounded, so this terminates
-        vals = [m(i) for i in range(n + 1)]
-        return normalize(IOTerm(_stair_word(vals), ""))
-
-    if f.kind == "top" or g.kind == "top":
-        per = g if f.kind == "top" else f
-        vals = [m(i) for i in range(n_base + 1)]
-        loop = "".join(
-            MINUS + PLUS * int(m(n_base + k) - m(n_base + k - 1))
-            for k in range(1, per.p + 1)
-        )
-        return normalize(IOTerm(_stair_word(vals), loop))
-
-    # both properly periodic
-    period = math.lcm(f.p, g.p)
-    gain_f = f.q * (period // f.p)
-    gain_g = g.q * (period // g.p)
-    n_hat = n_base
-    if gain_f != gain_g:
-        lo, hi = (f, g) if gain_f < gain_g else (g, f)
-        guard = 0
-        while any(lo(n_hat + k) > hi(n_hat + k) for k in range(period)):
-            n_hat += period
-            guard += 1
-            assert guard < 100000, "infimum window scan failed to converge"
-    vals = [m(i) for i in range(n_hat + 1)]
-    loop = "".join(
-        MINUS + PLUS * int(m(n_hat + k) - m(n_hat + k - 1))
-        for k in range(1, period + 1)
-    )
-    return normalize(IOTerm(_stair_word(vals), loop))
+    root = ("inf",)
+    equations[root] = EInf(operand(("inf", 1), s), operand(("inf", 2), t))
+    return solve(IOSpec(equations, (root,)), root)
 
 
 def remove_requirement(t: IOTerm) -> IOTerm:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .equations import EEmpty, EInf, EStep, EVar, IOSpec
+from .equations import EInf, EStep, EVar, IOSpec, is_weakly_guarded
 from .ioalg import TOP, CoNat, IOTerm, is_top, normalize
 
 
@@ -88,21 +88,8 @@ def build_graph(iospec: IOSpec, root) -> TraceGraph:
         else:  # the end of the sequence: production freezes, inputs are ignored
             out_minus[nid].append(nid)
 
-    # weak guardedness: the silent relation must terminate
-    color = [0] * len(nodes)
-
-    def dfs(v):
-        color[v] = 1
-        for w in eps[v]:
-            if color[w] == 1:
-                raise SolverError("silent cycle: system is not weakly guarded")
-            if color[w] == 0:
-                dfs(w)
-        color[v] = 2
-
-    for v in range(len(nodes)):
-        if color[v] == 0:
-            dfs(v)
+    if not is_weakly_guarded(iospec):
+        raise SolverError("silent cycle: system is not weakly guarded")
 
     return TraceGraph(nodes, eps, out_plus, out_minus, node_id(root, ()))
 
@@ -159,14 +146,6 @@ class Diagram:
 
     def bound(self, x: int) -> CoNat:
         return _bound(self.g, self.column(x))
-
-
-def column_at(g: TraceGraph, x: int) -> dict:
-    return dict(Diagram(g).column(x))
-
-
-def lower_bound_at(g: TraceGraph, x: int) -> CoNat:
-    return Diagram(g).bound(x)
 
 
 # ---------------------------------------------------------------------------

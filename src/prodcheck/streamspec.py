@@ -470,8 +470,6 @@ def _term_vars(t: Term):
 
 def parse(text: str, filename: str = "<input>") -> StreamSpec:
     """Parse and sort-check a specification file."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     tokens = _tokenize(text, filename)
     p = _Parser(tokens, filename)
     sig = _parse_signature(p)
@@ -709,12 +707,9 @@ def _peel_rhs(rhs: Term):
 def _cons_prefix(t: Term):
     """Split a stream term into (data prefix length, base) when it is a
     cons-chain over a variable; otherwise (None, None)."""
-    depth = 0
-    while isinstance(t, Cons):
-        depth += 1
-        t = t.tail
-    if isinstance(t, SVar):
-        return depth, t.name
+    depth, base = _peel_rhs(t)
+    if isinstance(base, SVar):
+        return depth, base.name
     return None, None
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import equations as eq
+from .equations import TranslationError as TranslateError
 from .ioalg import TOP, CoNat, interpret, is_top
 from .prodterm import Gate, Mu, Peb, ProdTerm, Var, collapse_trace, gate_apply, meet_all
 from .solver import solve
@@ -24,10 +25,6 @@ from .streamspec import (
     classify,
     reachable_symbols,
 )
-
-
-class TranslateError(Exception):
-    pass
 
 
 @dataclass
@@ -43,12 +40,6 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
     cls = cls or classify(spec)
     caps = caps or Caps()
     functions = spec.signature.stream_functions()
-    for name in functions:
-        if cls.symbol_class[name] == "unfriendly":
-            bad = next(sh for sh in cls.shapes[name] if sh.nesting)
-            raise TranslateError(
-                "cannot translate %r: unfriendly nesting rule %r" % (name, str(bad.rule))
-            )
     builder = eq.build_equations(spec, cls)
     roots = []
     for name in functions:

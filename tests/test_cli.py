@@ -67,15 +67,25 @@ def test_validate_error_exit_eleven(tmp_path):
     assert "overlapping" in err
 
 
+UNFRIENDLY_SPEC = (
+    "Signature( P : stream(bit), f : stream(bit) -> stream(bit),"
+    " g : stream(bit) -> stream(bit), 0, 1 : bit )\n"
+    "P = 0:f(P)\nf(x:y:s) = x:g(f(s))\ng(x:s) = x:g(s)\n"
+)
+
+
 def test_translate_error_exit_twelve(tmp_path):
     bad = tmp_path / "unf.spec"
-    bad.write_text(
-        "Signature( P : stream(bit), f : stream(bit) -> stream(bit),"
-        " g : stream(bit) -> stream(bit), 0, 1 : bit )\n"
-        "P = 0:f(P)\nf(x:y:s) = x:g(f(s))\ng(x:s) = x:g(s)\n"
-    )
+    bad.write_text(UNFRIENDLY_SPEC)
     code, _, err = run_cli([str(bad)])
     assert code == 12
+
+
+def test_translate_error_message(tmp_path):
+    bad = tmp_path / "unf.spec"
+    bad.write_text(UNFRIENDLY_SPEC)
+    _, _, err = run_cli([str(bad)])
+    assert err == "prodcheck: cannot translate 'f': unfriendly nesting rule 'f(x:y:s) = x:g(f(s))'\n"
 
 
 def test_caps_error_exit_thirteen():
@@ -87,6 +97,15 @@ def test_caps_error_exit_thirteen():
 def test_missing_file_exit_ten(tmp_path):
     code, _, err = run_cli([str(tmp_path / "absent.spec")])
     assert code == 10
+
+
+def test_non_utf8_file_exit_ten(tmp_path):
+    bad = tmp_path / "latin1.spec"
+    bad.write_bytes(spec_path("pascal").read_bytes() + b"\xff\n")
+    code, out, err = run_cli([str(bad)])
+    assert code == 10
+    assert out == ""
+    assert err.startswith("prodcheck: ") and "utf-8" in err
 
 
 def test_json_report_roundtrip():

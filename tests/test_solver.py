@@ -19,8 +19,6 @@ from prodcheck.solver import (
     _step_right,
     _vclose,
     build_graph,
-    column_at,
-    lower_bound_at,
     solve,
 )
 
@@ -75,17 +73,17 @@ def test_graph_missing_root():
 def test_columns_all_output():
     iospec = sys1(X=EStep("+", EVar(X)))
     g = build_graph(iospec, X)
-    col = column_at(g, 0)
+    col = Diagram(g).column(0)
     assert col[g.root] == 0 and len(col) == 2
-    assert lower_bound_at(g, 0) == TOP
-    assert lower_bound_at(g, 5) == TOP
+    assert Diagram(g).bound(0) == TOP
+    assert Diagram(g).bound(5) == TOP
 
 
 def test_columns_identity():
     iospec = sys1(X=EStep("-", EStep("+", EVar(X))))
     g = build_graph(iospec, X)
-    assert [lower_bound_at(g, x) for x in range(4)] == [0, 1, 2, 3]
-    assert lower_bound_at(g, 7) == 7
+    assert [Diagram(g).bound(x) for x in range(4)] == [0, 1, 2, 3]
+    assert Diagram(g).bound(7) == 7
 
 
 def test_columns_pascal(corpus):
@@ -96,7 +94,7 @@ def test_columns_pascal(corpus):
     b = build_equations(spec, classify(spec))
     iospec = finitize(b, [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
-    assert [lower_bound_at(g, x) for x in range(5)] == [0, 0, 1, 2, 3]
+    assert [Diagram(g).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
 
 
 def test_bound_matches_nested_solution(corpus):
@@ -109,7 +107,7 @@ def test_bound_matches_nested_solution(corpus):
     g = build_graph(iospec, arg("f", 1, 0))
     expect = parse_ioterm("-+--(+)")
     for n in range(6):
-        assert lower_bound_at(g, n) == interpret(expect, n)
+        assert Diagram(g).bound(n) == interpret(expect, n)
 
 
 # --- solving -----------------------------------------------------------------
