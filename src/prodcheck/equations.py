@@ -11,7 +11,8 @@ X_{f,i,q} reaches X_{f,i,q'} with q < q' along a path that only ever emits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 
 from .streamspec import Classification, StreamSpec
 
@@ -204,6 +205,9 @@ def build_equations(spec: StreamSpec, cls: Classification) -> EquationBuilder:
 class IOSpec:
     equations: dict  # var -> IOExpr
     roots: tuple
+    # the solver's trace graph, built on first use; the equations must not
+    # change once it is there
+    graph: object = field(default=None, compare=False, repr=False)
 
     def dump(self) -> str:
         lines = []
@@ -241,75 +245,82 @@ def _var_order_key(v):
 
 def finitize(builder: EquationBuilder, roots, cap: int = 100000) -> IOSpec:
     """Materialize the system reachable from `roots`, applying pseudo-cycle
-    removal eagerly, lowest supply level first."""
+    removal eagerly, lowest supply level first.
+
+    Reachability from the roots and the clean edges (occurrences with no '-'
+    above them) are kept up to date as equations are added.  A new equation
+    can only open a pseudo-cycle for a variable that reaches it through clean
+    edges, so only those are checked.  A replacement only removes edges: it
+    opens no pseudo-cycle, and reachability is recomputed only then.
+    """
     roots = tuple(roots)
     eqs: dict = {}
+    clean: dict = {}  # var -> variables occurring clean in its equation
+    clean_rev: dict = {}  # var -> variables whose equation has it clean
+    seen: set = set()  # reachable from the roots
+    missing: list = []  # heap of (order key, var): reachable, no equation yet
 
-    def reachable_undefined():
-        seen = set()
-        todo = list(roots)
-        missing = []
+    def reach(todo):
         while todo:
             v = todo.pop()
             if v in seen:
                 continue
             seen.add(v)
-            if v not in eqs:
-                missing.append(v)
+            if v in eqs:
+                todo.extend(w for w, _ in expr_vars(eqs[v]))
+            else:
+                heapq.heappush(missing, (_var_order_key(v), v))
+
+    def set_equation(v, e):
+        for w in clean.get(v, ()):
+            clean_rev[w].discard(v)
+        eqs[v] = e
+        clean[v] = {w for w, is_clean in expr_vars(e) if is_clean}
+        for w in clean[v]:
+            clean_rev.setdefault(w, set()).add(v)
+
+    def clean_ancestors(v):
+        found = {v}
+        todo = [v]
+        while todo:
+            for u in clean_rev.get(todo.pop(), ()):
+                if u not in found:
+                    found.add(u)
+                    todo.append(u)
+        return found
+
+    def pseudo_cycle(v):
+        """v reaches some X_{f,i,q'} with q < q' through clean edges."""
+        todo = [v]
+        visited = set()
+        while todo:
+            w = todo.pop()
+            if w in visited:
                 continue
-            for w, _ in expr_vars(eqs[v]):
-                todo.append(w)
-        return missing, seen
+            visited.add(w)
+            if w[0] == "arg" and w[1] == v[1] and w[2] == v[2] and w[3] > v[3]:
+                return True
+            todo.extend(clean.get(w, ()))
+        return False
 
-    def rpc_sweep():
-        """Replace every X_{f,i,q} that reaches X_{f,i,q'} (q < q') through
-        a '-'-free path by the all-output variable; repeat to fixpoint."""
-        while True:
-            clean_edges: dict = {}
-            for v, e in eqs.items():
-                outs = set()
-                for w, clean in expr_vars(e):
-                    if clean:
-                        outs.add(w)
-                clean_edges[v] = outs
-            hit = None
-            for v in sorted(eqs, key=_var_order_key):
-                if v[0] != "arg" or eqs[v] == EVar(XP):
-                    continue
-                stack = [v]
-                seen = set()
-                while stack:
-                    w = stack.pop()
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    if (
-                        w != v
-                        and w[0] == "arg"
-                        and w[1] == v[1]
-                        and w[2] == v[2]
-                        and w[3] > v[3]
-                    ):
-                        hit = v
-                        break
-                    stack.extend(clean_edges.get(w, ()))
-                if hit:
-                    break
-            if hit is None:
-                return
-            eqs[hit] = EVar(XP)
-
-    while True:
-        missing, _ = reachable_undefined()
-        if not missing:
-            break
-        v = min(missing, key=_var_order_key)
-        eqs[v] = builder.rhs(v)
+    reach(list(roots))
+    while missing:
+        _, v = heapq.heappop(missing)
+        set_equation(v, builder.rhs(v))
         if len(eqs) > cap:
             raise FinitizeCapError("finitization cap exceeded (%d equations)" % cap)
-        rpc_sweep()
+        reach([w for w, _ in expr_vars(eqs[v])])
+        candidates = [u for u in clean_ancestors(v) if u[0] == "arg" and eqs[u] != EVar(XP)]
+        replaced = False
+        for u in sorted(candidates, key=_var_order_key):
+            if pseudo_cycle(u):
+                set_equation(u, EVar(XP))
+                replaced = True
+        if replaced:
+            seen.clear()
+            missing.clear()
+            reach(list(roots))
 
-    _, seen = reachable_undefined()
     kept = {v: e for v, e in eqs.items() if v in seen}
     ordered = dict(sorted(kept.items(), key=lambda kv: _var_order_key(kv[0])))
     return IOSpec(ordered, roots)
@@ -319,29 +330,34 @@ def is_weakly_guarded(iospec: IOSpec) -> bool:
     """Every equation unfolds to a guarded form: the at-surface dependency
     relation (variable occurrences with no '-'/'+' above them) is acyclic."""
     surface: dict = {}
-
-    def collect(e, out):
-        if isinstance(e, EVar):
-            out.add(e.var)
-        elif isinstance(e, EInf):
-            collect(e.left, out)
-            collect(e.right, out)
-
     for v, e in iospec.equations.items():
         out: set = set()
-        collect(e, out)
+        todo = [e]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, EVar):
+                out.add(e.var)
+            elif isinstance(e, EInf):
+                todo.extend((e.left, e.right))
         surface[v] = out
 
+    # depth-first search with an explicit stack: 1 = on the stack, 2 = done
     color: dict = {}
-
-    def dfs(v):
-        color[v] = 1
-        for w in surface.get(v, ()):
-            if color.get(w) == 1:
-                return False
-            if color.get(w) is None and not dfs(w):
-                return False
-        color[v] = 2
-        return True
-
-    return all(dfs(v) for v in surface if v not in color)
+    for start in surface:
+        if start in color:
+            continue
+        color[start] = 1
+        stack = [(start, iter(surface[start]))]
+        while stack:
+            v, succ = stack[-1]
+            for w in succ:
+                if color.get(w) == 1:
+                    return False
+                if w not in color:
+                    color[w] = 1
+                    stack.append((w, iter(surface.get(w, ()))))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
+    return True

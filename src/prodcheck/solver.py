@@ -2,7 +2,8 @@
 
 The unique solution for a root variable is recovered from a trace graph: a
 node per position of every right-hand side, with silent edges for variable
-references and infimum forks and labelled edges for '-'/'+'.  Sweeping a
+references and infimum forks and labelled edges for '-'/'+'.  The graph is
+the same for every root, so it is built once per system.  Sweeping a
 two-dimensional diagram over the graph column by column (one column per
 input consumed, heights counting outputs) gives the solution's value at
 every supply as the lowest '-'-capable entry of the column.  A repetition
@@ -14,7 +15,7 @@ is quasi-periodic and the rational IO-term can be read off.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .equations import EInf, EStep, EVar, IOSpec, is_weakly_guarded
 from .ioalg import TOP, CoNat, IOTerm, is_top, normalize
@@ -34,7 +35,8 @@ class TraceGraph:
     eps: list  # silent successors per node
     out_plus: list
     out_minus: list
-    root: int
+    heads: dict  # var -> node id of the top position of its right-hand side
+    root: int | None = None
 
     @property
     def size(self) -> int:
@@ -52,23 +54,16 @@ def _positions(expr):
     return out
 
 
-def build_graph(iospec: IOSpec, root) -> TraceGraph:
-    if root not in iospec.equations:
-        raise SolverError("root %r has no equation" % (root,))
+def _system_graph(iospec: IOSpec) -> TraceGraph:
+    """The trace graph of the whole system, without a root."""
     index: dict = {}
     nodes: list = []
-
-    def node_id(var, pos):
-        key = (var, pos)
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append(key)
-        return index[key]
-
-    subexpr: dict = {}
+    subexpr: list = []
     for var, expr in iospec.equations.items():
         for pos, e in _positions(expr):
-            subexpr[node_id(var, pos)] = e
+            index[(var, pos)] = len(nodes)
+            nodes.append((var, pos))
+            subexpr.append(e)
 
     eps = [[] for _ in nodes]
     out_plus = [[] for _ in nodes]
@@ -78,20 +73,31 @@ def build_graph(iospec: IOSpec, root) -> TraceGraph:
         if isinstance(e, EVar):
             if e.var not in iospec.equations:
                 raise SolverError("undefined variable %s" % (e.var,))
-            eps[nid].append(node_id(e.var, ()))
+            eps[nid].append(index[(e.var, ())])
         elif isinstance(e, EStep):
-            target = node_id(var, pos + (1,))
+            target = index[(var, pos + (1,))]
             (out_minus if e.sym == "-" else out_plus)[nid].append(target)
         elif isinstance(e, EInf):
-            eps[nid].append(node_id(var, pos + (1,)))
-            eps[nid].append(node_id(var, pos + (2,)))
+            eps[nid].append(index[(var, pos + (1,))])
+            eps[nid].append(index[(var, pos + (2,))])
         else:  # the end of the sequence: production freezes, inputs are ignored
             out_minus[nid].append(nid)
 
     if not is_weakly_guarded(iospec):
         raise SolverError("silent cycle: system is not weakly guarded")
 
-    return TraceGraph(nodes, eps, out_plus, out_minus, node_id(root, ()))
+    heads = {var: index[(var, ())] for var in iospec.equations}
+    return TraceGraph(nodes, eps, out_plus, out_minus, heads)
+
+
+def build_graph(iospec: IOSpec, root) -> TraceGraph:
+    """The system's trace graph rooted at `root`.  The graph is built and
+    checked once per system and kept on the `IOSpec`; every root shares it."""
+    if root not in iospec.equations:
+        raise SolverError("root %r has no equation" % (root,))
+    if iospec.graph is None:
+        iospec.graph = _system_graph(iospec)
+    return replace(iospec.graph, root=iospec.graph.heads[root])
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +143,22 @@ class Diagram:
 
     def __init__(self, g: TraceGraph):
         self.g = g
-        self.columns = [_vclose(g, {g.root: 0})]
+        self.columns: list = []
+        self.bounds: list = []
+        self._append(_vclose(g, {g.root: 0}))
+
+    def _append(self, column: dict):
+        self.columns.append(column)
+        self.bounds.append(_bound(self.g, column))
 
     def column(self, x: int) -> dict:
         while len(self.columns) <= x:
-            self.columns.append(_vclose(self.g, _step_right(self.g, self.columns[-1])))
+            self._append(_vclose(self.g, _step_right(self.g, self.columns[-1])))
         return self.columns[x]
 
     def bound(self, x: int) -> CoNat:
-        return _bound(self.g, self.column(x))
+        self.column(x)
+        return self.bounds[x]
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,27 @@ def test_non_utf8_file_exit_ten(tmp_path):
     assert err.startswith("prodcheck: ") and "utf-8" in err
 
 
+def test_deep_surface_chain_no_traceback(tmp_path):
+    """C = 0:g0000(C), g_i(x:s) = g_{i+1}(s) for i < 1099 and
+    g1099(x:s) = x:g1099(s).  The star equations form a chain of 1,100
+    variables at the surface.  g_i drops 1099 - i elements and then copies,
+    so g0000 can emit only after 1099 inputs; C gets its head and no more."""
+    n = 1100
+    fs = ["g%04d" % i for i in range(n)]
+    lines = ["Signature(", "  C : stream(nat),", "  %s : stream(nat) -> stream(nat)," % ", ".join(fs)]
+    lines += ["  0 : nat", ")", "C = 0:g0000(C)"]
+    lines += ["%s(x:s) = %s(s)" % (fs[i], fs[i + 1]) for i in range(n - 1)]
+    lines.append("g1099(x:s) = x:g1099(s)")
+    p = tmp_path / "deep.spec"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli([str(p)])
+    assert (code, err) == (1, "")
+    assert "g0000 : [inf](%s(-+))\n" % ("-" * 1099) in out
+    assert "g1098 : [inf](-(-+))\n" in out
+    assert "g1099 : [inf]((-+))\n" in out
+    assert "C : production = 1 : not-productive\n" in out
+
+
 def test_json_report_roundtrip():
     code, out, _ = run_cli([str(spec_path("convolution")), "--report", "json"])
     assert code == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from prodcheck import equations as eq
@@ -22,6 +24,7 @@ from prodcheck.solver import Diagram, build_graph, solve
 from prodcheck.streamspec import classify, parse
 
 from conftest import load
+from test_translate import random_flat_spec
 
 
 def builder_for(spec):
@@ -172,3 +175,152 @@ def test_dump_format(corpus):
     iospec = finitize(b, [arg("f", 1, 0)])
     dump = iospec.dump()
     assert "X_{f,1,0} = /\\ { --+X_{f,1,1}, -++X_{f,1,0} }" in dump
+
+
+# --- incremental finitize against the from-scratch sweep ---------------------
+
+
+def _finitize_reference(builder, roots, cap=100000):
+    """Pseudo-cycle removal done from scratch: after every new equation,
+    rebuild all clean edges and search from every variable, restarting
+    after each replacement.  The order of the materialized equations, the
+    replacements and the cap must match `finitize` exactly."""
+    roots = tuple(roots)
+    eqs: dict = {}
+
+    def reachable_undefined():
+        seen = set()
+        todo = list(roots)
+        missing = []
+        while todo:
+            v = todo.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in eqs:
+                missing.append(v)
+                continue
+            for w, _ in eq.expr_vars(eqs[v]):
+                todo.append(w)
+        return missing, seen
+
+    def rpc_sweep():
+        while True:
+            clean_edges: dict = {}
+            for v, e in eqs.items():
+                clean_edges[v] = {w for w, clean in eq.expr_vars(e) if clean}
+            hit = None
+            for v in sorted(eqs, key=eq._var_order_key):
+                if v[0] != "arg" or eqs[v] == EVar(XP):
+                    continue
+                stack = [v]
+                seen = set()
+                while stack:
+                    w = stack.pop()
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    if w != v and w[0] == "arg" and w[1] == v[1] and w[2] == v[2] and w[3] > v[3]:
+                        hit = v
+                        break
+                    stack.extend(clean_edges.get(w, ()))
+                if hit:
+                    break
+            if hit is None:
+                return
+            eqs[hit] = EVar(XP)
+
+    while True:
+        missing, _ = reachable_undefined()
+        if not missing:
+            break
+        v = min(missing, key=eq._var_order_key)
+        eqs[v] = builder.rhs(v)
+        if len(eqs) > cap:
+            raise eq.FinitizeCapError("finitization cap exceeded (%d equations)" % cap)
+        rpc_sweep()
+
+    _, seen = reachable_undefined()
+    kept = {v: e for v, e in eqs.items() if v in seen}
+    return IOSpec(dict(sorted(kept.items(), key=lambda kv: eq._var_order_key(kv[0]))), roots)
+
+
+def _all_roots(spec):
+    roots = []
+    for f in spec.signature.stream_functions():
+        roots.append(star(f))
+        roots.extend(arg(f, i, 0) for i in range(1, spec.signature.symbols[f].stream_arity + 1))
+    return roots
+
+
+def _outcome(fn, builder, roots, **kw):
+    try:
+        return list(fn(builder, roots, **kw).equations.items())
+    except eq.FinitizeCapError as exc:
+        return (type(exc), str(exc))
+
+
+def _generated_spec(constants, functions, rules):
+    return parse(
+        "Signature(\n  %s : stream(nat),\n  %s : stream(nat) -> stream(nat),\n  0 : nat\n)\n%s\n"
+        % (", ".join(constants), ", ".join(functions), "\n".join(rules))
+    )
+
+
+def _chain(n):
+    fs = ["f%02d" % i for i in range(n)]
+    rules = ["C = 0:f00(C)"] + ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
+    return _generated_spec(["C"], fs, rules)
+
+
+def _ring(n):
+    ps = ["P%d" % i for i in range(n)]
+    rules = ["%s = 0:f(%s)" % (ps[i], ps[(i + 1) % n]) for i in range(n)] + ["f(x:y:s) = x:f(s)"]
+    return _generated_spec(ps, ["f"], rules)
+
+
+# One new equation here opens two pseudo-cycles at once: the second one must
+# still be removed after the first replacement.
+TWO_PSEUDO_CYCLES = """Signature( C0, C1 : stream(bit), f0 : stream(bit) -> stream(bit) -> stream(bit), 0, 1 : bit )
+f0(0:s0,y1_0:y1_1:s1) = 0:1:f0(1:0:s1,s1)
+f0(1:s0,y1_0:y1_1:s1) = 1:1:f0(1:s0,1:1:s0)
+C0 = 1:1:f0(C0,C0)
+C1 = f0(C1,C0)
+"""
+
+
+def _finitize_cases(corpus):
+    for seed in range(200):
+        yield "seed %d" % seed, parse(random_flat_spec(random.Random(seed)))
+    # longer feedback makes pseudo-cycles: q grows along '+'-only paths
+    for seed in range(200):
+        yield "feedback seed %d" % seed, parse(random_flat_spec(random.Random(seed), max_feedback=3))
+    yield "two pseudo-cycles", parse(TWO_PSEUDO_CYCLES)
+    yield from corpus.items()
+    yield "chain 24", _chain(24)
+    yield "ring 8", _ring(8)
+
+
+def test_finitize_matches_from_scratch_sweep(corpus):
+    replaced = 0
+    for name, spec in _finitize_cases(corpus):
+        b = builder_for(spec)
+        roots = _all_roots(spec)
+        want = _outcome(_finitize_reference, b, roots)
+        assert _outcome(finitize, b, roots) == want, name
+        for cap in range(6):
+            assert _outcome(finitize, b, roots, cap=cap) == _outcome(
+                _finitize_reference, b, roots, cap=cap
+            ), (name, cap)
+        if isinstance(want, list):
+            replaced += sum(1 for v, e in want if e == EVar(XP) and b.rhs(v) != e)
+    assert replaced > 0  # the cases exercise pseudo-cycle removal
+
+
+def test_weakly_guarded_deep_surface_chain():
+    n = 5000
+    chain = {("v", i): EVar(("v", i + 1)) for i in range(n)}
+    chain[("v", n)] = EStep("+", EVar(("v", n)))
+    assert is_weakly_guarded(IOSpec(chain, (("v", 0),)))
+    chain[("v", n)] = EVar(("v", 0))
+    assert not is_weakly_guarded(IOSpec(chain, (("v", 0),)))

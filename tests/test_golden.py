@@ -1,8 +1,13 @@
-"""Byte-for-byte CLI outputs for the corpus specs.
+"""Byte-for-byte CLI outputs for the corpus specs and generated systems.
 
 Each case runs the CLI on one spec of `tests/data/` under one flag set and
 compares stdout and the exit code with the file recorded in `tests/golden/`.
 The first line of a golden file is ``exit: N``; stdout follows.
+
+The generated specs are larger than the paper's: a cyclic chain of 16
+one-step functions, a ring of 6 constants over a halving function, and a
+constant behind a cons prefix of 20 elements.  They run under the text
+report and the equation and diagram dumps.
 
 Re-record after an intended output change with
 
@@ -25,7 +30,11 @@ FLAG_SETS = {
     "dumps": ["--mode", "gates", "--dump-equations", "--dump-diagram"],
 }
 
-CASES = [(name, flags) for name in CORPUS for flags in FLAG_SETS]
+GENERATED = ["chain16", "ring6", "prefix20"]
+
+CASES = [(name, flags) for name in CORPUS for flags in FLAG_SETS] + [
+    (name, flags) for name in GENERATED for flags in ("text", "dumps")
+]
 
 
 def _render(name: str, flags: str) -> str:

@@ -67,6 +67,38 @@ def test_graph_missing_root():
         build_graph(sys1(X=EEmpty()), Y)
 
 
+def test_graph_shared_by_roots():
+    iospec = sys1(
+        X=EInf(steps("-++", EVar(X)), steps("--+", EVar(Y))),
+        Y=EInf(steps("++", EVar(X)), steps("-+", EVar(Y))),
+    )
+    gx, gy = build_graph(iospec, X), build_graph(iospec, Y)
+    assert gx.nodes is gy.nodes and gx.eps is gy.eps
+    assert gx.out_plus is gy.out_plus and gx.out_minus is gy.out_minus
+    assert gx.nodes[gx.root] == (X, ()) and gy.nodes[gy.root] == (Y, ())
+    fresh = IOSpec(dict(iospec.equations), iospec.roots)
+    assert solve(iospec, Y) == solve(fresh, Y)
+
+
+def test_graph_errors_on_every_call():
+    Z = ("v", "Z")
+    # an undefined variable and a silent cycle: the missing root is reported
+    # first, then the undefined variable, and nothing is kept in between
+    broken = sys1(X=EVar(Z), Y=EInf(EVar(Y), EStep("+", EVar(X))))
+    cycle = sys1(X=EVar(Y), Y=EVar(X))
+    for _ in range(2):
+        with pytest.raises(SolverError, match="has no equation"):
+            build_graph(broken, Z)
+        with pytest.raises(SolverError, match="undefined variable"):
+            build_graph(broken, X)
+        with pytest.raises(SolverError, match="undefined variable"):
+            solve(broken, Y)
+        with pytest.raises(SolverError, match="silent cycle"):
+            build_graph(cycle, X)
+        with pytest.raises(SolverError, match="silent cycle"):
+            solve(cycle, Y)
+
+
 # --- columns and bounds ------------------------------------------------------
 
 

@@ -193,8 +193,9 @@ def test_constant_production_matches_game(corpus):
         assert verdicts[constant].production == game
 
 
-def random_flat_spec(rng):
-    """Random exhaustive flat specification over bits."""
+def random_flat_spec(rng, max_feedback=1):
+    """Random exhaustive flat specification over bits; each argument of a
+    call gets up to `max_feedback` elements pushed back in front of it."""
     funs = {"f%d" % i: rng.randrange(1, 3) for i in range(rng.randrange(1, 3))}
     cons = ["C%d" % i for i in range(rng.randrange(1, 3))]
     decls = [", ".join(cons) + " : stream(bit)"]
@@ -218,7 +219,7 @@ def random_flat_spec(rng):
                 args = []
                 for _ in range(funs[g]):
                     src = rng.randrange(a)
-                    fb = [rng.choice("01") for _ in range(rng.randrange(0, 2))]
+                    fb = [rng.choice("01") for _ in range(rng.randrange(0, max_feedback + 1))]
                     args.append(":".join(fb + ["s%d" % src]))
                 tail = "%s(%s)" % (g, ",".join(args))
             rules.append("%s(%s) = %s" % (f, ",".join(pats), ":".join(out + [tail])))
