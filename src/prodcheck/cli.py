@@ -7,7 +7,8 @@
 
 Exit codes: 0 every analyzed constant is productive, 1 some constant is
 (data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
-error, 11 validation error, 12 translation error, 13 a search cap was hit.
+error, 11 validation error, 12 translation error, 13 a search cap was hit
+or terms are nested too deep for the interpreter.
 """
 
 from __future__ import annotations
@@ -204,39 +205,43 @@ def main(argv=None) -> int:
         return 10
     try:
         spec = parse(text, args.file)
-    except ParseError as exc:
-        print(str(exc.diagnostic), file=sys.stderr)
-        return 10
-    diagnostics = validate(spec)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    for d in diagnostics:
-        if d.severity == "error" or args.verbose:
-            print(str(d), file=sys.stderr)
-    if errors:
-        return 11
-    cls = classify(spec)
-    try:
+        diagnostics = validate(spec)
+        errors = [d for d in diagnostics if d.severity == "error"]
+        for d in diagnostics:
+            if d.severity == "error" or args.verbose:
+                print(str(d), file=sys.stderr)
+        if errors:
+            return 11
+        cls = classify(spec)
         gates, iospec = translate_symbols(spec, cls, caps)
         if args.mode == "gates":
             _debug_dumps(spec, iospec, args, out)
             out.write("\n".join(_classification_lines(spec, cls)) + "\n\n")
             out.write("\n".join(_gate_lines(spec, gates)) + "\n")
             return 0
-        verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates)
+        verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates, cls=cls)
+        _debug_dumps(spec, iospec, args, out)
+        if args.mode == "oracle-check":
+            return _oracle_check(spec, cls, gates, verdicts, caps, out)
+        if args.report == "json":
+            _report_json(spec, gates, verdicts, out)
+        else:
+            _report_text(spec, cls, gates, verdicts, out)
+        return _exit_code(verdicts)
+    except ParseError as exc:
+        print(str(exc.diagnostic), file=sys.stderr)
+        return 10
     except (TranslateError, SolverError) as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 12
     except (FinitizeCapError, SolverCapError) as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
-    _debug_dumps(spec, iospec, args, out)
-    if args.mode == "oracle-check":
-        return _oracle_check(spec, cls, gates, verdicts, caps, out)
-    if args.report == "json":
-        _report_json(spec, gates, verdicts, out)
-    else:
-        _report_text(spec, cls, gates, verdicts, out)
-    return _exit_code(verdicts)
+    except RecursionError:
+        # the parser and most term walks recurse once per nesting level
+        limit = sys.getrecursionlimit()
+        print("prodcheck: terms nested too deep for the interpreter's recursion limit (%d)" % limit, file=sys.stderr)
+        return 13
 
 
 if __name__ == "__main__":

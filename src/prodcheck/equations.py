@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .streamspec import Classification, StreamSpec
+from .streamspec import Classification, StreamSpec, reaches_cycle
 
 # ---------------------------------------------------------------------------
 # variables and expressions
@@ -310,6 +310,12 @@ def finitize(builder: EquationBuilder, roots, cap: int = 100000) -> IOSpec:
         if len(eqs) > cap:
             raise FinitizeCapError("finitization cap exceeded (%d equations)" % cap)
         reach([w for w, _ in expr_vars(eqs[v])])
+        # star, X_+, X_- and X_id equations have clean edges only to variables
+        # that are not argument variables, and so do those variables' own
+        # equations: no path through them reaches an argument variable, so
+        # they cannot open a pseudo-cycle
+        if v[0] != "arg":
+            continue
         candidates = [u for u in clean_ancestors(v) if u[0] == "arg" and eqs[u] != EVar(XP)]
         replaced = False
         for u in sorted(candidates, key=_var_order_key):
@@ -341,23 +347,4 @@ def is_weakly_guarded(iospec: IOSpec) -> bool:
                 todo.extend((e.left, e.right))
         surface[v] = out
 
-    # depth-first search with an explicit stack: 1 = on the stack, 2 = done
-    color: dict = {}
-    for start in surface:
-        if start in color:
-            continue
-        color[start] = 1
-        stack = [(start, iter(surface[start]))]
-        while stack:
-            v, succ = stack[-1]
-            for w in succ:
-                if color.get(w) == 1:
-                    return False
-                if w not in color:
-                    color[w] = 1
-                    stack.append((w, iter(surface.get(w, ()))))
-                    break
-            else:
-                color[v] = 2
-                stack.pop()
-    return True
+    return not reaches_cycle(surface)

@@ -17,7 +17,7 @@ signature is a variable whose sort is inferred from its position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -212,10 +212,16 @@ class StreamSpec:
     stream_rules: list
     data_rules: list
     filename: str = "<input>"
+    # rules per root symbol, indexed on first use; the rules must not change
+    # once it is there
+    by_root: dict = field(default=None, compare=False, repr=False)
 
     def rules_of(self, symbol: str):
-        layer = self.stream_rules if self.signature.symbols[symbol].kind != "data" else self.data_rules
-        return [r for r in layer if r.root == symbol]
+        if self.by_root is None:
+            self.by_root = {}
+            for r in self.stream_rules + self.data_rules:
+                self.by_root.setdefault(r.root, []).append(r)
+        return self.by_root.get(symbol, [])
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +463,20 @@ def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
     return DVar(name)
 
 
-def _term_vars(t: Term):
-    if isinstance(t, (SVar, DVar)):
+def _subterms(t: Term):
+    """Every subterm of `t`, in preorder, left to right."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
         yield t
-    elif isinstance(t, Cons):
-        yield from _term_vars(t.head)
-        yield from _term_vars(t.tail)
-    else:
-        for a in t.args:
-            yield from _term_vars(a)
+        if isinstance(t, Cons):
+            todo += (t.tail, t.head)
+        elif isinstance(t, App):
+            todo.extend(reversed(t.args))
+
+
+def _term_vars(t: Term):
+    return (s for s in _subterms(t) if isinstance(s, (SVar, DVar)))
 
 
 def parse(text: str, filename: str = "<input>") -> StreamSpec:
@@ -527,22 +538,6 @@ def render_spec(spec: StreamSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def _pattern_ok(t: Term, constructors: set, diags, rule: Rule, spec):
-    """lhs arguments must be constructor patterns."""
-    if isinstance(t, (SVar, DVar)):
-        return
-    if isinstance(t, Cons):
-        _pattern_ok(t.head, constructors, diags, rule, spec)
-        _pattern_ok(t.tail, constructors, diags, rule, spec)
-        return
-    if t.sym not in constructors:
-        diags.append(
-            Diagnostic("error", "defined symbol %r in a pattern of %r" % (t.sym, rule.root), rule.line, 1, spec.filename)
-        )
-    for a in t.args:
-        _pattern_ok(a, constructors, diags, rule, spec)
 
 
 def _linear(rule: Rule, diags, spec):
@@ -640,15 +635,22 @@ def validate(spec: StreamSpec):
     by_sort = _constructors_of(spec)
     constructors = {info.name for infos in by_sort.values() for info in infos}
 
-    for rule in spec.stream_rules + spec.data_rules:
-        _linear(rule, diags, spec)
-        for a in rule.lhs.args:
-            _pattern_ok(a, constructors, diags, spec=spec, rule=rule)
-
     all_rules = spec.stream_rules + spec.data_rules
-    for i, r1 in enumerate(all_rules):
-        for r2 in all_rules[i + 1:]:
-            if r1.root == r2.root and _patterns_overlap(r1.lhs, r2.lhs):
+    for rule in all_rules:
+        _linear(rule, diags, spec)
+        # lhs arguments must be constructor patterns
+        for a in rule.lhs.args:
+            for t in _subterms(a):
+                if isinstance(t, App) and t.sym not in constructors:
+                    diags.append(
+                        Diagnostic("error", "defined symbol %r in a pattern of %r" % (t.sym, rule.root), rule.line, 1, spec.filename)
+                    )
+
+    later: dict = {}  # root -> its rules after the current one
+    for r1 in all_rules:
+        later[r1.root] = later.get(r1.root, spec.rules_of(r1.root))[1:]
+        for r2 in later[r1.root]:
+            if _patterns_overlap(r1.lhs, r2.lhs):
                 diags.append(
                     Diagnostic("error", "overlapping rules for %r (lines %d and %d)" % (r1.root, r1.line, r2.line), r2.line, 1, spec.filename)
                 )
@@ -753,45 +755,25 @@ class Classification:
     depends: dict  # stream symbol -> set of stream symbols in its rule rhss
 
 
-def _rhs_stream_symbols(spec: StreamSpec, t: Term):
-    sig = spec.signature
-    if isinstance(t, (SVar, DVar)):
-        return set()
-    if isinstance(t, Cons):
-        return _rhs_stream_symbols(spec, t.head) | _rhs_stream_symbols(spec, t.tail)
-    out = set()
-    info = sig.symbols.get(t.sym)
-    if info is not None and info.kind in ("func", "const"):
-        out.add(t.sym)
-    for a in t.args:
-        out |= _rhs_stream_symbols(spec, a)
-    return out
-
-
 def classify(spec: StreamSpec) -> Classification:
     sig = spec.signature
     shapes: dict = {}
     depends: dict = {}
     stream_symbols = sig.stream_constants() + sig.stream_functions()
-    for name in stream_symbols:
-        shapes[name] = [rule_shape(spec, r) for r in spec.rules_of(name)]
-        dep = set()
-        for r in spec.rules_of(name):
-            dep |= _rhs_stream_symbols(spec, r.rhs)
-        depends[name] = dep
-
-    # zero-production dependency edges and their cycles
+    # zero-production tail calls: a symbol is weakly guarded unless they can
+    # run into a cycle
     edges: dict = {name: set() for name in stream_symbols}
     for name in stream_symbols:
+        rules = spec.rules_of(name)
+        shapes[name] = [rule_shape(spec, r) for r in rules]
+        depends[name] = {t.sym for r in rules for t in _subterms(r.rhs) if isinstance(t, App) and t.sym in edges}
         for sh in shapes[name]:
             if sh.produce == 0:
                 _, tail = _peel_rhs(sh.rule.rhs)
                 if isinstance(tail, App) and tail.sym in edges:
                     edges[name].add(tail.sym)
-    on_cycle = _cycle_nodes(edges)
-    guarded = {}
-    for name in stream_symbols:
-        guarded[name] = not _reaches(edges, name, on_cycle)
+    unguarded = reaches_cycle(edges)
+    guarded = {name: name not in unguarded for name in stream_symbols}
 
     symbol_class = {}
     for name in sig.stream_functions():
@@ -806,70 +788,24 @@ def classify(spec: StreamSpec) -> Classification:
     return Classification(shapes, symbol_class, guarded, depends)
 
 
-def _cycle_nodes(edges: dict):
-    """Nodes lying on a directed cycle (Tarjan SCC, iterative)."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = [0]
-    result: set = set()
+def reaches_cycle(edges: dict) -> set:
+    """Nodes from which some path runs into a directed cycle.
 
-    def strongconnect(v0):
-        work = [(v0, iter(sorted(edges[v0])))]
-        index[v0] = low[v0] = counter[0]
-        counter[0] += 1
-        stack.append(v0)
-        on_stack.add(v0)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(edges[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or v in edges[v]:
-                    result.update(comp)
-
-    for v in edges:
-        if v not in index:
-            strongconnect(v)
-    return result
-
-
-def _reaches(edges: dict, start, targets: set) -> bool:
-    seen = set()
-    todo = [start]
+    `edges` maps each node to its successors.  Sinks are peeled off until
+    none is left; a target with no entry of its own is a sink.
+    """
+    left = {v: len(ws) for v, ws in edges.items()}  # successors not peeled
+    preds: dict = {}
+    for v, ws in edges.items():
+        for w in ws:
+            preds.setdefault(w, []).append(v)
+    todo = [v for v in preds if v not in edges] + [v for v, n in left.items() if not n]
     while todo:
-        v = todo.pop()
-        if v in targets:
-            return True
-        if v in seen:
-            continue
-        seen.add(v)
-        todo.extend(edges.get(v, ()))
-    return False
+        for u in preds.get(todo.pop(), ()):
+            left[u] -= 1
+            if not left[u]:
+                todo.append(u)
+    return {v for v, n in left.items() if n}
 
 
 def reachable_symbols(spec: StreamSpec, cls: Classification, start: str):

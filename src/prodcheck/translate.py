@@ -120,10 +120,11 @@ def _context_for(spec: StreamSpec, cls: Classification, constant: str) -> str:
     return "pure"
 
 
-def decide(spec: StreamSpec, caps: Caps | None = None, root: str | None = None, gates: dict | None = None):
+def decide(spec: StreamSpec, caps: Caps | None = None, root: str | None = None, gates: dict | None = None,
+           cls: Classification | None = None):
     """Analyze every declared stream constant (or just `root`)."""
     caps = caps or Caps()
-    cls = classify(spec)
+    cls = cls or classify(spec)
     if gates is None:
         gates, _ = translate_symbols(spec, cls, caps)
     constants = spec.signature.stream_constants()

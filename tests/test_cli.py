@@ -1,12 +1,14 @@
 import io
 import json
+import random
 import sys
 
 import pytest
 
 from prodcheck.cli import main
 
-from conftest import spec_path
+from conftest import CORPUS, spec_path
+from test_translate import random_flat_spec
 
 
 def run_cli(args):
@@ -169,3 +171,47 @@ def test_oracle_check_mode():
     assert code == 0
     assert "gate agrees with game" in out
     assert "agree" in out
+
+
+def _mutate_lines(rng, text):
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    op = rng.randrange(4)
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        c = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:c] + rng.choice("():,=x0s-") + lines[i][c:]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_fuzz_documented_exit_codes(tmp_path):
+    """Seeded line mutations of the corpus, a non-UTF-8 byte, random flat
+    specifications and a cons prefix 2,000 deep all end in a documented
+    exit code, never in a traceback."""
+    rng = random.Random(806)
+    inputs = []
+    for name in CORPUS:
+        text = spec_path(name).read_text()
+        inputs += [_mutate_lines(rng, text) for _ in range(20)]
+    raw = bytearray(spec_path("pascal").read_bytes())
+    raw[rng.randrange(len(raw))] = 0xFF
+    inputs.append(bytes(raw))
+    inputs += [random_flat_spec(random.Random(seed), max_feedback=2).encode() for seed in range(20)]
+    inputs.append(b"Signature( P : stream(nat), 0 : nat )\nP = " + b"0:" * 2000 + b"P\n")
+    codes = []
+    for k, data in enumerate(inputs):
+        p = tmp_path / ("fuzz%d.spec" % k)
+        p.write_bytes(data)
+        mode = ["--mode", "gates", "--verbose"] if k % 2 else []
+        code, _, err = run_cli([str(p)] + mode)
+        assert code in {0, 1, 2, 10, 11, 12, 13}, (data, code)
+        assert "Traceback" not in err, data
+        codes.append(code)
+    assert codes[-1] == 13
+    assert {0, 10, 11} <= set(codes)

@@ -4,6 +4,7 @@ import pytest
 
 from prodcheck import equations as eq
 from prodcheck.equations import (
+    EEmpty,
     EInf,
     EStep,
     EVar,
@@ -324,3 +325,69 @@ def test_weakly_guarded_deep_surface_chain():
     assert is_weakly_guarded(IOSpec(chain, (("v", 0),)))
     chain[("v", n)] = EVar(("v", 0))
     assert not is_weakly_guarded(IOSpec(chain, (("v", 0),)))
+
+
+def _weakly_guarded_reference(iospec):
+    """Weak guardedness by a colour depth-first search over the surface
+    occurrences, as `is_weakly_guarded` computed it before it shared the
+    cycle finder of `streamspec`."""
+    surface: dict = {}
+    for v, e in iospec.equations.items():
+        out: set = set()
+        todo = [e]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, EVar):
+                out.add(e.var)
+            elif isinstance(e, EInf):
+                todo.extend((e.left, e.right))
+        surface[v] = out
+    color: dict = {}  # 1 = on the stack, 2 = done
+    for start in surface:
+        if start in color:
+            continue
+        color[start] = 1
+        stack = [(start, iter(surface[start]))]
+        while stack:
+            v, succ = stack[-1]
+            for w in succ:
+                if color.get(w) == 1:
+                    return False
+                if w not in color:
+                    color[w] = 1
+                    stack.append((w, iter(surface.get(w, ()))))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
+    return True
+
+
+def _random_expr(rng, names, depth=0):
+    pick = rng.random()
+    if depth > 3 or pick < 0.4:
+        return EVar(rng.choice(names))
+    if pick < 0.5:
+        return EEmpty()
+    if pick < 0.75:
+        return EStep(rng.choice("-+"), _random_expr(rng, names, depth + 1))
+    return EInf(_random_expr(rng, names, depth + 1), _random_expr(rng, names, depth + 1))
+
+
+def test_weakly_guarded_matches_colour_search(corpus):
+    outcomes = set()
+    rng = random.Random(806)
+    for _ in range(400):
+        n = rng.randrange(1, 8)
+        names = [("v", i) for i in range(n + rng.randrange(0, 3))]  # some undefined
+        iospec = IOSpec({names[i]: _random_expr(rng, names) for i in range(n)}, (names[0],))
+        want = _weakly_guarded_reference(iospec)
+        assert is_weakly_guarded(iospec) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    for name, spec in _finitize_cases(corpus):
+        try:
+            iospec = finitize(builder_for(spec), _all_roots(spec))
+        except TranslationError:
+            continue
+        assert is_weakly_guarded(iospec) == _weakly_guarded_reference(iospec), name

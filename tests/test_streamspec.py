@@ -9,6 +9,7 @@ from prodcheck.streamspec import (
     SVar,
     classify,
     parse,
+    reaches_cycle,
     render_spec,
     rule_shape,
     validate,
@@ -54,6 +55,19 @@ def test_parse_unbound_rhs_variable():
     with pytest.raises(ParseError) as err:
         parse(text)
     assert "unbound stream variable" in str(err.value)
+
+
+def test_parse_unbound_names_leftmost():
+    text = """Signature(
+      P : stream(nat),
+      f : stream(nat) -> stream(nat) -> stream(nat),
+      0 : nat
+    )
+    P = f(y:t,u)
+    """
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "unbound data variable on rhs: 'y'" in str(err.value)
 
 
 def test_parse_comments_only():
@@ -154,6 +168,25 @@ def test_validate_left_linearity():
     spec = parse(text)
     errors = [d for d in validate(spec) if d.severity == "error"]
     assert errors and "non-left-linear" in errors[0].message
+
+
+def test_validate_defined_symbols_in_pattern_preorder():
+    text = """Signature(
+      P : stream(bit),
+      f : stream(bit) -> stream(bit),
+      a, b : bit -> bit,
+      0, 1 : bit
+    )
+    P = 0:f(P)
+    f(b(a(x)):s) = x:f(s)
+    a(x) = x
+    b(x) = x
+    """
+    errors = [d.message for d in validate(parse(text)) if d.severity == "error"]
+    assert errors == [
+        "defined symbol 'b' in a pattern of 'f'",
+        "defined symbol 'a' in a pattern of 'f'",
+    ]
 
 
 def test_validate_missing_rules():
@@ -277,3 +310,27 @@ def test_rule_shapes_pascal(corpus):
 def test_rule_shape_duplication(corpus):
     (shape,) = classify(corpus["traces"]).shapes["f"]
     assert shape.perm == (1, 1) and shape.consume == (0,) and shape.produce == 0
+
+
+def test_reaches_cycle_against_brute_force():
+    rng = random.Random(2008)
+    sizes = set()
+    for _ in range(300):
+        n = rng.randrange(0, 8)
+        targets = list(range(n + rng.randrange(0, 3)))  # some have no entry
+        edges = {v: {w for w in targets if rng.random() < 0.2} for v in range(n)}
+
+        def reach(v):
+            seen, todo = set(), list(edges.get(v, ()))
+            while todo:
+                w = todo.pop()
+                if w not in seen:
+                    seen.add(w)
+                    todo.extend(edges.get(w, ()))
+            return seen
+
+        on_cycle = {v for v in edges if v in reach(v)}
+        want = {v for v in edges if v in on_cycle or reach(v) & on_cycle}
+        assert reaches_cycle(edges) == want, edges
+        sizes.add(len(want))
+    assert 0 in sizes and len(sizes) > 3
