@@ -8,7 +8,8 @@
 Exit codes: 0 every analyzed constant is productive, 1 some constant is
 (data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
 error, 11 validation error, 12 translation error, 13 a search cap was hit
-or terms are nested too deep for the interpreter.
+or terms are nested too deep for the interpreter.  A malformed command line,
+a cap below 0 included, ends in argparse's usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from . import dogame
 from .equations import FinitizeCapError
-from .ioalg import conat_str, is_top, render
+from .ioalg import conat_str, interpret, is_top, render
 from .prodterm import pretty
 from . import equations as eqmod
 from .solver import SolverCapError, SolverError, dump_diagram
@@ -35,16 +36,27 @@ _CLASS_WORDS = {
 }
 
 
+def _count(text):
+    """argparse type of the caps: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="prodcheck", description="stream specification productivity analyzer")
     p.add_argument("file", help="specification file")
     p.add_argument("--mode", choices=["decide", "gates", "oracle-check"], default="decide")
     p.add_argument("--root", help="analyze only this stream constant")
     p.add_argument("--report", choices=["text", "json"], default="text")
-    p.add_argument("--max-columns", type=int, default=10000)
-    p.add_argument("--finitize-cap", type=int, default=100000)
-    p.add_argument("--oracle-prod-cap", type=int, default=32)
-    p.add_argument("--oracle-steps", type=int, default=100000)
+    p.add_argument("--max-columns", type=_count, default=10000)
+    p.add_argument("--finitize-cap", type=_count, default=100000)
+    p.add_argument("--oracle-prod-cap", type=_count, default=32)
+    p.add_argument("--oracle-steps", type=_count, default=100000)
     p.add_argument("--dump-equations", action="store_true", help="print the finitized equation system")
     p.add_argument("--dump-diagram", action="store_true", help="print solver columns and repetition witnesses")
     p.add_argument("--verbose", action="store_true")
@@ -136,8 +148,6 @@ def _report_json(spec, gates, verdicts, out):
 
 def _oracle_check(spec, cls, gates, verdicts, caps, out):
     """Cross-check gates and verdicts against the game oracle."""
-    from .ioalg import interpret
-
     failures = 0
     for name in spec.signature.stream_functions():
         if cls.symbol_class[name] not in ("flat", "pure"):

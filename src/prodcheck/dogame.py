@@ -6,6 +6,11 @@ enabled.  The value of a function under supplies is the least production the
 adversary can force; constants are evaluated against every uniform rule
 assignment the adversary may commit to, taking the worst outcome.
 
+Both games are played by one search on an explicit stack, `_game_value`:
+a function game offers the adversary every rule at every state and may
+expand `_FUNCTION_EXPANSIONS` states; a constant's games offer one committed
+rule per symbol and share the `step_cap` of `do_low_constant`.
+
 Results are either exact numbers or `AtLeast(b)` lower bounds; the oracle
 never asserts infinity on its own.
 """
@@ -14,10 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import lt
 
 from .streamspec import App, Classification, Cons, StreamSpec, SVar, reachable_symbols
 
 _INF_DEP = 10**9
+_FUNCTION_EXPANSIONS = 10000  # game states one do_low_function call may expand
 
 
 @dataclass(frozen=True)
@@ -41,116 +48,94 @@ def _as_result(lo, exact, prod_cap):
     return AtLeast(int(min(lo, prod_cap)))
 
 
-def _flat_shapes(spec: StreamSpec, cls: Classification, f: str):
+def _flat_shapes(cls: Classification, f: str):
     if cls.symbol_class.get(f) not in ("flat", "pure"):
         raise ValueError("%r is not a flat stream function" % f)
     return cls.shapes[f]
 
 
-def do_low_function(
-    spec: StreamSpec,
-    cls: Classification,
-    f: str,
-    supplies,
-    prod_cap: int = 32,
-    depth_cap: int = 10000,
-):
+def _game_value(shapes_of, f, supplies, prod_cap, budget):
+    """Least remaining production from state (f, supplies tuple); (lo, exact).
+
+    A depth-first search on an explicit stack that minimizes over the shapes
+    `shapes_of(g)` at every state (g, supplies): a shape whose pattern wants
+    more than some supply strands the term (value 0); a shape continuing
+    with a plain argument tail pays out that argument's leftover; a
+    recursive tail is followed with updated supplies.  A state met again on
+    the stack closes a cycle: without output since its entry the adversary
+    loops forever (0), with output it pumps past any bound.  A state whose
+    value depends on no state below it is memoized.  Every expansion spends
+    one unit of `budget[0]`, which callers may share; past the budget or
+    `prod_cap` output the value is an inexact lower bound.
+    """
+    memo: dict = {}
+    on_stack: dict = {}  # state -> depth of its frame
+    frames: list = []  # [state, acc, branches, calls left, dep, output of the open call]
+    g, ns, acc = f, supplies, 0
+    while True:
+        state = (g, ns)
+        res = None  # (lo, exact, shallowest stack depth it depends on)
+        if state in memo:
+            res = memo[state]
+        elif state in on_stack:
+            entry_depth = on_stack[state]
+            if acc == frames[entry_depth][1]:
+                res = (0, True, entry_depth)  # silent cycle: loop forever
+            else:
+                res = (max(prod_cap - acc, 0), False, entry_depth)  # pumping cycle
+        elif acc >= prod_cap or budget[0] <= 0:
+            res = (0, False, -1)  # cap hit: nothing above may be memoized
+        else:
+            budget[0] -= 1
+            on_stack[state] = len(frames)
+            branches, calls = [], []
+            for sh in reversed(shapes_of(g)):  # calls pop off in rule order
+                if any(map(lt, ns, sh.consume)):  # some supply runs short
+                    branches.append((0, True))
+                elif sh.tail_var is not None:
+                    leftover = ns[sh.tail_var - 1] - sh.consume[sh.tail_var - 1]
+                    branches.append((sh.produce + leftover, True))
+                else:
+                    ns2 = tuple(fb + ns[p - 1] - sh.consume[p - 1] for fb, p in zip(sh.feedback, sh.perm))
+                    calls.append((sh.produce, sh.callee, ns2))
+            frames.append([state, acc, branches, calls, _INF_DEP, 0])
+        while frames:
+            frame = frames[-1]
+            state, acc, branches, calls, dep, produce = frame
+            if res is not None:  # the value of the open call's state
+                branches.append((produce + res[0], res[1]))
+                if res[2] < dep:
+                    dep = res[2]
+            if calls:
+                produce, g, ns = calls.pop()
+                frame[4], frame[5] = dep, produce
+                acc += produce
+                break  # expand the callee state (g, ns)
+            frames.pop()
+            del on_stack[state]
+            lo, exact = branches[0] if len(branches) == 1 else _combine_min(branches)
+            if dep >= len(frames):  # no live dependency below this frame
+                res = memo[state] = (lo, exact, _INF_DEP)
+            else:
+                res = (lo, exact, dep)
+        else:
+            return res[0], res[1]
+
+
+def do_low_function(spec: StreamSpec, cls: Classification, f: str, supplies, prod_cap: int = 32):
     """Least production of f the adversary can force from finite supplies.
 
-    Minimizes over defining rules at every state: a rule whose pattern wants
-    more than some supply strands the term (value 0); a rule continuing with
-    a plain argument tail pays out that argument's leftover; a recursive
-    tail is followed with updated supplies.  Cycles that pass no output can
-    be looped forever (0); cycles that produce pump past any bound.
+    The adversary picks any defining rule at every state; the search expands
+    at most `_FUNCTION_EXPANSIONS` states.
     """
-    _flat_shapes(spec, cls, f)
-    memo: dict = {}
-    on_stack: dict = {}  # state -> (accumulated output at entry, depth)
-    visits = [0]
-
-    def value(g, ns, acc, depth):
-        """Remaining production from state (g, ns); returns (lo, exact, dep)."""
-        state = (g, ns)
-        if state in memo:
-            lo, exact = memo[state]
-            return lo, exact, _INF_DEP
-        if state in on_stack:
-            entry_acc, entry_depth = on_stack[state]
-            if acc == entry_acc:
-                return 0, True, entry_depth  # silent cycle: loop forever
-            return max(prod_cap - acc, 0), False, entry_depth  # pumping cycle
-        if acc >= prod_cap or visits[0] >= depth_cap:
-            return 0, False, -1  # cap hit: nothing above may be memoized
-        visits[0] += 1
-        on_stack[state] = (acc, depth)
-        branches = []
-        dep = _INF_DEP
-        for sh in cls.shapes[g]:
-            if any(n < c for n, c in zip(ns, sh.consume)):
-                branches.append((0, True))
-                continue
-            if sh.tail_var is not None:
-                leftover = ns[sh.tail_var - 1] - sh.consume[sh.tail_var - 1]
-                branches.append((sh.produce + leftover, True))
-                continue
-            ns2 = tuple(
-                sh.feedback[j] + ns[sh.perm[j] - 1] - sh.consume[sh.perm[j] - 1]
-                for j in range(len(sh.perm))
-            )
-            lo, exact, d = value(sh.callee, ns2, acc + sh.produce, depth + 1)
-            branches.append((sh.produce + lo, exact))
-            dep = min(dep, d)
-        del on_stack[state]
-        lo, exact = _combine_min(branches)
-        if dep >= depth:  # no live dependency below this frame
-            memo[state] = (lo, exact)
-            dep = _INF_DEP
-        return lo, exact, dep
-
-    lo, exact, _ = value(f, tuple(int(n) for n in supplies), 0, 0)
+    _flat_shapes(cls, f)
+    supplies = tuple(int(n) for n in supplies)
+    lo, exact = _game_value(cls.shapes.__getitem__, f, supplies, prod_cap, [_FUNCTION_EXPANSIONS])
     return _as_result(lo, exact, prod_cap)
 
 
 # ---------------------------------------------------------------------------
 # constants
-
-
-def _single_rule_value(shapes_of, assign, g, supplies, prod_cap, budget):
-    """Production of g under a committed rule per symbol; (lo, exact)."""
-    path: dict = {}
-    memo: dict = {}
-
-    def go(h, ns, acc):
-        state = (h, ns)
-        if state in memo:
-            return memo[state]
-        if state in path:
-            res = (0, True) if acc == path[state] else (prod_cap, False)
-            return res
-        if acc >= prod_cap:
-            return prod_cap, False
-        budget[0] -= 1
-        if budget[0] <= 0:
-            return 0, False
-        sh = shapes_of(h)[assign[h]]
-        if any(n < c for n, c in zip(ns, sh.consume)):
-            res = (0, True)
-        elif sh.tail_var is not None:
-            res = (sh.produce + ns[sh.tail_var - 1] - sh.consume[sh.tail_var - 1], True)
-        else:
-            path[state] = acc
-            ns2 = tuple(
-                sh.feedback[j] + ns[sh.perm[j] - 1] - sh.consume[sh.perm[j] - 1]
-                for j in range(len(sh.perm))
-            )
-            lo, exact = go(sh.callee, ns2, acc + sh.produce)
-            del path[state]
-            res = (sh.produce + lo, exact)
-        if not path and res[1]:  # only context-free exact values are reusable
-            memo[state] = res
-        return res
-
-    return go(g, tuple(supplies), 0)
 
 
 def do_low_constant(
@@ -165,8 +150,9 @@ def do_low_constant(
     Enumerates uniform rule assignments (one committed rule per reachable
     symbol); for each, the constant values are the least fixed point of the
     resulting single-rule system, computed by iteration from zero with the
-    production cap guarding divergence.  Nesting rules are outside this
-    oracle's state space.
+    production cap guarding divergence.  The function games of the whole
+    enumeration share `step_cap - 1` expansions.  Nesting rules are outside
+    this oracle's state space.
     """
     sig = spec.signature
     reach = reachable_symbols(spec, cls, name)
@@ -178,12 +164,9 @@ def do_low_constant(
     symbols = sorted(reach)
     constants = [s for s in symbols if sig.symbols[s].kind == "const"]
 
-    def shapes_of(s):
-        return cls.shapes[s]
-
-    def term_production(term, values, assign):
+    def term_production(term, values, shapes_of):
         if isinstance(term, Cons):
-            lo, exact = term_production(term.tail, values, assign)
+            lo, exact = term_production(term.tail, values, shapes_of)
             return lo + 1, exact
         if isinstance(term, SVar):
             raise ValueError("open stream term under constant %r" % name)
@@ -191,21 +174,20 @@ def do_low_constant(
         info = sig.symbols[term.sym]
         if info.kind == "const":
             return values[term.sym]
-        child = [term_production(a, values, assign) for a in term.args[: info.stream_arity]]
+        child = [term_production(a, values, shapes_of) for a in term.args[: info.stream_arity]]
         supplies = tuple(min(lo, prod_cap) for lo, _ in child)
-        lo, exact = _single_rule_value(shapes_of, assign, term.sym, supplies, prod_cap, budget)
+        lo, exact = _game_value(shapes_of, term.sym, supplies, prod_cap, budget)
         return lo, exact and all(ex for _, ex in child)
 
     outcomes = []
-    budget = [step_cap]
-    choices = [range(len(shapes_of(s))) for s in symbols]
-    for picks in itertools.product(*choices):
-        assign = dict(zip(symbols, picks))
+    budget = [step_cap - 1]
+    for picks in itertools.product(*(cls.shapes[s] for s in symbols)):
+        committed = {s: (sh,) for s, sh in zip(symbols, picks)}
+        rule_of = {c: committed[c][0].rule for c in constants}
         values = {c: (0, True) for c in constants}
         settled = False
         for _ in range(prod_cap * max(1, len(constants)) + 2):
-            rule_of = {c: spec.rules_of(c)[assign[c]] for c in constants}
-            new = {c: term_production(rule_of[c].rhs, values, assign) for c in constants}
+            new = {c: term_production(rule_of[c].rhs, values, committed.__getitem__) for c in constants}
             # a capped iterate is only a lower bound from here on
             capped = {c: (min(lo, prod_cap), ex and lo < prod_cap) for c, (lo, ex) in new.items()}
             if capped == values:

@@ -215,3 +215,26 @@ def test_fuzz_documented_exit_codes(tmp_path):
         codes.append(code)
     assert codes[-1] == 13
     assert {0, 10, 11} <= set(codes)
+
+
+@pytest.mark.parametrize("flag", ["--max-columns", "--finitize-cap", "--oracle-prod-cap", "--oracle-steps"])
+def test_negative_cap_is_usage_error(flag, capsys):
+    for value, message in (("-1", "must be at least 0, got -1"), ("abc", "invalid int value: 'abc'")):
+        with pytest.raises(SystemExit) as exc:
+            main([str(spec_path("pascal")), flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: prodcheck")
+        assert "argument %s: %s\n" % (flag, message) in captured.err
+
+
+@pytest.mark.parametrize("seed", [26, 50])
+def test_oracle_check_answers_deep_games(seed, tmp_path):
+    """The function games of these specs run thousands of states deep; the
+    oracle answers within its caps instead of ending in exit 13."""
+    p = tmp_path / "deep_game.spec"
+    p.write_text(random_flat_spec(random.Random(seed), max_feedback=2))
+    code, out, err = run_cli([str(p), "--mode", "oracle-check"])
+    assert (code, err) == (0, "")
+    assert "MISMATCH" not in out

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from prodcheck import dogame
 from prodcheck.dogame import AtLeast, do_low_constant, do_low_function
 from prodcheck.ioalg import interpret, parse_ioterm
-from prodcheck.streamspec import classify, parse
+from prodcheck.streamspec import Cons, SVar, classify, parse, reachable_symbols, validate
+
+from test_translate import random_flat_spec
 
 
 def setup(corpus, name):
@@ -87,3 +90,174 @@ def test_constant_pascal_at_least(corpus):
 def test_constant_productive_streams(corpus):
     spec, cls = setup(corpus, "morse_dol")
     assert do_low_constant(spec, cls, "M", prod_cap=16) == AtLeast(16)
+
+
+# --- the shared game search against the recursive searches it replaced ------
+
+
+def _function_reference(cls, f, supplies, prod_cap=32, depth_cap=10000):
+    """The function game by recursion, one Python frame per game state, as
+    `do_low_function` played it before the search moved onto a stack."""
+    memo: dict = {}
+    on_stack: dict = {}
+    visits = [0]
+
+    def value(g, ns, acc, depth):
+        state = (g, ns)
+        if state in memo:
+            lo, exact = memo[state]
+            return lo, exact, dogame._INF_DEP
+        if state in on_stack:
+            entry_acc, entry_depth = on_stack[state]
+            if acc == entry_acc:
+                return 0, True, entry_depth
+            return max(prod_cap - acc, 0), False, entry_depth
+        if acc >= prod_cap or visits[0] >= depth_cap:
+            return 0, False, -1
+        visits[0] += 1
+        on_stack[state] = (acc, depth)
+        branches = []
+        dep = dogame._INF_DEP
+        for sh in cls.shapes[g]:
+            if any(n < c for n, c in zip(ns, sh.consume)):
+                branches.append((0, True))
+                continue
+            if sh.tail_var is not None:
+                leftover = ns[sh.tail_var - 1] - sh.consume[sh.tail_var - 1]
+                branches.append((sh.produce + leftover, True))
+                continue
+            ns2 = tuple(
+                sh.feedback[j] + ns[sh.perm[j] - 1] - sh.consume[sh.perm[j] - 1]
+                for j in range(len(sh.perm))
+            )
+            lo, exact, d = value(sh.callee, ns2, acc + sh.produce, depth + 1)
+            branches.append((sh.produce + lo, exact))
+            dep = min(dep, d)
+        del on_stack[state]
+        lo, exact = dogame._combine_min(branches)
+        if dep >= depth:
+            memo[state] = (lo, exact)
+            dep = dogame._INF_DEP
+        return lo, exact, dep
+
+    lo, exact, _ = value(f, tuple(supplies), 0, 0)
+    return dogame._as_result(lo, exact, prod_cap)
+
+
+def _constant_reference(spec, cls, name, prod_cap=32, step_cap=100000):
+    """The constant game with its own recursive single-rule search and a
+    budget counted down from `step_cap`, as `do_low_constant` played it
+    before it shared the function game's search."""
+    sig = spec.signature
+    symbols = sorted(reachable_symbols(spec, cls, name))
+    for s in symbols:
+        if cls.symbol_class.get(s) in ("friendly", "unfriendly"):
+            raise ValueError("nesting symbol %r" % s)
+        if not spec.rules_of(s):
+            raise ValueError("%r has no defining rule" % s)
+    constants = [s for s in symbols if sig.symbols[s].kind == "const"]
+    budget = [step_cap]
+
+    def single_rule(assign, g, supplies):
+        path: dict = {}
+
+        def go(h, ns, acc):
+            state = (h, ns)
+            if state in path:
+                return (0, True) if acc == path[state] else (prod_cap, False)
+            if acc >= prod_cap:
+                return prod_cap, False
+            budget[0] -= 1
+            if budget[0] <= 0:
+                return 0, False
+            sh = cls.shapes[h][assign[h]]
+            if any(n < c for n, c in zip(ns, sh.consume)):
+                return 0, True
+            if sh.tail_var is not None:
+                return sh.produce + ns[sh.tail_var - 1] - sh.consume[sh.tail_var - 1], True
+            path[state] = acc
+            ns2 = tuple(
+                sh.feedback[j] + ns[sh.perm[j] - 1] - sh.consume[sh.perm[j] - 1]
+                for j in range(len(sh.perm))
+            )
+            lo, exact = go(sh.callee, ns2, acc + sh.produce)
+            del path[state]
+            return sh.produce + lo, exact
+
+        return go(g, supplies, 0)
+
+    def term_production(term, values, assign):
+        if isinstance(term, Cons):
+            lo, exact = term_production(term.tail, values, assign)
+            return lo + 1, exact
+        if isinstance(term, SVar):
+            raise ValueError("open stream term")
+        info = sig.symbols[term.sym]
+        if info.kind == "const":
+            return values[term.sym]
+        child = [term_production(a, values, assign) for a in term.args[: info.stream_arity]]
+        supplies = tuple(min(lo, prod_cap) for lo, _ in child)
+        lo, exact = single_rule(assign, term.sym, supplies)
+        return lo, exact and all(ex for _, ex in child)
+
+    outcomes = []
+    for picks in itertools.product(*(range(len(cls.shapes[s])) for s in symbols)):
+        assign = dict(zip(symbols, picks))
+        values = {c: (0, True) for c in constants}
+        settled = False
+        for _ in range(prod_cap * max(1, len(constants)) + 2):
+            new = {c: term_production(spec.rules_of(c)[assign[c]].rhs, values, assign) for c in constants}
+            capped = {c: (min(lo, prod_cap), ex and lo < prod_cap) for c, (lo, ex) in new.items()}
+            if capped == values:
+                settled = True
+                break
+            values = capped
+        lo, exact = values[name]
+        if not settled or lo >= prod_cap:
+            outcomes.append((min(lo, prod_cap), False))
+        else:
+            outcomes.append((lo, exact))
+    return dogame._as_result(*dogame._combine_min(outcomes), prod_cap)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return ValueError
+
+
+def _game_cases(corpus):
+    for name, spec in corpus.items():
+        yield name, spec
+    for seed in range(150):
+        spec = parse(random_flat_spec(random.Random(seed), max_feedback=2))
+        if not any(d.severity == "error" for d in validate(spec)):
+            yield seed, spec
+
+
+def test_game_search_matches_recursive_references(corpus, monkeypatch):
+    """With feedback of two elements per argument, about one function game
+    in thirteen spends the whole budget.  A budget of 300 expansions keeps
+    the test fast and the reference's recursion far below the interpreter's
+    limit."""
+    monkeypatch.setattr(dogame, "_FUNCTION_EXPANSIONS", 300)
+    checked = 0
+    for case, spec in _game_cases(corpus):
+        cls = classify(spec)
+        for f in spec.signature.stream_functions():
+            if cls.symbol_class[f] not in ("flat", "pure"):
+                continue
+            arity = spec.signature.symbols[f].stream_arity
+            for supplies in itertools.product(range(5), repeat=arity):
+                want = _function_reference(cls, f, supplies, depth_cap=300)
+                assert do_low_function(spec, cls, f, supplies) == want, (case, f, supplies)
+                checked += 1
+        for c in spec.signature.stream_constants():
+            for step_cap in (1, 2, 3, 5, 20, 100):
+                for prod_cap in (4, 12):
+                    want = _outcome(_constant_reference, spec, cls, c, prod_cap, step_cap)
+                    got = _outcome(do_low_constant, spec, cls, c, prod_cap, step_cap)
+                    assert got == want, (case, c, step_cap, prod_cap)
+                    checked += 1
+    assert checked > 5000

@@ -141,6 +141,14 @@ def test_decide_do_m(corpus):
     assert v.production == 1 and v.answer == "not-do-productive"
 
 
+@pytest.mark.xfail(strict=True, reason="pseudo-cycle removal drops the X_id branch of X_{f1,1,1}")
+def test_decide_pseudo_cycle_not_productive():
+    """C0 -> f0(0:C0) -> f1(1:C0) -> C0 emits nothing, so C0 has production
+    0; today the gate of f0 comes out as -(+) and C0 is called productive."""
+    verdicts, _, _ = decide(load("pseudo_cycle"))
+    assert verdicts["C0"].production == 0
+
+
 def test_decide_root_restriction(corpus):
     verdicts, _, _ = decide(corpus["convolution"], root="ones")
     assert list(verdicts) == ["ones"]
