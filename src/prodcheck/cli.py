@@ -10,6 +10,10 @@ Exit codes: 0 every analyzed constant is productive, 1 some constant is
 error, 11 validation error, 12 translation error, 13 a search cap was hit
 or terms are nested too deep for the interpreter.  A malformed command line,
 a cap below 0 included, ends in argparse's usage error (exit 2).
+
+`--max-columns` bounds every diagram sweep: the repetition search for each
+variable of the equations' feedback vertex set, the one inside each infimum
+of the IO-term algebra, and, with `--dump-diagram`, the one for each root.
 """
 
 from __future__ import annotations
@@ -64,15 +68,18 @@ def _build_parser():
 
 
 def _debug_dumps(spec, iospec, args, out):
+    # rendered whole before writing: a diagram sweep may still hit the cap
+    text = []
     if args.dump_equations:
-        out.write(iospec.dump() + "\n")
+        text.append(iospec.dump() + "\n")
         for root in iospec.roots:
-            out.write("%s = %s\n" % (eqmod.var_str(root), iospec.dump_mu(root)))
-        out.write("\n")
+            text.append("%s = %s\n" % (eqmod.var_str(root), iospec.dump_mu(root)))
+        text.append("\n")
     if args.dump_diagram:
         for root in iospec.roots:
-            out.write(dump_diagram(iospec, root, max_columns=args.max_columns) + "\n")
-        out.write("\n")
+            text.append(dump_diagram(iospec, root, max_columns=args.max_columns) + "\n")
+        text.append("\n")
+    out.write("".join(text))
 
 
 def _classification_lines(spec, cls):

@@ -100,15 +100,18 @@ def expr_str(e: IOExpr, var=var_str) -> str:
     return "/\\ { %s }" % ", ".join(expr_str(p, var) for p in parts)
 
 
-def expr_vars(e: IOExpr, consumed: bool = False):
-    """Yield (variable, clean) for each occurrence; clean = no '-' above it."""
-    if isinstance(e, EVar):
-        yield e.var, not consumed
-    elif isinstance(e, EStep):
-        yield from expr_vars(e.body, consumed or e.sym == "-")
-    elif isinstance(e, EInf):
-        yield from expr_vars(e.left, consumed)
-        yield from expr_vars(e.right, consumed)
+def expr_vars(e: IOExpr):
+    """Yield (variable, clean) for each occurrence, left to right; clean = no
+    '-' above it."""
+    todo = [(e, False)]
+    while todo:
+        e, consumed = todo.pop()
+        if isinstance(e, EVar):
+            yield e.var, not consumed
+        elif isinstance(e, EStep):
+            todo.append((e.body, consumed or e.sym == "-"))
+        elif isinstance(e, EInf):
+            todo += ((e.right, consumed), (e.left, consumed))
 
 
 class TranslationError(Exception):

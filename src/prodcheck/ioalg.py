@@ -150,12 +150,8 @@ def interpret(t: IOTerm, n: CoNat) -> CoNat:
     raise AssertionError("unreachable: supply not exhausted by loop pass")
 
 
-def plus_count(t: IOTerm) -> CoNat:
-    return interpret(t, TOP)
-
-
-def prepend(sym: str, t: IOTerm) -> IOTerm:
-    return IOTerm(sym + t.prefix, t.loop)
+def prepend(word: str, t: IOTerm) -> IOTerm:
+    return IOTerm(word + t.prefix, t.loop)
 
 
 def compose(s: IOTerm, t: IOTerm) -> IOTerm:
@@ -204,12 +200,12 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
             pt = advance(t, wt, pt)
 
 
-def infimum(s: IOTerm, t: IOTerm) -> IOTerm:
+def infimum(s: IOTerm, t: IOTerm, max_columns: int = 10000) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
     Solves the one-root system X = s /\\ t, where each operand with a loop
     continues with its own variable L = loop L, so that the solver is the
-    single engine for rational infima.
+    single engine for rational infima; `max_columns` caps its diagram.
     """
     from .equations import EEmpty, EInf, EVar, IOSpec, steps
     from .solver import solve  # solver imports this module
@@ -224,7 +220,7 @@ def infimum(s: IOTerm, t: IOTerm) -> IOTerm:
 
     root = ("inf",)
     equations[root] = EInf(operand(("inf", 1), s), operand(("inf", 2), t))
-    return solve(IOSpec(equations, (root,)), root)
+    return solve(IOSpec(equations, (root,)), root, max_columns=max_columns)
 
 
 def remove_requirement(t: IOTerm) -> IOTerm:

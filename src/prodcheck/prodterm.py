@@ -180,17 +180,6 @@ def _replace_child(t: ProdTerm, i: int, sub: ProdTerm) -> ProdTerm:
     raise AssertionError
 
 
-def find_redexes(t: ProdTerm, path=()):
-    """All redex positions, in preorder, as (path, rule) pairs."""
-    found = []
-    rule = _rule_at(t)
-    if rule is not None:
-        found.append((path, rule))
-    for i, c in enumerate(_children(t)):
-        found.extend(find_redexes(c, path + (i,)))
-    return found
-
-
 def _rewrite_at(t: ProdTerm, path, rule: str) -> ProdTerm:
     if not path:
         return _contract(t, rule)
@@ -234,29 +223,6 @@ def collapse(t: ProdTerm) -> CoNat:
     steps = collapse_trace(t)
     final = steps[-1][1] if steps else t
     return final.value
-
-
-def collapse_random(t: ProdTerm, rng) -> CoNat:
-    """Collapse contracting a uniformly random redex each step (test aid)."""
-    if free_vars(t):
-        raise ValueError("open term")
-    while True:
-        redexes = find_redexes(t)
-        if not redexes:
-            return t.value
-        path, rule = rng.choice(redexes)
-        t = _rewrite_at(t, path, rule)
-
-
-def weight(t: ProdTerm) -> int:
-    """Termination measure; strictly decreases along every collapse step."""
-    if isinstance(t, (Src, Var)):
-        return 1
-    if isinstance(t, Peb):
-        return 2 * weight(t.body) + 1
-    if isinstance(t, (Box, Mu)):
-        return 2 * weight(t.body)
-    return weight(t.left) + weight(t.right) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Solver for finite, weakly guarded IO-expression systems.
 
-The unique solution for a root variable is recovered from a trace graph: a
+Only the cyclic part of a system needs the diagram.  A depth-first walk of
+the variable graph from the requested roots takes the targets of its back
+edges as a feedback vertex set F; every other variable's equation is then a
+composition of prepends and infima over values already known, in the walk's
+post-order, and is evaluated with the IO-term algebra (`evaluate`).
+
+The unique solution for a variable of F is recovered from a trace graph: a
 node per position of every right-hand side, with silent edges for variable
 references and infimum forks and labelled edges for '-'/'+'.  The graph is
 the same for every root, so it is built once per system.  Sweeping a
@@ -17,8 +23,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .equations import EInf, EStep, EVar, IOSpec, is_weakly_guarded
-from .ioalg import TOP, CoNat, IOTerm, is_top, normalize
+from .equations import EEmpty, EInf, EStep, EVar, IOSpec, expr_vars, is_weakly_guarded
+from .ioalg import EPSILON, TOP, CoNat, IOTerm, infimum, is_top, normalize, prepend
 
 
 class SolverError(Exception):
@@ -195,14 +201,15 @@ def _check_repetition(g: TraceGraph, diagram: Diagram, x1: int, x2: int) -> bool
 
 def dump_diagram(iospec: IOSpec, root, max_columns: int = 10000) -> str:
     """Per-column node/height table plus the repetition that closed the
-    search (debug rendering for the CLI)."""
+    search (debug rendering for the CLI), read off the diagram the solver
+    swept."""
     from .equations import var_str
 
-    g = build_graph(iospec, root)
+    diagram = Diagram(build_graph(iospec, root))
     witness: list = []
-    solve(iospec, root, max_columns=max_columns, trace=witness)
+    _sweep(diagram, max_columns, witness)
     last = witness[0][1] if witness else 0
-    diagram = Diagram(g)
+    g = diagram.g
     lines = ["diagram for %s" % var_str(root)]
     for x in range(last + 1):
         col = diagram.column(x)
@@ -222,9 +229,15 @@ def dump_diagram(iospec: IOSpec, root, max_columns: int = 10000) -> str:
 
 
 def solve(iospec: IOSpec, root, max_columns: int = 10000, trace=None) -> IOTerm:
-    """Canonical IO-term denoting the unique solution for `root`."""
-    g = build_graph(iospec, root)
-    diagram = Diagram(g)
+    """Canonical IO-term denoting the unique solution for `root`.  When a
+    repetition closes the search, `(x1, x2)`, the columns of its two strips,
+    is appended to `trace`."""
+    return _sweep(Diagram(build_graph(iospec, root)), max_columns, trace)
+
+
+def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
+    """The repetition search of `solve`, over the columns of `diagram`."""
+    g = diagram.g
     bounds: list = []
     strips: dict = {}  # frozenset of nodes -> [(x, relative heights)]
     for x in range(max_columns):
@@ -255,3 +268,74 @@ def solve(iospec: IOSpec, root, max_columns: int = 10000, trace=None) -> IOTerm:
                     return normalize(IOTerm(_stair(bounds[: x1 + 1]), loop))
         strips.setdefault(key, []).append((x, rel))
     raise SolverCapError("repetition search cap exceeded (%d columns)" % max_columns)
+
+
+# ---------------------------------------------------------------------------
+# the acyclic rest of a system
+
+
+def feedback_order(iospec: IOSpec, roots) -> tuple[set, list]:
+    """A feedback vertex set F of the variables reachable from `roots`, and
+    those variables in an order where each one not in F comes after every
+    variable its equation names that is not in F.
+
+    The system is checked first, as `build_graph` checks it for `solve`.
+    Then one depth-first walk takes the targets of back edges as F (every
+    cycle holds a back edge) and lists the variables in post-order.
+    """
+    for root in roots:
+        build_graph(iospec, root)
+
+    def successors(v):
+        return (w for w, _ in expr_vars(iospec.equations[v]))
+
+    feedback: set = set()
+    order: list = []
+    on_stack: dict = {}  # var -> True while on the walk's stack, False after
+    for root in roots:
+        if root in on_stack:
+            continue
+        on_stack[root] = True
+        stack = [(root, successors(root))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if w not in on_stack:
+                    on_stack[w] = True
+                    stack.append((w, successors(w)))
+                    break
+                if on_stack[w]:
+                    feedback.add(w)
+            else:
+                stack.pop()
+                on_stack[v] = False
+                order.append(v)
+    return feedback, order
+
+
+def evaluate(expr, values: dict, max_columns: int = 10000) -> IOTerm:
+    """Canonical IO-term of `expr` when every variable it names has its
+    canonical value in `values`: a run of steps prepends its whole word,
+    an infimum solves the two operands' rational system."""
+    results: list = []
+    todo: list = [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, EVar):
+            results.append(values[e.var])
+        elif isinstance(e, EEmpty):
+            results.append(EPSILON)
+        elif isinstance(e, EStep):
+            word = []
+            while isinstance(e, EStep):
+                word.append(e.sym)
+                e = e.body
+            todo += ("".join(word), e)
+        elif isinstance(e, EInf):
+            todo += (None, e.right, e.left)
+        elif e is None:  # both operands of an infimum are done
+            right = results.pop()
+            results.append(infimum(results.pop(), right, max_columns=max_columns))
+        else:  # a word, to go in front of the value just done
+            results.append(normalize(prepend(e, results.pop())))
+    return results[0]

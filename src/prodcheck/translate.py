@@ -15,7 +15,7 @@ from . import equations as eq
 from .equations import TranslationError as TranslateError
 from .ioalg import TOP, CoNat, interpret, is_top
 from .prodterm import Gate, Mu, Peb, ProdTerm, Var, collapse_trace, gate_apply, meet_all
-from .solver import solve
+from .solver import evaluate, feedback_order, solve
 from .streamspec import (
     App,
     Classification,
@@ -47,14 +47,17 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
         roots.append(eq.star(name))
         roots.extend(eq.arg(name, i, 0) for i in range(1, info.stream_arity + 1))
     iospec = eq.finitize(builder, roots, cap=caps.finitize_cap)
+    # the diagram only for a feedback vertex set; the rest is acyclic over it
+    feedback, order = feedback_order(iospec, roots)
+    values = {v: solve(iospec, v, max_columns=caps.max_columns) for v in order if v in feedback}
+    for v in order:
+        if v not in feedback:
+            values[v] = evaluate(iospec.equations[v], values, max_columns=caps.max_columns)
     gates = {}
     for name in functions:
         info = spec.signature.symbols[name]
-        star_seq = solve(iospec, eq.star(name), max_columns=caps.max_columns)
-        args = tuple(
-            solve(iospec, eq.arg(name, i, 0), max_columns=caps.max_columns)
-            for i in range(1, info.stream_arity + 1)
-        )
+        star_seq = values[eq.star(name)]
+        args = tuple(values[eq.arg(name, i, 0)] for i in range(1, info.stream_arity + 1))
         gates[name] = Gate(cap=interpret(star_seq, TOP), args=args, star=star_seq)
     return gates, iospec
 

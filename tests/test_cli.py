@@ -96,6 +96,32 @@ def test_caps_error_exit_thirteen():
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "name, first_answer",
+    [("intro_b", 0), ("nested_fb", 3), ("ternary_morse_pure", 3), ("do_h", 5)],
+)
+def test_max_columns_bounds_feedback_sweeps_and_infima(name, first_answer):
+    """`--max-columns` caps the diagram sweeps for the feedback vertex set
+    and for each infimum; gates answer from `first_answer` columns on.
+    `intro_b` has no cycle and needs no infimum, so it answers at 0."""
+    for cap in range(first_answer + 1):
+        code, out, err = run_cli([str(spec_path(name)), "--mode", "gates", "--max-columns", str(cap)])
+        if cap < first_answer:
+            assert (code, out) == (13, "")
+            assert err == "prodcheck: repetition search cap exceeded (%d columns)\n" % cap
+        else:
+            assert (code, err) == (0, "")
+
+
+def test_dump_diagram_hits_cap_before_writing():
+    """The gates of intro_b need no sweep, but `--dump-diagram` sweeps every
+    root: at `--max-columns 0` the run ends in exit 13 with nothing written."""
+    args = ["--mode", "gates", "--dump-equations", "--dump-diagram", "--max-columns", "0"]
+    code, out, err = run_cli([str(spec_path("intro_b"))] + args)
+    assert (code, out) == (13, "")
+    assert err == "prodcheck: repetition search cap exceeded (0 columns)\n"
+
+
 def test_missing_file_exit_ten(tmp_path):
     code, _, err = run_cli([str(tmp_path / "absent.spec")])
     assert code == 10

@@ -13,13 +13,16 @@ from prodcheck.ioalg import (
     least_fixed_point,
     normalize,
     parse_ioterm,
-    plus_count,
     prepend,
     remove_requirement,
     render,
 )
 
 T = parse_ioterm
+
+
+def plus_count(t):
+    return interpret(t, TOP)
 
 
 def random_canonical(rng, max_len=6):

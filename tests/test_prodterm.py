@@ -12,17 +12,52 @@ from prodcheck.prodterm import (
     Peb,
     Src,
     Var,
+    _children,
+    _rewrite_at,
+    _rule_at,
     collapse,
-    collapse_random,
     collapse_trace,
     denot_production,
     free_vars,
     gate_apply,
     pretty,
-    weight,
 )
 
 T = parse_ioterm
+
+
+def find_redexes(t, path=()):
+    """All redex positions, in preorder, as (path, rule) pairs."""
+    found = []
+    rule = _rule_at(t)
+    if rule is not None:
+        found.append((path, rule))
+    for i, c in enumerate(_children(t)):
+        found.extend(find_redexes(c, path + (i,)))
+    return found
+
+
+def collapse_random(t, rng):
+    """Collapse contracting a uniformly random redex each step."""
+    if free_vars(t):
+        raise ValueError("open term")
+    while True:
+        redexes = find_redexes(t)
+        if not redexes:
+            return t.value
+        path, rule = rng.choice(redexes)
+        t = _rewrite_at(t, path, rule)
+
+
+def weight(t):
+    """Termination measure; strictly decreases along every collapse step."""
+    if isinstance(t, (Src, Var)):
+        return 1
+    if isinstance(t, Peb):
+        return 2 * weight(t.body) + 1
+    if isinstance(t, (Box, Mu)):
+        return 2 * weight(t.body)
+    return weight(t.left) + weight(t.right) + 1
 
 
 def pascal_term():

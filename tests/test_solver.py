@@ -19,6 +19,8 @@ from prodcheck.solver import (
     _step_right,
     _vclose,
     build_graph,
+    evaluate,
+    feedback_order,
     solve,
 )
 
@@ -291,3 +293,93 @@ def test_solve_random_systems_match_diagram():
         diagram = Diagram(g)
         for n in range(40):
             assert interpret(got, n) == diagram.bound(n), (iospec.dump(), render(got), n)
+
+
+# --- diagrams for a feedback vertex set, the algebra for the rest ------------
+
+
+def _chain_spec(n):
+    """C = 0:f0(C), f_i(x:s) = x:f_{i+1 mod n}(s)."""
+    fs = ["f%03d" % i for i in range(n)]
+    lines = ["Signature( C : stream(nat), %s : stream(nat) -> stream(nat), 0 : nat )" % ", ".join(fs)]
+    lines.append("C = 0:f000(C)")
+    lines += ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_feedback_set_gates_match_per_root_solve():
+    from conftest import DATA
+    from prodcheck.equations import arg, star
+    from prodcheck.streamspec import parse
+    from prodcheck.translate import translate_symbols
+    from test_translate import random_flat_spec
+
+    texts = [p.read_text() for p in sorted(DATA.glob("*.spec"))]
+    texts += [
+        random_flat_spec(random.Random(seed), max_feedback=fb) for fb in (1, 2) for seed in range(300)
+    ]
+    sizes = set()
+    for text in texts:
+        gates, iospec = translate_symbols(parse(text))
+        feedback, order = feedback_order(iospec, iospec.roots)
+        sizes.add(len(feedback))
+        assert set(order) == set(iospec.equations)
+        for name, gate in gates.items():
+            assert gate.star == solve(iospec, star(name)), text
+            args = tuple(solve(iospec, arg(name, i, 0)) for i in range(1, gate.arity + 1))
+            assert gate.args == args, text
+    assert {0, 1, 2, 3} <= sizes
+
+
+def test_feedback_order_checks_the_system_first():
+    Z = ("v", "Z")
+    # acyclic: no variable needs the diagram, and the checks still run
+    undefined = sys1(X=steps("-+", EVar(Y)), Y=EInf(EVar(Z), EEmpty()))
+    acyclic = sys1(X=steps("-+", EVar(Y)), Y=EInf(EStep("+", EEmpty()), EEmpty()))
+    assert feedback_order(acyclic, (X,)) == (set(), [Y, X])
+    with pytest.raises(SolverError, match="undefined variable"):
+        feedback_order(undefined, (X,))
+    with pytest.raises(SolverError, match="silent cycle"):
+        feedback_order(sys1(X=EStep("+", EVar(Y)), Y=EInf(EVar(Y), EEmpty())), (X,))
+    with pytest.raises(SolverError, match="has no equation"):
+        feedback_order(acyclic, (X, Z))
+
+
+def test_chain_solves_only_the_feedback_set(monkeypatch):
+    """A chain of n one-step functions sweeps diagrams for |F| = 2
+    variables, not for its 2n roots."""
+    import prodcheck.translate as translate
+    from prodcheck.streamspec import parse
+
+    solved = []
+    real_solve = translate.solve
+
+    def counting_solve(iospec, root, **kwargs):
+        solved.append(root)
+        return real_solve(iospec, root, **kwargs)
+
+    monkeypatch.setattr(translate, "solve", counting_solve)
+    gates, iospec = translate.translate_symbols(parse(_chain_spec(512)))
+    feedback, _ = feedback_order(iospec, iospec.roots)
+    assert len(solved) == len(feedback) <= 2
+    assert set(solved) == feedback
+    assert {str(g) for g in gates.values()} == {"[inf]((-+))"}
+
+
+def test_evaluate_deep_expressions():
+    """Nesting deeper than the interpreter's recursion limit."""
+    values = {X: parse_ioterm("(-+)")}
+    nested = EVar(X)
+    for _ in range(1200):
+        nested = EInf(EStep("+", nested), EVar(X))
+    assert evaluate(nested, values) == parse_ioterm("(-+)")
+    word = "-+" * 3000 + "+"
+    assert evaluate(steps(word, EVar(X)), values) == parse_ioterm("-+" * 3000 + "(+-)")
+
+
+def test_evaluate_caps_infima():
+    values = {X: parse_ioterm("(-+)"), Y: parse_ioterm("++")}
+    expr = EInf(EVar(X), EVar(Y))
+    assert evaluate(expr, values, max_columns=5) == parse_ioterm("-+-+")
+    with pytest.raises(SolverCapError):
+        evaluate(expr, values, max_columns=4)

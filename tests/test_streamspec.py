@@ -10,12 +10,25 @@ from prodcheck.streamspec import (
     classify,
     parse,
     reaches_cycle,
-    render_spec,
     rule_shape,
     validate,
 )
 
 from conftest import load
+
+
+def render_spec(spec):
+    """Print a spec back in the input syntax."""
+    sig = spec.signature
+    decls = []
+    for name in sig.order:
+        info = sig.symbols[name]
+        sorts = list(info.arg_sorts) + [info.result_sort]
+        decls.append("  %s : %s" % (name, " -> ".join(str(s) for s in sorts)))
+    lines = ["Signature("] + [d + ("," if i < len(decls) - 1 else "") for i, d in enumerate(decls)] + [")"]
+    for r in spec.stream_rules + spec.data_rules:
+        lines.append(str(r))
+    return "\n".join(lines) + "\n"
 
 
 # --- parsing ----------------------------------------------------------------
