@@ -8,7 +8,8 @@
 Exit codes: 0 every analyzed constant is productive, 1 some constant is
 (data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
 error, 11 validation error, 12 translation error, 13 a search cap was hit
-or terms are nested too deep for the interpreter.  A malformed command line,
+or terms are nested too deep for the interpreter, 14 standard output was
+closed before the report was written.  A malformed command line,
 a cap below 0 included, ends in argparse's usage error (exit 2).
 
 `--max-columns` bounds every diagram sweep: the repetition search for each
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import dogame
@@ -235,16 +237,25 @@ def main(argv=None) -> int:
             _debug_dumps(spec, iospec, args, out)
             out.write("\n".join(_classification_lines(spec, cls)) + "\n\n")
             out.write("\n".join(_gate_lines(spec, gates)) + "\n")
-            return 0
-        verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates, cls=cls)
-        _debug_dumps(spec, iospec, args, out)
-        if args.mode == "oracle-check":
-            return _oracle_check(spec, cls, gates, verdicts, caps, out)
-        if args.report == "json":
-            _report_json(spec, gates, verdicts, out)
+            code = 0
         else:
-            _report_text(spec, cls, gates, verdicts, out)
-        return _exit_code(verdicts)
+            verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates, cls=cls)
+            _debug_dumps(spec, iospec, args, out)
+            if args.mode == "oracle-check":
+                code = _oracle_check(spec, cls, gates, verdicts, caps, out)
+            elif args.report == "json":
+                _report_json(spec, gates, verdicts, out)
+                code = _exit_code(verdicts)
+            else:
+                _report_text(spec, cls, gates, verdicts, out)
+                code = _exit_code(verdicts)
+        out.flush()  # a closed reader shows here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the idiom of the Python docs: the interpreter flushes stdout again
+        # at exit, and that flush must not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 14
     except ParseError as exc:
         print(str(exc.diagnostic), file=sys.stderr)
         return 10

@@ -6,6 +6,13 @@ only ever materialize the rational ones, as an :class:`IOTerm`: either a
 finite word, or a finite prefix followed by a non-empty loop repeated forever.
 An infinite sequence must be productive (its loop contains a '+').
 
+An IOTerm stores its prefix and its loop as runs, tuples of (symbol, count)
+pairs in which adjacent runs are merged and no count is 0, so that a loop of
+2^n symbols in four runs costs four pairs.  Every operation advances one run
+per step; composition also jumps whole loop passes of one operand that fall
+inside one run of the other.  The words themselves are spelled out only on
+demand, by the `prefix` and `loop` properties and by `render`.
+
 Interpreting a sequence gives an increasing step function from input supply
 to output count, with TOP playing the role of infinity on both ends.  All
 operations here (composition, pointwise infimum, requirement removal, least
@@ -16,6 +23,7 @@ the unique shortest representative of a sequence.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 MINUS = "-"
@@ -25,6 +33,9 @@ PLUS = "+"
 TOP = math.inf
 
 CoNat = int | float
+
+_WORD = re.compile(r"[-+]*")
+_RUN = re.compile(r"-+|\++")
 
 
 def is_top(n: CoNat) -> bool:
@@ -44,27 +55,99 @@ def conat_str(n: CoNat) -> str:
     return "inf" if is_top(n) else str(int(n))
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# runs
+
+
+def _runs(word: str) -> tuple:
+    """The runs of a word over '-' / '+'."""
+    if not word:
+        return ()
+    if _WORD.fullmatch(word) is None:
+        raise ValueError("bad IO symbol %r" % word.replace(MINUS, "").replace(PLUS, "")[0])
+    return tuple([(run[0], len(run)) for run in _RUN.findall(word)])
+
+
+def _push(out: list, sym: str, n: int) -> None:
+    """Append n copies of `sym` to the runs in `out`."""
+    if n:
+        if out and out[-1][0] == sym:
+            out[-1] = (sym, out[-1][1] + n)
+        else:
+            out.append((sym, n))
+
+
+def _merged(runs) -> tuple:
+    out: list = []
+    for sym, n in runs:
+        _push(out, sym, n)
+    return tuple(out)
+
+
+def _counts(runs) -> tuple:
+    """The number of '-' and of '+' in the runs."""
+    minus = plus = 0
+    for sym, n in runs:
+        if sym == PLUS:
+            plus += n
+        else:
+            minus += n
+    return minus, plus
+
+
+def _split(runs: tuple, k: int) -> tuple:
+    """The runs of the first k symbols, and the runs of the rest."""
+    for i, (sym, n) in enumerate(runs):
+        if k < n:
+            head = runs[:i] + ((sym, k),) if k else runs[:i]
+            return head, ((sym, n - k),) + runs[i + 1:]
+        k -= n
+    return runs, ()
+
+
+@dataclass(frozen=True, init=False)
 class IOTerm:
     """A rational IO-sequence: `prefix` then `loop` forever.
 
-    An empty loop means the sequence is the finite word `prefix`.
+    An empty loop means the sequence is the finite word `prefix`.  The term
+    is built from the two words and keeps them as runs; :meth:`of_runs`
+    builds one from runs directly.
     """
 
-    prefix: str
-    loop: str = ""
+    prefix_runs: tuple
+    loop_runs: tuple
 
-    def __post_init__(self):
-        for ch in self.prefix + self.loop:
-            if ch not in (MINUS, PLUS):
-                raise ValueError("bad IO symbol %r" % ch)
+    def __init__(self, prefix: str, loop: str = ""):
+        object.__setattr__(self, "prefix_runs", _runs(prefix))
+        object.__setattr__(self, "loop_runs", _runs(loop))
+
+    @classmethod
+    def of_runs(cls, prefix_runs=(), loop_runs=()) -> "IOTerm":
+        """The term with these runs, merged and with empty runs dropped."""
+        return _term(_merged(prefix_runs), _merged(loop_runs))
+
+    @property
+    def prefix(self) -> str:
+        return "".join([sym * n for sym, n in self.prefix_runs])
+
+    @property
+    def loop(self) -> str:
+        return "".join([sym * n for sym, n in self.loop_runs])
 
     @property
     def finite(self) -> bool:
-        return not self.loop
+        return not self.loop_runs
 
     def __str__(self) -> str:
         return render(self)
+
+
+def _term(prefix_runs: tuple, loop_runs: tuple) -> IOTerm:
+    """The term with these runs, which must be merged and non-empty."""
+    t = object.__new__(IOTerm)
+    object.__setattr__(t, "prefix_runs", prefix_runs)
+    object.__setattr__(t, "loop_runs", loop_runs)
+    return t
 
 
 EPSILON = IOTerm("", "")
@@ -73,7 +156,7 @@ EPSILON = IOTerm("", "")
 def render(t: IOTerm) -> str:
     """ASCII notation: prefix, then the loop in parentheses, e.g. ``-(-+)``."""
     if t.finite:
-        return t.prefix if t.prefix else "eps"
+        return t.prefix if t.prefix_runs else "eps"
     return "%s(%s)" % (t.prefix, t.loop)
 
 
@@ -99,105 +182,165 @@ def normalize(t: IOTerm) -> IOTerm:
     the prefix into the loop, converts a '+'-free loop into a finite word,
     and trims trailing requirements off finite words.
     """
-    pre, loop = t.prefix, t.loop
-    if loop and PLUS not in loop:
+    pre, loop = t.prefix_runs, t.loop_runs
+    if not loop or (len(loop) == 1 and loop[0][0] == MINUS):
         # an all-input loop never produces again; same function as stopping
-        loop = ""
-    if not loop:
-        return IOTerm(pre.rstrip(MINUS), "")
-    n = len(loop)
-    for p in range(1, n):
-        if n % p == 0 and loop == loop[:p] * (n // p):
-            loop = loop[:p]
+        if pre and pre[-1][0] == MINUS:
+            pre = pre[:-1]
+        return _term(pre, ())
+    if len(loop) > 1 and loop[0][0] == loop[-1][0]:
+        # pre (F B)^w = pre F (B F)^w: the loop now starts and ends on
+        # different symbols, so its runs repeat exactly when its word does
+        pre = _merged(pre + loop[:1])
+        loop = loop[1:-1] + ((loop[-1][0], loop[-1][1] + loop[0][1]),)
+    if len(loop) == 1:  # all '+': '+' forever takes every trailing '+'
+        if pre and pre[-1][0] == PLUS:
+            pre = pre[:-1]
+        return _term(pre, ((PLUS, 1),))
+    for d in range(2, len(loop), 2):
+        if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
+            loop = loop[:d]
             break
-    while pre and pre[-1] == loop[-1]:
-        pre = pre[:-1]
-        loop = loop[-1] + loop[:-1]
-    return IOTerm(pre, loop)
+    # roll: walk the prefix backwards against the loop, cyclically, one run
+    # pair per step; runs that end together let the walk go on.  `kept`
+    # prefix runs stay whole, `cut` loop runs move whole to the front, and
+    # `part` symbols of the loop run before them move too
+    r = len(loop)
+    kept, cut, part, rest = len(pre), 0, 0, ()
+    while kept:
+        sym, n = pre[kept - 1]
+        loop_sym, loop_n = loop[-1 - cut % r]
+        if sym != loop_sym:
+            break
+        if n == loop_n:
+            kept -= 1
+            cut += 1
+            continue
+        kept -= 1
+        if n < loop_n:
+            part = n
+        else:
+            rest = ((sym, n - loop_n),)
+            cut += 1
+        break
+    if kept < len(pre):
+        pre = pre[:kept] + rest
+        k = r - 1 - cut % r  # the loop run that `part` comes from
+        if part:
+            sym, n = loop[k]
+            loop = ((sym, part),) + loop[k + 1:] + loop[:k] + ((sym, n - part),)
+        else:
+            loop = loop[k + 1:] + loop[:k + 1]
+    return _term(pre, loop)
+
+
+def _interpret_runs(runs, need: int, prod: int) -> tuple:
+    """Walk `runs` on a supply of `need`, having output `prod`: the output
+    count, and the supply left after them or None when it ran out inside."""
+    for sym, n in runs:
+        if sym == PLUS:
+            prod += n
+        elif need < n:
+            return prod, None
+        else:
+            need -= n
+    return prod, need
 
 
 def interpret(t: IOTerm, n: CoNat) -> CoNat:
     """Output count of `t` given input supply `n` (monotone in `n`)."""
     if is_top(n):
-        if t.loop and PLUS in t.loop:
+        if _counts(t.loop_runs)[1]:
             return TOP
-        return t.prefix.count(PLUS) + t.loop.count(PLUS)
-    need = int(n)
-    prod = 0
-    for ch in t.prefix:
-        if ch == PLUS:
-            prod += 1
-        else:
-            if need == 0:
-                return prod
-            need -= 1
-    if not t.loop:
+        return _counts(t.prefix_runs)[1]
+    prod, need = _interpret_runs(t.prefix_runs, int(n), 0)
+    if need is None or not t.loop_runs:
         return prod
-    p = t.loop.count(MINUS)
-    q = t.loop.count(PLUS)
+    p, q = _counts(t.loop_runs)
     if p == 0:
         return TOP
     cycles = need // p
-    prod += cycles * q
-    need -= cycles * p
-    for ch in t.loop:
-        if ch == PLUS:
-            prod += 1
-        else:
-            if need == 0:
-                return prod
-            need -= 1
-    raise AssertionError("unreachable: supply not exhausted by loop pass")
+    prod, need = _interpret_runs(t.loop_runs, need - cycles * p, prod + cycles * q)
+    if need is not None:
+        raise AssertionError("unreachable: supply not exhausted by loop pass")
+    return prod
 
 
 def prepend(word: str, t: IOTerm) -> IOTerm:
-    return IOTerm(word + t.prefix, t.loop)
+    return _term(_merged(_runs(word) + t.prefix_runs), t.loop_runs)
 
 
 def compose(s: IOTerm, t: IOTerm) -> IOTerm:
     """Sequential composition: interpret(compose(s, t)) = interpret(s) o interpret(t).
 
-    Runs the communication between the two sequences symbol by symbol.  The
-    pair of residual positions fully determines the future, so when a pair
+    Runs the communication between the two sequences one run at a time.
+    The state is, per operand, the index of its current run and what is
+    left of that run; it fully determines the future, so when a state
     repeats the emitted segment in between is the loop (pigeonhole over the
-    finitely many position pairs).  A position equal to its word's length
-    marks a finite word that has ended.
+    finitely many states).  A run index equal to the number of runs marks a
+    finite word that has ended.  While `s` waits inside one run of '-', a
+    whole loop pass of `t` hands it that pass's '+' and emits its '-'; while
+    `t` offers one run of '+', a whole loop pass of `s` takes its '-' from
+    there and emits its '+'.  Such passes are jumped together, as many as
+    leave the long run unfinished.
     """
     s = normalize(s)
     t = normalize(t)
-    ws, wt = s.prefix + s.loop, t.prefix + t.loop
+    ws, wt = s.prefix_runs + s.loop_runs, t.prefix_runs + t.loop_runs
+    s_loop, t_loop = len(s.prefix_runs), len(t.prefix_runs)  # loop starts
+    p_s, q_s = _counts(s.loop_runs)
+    p_t, q_t = _counts(t.loop_runs)
 
-    def advance(u: IOTerm, word: str, pos: int) -> int:
-        pos += 1
-        if pos == len(word) and u.loop:
-            return len(u.prefix)  # wrap to loop start
-        return pos
+    def advance(word: tuple, loop_start: int, i: int) -> tuple:
+        i += 1
+        if i == len(word) and loop_start < len(word):
+            i = loop_start  # wrap to loop start
+        return i, word[i][1] if i < len(word) else 0
 
-    ps = pt = 0
-    out: list[str] = []
+    i_s, r_s = 0, ws[0][1] if ws else 0
+    i_t, r_t = 0, wt[0][1] if wt else 0
+    out: list = []
+    emitted = 0
     seen: dict = {}
     while True:
-        key = (ps, pt)
+        key = (i_s, r_s, i_t, r_t)
         if key in seen:
-            i = seen[key]
-            loop = "".join(out[i:])
-            assert loop, "cycle without progress"
-            return normalize(IOTerm("".join(out[:i]), loop))
-        seen[key] = len(out)
-        if ps == len(ws):
-            return normalize(IOTerm("".join(out), ""))
-        if ws[ps] == PLUS:
-            out.append(PLUS)
-            ps = advance(s, ws, ps)
+            head, loop = _split(tuple(out), seen[key])
+            if not loop:
+                raise AssertionError("cycle without progress")
+            return normalize(IOTerm.of_runs(head, loop))
+        seen[key] = emitted
+        if i_s == len(ws):
+            return normalize(IOTerm.of_runs(out))
+        if ws[i_s][0] == PLUS:
+            _push(out, PLUS, r_s)
+            emitted += r_s
+            i_s, r_s = advance(ws, s_loop, i_s)
             continue
-        if pt == len(wt):
-            return normalize(IOTerm("".join(out), ""))
-        if wt[pt] == PLUS:  # internal hand-over of one element
-            ps = advance(s, ws, ps)
-            pt = advance(t, wt, pt)
+        if i_t == len(wt):
+            return normalize(IOTerm.of_runs(out))
+        if i_t >= t_loop and (r_s - 1) // q_t:  # passes of t inside s's '-' run
+            passes = (r_s - 1) // q_t
+            _push(out, MINUS, passes * p_t)
+            emitted += passes * p_t
+            r_s -= passes * q_t
+        elif wt[i_t][0] == PLUS and i_s >= s_loop and p_s and (r_t - 1) // p_s:
+            passes = (r_t - 1) // p_s  # passes of s inside t's '+' run
+            _push(out, PLUS, passes * q_s)
+            emitted += passes * q_s
+            r_t -= passes * p_s
+        elif wt[i_t][0] == PLUS:  # internal hand-over of a run of elements
+            n = min(r_s, r_t)
+            r_s -= n
+            r_t -= n
+            if not r_s:
+                i_s, r_s = advance(ws, s_loop, i_s)
+            if not r_t:
+                i_t, r_t = advance(wt, t_loop, i_t)
         else:
-            out.append(MINUS)
-            pt = advance(t, wt, pt)
+            _push(out, MINUS, r_t)
+            emitted += r_t
+            i_t, r_t = advance(wt, t_loop, i_t)
 
 
 def infimum(s: IOTerm, t: IOTerm, max_columns: int = 10000) -> IOTerm:
@@ -213,7 +356,7 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = 10000) -> IOTerm:
     equations: dict = {}
 
     def operand(name: tuple, u: IOTerm):
-        if not u.loop:
+        if u.finite:
             return steps(u.prefix, EEmpty())
         equations[name] = steps(u.loop, EVar(name))
         return steps(u.prefix, EVar(name))
@@ -223,52 +366,69 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = 10000) -> IOTerm:
     return solve(IOSpec(equations, (root,)), root, max_columns=max_columns)
 
 
+def _drop_first_minus(runs: tuple):
+    """The runs without their first '-', or None when they have none."""
+    for i, (sym, n) in enumerate(runs):
+        if sym == MINUS:
+            return runs[:i] + ((MINUS, n - 1),) + runs[i + 1:]
+    return None
+
+
 def remove_requirement(t: IOTerm) -> IOTerm:
     """Drop the first '-' of the denoted sequence (identity if none)."""
     t = normalize(t)
-    if MINUS in t.prefix:
-        i = t.prefix.index(MINUS)
-        return normalize(IOTerm(t.prefix[:i] + t.prefix[i + 1:], t.loop))
-    if t.loop and MINUS in t.loop:
-        i = t.loop.index(MINUS)
-        return normalize(IOTerm(t.prefix + t.loop[:i] + t.loop[i + 1:], t.loop))
+    pre = _drop_first_minus(t.prefix_runs)
+    if pre is not None:
+        return normalize(IOTerm.of_runs(pre, t.loop_runs))
+    loop = _drop_first_minus(t.loop_runs)
+    if loop is not None:
+        return normalize(IOTerm.of_runs(t.prefix_runs + loop, t.loop_runs))
     return t
 
 
 def least_fixed_point(t: IOTerm) -> CoNat:
-    """Least fixed point of the interpretation (Kleene iteration from 0).
+    """Least fixed point of the interpretation f, in one pass over the runs.
 
-    Divergence is decided from the loop shape.  Past the prefix the map
-    gains q outputs per p inputs: with q > p every fixed point is bounded by
-    (settle + p) * q, so an iterate beyond that settles it; with q == p the
-    gap to the diagonal is p-periodic in the argument, so p unsuccessful
-    rounds in that regime settle it; with q < p the iteration reaches a
-    fixed point on its own.
+    f is monotone and continuous, so its least fixed point is its least
+    pre-fixed point: the least v with f(v) <= v, or TOP if there is none.
+    f(v) counts the '+' before the (v+1)-th '-', so v qualifies iff at most
+    v '+' go before that '-', and the first such '-' gives the answer.  In
+    one run of '-', all of them follow the same '+'.  Each loop pass adds p
+    '-' and q '+': with q >= p a run of the loop that has no such '-' in its
+    first pass has none in any later pass, with q < p the first pass in
+    which it has one is a division away.  A finite word ends with f
+    constant at its number of '+'.
     """
     t = normalize(t)
-    settle = t.prefix.count(MINUS)
-    p = t.loop.count(MINUS)
-    q = t.loop.count(PLUS)
-    v: CoNat = 0
-    rounds_past = 0
-    guard = 0
-    while True:
-        nv = interpret(t, v)
-        if is_top(nv):
-            return TOP
-        if nv == v:
-            return v
-        assert nv > v, "interpretation must be increasing"
-        v = nv
-        if t.loop:
-            if q > p and v > (settle + p) * q:
-                return TOP
-            if q == p and v >= settle:
-                rounds_past += 1
-                if rounds_past > p:
-                    return TOP
-        guard += 1
-        assert guard < 10_000_000, "fixed point iteration runaway"
+    minus = plus = 0  # the '-' and '+' before the current run
+    for sym, n in t.prefix_runs:
+        if sym == PLUS:
+            plus += n
+        elif plus <= minus + n - 1:
+            return _checked_fixed_point(t, max(minus, plus))
+        else:
+            minus += n
+    if t.finite:
+        return _checked_fixed_point(t, max(minus, plus))
+    p, q = _counts(t.loop_runs)
+    best: CoNat = TOP
+    for sym, n in t.loop_runs:
+        if sym == PLUS:
+            plus += n
+            continue
+        gap = plus - (minus + n - 1)  # excess '+' at this run's last '-' in pass 0
+        if gap <= 0 or p > q:
+            k = -(-gap // (p - q)) if gap > 0 else 0  # the passes that close it
+            best = min(best, max(minus + k * p, plus + k * q))
+        minus += n
+    return best if is_top(best) else _checked_fixed_point(t, best)
+
+
+def _checked_fixed_point(t: IOTerm, v: int) -> int:
+    """`v`, once it is seen to be a fixed point of `t`'s interpretation."""
+    if interpret(t, v) != v:
+        raise AssertionError("least pre-fixed point %d is not a fixed point" % v)
+    return v
 
 
 def equal_denotation(s: IOTerm, t: IOTerm) -> bool:

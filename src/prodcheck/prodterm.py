@@ -11,7 +11,7 @@ stream function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ioalg import (
     TOP,
@@ -26,37 +26,66 @@ from .ioalg import (
 )
 
 
+# Every node keeps its free variables, computed once when it is built, so
+# that no test of them walks a term.
+
+_CLOSED: frozenset = frozenset()
+
+
 @dataclass(frozen=True)
 class Src:
     value: CoNat
+    free_vars = _CLOSED  # a class attribute, not a field
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    free_vars: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free_vars", frozenset((self.name,)))
 
 
 @dataclass(frozen=True)
 class Peb:
     body: "ProdTerm"
+    free_vars: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free_vars", self.body.free_vars)
 
 
 @dataclass(frozen=True)
 class Box:
     seq: IOTerm
     body: "ProdTerm"
+    free_vars: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free_vars", self.body.free_vars)
 
 
 @dataclass(frozen=True)
 class Mu:
     name: str
     body: "ProdTerm"
+    free_vars: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        inner = self.body.free_vars
+        object.__setattr__(self, "free_vars", inner - {self.name} if self.name in inner else inner)
 
 
 @dataclass(frozen=True)
 class Meet:
     left: "ProdTerm"
     right: "ProdTerm"
+    free_vars: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        left, right = self.left.free_vars, self.right.free_vars
+        object.__setattr__(self, "free_vars", left | right if left and right else left or right)
 
 
 ProdTerm = Src | Var | Peb | Box | Mu | Meet
@@ -73,20 +102,6 @@ def meet_all(parts: list) -> ProdTerm:
     for part in reversed(parts[:-1]):
         term = Meet(part, term)
     return term
-
-
-def free_vars(t: ProdTerm) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, (Src,)):
-        return frozenset()
-    if isinstance(t, Peb):
-        return free_vars(t.body)
-    if isinstance(t, Box):
-        return free_vars(t.body)
-    if isinstance(t, Mu):
-        return free_vars(t.body) - {t.name}
-    return free_vars(t.left) | free_vars(t.right)
 
 
 def pretty(t: ProdTerm) -> str:
@@ -128,7 +143,7 @@ def _rule_at(t: ProdTerm):
             return "mu-box"
         if isinstance(b, Meet):
             return "mu-meet"
-        if t.name not in free_vars(b):
+        if t.name not in b.free_vars:
             return "mu-drop"
         return None
     if isinstance(t, Meet) and isinstance(t.left, Src) and isinstance(t.right, Src):
@@ -204,8 +219,8 @@ def collapse_trace(t: ProdTerm):
     Returns the list of (rule name, term after the step); empty when the
     term already is a numeral.
     """
-    if free_vars(t):
-        raise ValueError("open term: %s" % ", ".join(sorted(free_vars(t))))
+    if t.free_vars:
+        raise ValueError("open term: %s" % ", ".join(sorted(t.free_vars)))
     steps = []
     while True:
         hit = _first_redex(t)

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -167,6 +170,56 @@ def test_json_report_roundtrip():
     assert constants["ones"]["production"] == "inf"
     assert payload["gates"]["conv"]["args"] == ["(-+)", "(-+)"]
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_json_report_prefix_of_800(tmp_path):
+    """P = 0^800:f(P) over the identity f: P is productive."""
+    p = tmp_path / "prefix800.spec"
+    p.write_text(
+        "Signature( P : stream(nat), f : stream(nat) -> stream(nat), 0 : nat )\n"
+        "P = %sf(P)\nf(x:s) = x:f(s)\n" % ("0:" * 800)
+    )
+    code, out, err = run_cli([str(p), "--report", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["constants"] == [{"name": "P", "production": "inf", "verdict": "productive"}]
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_module(args, python_flags=(), **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, *python_flags, "-m", "prodcheck", *args]
+    return subprocess.run(command, env=env, stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["ring6", "prefix20"])
+def test_optimized_interpreter_matches_goldens(name):
+    """`python -O` drops assert statements; the reports must not change."""
+    golden = (pathlib.Path(__file__).parent / "golden" / ("%s.text.txt" % name)).read_bytes()
+    done = _run_module([str(spec_path(name))], python_flags=("-O",), stdout=subprocess.PIPE)
+    assert b"exit: %d\n" % done.returncode + done.stdout == golden
+    assert done.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ring6"],
+        ["intro_b", "--mode", "gates", "--dump-equations"],
+        ["convolution", "--report", "json"],
+    ],
+)
+def test_closed_stdout_exit_fourteen(args):
+    """A reader that closed the pipe before any output was written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _run_module([str(spec_path(args[0]))] + args[1:], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 14
+    assert done.stderr == b""
 
 
 def test_reports_byte_stable():

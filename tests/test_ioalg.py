@@ -1,7 +1,10 @@
+import ast
+import pathlib
 import random
 
 import pytest
 
+from prodcheck import ioalg
 from prodcheck.ioalg import (
     EPSILON,
     TOP,
@@ -287,3 +290,188 @@ def test_parse_rejects_garbage():
         parse_ioterm("-(x)")
     with pytest.raises(ValueError):
         parse_ioterm("-()")
+
+
+# --- run algebra against the symbol-by-symbol algebra -------------------
+#
+# The `_reference_*` helpers are the algebra as it was before terms were
+# stored as runs: each walks the spelled-out words one symbol at a time.
+
+
+def _reference_normalize(t):
+    pre, loop = t.prefix, t.loop
+    if loop and "+" not in loop:
+        loop = ""
+    if not loop:
+        return IOTerm(pre.rstrip("-"), "")
+    n = len(loop)
+    for p in range(1, n):
+        if n % p == 0 and loop == loop[:p] * (n // p):
+            loop = loop[:p]
+            break
+    while pre and pre[-1] == loop[-1]:
+        pre = pre[:-1]
+        loop = loop[-1] + loop[:-1]
+    return IOTerm(pre, loop)
+
+
+def _reference_interpret(t, n):
+    if n == TOP:
+        if t.loop and "+" in t.loop:
+            return TOP
+        return t.prefix.count("+") + t.loop.count("+")
+    need = int(n)
+    prod = 0
+    for ch in t.prefix:
+        if ch == "+":
+            prod += 1
+        else:
+            if need == 0:
+                return prod
+            need -= 1
+    if not t.loop:
+        return prod
+    p = t.loop.count("-")
+    q = t.loop.count("+")
+    if p == 0:
+        return TOP
+    cycles = need // p
+    prod += cycles * q
+    need -= cycles * p
+    for ch in t.loop:
+        if ch == "+":
+            prod += 1
+        else:
+            if need == 0:
+                return prod
+            need -= 1
+    raise AssertionError("unreachable")
+
+
+def _reference_compose(s, t):
+    s = _reference_normalize(s)
+    t = _reference_normalize(t)
+    ws, wt = s.prefix + s.loop, t.prefix + t.loop
+
+    def advance(u, word, pos):
+        pos += 1
+        if pos == len(word) and u.loop:
+            return len(u.prefix)
+        return pos
+
+    ps = pt = 0
+    out = []
+    seen = {}
+    while True:
+        key = (ps, pt)
+        if key in seen:
+            i = seen[key]
+            return _reference_normalize(IOTerm("".join(out[:i]), "".join(out[i:])))
+        seen[key] = len(out)
+        if ps == len(ws):
+            return _reference_normalize(IOTerm("".join(out), ""))
+        if ws[ps] == "+":
+            out.append("+")
+            ps = advance(s, ws, ps)
+            continue
+        if pt == len(wt):
+            return _reference_normalize(IOTerm("".join(out), ""))
+        if wt[pt] == "+":
+            ps = advance(s, ws, ps)
+            pt = advance(t, wt, pt)
+        else:
+            out.append("-")
+            pt = advance(t, wt, pt)
+
+
+def _reference_remove_requirement(t):
+    t = _reference_normalize(t)
+    if "-" in t.prefix:
+        i = t.prefix.index("-")
+        return _reference_normalize(IOTerm(t.prefix[:i] + t.prefix[i + 1:], t.loop))
+    if t.loop and "-" in t.loop:
+        i = t.loop.index("-")
+        return _reference_normalize(IOTerm(t.prefix + t.loop[:i] + t.loop[i + 1:], t.loop))
+    return t
+
+
+def _reference_least_fixed_point(t):
+    t = _reference_normalize(t)
+    settle = t.prefix.count("-")
+    p = t.loop.count("-")
+    q = t.loop.count("+")
+    v = 0
+    rounds_past = 0
+    while True:
+        nv = _reference_interpret(t, v)
+        if nv == TOP:
+            return TOP
+        if nv == v:
+            return v
+        v = nv
+        if t.loop:
+            if q > p and v > (settle + p) * q:
+                return TOP
+            if q == p and v >= settle:
+                rounds_past += 1
+                if rounds_past > p:
+                    return TOP
+
+
+def _run_word(rng, runs, longest):
+    """A word of up to `runs` runs, each of 1..`longest` equal symbols."""
+    return "".join(rng.choice("-+") * rng.randint(1, longest) for _ in range(rng.randrange(runs + 1)))
+
+
+def _shaped_pair(rng, shape):
+    """Operands of the shapes that make symbol-by-symbol composition slow."""
+    n = rng.randint(1, 50)
+    short = _run_word(rng, 3, 3) + "+"
+    if shape == "ring":  # the halving ring: +(-+-^n) into (--+), +(--+-^n) into +(-+)
+        if rng.random() < 0.5:
+            return IOTerm("+", "-+" + "-" * n), IOTerm("", "--+")
+        return IOTerm("+", "--+" + "-" * n), IOTerm("+", "-+")
+    if shape == "long-minus":  # s waits in a long run of '-' while t loops
+        return IOTerm(_run_word(rng, 2, 3), "-" * n + _run_word(rng, 2, 4) + "+"), IOTerm(_run_word(rng, 2, 3), short)
+    # t offers a long run of '+' while s loops
+    return IOTerm(_run_word(rng, 2, 3), short), IOTerm(_run_word(rng, 2, 3), "+" * n + _run_word(rng, 2, 4) + "-")
+
+
+def _random_pair(rng, i):
+    shape = ("words", "runs", "ring", "long-minus", "long-plus")[i % 5]
+    if shape == "words":
+        return tuple(IOTerm(_run_word(rng, 6, 2), _run_word(rng, 5, 2)) for _ in range(2))
+    if shape == "runs":
+        return tuple(IOTerm(_run_word(rng, 3, 50), _run_word(rng, 3, 50)) for _ in range(2))
+    return _shaped_pair(rng, shape)
+
+
+def test_run_algebra_matches_symbol_references():
+    rng = random.Random(2008)
+    pairs = 20000
+    for i in range(pairs):
+        s, t = _random_pair(rng, i)
+        assert compose(s, t) == _reference_compose(s, t), (render(s), render(t))
+        if i % 4 == 0:
+            for u in (s, t):
+                assert normalize(u) == _reference_normalize(u), render(u)
+                assert remove_requirement(u) == _reference_remove_requirement(u), render(u)
+                assert least_fixed_point(u) == _reference_least_fixed_point(u), render(u)
+                for n in (0, 1, 2, 7, 50, 151, TOP):
+                    assert interpret(u, n) == _reference_interpret(u, n), (render(u), n)
+
+
+def test_runs_are_canonical():
+    assert IOTerm("++--+", "-+").prefix_runs == (("+", 2), ("-", 2), ("+", 1))
+    assert IOTerm.of_runs((("+", 2), ("+", 0), ("-", 0), ("+", 1)), (("-", 1), ("+", 1))) == IOTerm("+++", "-+")
+    t = IOTerm.of_runs((), (("-", 2 ** 64), ("+", 1)))
+    assert normalize(t).loop_runs == (("-", 2 ** 64), ("+", 1))
+    with pytest.raises(ValueError):
+        IOTerm("+x")
+
+
+def test_no_assert_statements():
+    """The algebra's guards must hold under `python -O` too, which drops
+    assert statements, so they are explicit raises."""
+    tree = ast.parse(pathlib.Path(ioalg.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

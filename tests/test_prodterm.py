@@ -18,7 +18,6 @@ from prodcheck.prodterm import (
     collapse,
     collapse_trace,
     denot_production,
-    free_vars,
     gate_apply,
     pretty,
 )
@@ -39,7 +38,7 @@ def find_redexes(t, path=()):
 
 def collapse_random(t, rng):
     """Collapse contracting a uniformly random redex each step."""
-    if free_vars(t):
+    if t.free_vars:
         raise ValueError("open term")
     while True:
         redexes = find_redexes(t)
@@ -208,8 +207,57 @@ def test_pretty_pascal():
 
 def test_free_vars_scoping():
     t = Meet(Mu("x", Var("x")), Var("x"))
-    assert free_vars(t) == {"x"}
-    assert free_vars(Mu("x", Meet(Var("x"), Var("y")))) == {"y"}
+    assert t.free_vars == {"x"}
+    assert Mu("x", Meet(Var("x"), Var("y"))).free_vars == {"y"}
+
+
+def _reference_free_vars(t):
+    """The free variables by a walk of the whole term."""
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if isinstance(t, Src):
+        return frozenset()
+    if isinstance(t, (Peb, Box)):
+        return _reference_free_vars(t.body)
+    if isinstance(t, Mu):
+        return _reference_free_vars(t.body) - {t.name}
+    return _reference_free_vars(t.left) | _reference_free_vars(t.right)
+
+
+def test_free_vars_cached_per_node_match_walk():
+    """Every node of random open terms, and of every term their closed
+    relatives pass through while collapsing, carries its free variables."""
+    rng = random.Random(25)
+    checked = 0
+    for k in range(600):
+        scope = ("a", "b")[: k % 3]
+        t = random_closed_term(rng, rng.randrange(1, 24), scope=scope)
+        terms = [t] + ([after for _, after in collapse_trace(t)] if not scope else [])
+        for term in terms:
+            stack = [term]
+            while stack:
+                u = stack.pop()
+                assert u.free_vars == _reference_free_vars(u), pretty(u)
+                checked += 1
+                stack.extend(_children(u))
+    assert checked > 10000
+
+
+def test_box_box_composes_long_runs():
+    """Runs of 2^40 symbols compose in a handful of steps: the halving by
+    2^40 after the multiplication by 2^40 is the identity, the other order
+    rounds down to a multiple of 2^40."""
+    big = 2 ** 40
+    shrink = IOTerm.of_runs((), (("-", big), ("+", 1)))  # n -> n // 2^40
+    grow = IOTerm.of_runs((), (("-", 1), ("+", big)))  # n -> n * 2^40
+    for n in (0, 1, 7, big - 1, big, 3 * big + 5, TOP):
+        steps = collapse_trace(Box(grow, Box(shrink, Src(n))))
+        assert [rule for rule, _ in steps] == ["box-box", "box-src"]
+        assert steps[0][1] == Box(IOTerm.of_runs((), (("-", big), ("+", big))), Src(n))
+        assert steps[-1][1] == Src(TOP if n == TOP else (n // big) * big)
+        steps = collapse_trace(Box(shrink, Box(grow, Src(n))))
+        assert steps[0][1] == Box(T("(-+)"), Src(n))
+        assert steps[-1][1] == Src(n)
 
 
 # --- gates ------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from prodcheck import dogame
 from prodcheck.ioalg import TOP, interpret, parse_ioterm
-from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, collapse, gate_apply
+from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, _children, collapse, gate_apply
 from prodcheck.streamspec import classify, parse
 from prodcheck.translate import (
     TranslateError,
@@ -147,6 +147,35 @@ def test_decide_pseudo_cycle_not_productive():
     0; today the gate of f0 comes out as -(+) and C0 is called productive."""
     verdicts, _, _ = decide(load("pseudo_cycle"))
     assert verdicts["C0"].production == 0
+
+
+def ring_spec(n):
+    """P_i = 0:f(P_{i+1 mod n}) over the halving f(x:y:s) = x:f(s)."""
+    ps = ["P%d" % i for i in range(n)]
+    lines = ["Signature(", "  %s : stream(nat)," % ", ".join(ps), "  f : stream(nat) -> stream(nat),"]
+    lines += ["  0 : nat", ")"]
+    lines += ["%s = 0:f(%s)" % (ps[i], ps[(i + 1) % n]) for i in range(n)]
+    lines.append("f(x:y:s) = x:f(s)")
+    return "\n".join(lines) + "\n"
+
+
+def test_decide_ring_of_64():
+    """Each P_i has its head and no more.  Its collapse composes loops of up
+    to 2^64 + 1 symbols, which are four runs each."""
+    verdicts, gates, _ = decide(parse(ring_spec(64)))
+    assert str(gates["f"]) == "[inf]((--+))"
+    assert len(verdicts) == 64
+    assert {(v.production, v.answer) for v in verdicts.values()} == {(1, "not-productive")}
+    longest = 0
+    for _, term in verdicts["P0"].trace:
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Box):
+                assert len(t.seq.loop_runs) <= 4
+                longest = max(longest, sum(n for _, n in t.seq.loop_runs))
+            stack.extend(_children(t))
+    assert longest == 2 ** 64 + 1
 
 
 def test_decide_root_restriction(corpus):
