@@ -9,8 +9,8 @@ Exit codes: 0 every analyzed constant is productive, 1 some constant is
 (data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
 error, 11 validation error, 12 translation error, 13 a search cap was hit
 or terms are nested too deep for the interpreter, 14 standard output was
-closed before the report was written.  A malformed command line,
-a cap below 0 included, ends in argparse's usage error (exit 2).
+closed before the report was written, 15 a malformed command line (a
+cap below 0 included), reported by argparse's usage message.
 
 `--max-columns` bounds every diagram sweep: the repetition search for each
 variable of the equations' feedback vertex set, the one inside each infimum
@@ -28,7 +28,7 @@ import sys
 from . import dogame
 from .equations import FinitizeCapError
 from .ioalg import conat_str, interpret, is_top, render
-from .prodterm import pretty
+from .prodterm import pretty_all
 from . import equations as eqmod
 from .solver import SolverCapError, SolverError, dump_diagram
 from .streamspec import ParseError, classify, parse, validate
@@ -53,8 +53,17 @@ def _count(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with exit code 15 for a malformed command line: its own
+    code 2 already means that some verdict is unknown."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(15, "%s: error: %s\n" % (self.prog, message))
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(prog="prodcheck", description="stream specification productivity analyzer")
+    p = _Parser(prog="prodcheck", description="stream specification productivity analyzer")
     p.add_argument("file", help="specification file")
     p.add_argument("--mode", choices=["decide", "gates", "oracle-check"], default="decide")
     p.add_argument("--root", help="analyze only this stream constant")
@@ -102,10 +111,12 @@ def _gate_lines(spec, gates):
 
 def _trace_lines(verdict):
     lines = ["-- analysis of %s --" % verdict.constant]
-    first = verdict.trace[0][1]
-    lines.append("[%s] = %s" % (verdict.constant, pretty(first)))
-    for rule, term in verdict.trace[1:]:
-        lines.append("  ~> %s    [%s]" % (pretty(term), rule))
+    # one call per derivation: its terms share their strings, and the memo
+    # behind them is dropped before the next derivation is rendered
+    shown = pretty_all([term for _, term in verdict.trace])
+    lines.append("[%s] = %s" % (verdict.constant, shown[0]))
+    for (rule, _), text in zip(verdict.trace[1:], shown[1:]):
+        lines.append("  ~> %s    [%s]" % (text, rule))
     lines.append(verdict.sentence())
     return lines
 

@@ -106,17 +106,73 @@ def meet_all(parts: list) -> ProdTerm:
 
 def pretty(t: ProdTerm) -> str:
     """mu P. peb(box<-(-+)>(P)) style rendering."""
-    if isinstance(t, Src):
-        return "src(%s)" % conat_str(t.value)
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Peb):
-        return "peb(%s)" % pretty(t.body)
-    if isinstance(t, Box):
-        return "box<%s>(%s)" % (render(t.seq), pretty(t.body))
-    if isinstance(t, Mu):
-        return "mu %s. %s" % (t.name, pretty(t.body))
-    return "meet(%s, %s)" % (pretty(t.left), pretty(t.right))
+    return pretty_all([t])[0]
+
+
+def pretty_all(terms) -> list:
+    """The `pretty` rendering of each term, each distinct node rendered once.
+
+    The terms of a derivation share every subterm off the rewritten path.
+    A node asked for more than once (by two parents, or by a parent and the
+    list) is turned into a string once and reused until its last use, so
+    the cost is linear in the output rather than in steps times nodes.
+    Every other node only adds its pieces to its parent's string: a string
+    per node would hold a deep term's text once per level.  Nodes are keyed
+    by identity, which stays unique while `terms` keeps them alive, and both
+    walks use an explicit stack, so nesting depth is not bounded by the
+    interpreter.
+    """
+    wanted: dict = {}  # id -> uses still to come: one per parent, one per place in terms
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if id(t) in wanted:
+            wanted[id(t)] += 1
+        else:
+            wanted[id(t)] = 1
+            stack.extend(_children(t))
+    shown: dict = {}  # id -> string of a node still wanted later
+    out = []
+    for term in terms:
+        parts = [[]]  # the pieces of the term and of each shared node open inside it
+        todo = [term]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                parts[-1].append(t)
+                continue
+            if isinstance(t, tuple):  # the end of a shared node
+                text = shown[id(t[0])] = "".join(parts.pop())
+                parts[-1].append(text)
+                continue
+            key = id(t)
+            wanted[key] -= 1
+            if key in shown:
+                parts[-1].append(shown[key] if wanted[key] else shown.pop(key))
+                continue
+            if isinstance(t, Src):
+                parts[-1].append("src(%s)" % conat_str(t.value))
+                continue
+            if isinstance(t, Var):
+                parts[-1].append(t.name)
+                continue
+            if wanted[key]:
+                parts.append([])
+                todo.append((t,))
+            if isinstance(t, Peb):
+                parts[-1].append("peb(")
+                todo += (")", t.body)
+            elif isinstance(t, Box):
+                parts[-1].append("box<%s>(" % render(t.seq))
+                todo += (")", t.body)
+            elif isinstance(t, Mu):
+                parts[-1].append("mu %s. " % t.name)
+                todo.append(t.body)
+            else:
+                parts[-1].append("meet(")
+                todo += (")", t.right, ", ", t.left)
+        out.append("".join(parts[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,16 @@ class TraceGraph:
 
 def _positions(expr):
     """Enumerate (position, subexpression) in prefix order."""
-    out = [((), expr)]
-    if isinstance(expr, EStep):
-        out.extend(((1,) + p, e) for p, e in _positions(expr.body))
-    elif isinstance(expr, EInf):
-        out.extend(((1,) + p, e) for p, e in _positions(expr.left))
-        out.extend(((2,) + p, e) for p, e in _positions(expr.right))
+    out = []
+    stack = [((), expr)]
+    while stack:
+        pos, e = stack.pop()
+        out.append((pos, e))
+        if isinstance(e, EStep):
+            stack.append((pos + (1,), e.body))
+        elif isinstance(e, EInf):
+            stack.append((pos + (2,), e.right))
+            stack.append((pos + (1,), e.left))
     return out
 
 

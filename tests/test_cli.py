@@ -301,11 +301,21 @@ def test_negative_cap_is_usage_error(flag, capsys):
     for value, message in (("-1", "must be at least 0, got -1"), ("abc", "invalid int value: 'abc'")):
         with pytest.raises(SystemExit) as exc:
             main([str(spec_path("pascal")), flag, value])
-        assert exc.value.code == 2
+        assert exc.value.code == 15
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: prodcheck")
         assert "argument %s: %s\n" % (flag, message) in captured.err
+
+
+def test_usage_error_exit_code_from_command_line():
+    """A malformed command line ends in 15, apart from the 2 of an unknown
+    verdict; asking for help is no error."""
+    pascal = str(spec_path("pascal"))
+    for args, code in (([], 15), ([pascal, "--bogus"], 15), ([pascal, "--max-columns", "-1"], 15), (["--help"], 0)):
+        done = _run_module(args, stdout=subprocess.PIPE)
+        assert done.returncode == code, (args, done.stderr)
+        assert done.stderr.startswith(b"usage: prodcheck") == (code == 15), args
 
 
 @pytest.mark.parametrize("seed", [26, 50])

@@ -153,6 +153,24 @@ def test_infimum_unbounded_residuals():
         assert interpret(got, n) == min(interpret(a, n), interpret(b, n))
 
 
+@pytest.mark.parametrize(
+    "s, t",
+    [
+        (IOTerm.of_runs((), (("-", 1024), ("+", 1))), T("(-+)")),
+        (IOTerm.of_runs((("+", 3),), (("-", 1024), ("+", 512))), T("-(-+)")),
+        (IOTerm.of_runs((), (("-", 4096), ("+", 1))), T("(-+)")),
+    ],
+)
+def test_infimum_of_long_loops(s, t):
+    """The solver spells each operand out one step per symbol; loops of
+    thousands of symbols must not meet the interpreter's recursion limit."""
+    got = infimum(s, t)
+    assert got == normalize(got)
+    size = len(s.prefix) + len(s.loop)
+    for n in list(range(3 * size)) + [TOP]:
+        assert interpret(got, n) == min(interpret(s, n), interpret(t, n)), n
+
+
 # --- requirement removal --------------------------------------------------
 
 

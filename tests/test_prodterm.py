@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from prodcheck.ioalg import TOP, IOTerm, interpret, parse_ioterm
+from prodcheck import prodterm
+from prodcheck.ioalg import TOP, IOTerm, conat_str, interpret, parse_ioterm, render
 from prodcheck.prodterm import (
     PEB_SEQ,
     Box,
@@ -20,7 +21,12 @@ from prodcheck.prodterm import (
     denot_production,
     gate_apply,
     pretty,
+    pretty_all,
 )
+from prodcheck.streamspec import parse
+from prodcheck.translate import decide
+
+from conftest import DATA
 
 T = parse_ioterm
 
@@ -36,11 +42,14 @@ def find_redexes(t, path=()):
     return found
 
 
-def collapse_random(t, rng):
-    """Collapse contracting a uniformly random redex each step."""
+def collapse_random(t, rng, trail=None):
+    """Collapse contracting a uniformly random redex each step; every term
+    passed through, the first included, is appended to `trail` if given."""
     if t.free_vars:
         raise ValueError("open term")
     while True:
+        if trail is not None:
+            trail.append(t)
         redexes = find_redexes(t)
         if not redexes:
             return t.value
@@ -200,9 +209,80 @@ def test_denot_agrees_with_collapse():
 # --- pretty printing ------------------------------------------------------
 
 
+def _reference_pretty(t):
+    """The rendering by a recursive walk of the whole term."""
+    if isinstance(t, Src):
+        return "src(%s)" % conat_str(t.value)
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Peb):
+        return "peb(%s)" % _reference_pretty(t.body)
+    if isinstance(t, Box):
+        return "box<%s>(%s)" % (render(t.seq), _reference_pretty(t.body))
+    if isinstance(t, Mu):
+        return "mu %s. %s" % (t.name, _reference_pretty(t.body))
+    return "meet(%s, %s)" % (_reference_pretty(t.left), _reference_pretty(t.right))
+
+
 def test_pretty_pascal():
     assert pretty(pascal_term()) == "mu P. peb(peb(box<-(-+)>(P)))"
     assert pretty(Meet(Src(0), Src(TOP))) == "meet(src(0), src(inf))"
+    shared = Box(T("-(-+)"), Var("x"))
+    assert pretty_all([Mu("x", Meet(shared, shared)), shared]) == [
+        "mu x. meet(box<-(-+)>(x), box<-(-+)>(x))",
+        "box<-(-+)>(x)",
+    ]
+
+
+def test_pretty_all_matches_reference_on_derivations():
+    """Random-order derivations of random terms, and the derivations of
+    every spec under tests/data, render as the recursive walk renders them."""
+    rng = random.Random(26)
+    derivations = []
+    for _ in range(300):
+        trail = []
+        collapse_random(random_closed_term(rng, rng.randrange(1, 24)), rng, trail)
+        derivations.append(trail)
+    for path in sorted(DATA.glob("*.spec")):
+        verdicts, _, _ = decide(parse(path.read_text(), str(path)))
+        derivations.extend([term for _, term in v.trace] for v in verdicts.values())
+    assert sum(map(len, derivations)) > 2000
+    for terms in derivations:
+        assert pretty_all(terms) == [_reference_pretty(t) for t in terms]
+
+
+def test_pretty_deep_chain():
+    t = Src(0)
+    for _ in range(20000):
+        t = Peb(t)
+    assert pretty(t) == "peb(" * 20000 + "src(0)" + ")" * 20000
+
+
+def test_pretty_all_renders_each_box_once(monkeypatch):
+    """Over the whole derivation of a 400-element cons prefix, each distinct
+    box node renders its IO-sequence once: the cost stays linear in the
+    output instead of steps times term size."""
+    signature = "Signature(P : stream(nat), f : stream(nat) -> stream(nat), 0 : nat)\n"
+    spec = parse(signature + "P = %sf(P)\nf(x:s) = x:f(s)\n" % ("0:" * 400))
+    (verdict,) = decide(spec)[0].values()
+    terms = [term for _, term in verdict.trace]
+    boxes, seen, stack = 0, set(), list(terms)
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            boxes += isinstance(u, Box)
+            stack.extend(_children(u))
+    calls = []
+
+    def counting_render(seq):
+        calls.append(seq)
+        return render(seq)
+
+    monkeypatch.setattr(prodterm, "render", counting_render)
+    shown = pretty_all(terms)
+    assert (len(terms), len(calls)) == (802, boxes)
+    assert shown[-1] == "src(inf)"
 
 
 def test_free_vars_scoping():
