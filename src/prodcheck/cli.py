@@ -20,6 +20,7 @@ of the IO-term algebra, and, with `--dump-diagram`, the one for each root.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -62,7 +63,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(15, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser as it was
     p = _Parser(prog="prodcheck", description="stream specification productivity analyzer")
     p.add_argument("file", help="specification file")
     p.add_argument("--mode", choices=["decide", "gates", "oracle-check"], default="decide")
@@ -277,7 +280,8 @@ def main(argv=None) -> int:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
     except RecursionError:
-        # the parser and most term walks recurse once per nesting level
+        # the parser does not recurse, but later term walks (translation,
+        # collapse, term printing) still recurse once per nesting level
         limit = sys.getrecursionlimit()
         print("prodcheck: terms nested too deep for the interpreter's recursion limit (%d)" % limit, file=sys.stderr)
         return 13

@@ -17,7 +17,9 @@ signature is a variable whose sort is inferred from its position.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -46,9 +48,13 @@ class ParseError(Exception):
 
 _PUNCT = {"(": "LP", ")": "RP", ",": "COMMA", ":": "COLON", "=": "EQ"}
 
+# one alternative per token class; the last one is any other character, an
+# error.  `[\w']` and `\S` agree with `str.isalnum()` plus `_'` and with
+# `str.isspace()` on every code point (the tests check this).
+_TOKEN = re.compile(r"(->)|([(),:=])|([\w']+)|(\S)")
 
-@dataclass(frozen=True)
-class Tok:
+
+class Tok(NamedTuple):
     kind: str
     value: str
     line: int
@@ -57,31 +63,21 @@ class Tok:
 
 def _tokenize(text: str, filename: str):
     tokens = []
+    append = tokens.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("--", 1)[0]
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if line.startswith("->", i):
-                tokens.append(Tok("ARROW", "->", lineno, i + 1))
-                i += 2
-                continue
-            if ch in _PUNCT:
-                tokens.append(Tok(_PUNCT[ch], ch, lineno, i + 1))
-                i += 1
-                continue
-            if ch.isalnum() or ch in "_'":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] in "_'"):
-                    j += 1
-                tokens.append(Tok("IDENT", line[i:j], lineno, i + 1))
-                i = j
-                continue
-            raise ParseError(Diagnostic("error", "unexpected character %r" % ch, lineno, i + 1, filename))
-        tokens.append(Tok("NL", "", lineno, len(line) + 1))
+        for m in _TOKEN.finditer(line):
+            group = m.lastindex
+            value = m.group(group)
+            if group == 3:
+                append(Tok("IDENT", value, lineno, m.start() + 1))
+            elif group == 2:
+                append(Tok(_PUNCT[value], value, lineno, m.start() + 1))
+            elif group == 1:
+                append(Tok("ARROW", value, lineno, m.start() + 1))
+            else:
+                raise ParseError(Diagnostic("error", "unexpected character %r" % value, lineno, m.start() + 1, filename))
+        append(Tok("NL", "", lineno, len(line) + 1))
     return tokens
 
 
@@ -174,11 +170,12 @@ Term = SVar | DVar | Cons | App
 
 
 def term_str(t: Term) -> str:
-    if isinstance(t, (SVar, DVar)):
-        return t.name
-    if isinstance(t, Cons):
-        return "%s:%s" % (_app_str(t.head), term_str(t.tail))
-    return _app_str(t)
+    heads = []
+    while isinstance(t, Cons):  # a loop: cons chains run thousands long
+        heads.append(_app_str(t.head))
+        t = t.tail
+    heads.append(_app_str(t))
+    return ":".join(heads)
 
 
 def _app_str(t: Term) -> str:
@@ -332,68 +329,93 @@ def _parse_signature(p: _Parser) -> Signature:
 
 
 def _parse_term_tokens(p: _Parser):
-    """term := app (':' term)? ; app := IDENT ['(' term {',' term} ')']"""
+    """term := app (':' term)? ; app := IDENT ['(' term {',' term} ')']
 
-    def parse_app():
-        tok = p.expect("IDENT", "a term")
-        args = []
-        if p.peek() is not None and p.peek().kind == "LP":
-            p.next()
-            args.append(parse_term())
-            while p.peek() is not None and p.peek().kind == "COMMA":
-                p.next()
-                args.append(parse_term())
-            p.expect("RP", "')'")
-        return ("app", tok, tuple(args))
-
-    def parse_term():
-        head = parse_app()
-        if p.peek() is not None and p.peek().kind == "COLON":
-            colon = p.next()
-            tail = parse_term()
-            return ("cons", colon, head, tail)
-        return head
-
-    return parse_term()
+    Shift-reduce on an explicit stack, so that neither a long cons chain nor
+    deep nesting recurses.  A frame is an open application `[tok, args]`
+    or a pending cons `(colon, head)`; terms are raw tuples
+    `("app", tok, args)` and `("cons", colon, head, tail)`.
+    """
+    toks, i = p.toks, p.i
+    end = len(toks)
+    stack: list = []
+    while True:
+        tok = toks[i] if i < end else None
+        if tok is None or tok.kind != "IDENT":
+            p.i = i
+            p.fail("expected a term", tok)
+        i += 1
+        if i < end and toks[i].kind == "LP":
+            stack.append([tok, []])
+            i += 1
+            continue  # shift the first argument
+        term = ("app", tok, ())
+        while True:  # reduce the finished application `term`
+            nxt = toks[i] if i < end else None
+            if nxt is not None and nxt.kind == "COLON":
+                stack.append((nxt, term))
+                i += 1
+                break  # shift the tail
+            while stack and type(stack[-1]) is tuple:
+                colon, head = stack.pop()
+                term = ("cons", colon, head, term)
+            if not stack:
+                p.i = i
+                return term
+            frame = stack[-1]
+            frame[1].append(term)
+            if nxt is not None and nxt.kind == "COMMA":
+                i += 1
+                break  # shift the next argument
+            if nxt is None or nxt.kind != "RP":
+                p.i = i
+                p.fail("expected ')'", nxt)
+            i += 1
+            stack.pop()
+            term = ("app", frame[0], tuple(frame[1]))
 
 
 class _Sorter:
     """Resolves raw term trees against the signature, inferring variables.
 
     Data sorts that are never the result sort of a data symbol act as sort
-    variables and unify freely; concrete data sorts must match exactly.
+    variables and unify freely; concrete data sorts, the set `concrete`,
+    must match exactly.
     """
 
-    def __init__(self, sig: Signature, filename: str):
+    def __init__(self, sig: Signature, filename: str, concrete: set):
         self.sig = sig
         self.filename = filename
-        self.concrete = sig.concrete_sorts()
+        self.concrete = concrete
         self.fresh = 0
-        self.insts = 0
         self.bindings: dict = {}
 
     def fail(self, message, tok):
         raise ParseError(Diagnostic("error", message, tok.line, tok.col, self.filename))
 
-    def _freshen(self, sort):
+    def _freshen(self, sort, inst_map):
         if isinstance(sort, StreamSort):
-            return StreamSort(self._freshen_name(sort.param))
-        return DataSort(self._freshen_name(sort.name))
+            return StreamSort(self._freshen_name(sort.param, inst_map))
+        return DataSort(self._freshen_name(sort.name, inst_map))
 
-    def _freshen_name(self, name):
+    def _freshen_name(self, name, inst_map):
         if name in self.concrete:
             return name
-        key = ("sortvar", self.inst_id, name)
-        if key not in self.inst_map:
+        if name not in inst_map:
             self.fresh += 1
-            self.inst_map[key] = "?%d" % self.fresh
-        return self.inst_map[key]
+            inst_map[name] = "?%d" % self.fresh
+        return inst_map[name]
 
     def instantiate(self, info: SymbolInfo):
-        self.insts += 1
-        self.inst_id = self.insts
-        self.inst_map = {}
-        return [self._freshen(s) for s in info.arg_sorts], self._freshen(info.result_sort)
+        """The sorts of one occurrence of `info`, its sort variables fresh."""
+        concrete = self.concrete
+        if all(
+            (s.param if isinstance(s, StreamSort) else s.name) in concrete
+            for s in (*info.arg_sorts, info.result_sort)
+        ):
+            return info.arg_sorts, info.result_sort
+        inst_map: dict = {}
+        return [self._freshen(s, inst_map) for s in info.arg_sorts], self._freshen(info.result_sort, inst_map)
 
     def _resolve(self, name):
         while name in self.bindings:
@@ -426,41 +448,60 @@ class _Sorter:
 
 
 def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
-    """Turn a raw token tree into a sorted Term of sort `expected`."""
-    sig = sorter.sig
-    if raw[0] == "cons":
-        _, colon, head, tail = raw
-        if not isinstance(expected, StreamSort):
-            sorter.fail("':' builds a stream where a data term is expected", colon)
-        h = _resolve_term(head, DataSort(expected.param), sorter, varsorts)
-        t = _resolve_term(tail, expected, sorter, varsorts)
-        return Cons(h, t)
-    _, tok, args = raw
-    name = tok.value
-    if name in sig.symbols:
-        info = sig.symbols[name]
-        arg_sorts, result = sorter.instantiate(info)
-        if info.kind == "const" and not args and info.data_arity > 0:
-            sorter.fail("%r expects %d data arguments" % (name, info.data_arity), tok)
-        if len(args) != len(arg_sorts):
-            sorter.fail(
-                "%r expects %d arguments, got %d" % (name, len(arg_sorts), len(args)), tok
-            )
-        sorter.unify(result, expected, tok)
-        resolved = tuple(
-            _resolve_term(a, s, sorter, varsorts) for a, s in zip(args, arg_sorts)
-        )
-        return App(name, resolved)
-    if args:
-        sorter.fail("undeclared symbol %r applied to arguments" % name, tok)
-    # a variable; record / check its sort
-    if name in varsorts:
-        sorter.unify(varsorts[name], expected, tok)
-    else:
-        varsorts[name] = expected
-    if isinstance(expected, StreamSort):
-        return SVar(name)
-    return DVar(name)
+    """Turn a raw token tree into a sorted Term of sort `expected`.
+
+    Returns the term and the first variable it adds to `varsorts` (None if
+    it adds none).  A preorder walk on an explicit stack: a `("build", sym,
+    n)` entry pops its n resolved subterms into a node, a Cons if `sym` is
+    None.  Checks and unifications run in preorder, left to right.
+    """
+    symbols = sorter.sig.symbols
+    first_new = None
+    todo: list = [(raw, expected)]
+    done: list = []
+    while todo:
+        raw, expected = todo.pop()
+        kind = raw[0]
+        if kind == "build":
+            _, sym, n = raw
+            k = len(done) - n
+            parts = tuple(done[k:])
+            del done[k:]
+            done.append(Cons(*parts) if sym is None else App(sym, parts))
+            continue
+        if kind == "cons":
+            _, colon, head, tail = raw
+            if not isinstance(expected, StreamSort):
+                sorter.fail("':' builds a stream where a data term is expected", colon)
+            todo += (("build", None, 2), None), (tail, expected), (head, DataSort(expected.param))
+            continue
+        _, tok, args = raw
+        name = tok.value
+        info = symbols.get(name)
+        if info is not None:
+            arg_sorts, result = sorter.instantiate(info)
+            if info.kind == "const" and not args and info.data_arity > 0:
+                sorter.fail("%r expects %d data arguments" % (name, info.data_arity), tok)
+            if len(args) != len(arg_sorts):
+                sorter.fail(
+                    "%r expects %d arguments, got %d" % (name, len(arg_sorts), len(args)), tok
+                )
+            sorter.unify(result, expected, tok)
+            todo.append((("build", name, len(args)), None))
+            todo += reversed(list(zip(args, arg_sorts)))
+            continue
+        if args:
+            sorter.fail("undeclared symbol %r applied to arguments" % name, tok)
+        # a variable; record / check its sort
+        var = SVar(name) if isinstance(expected, StreamSort) else DVar(name)
+        if name in varsorts:
+            sorter.unify(varsorts[name], expected, tok)
+        else:
+            varsorts[name] = expected
+            if first_new is None:
+                first_new = var
+        done.append(var)
+    return done[0], first_new
 
 
 def _subterms(t: Term):
@@ -486,6 +527,7 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
     sig = _parse_signature(p)
     if not sig.stream_constants() and not sig.stream_functions():
         raise ParseError(Diagnostic("error", "no stream constant declared", 1, 1, filename))
+    concrete = sig.concrete_sorts()
     stream_rules: list = []
     data_rules: list = []
     while True:
@@ -505,18 +547,17 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
         if root not in sig.symbols:
             raise ParseError(Diagnostic("error", "variable on left-hand side root", first.line, first.col, filename))
         info = sig.symbols[root]
-        sorter = _Sorter(sig, filename)
+        sorter = _Sorter(sig, filename, concrete)
         varsorts: dict = {}
         expected = info.result_sort
-        lhs = _resolve_term(lhs_raw, expected, sorter, varsorts)
-        rhs = _resolve_term(rhs_raw, expected, sorter, varsorts)
-        lhs_vars = {v.name for v in _term_vars(lhs)}
-        for v in _term_vars(rhs):
-            if v.name not in lhs_vars:
-                kind = "stream" if isinstance(v, SVar) else "data"
-                raise ParseError(
-                    Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, v.name), first.line, first.col, filename)
-                )
+        lhs, _ = _resolve_term(lhs_raw, expected, sorter, varsorts)
+        # a variable new on the rhs is not bound by the lhs
+        rhs, unbound = _resolve_term(rhs_raw, expected, sorter, varsorts)
+        if unbound is not None:
+            kind = "stream" if isinstance(unbound, SVar) else "data"
+            raise ParseError(
+                Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, unbound.name), first.line, first.col, filename)
+            )
         rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", first.line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
     return StreamSpec(sig, stream_rules, data_rules, filename)
@@ -539,13 +580,18 @@ def _linear(rule: Rule, diags, spec):
 
 def _patterns_overlap(a: Term, b: Term) -> bool:
     """Two linear constructor patterns overlap iff they unify."""
-    if isinstance(a, (SVar, DVar)) or isinstance(b, (SVar, DVar)):
-        return True
-    if isinstance(a, Cons) and isinstance(b, Cons):
-        return _patterns_overlap(a.head, b.head) and _patterns_overlap(a.tail, b.tail)
-    if isinstance(a, App) and isinstance(b, App):
-        return a.sym == b.sym and all(_patterns_overlap(x, y) for x, y in zip(a.args, b.args))
-    return False
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, (SVar, DVar)) or isinstance(b, (SVar, DVar)):
+            continue
+        if isinstance(a, Cons) and isinstance(b, Cons):
+            todo += ((a.tail, b.tail), (a.head, b.head))
+        elif isinstance(a, App) and isinstance(b, App) and a.sym == b.sym:
+            todo.extend(zip(a.args, b.args))
+        else:
+            return False
+    return True
 
 
 def _constructors_of(spec: StreamSpec):
@@ -564,50 +610,104 @@ def _missing_vector(rows, col_sorts, by_sort):
 
     Streams have the single constructor cons; data columns split over the
     constructors of their sort.  Returns a list of witness terms or None.
+
+    A depth-first search on an explicit stack.  Rows, columns and witnesses
+    are linked lists `(first, rest)`, so that dropping or splitting the
+    first column copies nothing.  A frame waits for the witness of the
+    columns below it: a sort puts a wildcard of that sort in front of it,
+    "cons" joins its first two terms, and a constructor frame `[ctors,
+    index, rows, rest]` joins its first arguments into an App, or on no
+    witness moves on to its next constructor.
     """
-    if not rows:
-        return [_wild(s) for s in col_sorts]
-    if not col_sorts:
-        return None  # some row matches everything remaining
-    first = [r[0] for r in rows]
-    sort = col_sorts[0]
-    if all(isinstance(p, (SVar, DVar)) for p in first):
-        rest = _missing_vector([r[1:] for r in rows], col_sorts[1:], by_sort)
-        return None if rest is None else [_wild(sort)] + rest
-    if isinstance(sort, StreamSort):
-        # only constructor: cons(head, tail)
-        sub_rows = []
-        for r in rows:
-            p = r[0]
-            if isinstance(p, SVar):
-                sub_rows.append([DVar("_"), SVar("_")] + list(r[1:]))
+    rows = [_linked(r, None) for r in rows]
+    cols = _linked(col_sorts, None)
+    frames: list = []
+    while True:
+        while True:  # descend until the answer for (rows, cols) is known
+            if not rows:
+                found = _linked([_wild(s) for s in _unlinked(cols)], None)
+                break
+            if cols is None:
+                found = None  # some row matches everything remaining
+                break
+            sort, rest = cols
+            if all(isinstance(r[0], (SVar, DVar)) for r in rows):
+                frames.append(sort)
+                rows = [r[1] for r in rows]
+                cols = rest
+            elif isinstance(sort, StreamSort):
+                # only constructor: cons(head, tail); a defined symbol in the
+                # pattern (an error of its own) matches no cons
+                frames.append("cons")
+                rows = [
+                    (DVar("_"), (SVar("_"), tail)) if isinstance(p, SVar) else (p.head, (p.tail, tail))
+                    for p, tail in rows
+                    if not isinstance(p, App)
+                ]
+                cols = (DataSort(sort.param), cols)
             else:
-                sub_rows.append([p.head, p.tail] + list(r[1:]))
-        sub = _missing_vector(sub_rows, [DataSort(sort.param), sort] + list(col_sorts[1:]), by_sort)
-        if sub is None:
-            return None
-        return [Cons(sub[0], sub[1])] + sub[2:]
-    ctors = by_sort.get(sort.name, [])
-    if not ctors:
-        # no known constructors for this sort; a constructor pattern here can
-        # never be shown exhaustive, report the bare-variable witness
-        return None
-    for info in ctors:
-        sub_rows = []
-        usable = True
-        for r in rows:
-            p = r[0]
-            if isinstance(p, DVar):
-                sub_rows.append([DVar("_")] * len(info.arg_sorts) + list(r[1:]))
-            elif isinstance(p, App) and p.sym == info.name:
-                sub_rows.append(list(p.args) + list(r[1:]))
-            else:
+                ctors = by_sort.get(sort.name)
+                if not ctors:
+                    # no known constructors for this sort: no witness can be
+                    # built, so none is reported
+                    found = None
+                    break
+                frame = [ctors, 0, rows, rest]
+                frames.append(frame)
+                rows, cols = _split_ctor(frame)
+        while frames:  # hand `found` to the frames waiting for it
+            frame = frames[-1]
+            if isinstance(frame, list) and found is None and frame[1] + 1 < len(frame[0]):
+                frame[1] += 1
+                rows, cols = _split_ctor(frame)
+                break
+            frames.pop()
+            if found is None:
                 continue
-        sub = _missing_vector(sub_rows, list(info.arg_sorts) + list(col_sorts[1:]), by_sort)
-        if sub is not None:
-            k = len(info.arg_sorts)
-            return [App(info.name, tuple(sub[:k]))] + sub[k:]
-    return None
+            if isinstance(frame, list):
+                info = frame[0][frame[1]]
+                args = []
+                for _ in info.arg_sorts:
+                    arg, found = found
+                    args.append(arg)
+                found = (App(info.name, tuple(args)), found)
+            elif frame == "cons":
+                head, (tail, found) = found
+                found = (Cons(head, tail), found)
+            else:
+                found = (_wild(frame), found)
+        else:
+            return None if found is None else _unlinked(found)
+
+
+def _split_ctor(frame):
+    """Rows and columns of a data column's constructor frame under its
+    current constructor: its arguments replace the column."""
+    ctors, index, rows, rest = frame
+    info = ctors[index]
+    wilds = [DVar("_")] * len(info.arg_sorts)
+    sub_rows = []
+    for p, tail in rows:
+        if isinstance(p, DVar):
+            sub_rows.append(_linked(wilds, tail))
+        elif isinstance(p, App) and p.sym == info.name:
+            sub_rows.append(_linked(p.args, tail))
+    return sub_rows, _linked(info.arg_sorts, rest)
+
+
+def _linked(items, rest):
+    """The linked list `(items[0], (items[1], ... rest))`."""
+    for x in reversed(items):
+        rest = (x, rest)
+    return rest
+
+
+def _unlinked(linked):
+    items = []
+    while linked is not None:
+        x, linked = linked
+        items.append(x)
+    return items
 
 
 def _wild(sort):

@@ -1,12 +1,31 @@
 import random
+import sys
+from dataclasses import dataclass
 
 import pytest
 
 from prodcheck.streamspec import (
     App,
     Cons,
+    DataSort,
+    Diagnostic,
+    DVar,
     ParseError,
+    Rule,
+    Signature,
+    StreamSort,
+    StreamSpec,
     SVar,
+    _TOKEN,
+    _constructors_of,
+    _missing_vector,
+    _Parser,
+    _parse_signature,
+    _peel_rhs,
+    _Sorter,
+    _subterms,
+    _term_vars,
+    _wild,
     classify,
     parse,
     reaches_cycle,
@@ -14,7 +33,9 @@ from prodcheck.streamspec import (
     validate,
 )
 
-from conftest import load
+from conftest import DATA, load
+from test_solver import _chain_spec
+from test_translate import random_flat_spec
 
 
 def render_spec(spec):
@@ -127,6 +148,320 @@ def test_roundtrip_through_printer(corpus):
         again = parse(render_spec(spec), name)
         assert render_spec(again) == render_spec(spec)
         assert [str(r) for r in again.stream_rules] == [str(r) for r in spec.stream_rules]
+
+
+# --- the explicit-stack front end against the recursive one -----------------
+#
+# The recursive tokenizer, term parser, sort resolver, `parse` and
+# exhaustiveness search that the explicit-stack ones replaced, kept as the
+# reference: every input must give the same rules or the same first error,
+# and every pattern table the same witness.
+
+
+@dataclass(frozen=True)
+class RefTok:
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+_REF_PUNCT = {"(": "LP", ")": "RP", ",": "COMMA", ":": "COLON", "=": "EQ"}
+
+
+def ref_tokenize(text, filename):
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("--", 1)[0]
+        i = 0
+        while i < len(line):
+            ch = line[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if line.startswith("->", i):
+                tokens.append(RefTok("ARROW", "->", lineno, i + 1))
+                i += 2
+                continue
+            if ch in _REF_PUNCT:
+                tokens.append(RefTok(_REF_PUNCT[ch], ch, lineno, i + 1))
+                i += 1
+                continue
+            if ch.isalnum() or ch in "_'":
+                j = i
+                while j < len(line) and (line[j].isalnum() or line[j] in "_'"):
+                    j += 1
+                tokens.append(RefTok("IDENT", line[i:j], lineno, i + 1))
+                i = j
+                continue
+            raise ParseError(Diagnostic("error", "unexpected character %r" % ch, lineno, i + 1, filename))
+        tokens.append(RefTok("NL", "", lineno, len(line) + 1))
+    return tokens
+
+
+def ref_parse_term_tokens(p):
+    def parse_app():
+        tok = p.expect("IDENT", "a term")
+        args = []
+        if p.peek() is not None and p.peek().kind == "LP":
+            p.next()
+            args.append(parse_term())
+            while p.peek() is not None and p.peek().kind == "COMMA":
+                p.next()
+                args.append(parse_term())
+            p.expect("RP", "')'")
+        return ("app", tok, tuple(args))
+
+    def parse_term():
+        head = parse_app()
+        if p.peek() is not None and p.peek().kind == "COLON":
+            colon = p.next()
+            tail = parse_term()
+            return ("cons", colon, head, tail)
+        return head
+
+    return parse_term()
+
+
+def ref_resolve_term(raw, expected, sorter, varsorts):
+    sig = sorter.sig
+    if raw[0] == "cons":
+        _, colon, head, tail = raw
+        if not isinstance(expected, StreamSort):
+            sorter.fail("':' builds a stream where a data term is expected", colon)
+        h = ref_resolve_term(head, DataSort(expected.param), sorter, varsorts)
+        t = ref_resolve_term(tail, expected, sorter, varsorts)
+        return Cons(h, t)
+    _, tok, args = raw
+    name = tok.value
+    if name in sig.symbols:
+        info = sig.symbols[name]
+        arg_sorts, result = sorter.instantiate(info)
+        if info.kind == "const" and not args and info.data_arity > 0:
+            sorter.fail("%r expects %d data arguments" % (name, info.data_arity), tok)
+        if len(args) != len(arg_sorts):
+            sorter.fail("%r expects %d arguments, got %d" % (name, len(arg_sorts), len(args)), tok)
+        sorter.unify(result, expected, tok)
+        return App(name, tuple(ref_resolve_term(a, s, sorter, varsorts) for a, s in zip(args, arg_sorts)))
+    if args:
+        sorter.fail("undeclared symbol %r applied to arguments" % name, tok)
+    if name in varsorts:
+        sorter.unify(varsorts[name], expected, tok)
+    else:
+        varsorts[name] = expected
+    return SVar(name) if isinstance(expected, StreamSort) else DVar(name)
+
+
+def ref_parse(text, filename="<input>"):
+    p = _Parser(ref_tokenize(text, filename), filename)
+    sig = _parse_signature(p)
+    if not sig.stream_constants() and not sig.stream_functions():
+        raise ParseError(Diagnostic("error", "no stream constant declared", 1, 1, filename))
+    stream_rules, data_rules = [], []
+    while True:
+        p.skip_newlines()
+        if p.peek() is None:
+            break
+        first = p.peek()
+        lhs_raw = ref_parse_term_tokens(p)
+        p.expect("EQ", "'='")
+        rhs_raw = ref_parse_term_tokens(p)
+        nl = p.peek()
+        if nl is not None and nl.kind != "NL":
+            p.fail("trailing tokens after rule")
+        if lhs_raw[0] == "cons":
+            raise ParseError(Diagnostic("error", "rule left-hand side cannot be a cons", first.line, first.col, filename))
+        root = lhs_raw[1].value
+        if root not in sig.symbols:
+            raise ParseError(Diagnostic("error", "variable on left-hand side root", first.line, first.col, filename))
+        info = sig.symbols[root]
+        sorter = _Sorter(sig, filename, sig.concrete_sorts())
+        varsorts = {}
+        lhs = ref_resolve_term(lhs_raw, info.result_sort, sorter, varsorts)
+        rhs = ref_resolve_term(rhs_raw, info.result_sort, sorter, varsorts)
+        lhs_vars = {v.name for v in _term_vars(lhs)}
+        for v in _term_vars(rhs):
+            if v.name not in lhs_vars:
+                kind = "stream" if isinstance(v, SVar) else "data"
+                raise ParseError(
+                    Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, v.name), first.line, first.col, filename)
+                )
+        rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", first.line)
+        (data_rules if info.kind == "data" else stream_rules).append(rule)
+    return StreamSpec(sig, stream_rules, data_rules, filename)
+
+
+def ref_missing_vector(rows, col_sorts, by_sort):
+    if not rows:
+        return [_wild(s) for s in col_sorts]
+    if not col_sorts:
+        return None
+    sort = col_sorts[0]
+    if all(isinstance(r[0], (SVar, DVar)) for r in rows):
+        rest = ref_missing_vector([r[1:] for r in rows], col_sorts[1:], by_sort)
+        return None if rest is None else [_wild(sort)] + rest
+    if isinstance(sort, StreamSort):
+        sub_rows = [
+            ([DVar("_"), SVar("_")] if isinstance(r[0], SVar) else [r[0].head, r[0].tail]) + list(r[1:])
+            for r in rows
+        ]
+        sub = ref_missing_vector(sub_rows, [DataSort(sort.param), sort] + list(col_sorts[1:]), by_sort)
+        return None if sub is None else [Cons(sub[0], sub[1])] + sub[2:]
+    for info in by_sort.get(sort.name, []):
+        sub_rows = []
+        for r in rows:
+            if isinstance(r[0], DVar):
+                sub_rows.append([DVar("_")] * len(info.arg_sorts) + list(r[1:]))
+            elif isinstance(r[0], App) and r[0].sym == info.name:
+                sub_rows.append(list(r[0].args) + list(r[1:]))
+        sub = ref_missing_vector(sub_rows, list(info.arg_sorts) + list(col_sorts[1:]), by_sort)
+        if sub is not None:
+            k = len(info.arg_sorts)
+            return [App(info.name, tuple(sub[:k]))] + sub[k:]
+    return None
+
+
+_MUTATION_CHARS = "():,=x0s-\t é'_>"
+
+
+def _mutate(rng, text):
+    """One or two seeded edits: a line deleted, duplicated or swapped, or a
+    character inserted or deleted."""
+    lines = text.splitlines()
+    for _ in range(rng.randrange(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            c = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:c] + rng.choice(_MUTATION_CHARS) + lines[i][c:]
+        elif lines[i]:
+            c = rng.randrange(len(lines[i]))
+            lines[i] = lines[i][:c] + lines[i][c + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+def _front_end_inputs():
+    texts = [path.read_text() for path in sorted(DATA.glob("*.spec"))]
+    inputs = list(texts)
+    inputs += [random_flat_spec(random.Random(seed), max_feedback=2) for seed in range(200)]
+    rng = random.Random(909)
+    inputs += [_mutate(rng, rng.choice(texts)) for _ in range(5000)]
+    return inputs
+
+
+def test_front_end_matches_recursive_reference():
+    """Same signature order and rules (terms, layer, line), or the same first
+    error; on every table of patterns, the same exhaustiveness witness."""
+    parsed = errors = 0
+    for text in _front_end_inputs():
+        try:
+            want = ref_parse(text, "m.spec")
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse(text, "m.spec")
+            assert str(err.value) == str(exc), text
+            errors += 1
+            continue
+        spec = parse(text, "m.spec")
+        assert spec.signature.order == want.signature.order, text
+        assert spec.stream_rules == want.stream_rules, text
+        assert spec.data_rules == want.data_rules, text
+        parsed += 1
+        sig = spec.signature
+        by_sort = _constructors_of(spec)
+        for name in sig.stream_functions():
+            table = [list(r.lhs.args) for r in spec.rules_of(name)]
+            # the reference fails on a defined stream symbol in a pattern
+            if table and not any(
+                isinstance(t, App) and sig.symbols[t.sym].kind != "data"
+                for row in table
+                for p in row
+                for t in _subterms(p)
+            ):
+                sorts = list(sig.symbols[name].arg_sorts)
+                assert _missing_vector(table, sorts, by_sort) == ref_missing_vector(table, sorts, by_sort), text
+    assert parsed > 1000 and errors > 1000, (parsed, errors)
+
+
+def test_token_classes_match_str_predicates():
+    """`[\\w']` and `\\S` of the token pattern pick out what `str.isalnum()`
+    plus `_'` and `str.isspace()` did, on every code point."""
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        m = _TOKEN.match(ch)
+        if ch.isspace():
+            assert m is None, hex(cp)
+        elif ch in "(),:=":
+            assert m.lastindex == 2, hex(cp)
+        else:
+            assert m.lastindex == (3 if ch.isalnum() or ch in "_'" else 4), hex(cp)
+
+
+def test_concrete_sorts_computed_once_per_parse(monkeypatch):
+    """The set of concrete sorts walks the whole signature: once per parse,
+    not once per rule, keeps parsing linear in the number of functions."""
+    calls = []
+    concrete_sorts = Signature.concrete_sorts
+
+    def counted(sig):
+        calls.append(sig)
+        return concrete_sorts(sig)
+
+    monkeypatch.setattr(Signature, "concrete_sorts", counted)
+    spec = parse(_chain_spec(128))
+    assert len(spec.stream_rules) == 129
+    assert len(calls) == 1
+
+
+def test_deep_terms_parse_without_recursion():
+    m = 20000
+    spec = parse("Signature( P : stream(nat), 0 : nat )\nP = " + "0:" * m + "P\n")
+    (rule,) = spec.stream_rules
+    assert _peel_rhs(rule.rhs) == (m, App("P", ()))
+    assert str(rule) == "P = " + "0:" * m + "P"
+    spec = parse("Signature( P : stream(nat), s : nat -> nat, 0 : nat )\nP = " + "s(" * m + "0" + ")" * m + ":P\n")
+    t, depth = spec.stream_rules[0].rhs.head, 0
+    while t.args:
+        (t,) = t.args
+        depth += 1
+    assert (depth, t) == (m, App("0", ()))
+
+
+def test_wide_patterns_validate():
+    """Exhaustiveness, overlap and the witness of a pattern 2,000 elements
+    wide, without recursion per element."""
+    w = 2000
+    xs = ["x%d" % i for i in range(w - 1)]
+    head = "Signature( C : stream(bit), f : stream(bit) -> stream(bit), 0, 1 : bit )\nC = 0:f(C)\n"
+    wide = "f(%s:s) = %s:f(s)\n" % (":".join(xs + ["x"]), ":".join(xs))
+    assert validate(parse(head + wide)) == []
+    split = ["f(%s:%s:s) = %s:f(s)\n" % (":".join(xs), d, ":".join(xs)) for d in "01"]
+    assert validate(parse(head + "".join(split))) == []
+    (warning,) = validate(parse(head + split[0]))
+    assert warning.message == "non-exhaustive patterns for 'f': no rule matches f(%s1:_)" % ("_:" * (w - 1))
+    errors = [d.message for d in validate(parse(head + split[0] + split[0])) if d.severity == "error"]
+    assert errors == ["overlapping rules for 'f' (lines 3 and 4)"]
+
+
+def test_validate_defined_stream_symbol_in_pattern():
+    """A stream constant where a pattern needs a cons matches no stream: an
+    error of its own, and a gap in the exhaustiveness check."""
+    text = """Signature( P : stream(nat), f : stream(nat) -> stream(nat), 0 : nat )
+    P = 0:f(P)
+    f(x:P) = P
+    """
+    diags = [(d.severity, d.message) for d in validate(parse(text))]
+    assert diags == [
+        ("error", "defined symbol 'P' in a pattern of 'f'"),
+        ("warning", "non-exhaustive patterns for 'f': no rule matches f(_:_:_)"),
+    ]
 
 
 # --- validation -------------------------------------------------------------
