@@ -7,8 +7,8 @@
 
 Exit codes: 0 every analyzed constant is productive, 1 some constant is
 (data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
-error, 11 validation error, 12 translation error, 13 a search cap was hit
-or terms are nested too deep for the interpreter, 14 standard output was
+error, 11 validation error, 12 translation error, 13 a search cap was
+exceeded (`--finitize-cap` or `--max-columns`), 14 standard output was
 closed before the report was written, 15 a malformed command line (a
 cap below 0 included), reported by argparse's usage message.
 
@@ -278,12 +278,6 @@ def main(argv=None) -> int:
         return 12
     except (FinitizeCapError, SolverCapError) as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
-        return 13
-    except RecursionError:
-        # the parser does not recurse, but later term walks (translation,
-        # collapse, term printing) still recurse once per nesting level
-        limit = sys.getrecursionlimit()
-        print("prodcheck: terms nested too deep for the interpreter's recursion limit (%d)" % limit, file=sys.stderr)
         return 13
 
 

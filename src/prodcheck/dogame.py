@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from operator import lt
 
-from .streamspec import App, Classification, Cons, StreamSpec, SVar, reachable_symbols
+from .streamspec import Classification, Cons, StreamSpec, SVar, reachable_symbols
 
 _INF_DEP = 10**9
 _FUNCTION_EXPANSIONS = 10000  # game states one do_low_function call may expand
@@ -46,12 +46,6 @@ def _as_result(lo, exact, prod_cap):
     if exact:
         return int(lo)
     return AtLeast(int(min(lo, prod_cap)))
-
-
-def _flat_shapes(cls: Classification, f: str):
-    if cls.symbol_class.get(f) not in ("flat", "pure"):
-        raise ValueError("%r is not a flat stream function" % f)
-    return cls.shapes[f]
 
 
 def _game_value(shapes_of, f, supplies, prod_cap, budget):
@@ -128,7 +122,8 @@ def do_low_function(spec: StreamSpec, cls: Classification, f: str, supplies, pro
     The adversary picks any defining rule at every state; the search expands
     at most `_FUNCTION_EXPANSIONS` states.
     """
-    _flat_shapes(cls, f)
+    if cls.symbol_class.get(f) not in ("flat", "pure"):
+        raise ValueError("%r is not a flat stream function" % f)
     supplies = tuple(int(n) for n in supplies)
     lo, exact = _game_value(cls.shapes.__getitem__, f, supplies, prod_cap, [_FUNCTION_EXPANSIONS])
     return _as_result(lo, exact, prod_cap)
@@ -155,29 +150,42 @@ def do_low_constant(
     this oracle's state space.
     """
     sig = spec.signature
-    reach = reachable_symbols(spec, cls, name)
-    for s in sorted(reach):
+    symbols = sorted(reachable_symbols(cls, name))
+    for s in symbols:
         if cls.symbol_class.get(s) in ("friendly", "unfriendly"):
             raise ValueError("game oracle does not cover nesting symbol %r" % s)
         if not spec.rules_of(s):
             raise ValueError("%r has no defining rule" % s)
-    symbols = sorted(reach)
     constants = [s for s in symbols if sig.symbols[s].kind == "const"]
 
     def term_production(term, values, shapes_of):
-        if isinstance(term, Cons):
-            lo, exact = term_production(term.tail, values, shapes_of)
-            return lo + 1, exact
-        if isinstance(term, SVar):
-            raise ValueError("open stream term under constant %r" % name)
-        assert isinstance(term, App)
-        info = sig.symbols[term.sym]
-        if info.kind == "const":
-            return values[term.sym]
-        child = [term_production(a, values, shapes_of) for a in term.args[: info.stream_arity]]
-        supplies = tuple(min(lo, prod_cap) for lo, _ in child)
-        lo, exact = _game_value(shapes_of, term.sym, supplies, prod_cap, budget)
-        return lo, exact and all(ex for _, ex in child)
+        # postorder on an explicit stack: an item 1 is a cons over the last
+        # result, an item (symbol, n) plays the symbol's game on the last n
+        done: list = []
+        todo: list = [term]
+        while todo:
+            term = todo.pop()
+            if isinstance(term, int):
+                lo, exact = done.pop()
+                done.append((lo + 1, exact))
+            elif isinstance(term, tuple):
+                sym, n = term
+                child = done[len(done) - n :]
+                del done[len(done) - n :]
+                supplies = tuple(min(lo, prod_cap) for lo, _ in child)
+                lo, exact = _game_value(shapes_of, sym, supplies, prod_cap, budget)
+                done.append((lo, exact and all(ex for _, ex in child)))
+            elif isinstance(term, Cons):
+                todo += (1, term.tail)
+            elif isinstance(term, SVar):
+                raise ValueError("open stream term under constant %r" % name)
+            elif sig.symbols[term.sym].kind == "const":
+                done.append(values[term.sym])
+            else:
+                args = term.args[: sig.symbols[term.sym].stream_arity]
+                todo.append((term.sym, len(args)))
+                todo.extend(reversed(args))
+        return done[0]
 
     outcomes = []
     budget = [step_cap - 1]

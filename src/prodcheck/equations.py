@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .streamspec import Classification, StreamSpec, reaches_cycle
+from .streamspec import Classification, StreamSpec, reachable, reaches_cycle
 
 # ---------------------------------------------------------------------------
 # variables and expressions
@@ -22,6 +22,7 @@ from .streamspec import Classification, StreamSpec, reaches_cycle
 XM = ("m",)  # the empty sequence
 XP = ("p",)  # all output
 XID = ("id",)  # one in, one out, forever
+_MU_BASE = {XM: "eps", XP: "mu x. +x", XID: "mu x. -+x"}  # their mu renderings; never bound
 
 
 def star(symbol: str):
@@ -84,20 +85,36 @@ def inf_all(parts: list) -> IOExpr:
     return expr
 
 
-def expr_str(e: IOExpr, var=var_str) -> str:
-    """ASCII rendering; `var` renders each variable occurrence."""
-    if isinstance(e, EEmpty):
-        return "eps"
-    if isinstance(e, EVar):
-        return var(e.var)
-    if isinstance(e, EStep):
-        return e.sym + expr_str(e.body, var)
-    parts = []
-    while isinstance(e, EInf):
-        parts.append(e.left)
-        e = e.right
-    parts.append(e)
-    return "/\\ { %s }" % ", ".join(expr_str(p, var) for p in parts)
+def expr_str(e: IOExpr, equations=None) -> str:
+    """ASCII rendering on an explicit stack.  Given the system's `equations`,
+    mu binds each non-base variable at its first occurrence, over its equation."""
+    out = []
+    bound: set = set()
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, str):
+            out.append(e)
+        elif isinstance(e, EEmpty):
+            out.append("eps")
+        elif isinstance(e, EStep):
+            out.append(e.sym)
+            todo.append(e.body)
+        elif isinstance(e, EInf):  # one pair of braces per right-nested chain
+            pieces = ["/\\ { "]
+            while isinstance(e, EInf):
+                pieces += (e.left, ", ")
+                e = e.right
+            todo.extend(reversed(pieces + [e, " }"]))
+        elif equations is None or e.var in bound:
+            out.append(var_str(e.var))
+        elif e.var in _MU_BASE:
+            out.append(_MU_BASE[e.var])
+        else:
+            bound.add(e.var)
+            out.append("mu %s. " % var_str(e.var))
+            todo.append(equations[e.var])
+    return "".join(out)
 
 
 def expr_vars(e: IOExpr):
@@ -221,21 +238,7 @@ class IOSpec:
     def dump_mu(self, root) -> str:
         """Single-expression rendering with mu binding each variable at its
         first occurrence, e.g. ``mu X_{f,1,0}. /\\ { --+X_{f,1,1}, ... }``."""
-        visited: set = set()
-
-        def var(v):
-            if v == XM:
-                return "eps"
-            if v == XP:
-                return "mu x. +x"
-            if v == XID:
-                return "mu x. -+x"
-            if v in visited:
-                return var_str(v)
-            visited.add(v)
-            return "mu %s. %s" % (var_str(v), expr_str(self.equations[v], var))
-
-        return var(root)
+        return expr_str(EVar(root), self.equations)
 
 
 def _var_order_key(v):
@@ -282,29 +285,12 @@ def finitize(builder: EquationBuilder, roots, cap: int = 100000) -> IOSpec:
         for w in clean[v]:
             clean_rev.setdefault(w, set()).add(v)
 
-    def clean_ancestors(v):
-        found = {v}
-        todo = [v]
-        while todo:
-            for u in clean_rev.get(todo.pop(), ()):
-                if u not in found:
-                    found.add(u)
-                    todo.append(u)
-        return found
-
     def pseudo_cycle(v):
         """v reaches some X_{f,i,q'} with q < q' through clean edges."""
-        todo = [v]
-        visited = set()
-        while todo:
-            w = todo.pop()
-            if w in visited:
-                continue
-            visited.add(w)
-            if w[0] == "arg" and w[1] == v[1] and w[2] == v[2] and w[3] > v[3]:
-                return True
-            todo.extend(clean.get(w, ()))
-        return False
+        return any(
+            w[0] == "arg" and w[1] == v[1] and w[2] == v[2] and w[3] > v[3]
+            for w in reachable((v,), lambda w: clean.get(w, ()))
+        )
 
     reach(list(roots))
     while missing:
@@ -319,7 +305,8 @@ def finitize(builder: EquationBuilder, roots, cap: int = 100000) -> IOSpec:
         # they cannot open a pseudo-cycle
         if v[0] != "arg":
             continue
-        candidates = [u for u in clean_ancestors(v) if u[0] == "arg" and eqs[u] != EVar(XP)]
+        ancestors = reachable((v,), lambda u: clean_rev.get(u, ()))
+        candidates = [u for u in ancestors if u[0] == "arg" and eqs[u] != EVar(XP)]
         replaced = False
         for u in sorted(candidates, key=_var_order_key):
             if pseudo_cycle(u):

@@ -42,15 +42,6 @@ def is_top(n: CoNat) -> bool:
     return n == TOP
 
 
-def monus(a: CoNat, b: CoNat) -> CoNat:
-    """Truncated subtraction; TOP - TOP is 0 by convention."""
-    if is_top(b):
-        return 0
-    if is_top(a):
-        return TOP
-    return a - b if a > b else 0
-
-
 def conat_str(n: CoNat) -> str:
     return "inf" if is_top(n) else str(int(n))
 

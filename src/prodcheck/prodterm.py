@@ -230,9 +230,7 @@ def _contract(t: ProdTerm, rule: str) -> ProdTerm:
 
 
 def _children(t: ProdTerm):
-    if isinstance(t, (Peb, Box)):
-        return (t.body,)
-    if isinstance(t, Mu):
+    if isinstance(t, (Peb, Box, Mu)):
         return (t.body,)
     if isinstance(t, Meet):
         return (t.left, t.right)
@@ -252,20 +250,26 @@ def _replace_child(t: ProdTerm, i: int, sub: ProdTerm) -> ProdTerm:
 
 
 def _rewrite_at(t: ProdTerm, path, rule: str) -> ProdTerm:
-    if not path:
-        return _contract(t, rule)
-    i = path[0]
-    return _replace_child(t, i, _rewrite_at(_children(t)[i], path[1:], rule))
+    spine = [t]
+    for i in path:
+        spine.append(_children(spine[-1])[i])
+    t = _contract(spine.pop(), rule)
+    for i in reversed(path):
+        t = _replace_child(spine.pop(), i, t)
+    return t
 
 
-def _first_redex(t: ProdTerm, path=()):
-    rule = _rule_at(t)
-    if rule is not None:
-        return (path, rule)
-    for i, c in enumerate(_children(t)):
-        hit = _first_redex(c, path + (i,))
-        if hit is not None:
-            return hit
+def _first_redex(t: ProdTerm):
+    todo = [(t, ())]  # a preorder walk on an explicit stack
+    while todo:
+        t, path = todo.pop()
+        rule = _rule_at(t)
+        if rule is not None:
+            return (path, rule)
+        if isinstance(t, Meet):
+            todo += ((t.right, path + (1,)), (t.left, path + (0,)))
+        elif not isinstance(t, (Src, Var)):
+            todo.append((t.body, path + (0,)))
     return None
 
 
@@ -337,7 +341,8 @@ def denot_production(t: ProdTerm, env=None, iter_cap: int = 200):
                 return TOP, ex
             if v == n:
                 return n, ex
-            assert v > n, "production semantics must be monotone"
+            if v < n:
+                raise AssertionError("production semantics must be monotone")
             n = v
         return n, False
 
@@ -350,16 +355,15 @@ def denot_production(t: ProdTerm, env=None, iter_cap: int = 200):
 
 @dataclass(frozen=True)
 class Gate:
-    """Production cap plus one transducer per stream argument.
+    """The IO-sequence `star` of the production with all supplies infinite,
+    whose output count is the cap, plus one transducer per stream argument."""
 
-    `star` is the IO-sequence the cap was read off (production with all
-    supplies infinite); `cap` is its total output count.  Gates built
-    directly from a numeric cap get the matching all-plus or plus-word star.
-    """
-
-    cap: CoNat
+    star: IOTerm
     args: tuple
-    star: IOTerm | None = None
+
+    @property
+    def cap(self) -> CoNat:
+        return interpret(self.star, TOP)
 
     @property
     def arity(self) -> int:
@@ -372,21 +376,17 @@ class Gate:
 def gate_apply(g: Gate, children) -> ProdTerm:
     """Meet of the cap port with one box per stream argument.
 
-    The cap port is src(k) for plain numeric caps and box(star)(src(0)) when
-    the star sequence consumes; an all-plus star contributes nothing and is
-    omitted (unless the gate is nullary).
+    The cap port is src(k) for a finite star sequence and box(star)(src(0))
+    otherwise; an all-plus star contributes nothing and is omitted (unless
+    the gate is nullary).
     """
     children = list(children)
     if len(children) != g.arity:
         raise ValueError(
             "gate arity mismatch: expected %d children, got %d" % (g.arity, len(children))
         )
-    if g.star is None:
-        port_value = g.cap
-        port_term = Src(g.cap)
-    else:
-        port_value = interpret(g.star, 0)
-        port_term = Src(port_value) if g.star.finite else Box(g.star, Src(0))
+    port_value = interpret(g.star, 0)
+    port_term = Src(port_value) if g.star.finite else Box(g.star, Src(0))
     parts = []
     if not is_top(port_value):
         parts.append(port_term)

@@ -170,22 +170,23 @@ Term = SVar | DVar | Cons | App
 
 
 def term_str(t: Term) -> str:
-    heads = []
-    while isinstance(t, Cons):  # a loop: cons chains run thousands long
-        heads.append(_app_str(t.head))
-        t = t.tail
-    heads.append(_app_str(t))
-    return ":".join(heads)
-
-
-def _app_str(t: Term) -> str:
-    if isinstance(t, (SVar, DVar)):
-        return t.name
-    if isinstance(t, App):
-        if not t.args:
-            return t.sym
-        return "%s(%s)" % (t.sym, ",".join(term_str(a) for a in t.args))
-    return "(%s)" % term_str(t)
+    """Source syntax; an explicit stack of terms and literal pieces."""
+    out = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Cons):
+            todo += (t.tail, ":")
+            todo += (")", t.head, "(") if isinstance(t.head, Cons) else (t.head,)
+        elif isinstance(t, App) and t.args:
+            todo.append(")")
+            for i in reversed(range(len(t.args))):
+                todo += (t.args[i], ",") if i else (t.args[i], t.sym + "(")
+        else:
+            out.append(t.sym if isinstance(t, App) else t.name)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -816,7 +817,8 @@ def rule_shape(spec: StreamSpec, rule: Rule) -> RuleShape:
     produce, tail = _peel_rhs(rule.rhs)
     if isinstance(tail, SVar):
         return RuleShape(rule, False, tuple(consume), produce, vars_by_name[tail.name], None, None, None)
-    assert isinstance(tail, App)
+    if not isinstance(tail, App):
+        raise ValueError("right-hand side of %r is not a stream term" % rule.root)
     callee = tail.sym
     callee_info = sig.symbols.get(callee)
     if callee_info is not None and callee_info.kind in ("func", "const"):
@@ -894,14 +896,19 @@ def reaches_cycle(edges: dict) -> set:
     return {v for v, n in left.items() if n}
 
 
-def reachable_symbols(spec: StreamSpec, cls: Classification, start: str):
-    """Stream symbols transitively involved in the unfolding of `start`."""
+def reachable(starts, successors):
+    """Yield each node reachable from `starts`, themselves included, once
+    and as soon as it is found, so that a caller may stop early."""
     seen = set()
-    todo = [start]
+    todo = [starts]  # iterables of nodes found, not all of them new
     while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        todo.extend(cls.depends.get(name, ()))
-    return seen
+        for w in todo.pop():
+            if w not in seen:
+                seen.add(w)
+                yield w
+                todo.append(successors(w))
+
+
+def reachable_symbols(cls: Classification, start: str):
+    """Stream symbols transitively involved in the unfolding of `start`."""
+    return set(reachable((start,), lambda name: cls.depends.get(name, ())))

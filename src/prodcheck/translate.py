@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import equations as eq
 from .equations import TranslationError as TranslateError
-from .ioalg import TOP, CoNat, interpret, is_top
+from .ioalg import CoNat, is_top
 from .prodterm import Gate, Mu, Peb, ProdTerm, Var, collapse_trace, gate_apply, meet_all
 from .solver import evaluate, feedback_order, solve
 from .streamspec import (
@@ -56,9 +56,8 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
     gates = {}
     for name in functions:
         info = spec.signature.symbols[name]
-        star_seq = values[eq.star(name)]
         args = tuple(values[eq.arg(name, i, 0)] for i in range(1, info.stream_arity + 1))
-        gates[name] = Gate(cap=interpret(star_seq, TOP), args=args, star=star_seq)
+        gates[name] = Gate(values[eq.star(name)], args)
     return gates, iospec
 
 
@@ -68,30 +67,44 @@ def translate_constant(spec: StreamSpec, gates: dict, name: str) -> ProdTerm:
     Constants unfold under a mu binder, with already-unfolded constants
     turning into back references; cons becomes a pebble and stream function
     applications become their gate applied to the translated arguments.
+
+    A preorder walk on an explicit stack: an item `(symbol, n)` with no
+    `visited` set builds a node from the last n translations (None: a pebble).
     """
     sig = spec.signature
     if name not in sig.symbols or sig.symbols[name].kind != "const":
         raise TranslateError("%r is not a stream constant" % name)
-
-    def tr(term, visited):
-        if isinstance(term, Cons):
-            return Peb(tr(term.tail, visited))
-        if isinstance(term, SVar):
+    built: list = []  # translations waiting for their parent's build step
+    todo: list = [(App(name, ()), frozenset())]
+    while todo:
+        term, visited = todo.pop()
+        if visited is None:
+            sym, n = term
+            parts = built[len(built) - n :]
+            del built[len(built) - n :]
+            if sym is None:
+                built.append(Peb(parts[0]))
+            elif sig.symbols[sym].kind == "const":
+                built.append(Mu(sym, meet_all(parts)))
+            else:
+                built.append(gate_apply(gates[sym], parts))
+        elif isinstance(term, Cons):
+            todo += (((None, 1), None), (term.tail, visited))
+        elif isinstance(term, SVar):
             raise TranslateError("stream variable %r reachable from constant %r" % (term.name, name))
-        assert isinstance(term, App)
-        info = sig.symbols[term.sym]
-        if info.kind == "const":
-            if term.sym in visited:
-                return Var(term.sym)
+        elif term.sym in visited:  # only constants are ever visited
+            built.append(Var(term.sym))
+        elif sig.symbols[term.sym].kind == "const":
             rules = spec.rules_of(term.sym)
             if not rules:
                 raise TranslateError("stream constant %r has no defining rule" % term.sym)
-            inner = visited | {term.sym}
-            return Mu(term.sym, meet_all([tr(r.rhs, inner) for r in rules]))
-        children = [tr(a, visited) for a in term.args[: info.stream_arity]]
-        return gate_apply(gates[term.sym], children)
-
-    return tr(App(name, ()), frozenset())
+            todo.append(((term.sym, len(rules)), None))
+            todo.extend((r.rhs, visited | {term.sym}) for r in reversed(rules))
+        else:
+            args = term.args[: sig.symbols[term.sym].stream_arity]
+            todo.append(((term.sym, len(args)), None))
+            todo.extend((a, visited) for a in reversed(args))
+    return built[0]
 
 
 @dataclass
@@ -114,7 +127,7 @@ class Verdict:
 
 
 def _context_for(spec: StreamSpec, cls: Classification, constant: str) -> str:
-    reach = reachable_symbols(spec, cls, constant)
+    reach = reachable_symbols(cls, constant)
     classes = {cls.symbol_class[s] for s in reach if s in cls.symbol_class}
     if "friendly" in classes:
         return "friendly-nesting"

@@ -11,7 +11,8 @@ import pytest
 from prodcheck.cli import main
 
 from conftest import CORPUS, spec_path
-from test_translate import random_flat_spec
+from test_solver import _chain_spec
+from test_translate import _prefix_spec, random_flat_spec, ring_spec
 
 
 def run_cli(args):
@@ -295,6 +296,36 @@ def test_fuzz_documented_exit_codes(tmp_path):
         codes.append(code)
     assert codes[-1] == 0
     assert {0, 10, 11} <= set(codes)
+
+
+@pytest.mark.parametrize(
+    "text, args, code",
+    [
+        (_prefix_spec(1000), ["--report", "json"], 0),
+        (_prefix_spec(2000), [], 0),
+        (_prefix_spec(2000), ["--mode", "oracle-check"], 0),
+        (ring_spec(200), ["--report", "json", "--root", "P0"], 1),
+        (_chain_spec(300), ["--mode", "gates", "--dump-equations"], 0),
+        (_prefix_spec(5000), ["--report", "json"], 0),
+    ],
+    ids=["prefix1000-json", "prefix2000", "prefix2000-oracle", "ring200-json", "chain300-dump", "prefix5000-json"],
+)
+def test_deep_inputs_end_in_a_verdict(text, args, code, tmp_path):
+    """Deep cons prefixes, a long ring of constants and a long chain of
+    functions are analyzed with the default caps: no walk recurses once per
+    level, so nesting depth never ends a run (exit 13 is for caps only)."""
+    p = tmp_path / "deep.spec"
+    p.write_text(text)
+    got, _, err = run_cli([str(p)] + args)
+    assert (got, err) == (code, "")
+
+
+def test_deep_prefix_from_the_command_line(tmp_path):
+    p = tmp_path / "deep.spec"
+    p.write_text(_prefix_spec(5000))
+    done = _run_module([str(p), "--report", "json"], stdout=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout)["constants"] == [{"name": "P", "production": "inf", "verdict": "productive"}]
 
 
 @pytest.mark.parametrize("flag", ["--max-columns", "--finitize-cap", "--oracle-prod-cap", "--oracle-steps"])

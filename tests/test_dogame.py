@@ -149,7 +149,7 @@ def _constant_reference(spec, cls, name, prod_cap=32, step_cap=100000):
     budget counted down from `step_cap`, as `do_low_constant` played it
     before it shared the function game's search."""
     sig = spec.signature
-    symbols = sorted(reachable_symbols(spec, cls, name))
+    symbols = sorted(reachable_symbols(cls, name))
     for s in symbols:
         if cls.symbol_class.get(s) in ("friendly", "unfriendly"):
             raise ValueError("nesting symbol %r" % s)

@@ -19,6 +19,7 @@ from prodcheck.equations import (
     is_weakly_guarded,
     star,
     steps,
+    var_str,
 )
 from prodcheck.ioalg import interpret, parse_ioterm
 from prodcheck.solver import Diagram, build_graph, solve
@@ -176,6 +177,78 @@ def test_dump_format(corpus):
     iospec = finitize(b, [arg("f", 1, 0)])
     dump = iospec.dump()
     assert "X_{f,1,0} = /\\ { --+X_{f,1,1}, -++X_{f,1,0} }" in dump
+
+
+# --- the explicit-stack renderer against the recursive one -------------------
+
+
+def ref_expr_str(e, var=var_str):
+    """The recursive renderer that `expr_str` replaced; `var` renders each
+    variable occurrence."""
+    if isinstance(e, EEmpty):
+        return "eps"
+    if isinstance(e, EVar):
+        return var(e.var)
+    if isinstance(e, EStep):
+        return e.sym + ref_expr_str(e.body, var)
+    parts = []
+    while isinstance(e, EInf):
+        parts.append(e.left)
+        e = e.right
+    parts.append(e)
+    return "/\\ { %s }" % ", ".join(ref_expr_str(p, var) for p in parts)
+
+
+def ref_dump_mu(iospec, root):
+    """The recursive mu rendering that `IOSpec.dump_mu` replaced."""
+    visited = set()
+
+    def var(v):
+        if v == XM:
+            return "eps"
+        if v == XP:
+            return "mu x. +x"
+        if v == XID:
+            return "mu x. -+x"
+        if v in visited:
+            return var_str(v)
+        visited.add(v)
+        return "mu %s. %s" % (var_str(v), ref_expr_str(iospec.equations[v], var))
+
+    return var(root)
+
+
+def test_rendering_matches_recursive_reference(corpus):
+    """`dump` and `dump_mu` from every variable of the finitized systems, and
+    of random systems over the base variables and argument variables, render
+    as the recursive walk renders them."""
+    systems = []
+    for name, spec in _finitize_cases(corpus):
+        try:
+            systems.append(finitize(builder_for(spec), _all_roots(spec)))
+        except TranslationError:
+            continue
+    rng = random.Random(27)
+    for _ in range(300):
+        names = [arg("f", 1, q) for q in range(rng.randrange(1, 6))] + [star("g")]
+        equations = {v: _random_expr(rng, names + [XM, XP, XID]) for v in names}
+        systems.append(IOSpec(equations, (names[0],)))
+    rendered = 0
+    for iospec in systems:
+        assert iospec.dump() == "\n".join(
+            "%s = %s" % (var_str(v), ref_expr_str(e)) for v, e in iospec.equations.items()
+        )
+        for v in iospec.equations:
+            assert iospec.dump_mu(v) == ref_dump_mu(iospec, v)
+            rendered += 1
+    assert rendered > 3000
+
+
+def test_dump_mu_of_a_long_chain():
+    """The mu rendering of a 1,000-function chain nests 1,000 binders."""
+    iospec = finitize(builder_for(_chain(1000)), [arg("f00", 1, 0)])
+    text = iospec.dump_mu(arg("f00", 1, 0))
+    assert text.count("mu X_") == 1000 and text.endswith("X_{f00,1,0}")
 
 
 # --- incremental finitize against the from-scratch sweep ---------------------

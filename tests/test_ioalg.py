@@ -488,8 +488,64 @@ def test_runs_are_canonical():
         IOTerm("+x")
 
 
+# Source guards over every module of the package, not just the algebra.
+SOURCES = sorted(pathlib.Path(ioalg.__file__).parent.glob("*.py"))
+
+
 def test_no_assert_statements():
-    """The algebra's guards must hold under `python -O` too, which drops
-    assert statements, so they are explicit raises."""
-    tree = ast.parse(pathlib.Path(ioalg.__file__).read_text(encoding="utf-8"))
-    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    """Guards must hold under `python -O` too, which drops assert
+    statements, so every module raises explicitly."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _call_graph(tree):
+    """Function name -> names it calls, nested functions included in their
+    parents' calls; a call through `super()` is left out.  The
+    denotational oracle `denot_production`, which recurses on purpose and
+    which the command line never calls, is left out with what it nests."""
+    calls: dict = {}
+    todo = [tree]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name == "denot_production":
+                    continue
+                names = calls.setdefault(node.name, set())
+                for sub in ast.walk(node):
+                    f = sub.func if isinstance(sub, ast.Call) else None
+                    if isinstance(f, ast.Name):
+                        names.add(f.id)
+                    elif isinstance(f, ast.Attribute):
+                        via_super = isinstance(f.value, ast.Call) and getattr(f.value.func, "id", None) == "super"
+                        if not via_super:
+                            names.add(f.attr)
+            todo.append(node)
+    return calls
+
+
+def _on_cycles(calls):
+    cyclic = set()
+    for start in calls:
+        seen, todo = set(), [start]
+        while todo:
+            for w in calls.get(todo.pop(), ()):
+                if w in calls and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if start in seen:
+            cyclic.add(start)
+    return cyclic
+
+
+def test_no_recursive_functions():
+    """No function of the package calls itself, directly or through others
+    of its module (matched by name), so nesting depth is bounded by caps
+    and never by the interpreter's recursion limit."""
+    found = {path.name: sorted(_on_cycles(_call_graph(ast.parse(path.read_text(encoding="utf-8"))))) for path in SOURCES}
+    assert {name: cycle for name, cycle in found.items() if cycle} == {}
+    recursive = ast.parse("def f(t):\n    return [f(c) for c in t]\ndef g(t):\n    return h(t)\ndef h(t):\n    return t.g()\n")
+    assert _on_cycles(_call_graph(recursive)) == {"f", "g", "h"}

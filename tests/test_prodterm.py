@@ -14,6 +14,7 @@ from prodcheck.prodterm import (
     Src,
     Var,
     _children,
+    _first_redex,
     _rewrite_at,
     _rule_at,
     collapse,
@@ -206,6 +207,70 @@ def test_denot_agrees_with_collapse():
                 assert k == TOP
 
 
+# --- the explicit-stack redex search and rewrite against the recursive ones --
+
+
+def ref_rewrite_at(t, path, rule):
+    """The recursive rewrite that `_rewrite_at` replaced."""
+    if not path:
+        return prodterm._contract(t, rule)
+    i = path[0]
+    return prodterm._replace_child(t, i, ref_rewrite_at(_children(t)[i], path[1:], rule))
+
+
+def ref_first_redex(t, path=()):
+    """The recursive search that `_first_redex` replaced."""
+    rule = _rule_at(t)
+    if rule is not None:
+        return (path, rule)
+    for i, c in enumerate(_children(t)):
+        hit = ref_first_redex(c, path + (i,))
+        if hit is not None:
+            return hit
+    return None
+
+
+def test_redex_search_and_rewrite_match_recursive_reference():
+    """On every term of random-order derivations of random terms and their
+    subterms, open ones included, and on every term of the derivations of
+    the specs under tests/data: the same first redex, and the same result of
+    contracting each redex."""
+    rng = random.Random(28)
+    terms = []
+    for _ in range(300):
+        trail = []
+        collapse_random(random_closed_term(rng, rng.randrange(1, 24)), rng, trail)
+        for t in trail:
+            stack = [t]
+            while stack:
+                terms.append(stack.pop())
+                stack.extend(_children(terms[-1]))
+    for path in sorted(DATA.glob("*.spec")):
+        verdicts, _, _ = decide(parse(path.read_text(), str(path)))
+        terms += [term for v in verdicts.values() for _, term in v.trace]
+    rewrites = 0
+    for t in terms:
+        assert _first_redex(t) == ref_first_redex(t), pretty(t)
+        for path, rule in find_redexes(t):
+            assert _rewrite_at(t, path, rule) == ref_rewrite_at(t, path, rule), (pretty(t), path)
+            rewrites += 1
+    assert len(terms) > 10000 and rewrites > 20000, (len(terms), rewrites)
+
+
+def test_redex_deep_in_a_term():
+    """The only redex of a left comb of meets sits 5,000 levels down."""
+    n = 5000
+    t = Meet(Src(1), Src(2))
+    for _ in range(n):
+        t = Meet(t, Src(3))
+    assert _first_redex(t) == ((0,) * n, "meet-src")
+    u = _rewrite_at(t, (0,) * n, "meet-src")
+    for _ in range(n):
+        assert u.right == Src(3)
+        u = u.left
+    assert u == Src(1)
+
+
 # --- pretty printing ------------------------------------------------------
 
 
@@ -344,22 +409,22 @@ def test_box_box_composes_long_runs():
 
 
 def test_gate_apply_unary_top():
-    g = Gate(cap=TOP, args=(T("-(-+)"),), star=T("(+)"))
+    g = Gate(star=T("(+)"), args=(T("-(-+)"),))
     assert gate_apply(g, [Var("P")]) == Box(T("-(-+)"), Var("P"))
 
 
 def test_gate_apply_nullary():
-    assert gate_apply(Gate(cap=0, args=()), []) == Src(0)
+    assert gate_apply(Gate(star=T("eps"), args=()), []) == Src(0)
 
 
 def test_gate_apply_binary_top():
-    g = Gate(cap=TOP, args=(T("(-+)"), T("(-+)")))
+    g = Gate(star=T("(+)"), args=(T("(-+)"), T("(-+)")))
     got = gate_apply(g, [Var("A"), Var("B")])
     assert got == Meet(Box(T("(-+)"), Var("A")), Box(T("(-+)"), Var("B")))
 
 
 def test_gate_apply_consuming_star_keeps_port():
-    g = Gate(cap=TOP, args=(T("(-+)"),), star=T("(-+)"))
+    g = Gate(star=T("(-+)"), args=(T("(-+)"),))
     got = gate_apply(g, [Src(9)])
     assert got == Meet(Box(T("(-+)"), Src(0)), Box(T("(-+)"), Src(9)))
     assert collapse(got) == 0
@@ -367,7 +432,7 @@ def test_gate_apply_consuming_star_keeps_port():
 
 def test_gate_apply_arity_mismatch():
     with pytest.raises(ValueError):
-        gate_apply(Gate(cap=TOP, args=(T("(-+)"),)), [])
+        gate_apply(Gate(star=T("(+)"), args=(T("(-+)"),)), [])
 
 
 def test_gate_interpretation():
@@ -382,7 +447,7 @@ def test_gate_interpretation():
             if "+" not in loop:
                 continue
             args.append(IOTerm(pre, loop))
-        g = Gate(cap=cap, args=tuple(args))
+        g = Gate(star=T("(+)") if cap == TOP else IOTerm("+" * cap), args=tuple(args))
         for _ in range(5):
             supplies = [rng.randrange(0, 9) for _ in range(arity)]
             term = gate_apply(g, [Src(n) for n in supplies])

@@ -28,8 +28,10 @@ from prodcheck.streamspec import (
     _wild,
     classify,
     parse,
+    reachable,
     reaches_cycle,
     rule_shape,
+    term_str,
     validate,
 )
 
@@ -418,6 +420,75 @@ def test_concrete_sorts_computed_once_per_parse(monkeypatch):
     spec = parse(_chain_spec(128))
     assert len(spec.stream_rules) == 129
     assert len(calls) == 1
+
+
+def ref_term_str(t):
+    """The recursive printer that `term_str` replaced."""
+    heads = []
+    while isinstance(t, Cons):
+        heads.append(ref_app_str(t.head))
+        t = t.tail
+    heads.append(ref_app_str(t))
+    return ":".join(heads)
+
+
+def ref_app_str(t):
+    if isinstance(t, (SVar, DVar)):
+        return t.name
+    if isinstance(t, App):
+        if not t.args:
+            return t.sym
+        return "%s(%s)" % (t.sym, ",".join(ref_term_str(a) for a in t.args))
+    return "(%s)" % ref_term_str(t)
+
+
+def _random_term(rng, budget):
+    """A random term of about `budget` nodes; a cons may be the head of a
+    cons, which prints in parentheses."""
+    if budget <= 1:
+        return rng.choice([SVar("s"), DVar("x"), App("0", ()), App("P", ())])
+    pick = rng.random()
+    if pick < 0.5:
+        left = rng.randrange(1, budget)
+        return Cons(_random_term(rng, left), _random_term(rng, budget - left))
+    n = rng.randrange(1, 4)
+    return App(rng.choice(["f", "g"]), tuple(_random_term(rng, max(1, (budget - 1) // n)) for _ in range(n)))
+
+
+def test_term_str_matches_recursive_reference():
+    """Every rule of the tests/data specs and of random flat specs, and
+    random terms with cons heads, print as the recursive printer prints."""
+    terms = []
+    for text in [path.read_text() for path in sorted(DATA.glob("*.spec"))] + [
+        random_flat_spec(random.Random(seed), max_feedback=2) for seed in range(200)
+    ]:
+        spec = parse(text)
+        terms += [t for r in spec.stream_rules + spec.data_rules for t in (r.lhs, r.rhs)]
+    rng = random.Random(10)
+    terms += [_random_term(rng, rng.randrange(1, 30)) for _ in range(2000)]
+    assert sum(isinstance(t, Cons) and isinstance(t.head, Cons) for t in terms) > 100
+    for t in terms:
+        assert term_str(t) == ref_term_str(t)
+
+
+def test_reachable_yields_each_node_once_as_found():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        edges = {v: [w for w in range(n) if rng.random() < 0.3] for v in range(n)}
+        starts = [rng.randrange(n) for _ in range(rng.randrange(1, 3))]
+        found = list(reachable(starts, edges.__getitem__))
+        want, todo = set(starts), list(starts)
+        while todo:
+            for w in edges[todo.pop()]:
+                if w not in want:
+                    want.add(w)
+                    todo.append(w)
+        assert len(found) == len(set(found)) and set(found) == want
+    # a caller that stops at the first node asks for no successor
+    asked = []
+    walk = reachable([0], lambda v: asked.append(v) or [v + 1])
+    assert (next(walk), asked) == (0, [])
 
 
 def test_deep_terms_parse_without_recursion():

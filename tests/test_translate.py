@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from prodcheck import dogame
 from prodcheck.ioalg import TOP, interpret, parse_ioterm
-from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, _children, collapse, gate_apply
-from prodcheck.streamspec import classify, parse
+from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, _children, collapse, gate_apply, meet_all
+from prodcheck.streamspec import App, Cons, Rule, SVar, classify, parse
 from prodcheck.translate import (
     TranslateError,
     decide,
@@ -11,7 +13,7 @@ from prodcheck.translate import (
     translate_symbols,
 )
 
-from conftest import load
+from conftest import DATA, load
 
 T = parse_ioterm
 
@@ -114,6 +116,100 @@ def test_translate_constant_two_rules():
 def test_translate_constant_unknown(corpus):
     with pytest.raises(TranslateError):
         translate_constant(corpus["pascal"], {}, "nope")
+
+
+def ref_translate_constant(spec, gates, name):
+    """The recursive translation that `translate_constant` replaced."""
+    sig = spec.signature
+
+    def tr(term, visited):
+        if isinstance(term, Cons):
+            return Peb(tr(term.tail, visited))
+        if isinstance(term, SVar):
+            raise TranslateError("stream variable %r reachable from constant %r" % (term.name, name))
+        info = sig.symbols[term.sym]
+        if info.kind == "const":
+            if term.sym in visited:
+                return Var(term.sym)
+            rules = spec.rules_of(term.sym)
+            if not rules:
+                raise TranslateError("stream constant %r has no defining rule" % term.sym)
+            inner = visited | {term.sym}
+            return Mu(term.sym, meet_all([tr(r.rhs, inner) for r in rules]))
+        children = [tr(a, visited) for a in term.args[: info.stream_arity]]
+        return gate_apply(gates[term.sym], children)
+
+    return tr(App(name, ()), frozenset())
+
+
+def _translation_outcome(fn, spec, gates, name):
+    try:
+        return fn(spec, gates, name)
+    except TranslateError as exc:
+        return str(exc)
+
+
+# Constants of two rules each, whose translations meet in rule order.
+_TWO_RULES = """Signature( C, D : bit -> stream(bit), f : stream(bit) -> stream(bit) -> stream(bit), 0, 1 : bit )
+C(0) = 0:C(1)
+C(1) = 1:f(D(0), C(0))
+D(0) = f(C(1), 0:D(1))
+D(1) = 1:1:D(0)
+f(x:s, y:t) = x:y:f(s, t)
+"""
+
+# C0 reaches D, which has no rule, and then the stream variable of E's
+# second rule; the translation stops at whichever comes first in preorder.
+_BROKEN = """Signature( C0, C1, D, E : stream(bit), f : stream(bit) -> stream(bit) -> stream(bit), 0 : bit )
+C0 = 0:f(D, E)
+C1 = f(0:E, D)
+E = 0:E
+f(x:s, t) = x:f(s, t)
+"""
+
+
+def test_translate_constant_matches_recursive_reference():
+    """Every constant of the specs under tests/data, of random flat specs
+    and of a ring and a prefix, and the errors of a broken spec: the same
+    term or the same first error."""
+    specs = [parse(path.read_text(), str(path)) for path in sorted(DATA.glob("*.spec"))]
+    specs += [parse(random_flat_spec(random.Random(seed), max_feedback=2)) for seed in range(200)]
+    specs += [parse(ring_spec(12)), parse(_prefix_spec(300)), parse(_TWO_RULES)]
+    translated = 0
+    for spec in specs:
+        try:
+            gates = gates_of(spec)
+        except TranslateError:
+            continue
+        for c in spec.signature.stream_constants():
+            want = ref_translate_constant(spec, gates, c)
+            assert translate_constant(spec, gates, c) == want, c
+            translated += 1
+    assert translated > 300
+    broken = parse(_BROKEN)
+    rule = broken.rules_of("E")[0]
+    broken.by_root["E"].append(Rule(rule.lhs, Cons(rule.rhs.head, SVar("s")), rule.layer, rule.line))
+    gates = gates_of(parse(_BROKEN))
+    outcomes = [_translation_outcome(fn, broken, gates, c) for c in ("C0", "C1") for fn in (translate_constant, ref_translate_constant)]
+    assert outcomes[0] == outcomes[1] == "stream constant 'D' has no defining rule"
+    assert outcomes[2] == outcomes[3] == "stream variable 's' reachable from constant 'C1'"
+
+
+def _prefix_spec(m):
+    return "Signature( P : stream(nat), f : stream(nat) -> stream(nat), 0 : nat )\nP = %sf(P)\nf(x:s) = x:f(s)\n" % ("0:" * m)
+
+
+def test_translate_constant_of_a_deep_prefix():
+    m = 20000
+    spec = parse(_prefix_spec(m))
+    gates = gates_of(spec)
+    term = translate_constant(spec, gates, "P")
+    assert isinstance(term, Mu) and term.name == "P"
+    t = term.body
+    for _ in range(m):  # walked down: the equality of dataclasses recurses
+        assert isinstance(t, Peb)
+        t = t.body
+    assert t == Box(T("(-+)"), Var("P"))
 
 
 # --- decisions ---------------------------------------------------------------
