@@ -143,6 +143,9 @@ def _term(prefix_runs: tuple, loop_runs: tuple) -> IOTerm:
 
 EPSILON = IOTerm("", "")
 
+#: The normal form of +(-+), the successor n -> n+1.
+_SUCCESSOR = IOTerm("", "+-")
+
 
 def render(t: IOTerm) -> str:
     """ASCII notation: prefix, then the loop in parentheses, e.g. ``-(-+)``."""
@@ -274,9 +277,17 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
     `t` offers one run of '+', a whole loop pass of `s` takes its '-' from
     there and emits its '+'.  Such passes are jumped together, as many as
     leave the long run unfinished.
+
+    A pebble's successor +(-+), normal form (+-), skips the machine: after
+    it, s loses its first '-', which the extra element meets; before it, t
+    gains one '+' in front.
     """
     s = normalize(s)
     t = normalize(t)
+    if t == _SUCCESSOR:
+        return remove_requirement(s)
+    if s == _SUCCESSOR:
+        return normalize(prepend(PLUS, t))
     ws, wt = s.prefix_runs + s.loop_runs, t.prefix_runs + t.loop_runs
     s_loop, t_loop = len(s.prefix_runs), len(t.prefix_runs)  # loop starts
     p_s, q_s = _counts(s.loop_runs)

@@ -4,8 +4,7 @@ A production term is built from numeric sources, recursion variables,
 pebbles (unary +1 buffers), boxes (IO-sequence transducers), mu-recursion
 and binary meets.  Every closed term collapses, by a terminating and
 confluent rewrite system, to a unique numeral src(k); that k is the term's
-production.  A small denotational evaluator is kept alongside as a test
-oracle, and gates package the per-argument transducers of a translated
+production.  Gates package the per-argument transducers of a translated
 stream function.
 """
 
@@ -207,11 +206,17 @@ def _rule_at(t: ProdTerm):
     return None
 
 
-def _contract(t: ProdTerm, rule: str) -> ProdTerm:
+def _contract(t: ProdTerm, rule: str, memo: dict) -> ProdTerm:
+    """The contractum of the redex `t`; `memo` maps (outer, inner) sequence
+    pairs to their composition, so a pair is composed once per memo."""
     if rule == "peb":
         return Box(PEB_SEQ, t.body)
     if rule == "box-box":
-        return Box(compose(t.seq, t.body.seq), t.body.body)
+        key = (t.seq, t.body.seq)
+        seq = memo.get(key)
+        if seq is None:
+            seq = memo[key] = compose(t.seq, t.body.seq)
+        return Box(seq, t.body.body)
     if rule == "box-meet":
         return Meet(Box(t.seq, t.body.left), Box(t.seq, t.body.right))
     if rule == "box-src":
@@ -249,38 +254,49 @@ def _replace_child(t: ProdTerm, i: int, sub: ProdTerm) -> ProdTerm:
     raise AssertionError
 
 
-def _rewrite_at(t: ProdTerm, path, rule: str) -> ProdTerm:
+def _rewrite_at(t: ProdTerm, path, rule: str, memo: dict) -> ProdTerm:
     spine = [t]
     for i in path:
         spine.append(_children(spine[-1])[i])
-    t = _contract(spine.pop(), rule)
+    t = _contract(spine.pop(), rule, memo)
     for i in reversed(path):
         t = _replace_child(spine.pop(), i, t)
     return t
 
 
 def _first_redex(t: ProdTerm):
-    todo = [(t, ())]  # a preorder walk on an explicit stack
+    # a preorder walk on an explicit stack; each node carries a link
+    # (parent's link, child index), so the path is built once, at the hit
+    todo = [(t, None)]
     while todo:
-        t, path = todo.pop()
+        t, link = todo.pop()
         rule = _rule_at(t)
         if rule is not None:
-            return (path, rule)
+            path = []
+            while link is not None:
+                link, i = link
+                path.append(i)
+            path.reverse()
+            return (tuple(path), rule)
         if isinstance(t, Meet):
-            todo += ((t.right, path + (1,)), (t.left, path + (0,)))
+            todo += ((t.right, (link, 1)), (t.left, (link, 0)))
         elif not isinstance(t, (Src, Var)):
-            todo.append((t.body, path + (0,)))
+            todo.append((t.body, (link, 0)))
     return None
 
 
-def collapse_trace(t: ProdTerm):
+def collapse_trace(t: ProdTerm, memo: dict | None = None):
     """Leftmost-outermost rewrite steps down to a numeral.
 
     Returns the list of (rule name, term after the step); empty when the
-    term already is a numeral.
+    term already is a numeral.  Box-box steps look their composition up in
+    `memo` and add it there on a miss: the collapses of one analysis share
+    one dict, which lives no longer than the analysis (by default, one
+    collapse).
     """
     if t.free_vars:
         raise ValueError("open term: %s" % ", ".join(sorted(t.free_vars)))
+    memo = {} if memo is None else memo
     steps = []
     while True:
         hit = _first_redex(t)
@@ -289,7 +305,7 @@ def collapse_trace(t: ProdTerm):
                 raise AssertionError("stuck non-numeral: %s" % pretty(t))
             return steps
         path, rule = hit
-        t = _rewrite_at(t, path, rule)
+        t = _rewrite_at(t, path, rule, memo)
         steps.append((rule, t))
 
 
@@ -298,55 +314,6 @@ def collapse(t: ProdTerm) -> CoNat:
     steps = collapse_trace(t)
     final = steps[-1][1] if steps else t
     return final.value
-
-
-# ---------------------------------------------------------------------------
-# denotational reference semantics (test oracle)
-
-
-def denot_production(t: ProdTerm, env=None, iter_cap: int = 200):
-    """Evaluate the production denotationally; mu by Kleene iteration.
-
-    Returns (value, exact).  When a recursion neither stabilizes nor is
-    forced to TOP within `iter_cap` rounds the result is a lower bound with
-    exact=False; the oracle never asserts TOP on its own.
-    """
-    env = {} if env is None else dict(env)
-
-    def ev(t, env):
-        if isinstance(t, Src):
-            return t.value, True
-        if isinstance(t, Var):
-            return env.get(t.name, 0), True
-        if isinstance(t, Peb):
-            v, ex = ev(t.body, env)
-            return v + 1, ex
-        if isinstance(t, Box):
-            v, ex = ev(t.body, env)
-            out = interpret(t.seq, v)
-            # a lower bound that already saturates the box is exact
-            return out, ex or out == interpret(t.seq, TOP)
-        if isinstance(t, Meet):
-            v1, ex1 = ev(t.left, env)
-            v2, ex2 = ev(t.right, env)
-            if v1 < v2:
-                return v1, ex1
-            if v2 < v1:
-                return v2, ex2
-            return v1, ex1 or ex2
-        n: CoNat = 0
-        for _ in range(iter_cap):
-            v, ex = ev(t.body, {**env, t.name: n})
-            if is_top(v):
-                return TOP, ex
-            if v == n:
-                return n, ex
-            if v < n:
-                raise AssertionError("production semantics must be monotone")
-            n = v
-        return n, False
-
-    return ev(t, env)
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,10 @@ def decide(spec: StreamSpec, caps: Caps | None = None, root: str | None = None, 
             raise TranslateError("unknown stream constant %r" % root)
         constants = [root]
     verdicts = {}
+    compositions: dict = {}  # box-box contractions, shared by this analysis's collapses
     for name in constants:
         term = translate_constant(spec, gates, name)
-        trace = collapse_trace(term)
+        trace = collapse_trace(term, compositions)
         k = (trace[-1][1] if trace else term).value
         context = _context_for(spec, cls, name)
         if is_top(k):

@@ -21,13 +21,13 @@ from prodcheck.ioalg import (
     normalize,
     parse_ioterm,
 )
-from prodcheck.prodterm import Box, Mu, Var, collapse, collapse_trace, denot_production
+from prodcheck.prodterm import Box, Mu, Var, collapse, collapse_trace
 from prodcheck.solver import Diagram, SolverError, build_graph, solve
 from prodcheck.streamspec import classify
 from prodcheck.translate import decide, translate_symbols
 
 from conftest import load
-from test_prodterm import random_closed_term
+from test_prodterm import denot_production, random_closed_term
 from test_solver import random_system
 
 T = parse_ioterm

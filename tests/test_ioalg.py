@@ -488,6 +488,37 @@ def test_runs_are_canonical():
         IOTerm("+x")
 
 
+def test_pebble_compositions(monkeypatch):
+    """Composition with a pebble's successor +(-+), on either side, takes a
+    shortcut past the run machine; its result is the composed function, in
+    normal form, and equals the symbol reference's."""
+    peb = IOTerm("+", "-+")
+    rng = random.Random(806)
+    for _ in range(5000):
+        loop = (_run_word(rng, 4, 3) + "+") if rng.random() < 0.8 else ""
+        s = IOTerm(_run_word(rng, 6, 3), loop)
+        for outer, inner in ((s, peb), (peb, s)):
+            c = compose(outer, inner)
+            assert normalize(c) == c, render(c)
+            for n in list(range(31)) + [TOP]:
+                assert interpret(c, n) == interpret(outer, interpret(inner, n)), (render(outer), render(inner), n)
+            assert c == _reference_compose(outer, inner), (render(outer), render(inner))
+    twice = compose(peb, peb)
+    assert twice == T("+(+-)") and [interpret(twice, n) for n in range(4)] == [2, 3, 4, 5]
+    # the shortcut sees the normal form (+-) of +(-+): with the machine's
+    # loop counting disabled, pebble compositions still come out
+    expected = [(u, compose(u, peb), compose(peb, u)) for u in (T("-(--+)"), T("+-+"), T("(+-)"), peb, EPSILON)]
+
+    def no_machine(runs):
+        raise AssertionError("the run machine ran")
+
+    monkeypatch.setattr(ioalg, "_counts", no_machine)
+    with pytest.raises(AssertionError):
+        compose(T("(-+)"), T("(--+)"))
+    for u, after, before in expected:
+        assert compose(u, peb) == after and compose(peb, u) == before, render(u)
+
+
 # Source guards over every module of the package, not just the algebra.
 SOURCES = sorted(pathlib.Path(ioalg.__file__).parent.glob("*.py"))
 
@@ -504,16 +535,12 @@ def test_no_assert_statements():
 
 def _call_graph(tree):
     """Function name -> names it calls, nested functions included in their
-    parents' calls; a call through `super()` is left out.  The
-    denotational oracle `denot_production`, which recurses on purpose and
-    which the command line never calls, is left out with what it nests."""
+    parents' calls; a call through `super()` is left out."""
     calls: dict = {}
     todo = [tree]
     while todo:
         for node in ast.iter_child_nodes(todo.pop()):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name == "denot_production":
-                    continue
                 names = calls.setdefault(node.name, set())
                 for sub in ast.walk(node):
                     f = sub.func if isinstance(sub, ast.Call) else None
@@ -549,3 +576,41 @@ def test_no_recursive_functions():
     assert {name: cycle for name, cycle in found.items() if cycle} == {}
     recursive = ast.parse("def f(t):\n    return [f(c) for c in t]\ndef g(t):\n    return h(t)\ndef h(t):\n    return t.g()\n")
     assert _on_cycles(_call_graph(recursive)) == {"f", "g", "h"}
+
+
+_CACHES = ("cache", "lru_cache")
+
+
+def _cache_uses(tree, allowed=()):
+    """Lines that name functools.cache or lru_cache, outside the decorators
+    of the functions named in `allowed`."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in allowed:
+            exempt.update(id(sub) for d in node.decorator_list for sub in ast.walk(d))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in _CACHES and getattr(node.value, "id", None) == "functools":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name in _CACHES]
+    return sorted(found)
+
+
+def test_no_cache_outlives_an_analysis():
+    """Every operation is pure and keeps no state between analyses: a memo
+    lives in one call.  Only the argument parser, the same for every
+    command line, is cached."""
+    found = {}
+    for path in SOURCES:
+        allowed = ("_build_parser",) if path.name == "cli.py" else ()
+        lines = _cache_uses(ast.parse(path.read_text(encoding="utf-8")), allowed)
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+    cli = ast.parse((pathlib.Path(ioalg.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    assert len(_cache_uses(cli)) == 1
+    cached = ast.parse("import functools\n@functools.lru_cache(None)\ndef f(x):\n    return x\nfrom functools import cache\n")
+    assert _cache_uses(cached) == [2, 5]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from prodcheck import prodterm
-from prodcheck.ioalg import TOP, IOTerm, conat_str, interpret, parse_ioterm, render
+from prodcheck.ioalg import TOP, IOTerm, conat_str, interpret, is_top, parse_ioterm, render
 from prodcheck.prodterm import (
     PEB_SEQ,
     Box,
@@ -19,7 +19,6 @@ from prodcheck.prodterm import (
     _rule_at,
     collapse,
     collapse_trace,
-    denot_production,
     gate_apply,
     pretty,
     pretty_all,
@@ -55,7 +54,7 @@ def collapse_random(t, rng, trail=None):
         if not redexes:
             return t.value
         path, rule = rng.choice(redexes)
-        t = _rewrite_at(t, path, rule)
+        t = _rewrite_at(t, path, rule, {})
 
 
 def weight(t):
@@ -175,6 +174,52 @@ def test_strategy_irrelevance():
 # --- denotational oracle --------------------------------------------------
 
 
+def denot_production(t, env=None, iter_cap=200):
+    """Evaluate the production denotationally, independently of the rewrite
+    system; mu by Kleene iteration.
+
+    Returns (value, exact).  When a recursion neither stabilizes nor is
+    forced to TOP within `iter_cap` rounds the result is a lower bound with
+    exact=False; the oracle never asserts TOP on its own.
+    """
+    env = {} if env is None else dict(env)
+
+    def ev(t, env):
+        if isinstance(t, Src):
+            return t.value, True
+        if isinstance(t, Var):
+            return env.get(t.name, 0), True
+        if isinstance(t, Peb):
+            v, ex = ev(t.body, env)
+            return v + 1, ex
+        if isinstance(t, Box):
+            v, ex = ev(t.body, env)
+            out = interpret(t.seq, v)
+            # a lower bound that already saturates the box is exact
+            return out, ex or out == interpret(t.seq, TOP)
+        if isinstance(t, Meet):
+            v1, ex1 = ev(t.left, env)
+            v2, ex2 = ev(t.right, env)
+            if v1 < v2:
+                return v1, ex1
+            if v2 < v1:
+                return v2, ex2
+            return v1, ex1 or ex2
+        n = 0
+        for _ in range(iter_cap):
+            v, ex = ev(t.body, {**env, t.name: n})
+            if is_top(v):
+                return TOP, ex
+            if v == n:
+                return n, ex
+            if v < n:
+                raise AssertionError("production semantics must be monotone")
+            n = v
+        return n, False
+
+    return ev(t, env)
+
+
 def test_denot_src():
     assert denot_production(Src(7)) == (7, True)
     assert denot_production(Var("a"), {"a": 3}) == (3, True)
@@ -213,7 +258,7 @@ def test_denot_agrees_with_collapse():
 def ref_rewrite_at(t, path, rule):
     """The recursive rewrite that `_rewrite_at` replaced."""
     if not path:
-        return prodterm._contract(t, rule)
+        return prodterm._contract(t, rule, {})
     i = path[0]
     return prodterm._replace_child(t, i, ref_rewrite_at(_children(t)[i], path[1:], rule))
 
@@ -252,7 +297,7 @@ def test_redex_search_and_rewrite_match_recursive_reference():
     for t in terms:
         assert _first_redex(t) == ref_first_redex(t), pretty(t)
         for path, rule in find_redexes(t):
-            assert _rewrite_at(t, path, rule) == ref_rewrite_at(t, path, rule), (pretty(t), path)
+            assert _rewrite_at(t, path, rule, {}) == ref_rewrite_at(t, path, rule), (pretty(t), path)
             rewrites += 1
     assert len(terms) > 10000 and rewrites > 20000, (len(terms), rewrites)
 
@@ -264,7 +309,7 @@ def test_redex_deep_in_a_term():
     for _ in range(n):
         t = Meet(t, Src(3))
     assert _first_redex(t) == ((0,) * n, "meet-src")
-    u = _rewrite_at(t, (0,) * n, "meet-src")
+    u = _rewrite_at(t, (0,) * n, "meet-src", {})
     for _ in range(n):
         assert u.right == Src(3)
         u = u.left

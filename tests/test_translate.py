@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from prodcheck import dogame
+from prodcheck import dogame, prodterm
 from prodcheck.ioalg import TOP, interpret, parse_ioterm
 from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, _children, collapse, gate_apply, meet_all
 from prodcheck.streamspec import App, Cons, Rule, SVar, classify, parse
@@ -253,6 +253,28 @@ def ring_spec(n):
     lines += ["%s = 0:f(%s)" % (ps[i], ps[(i + 1) % n]) for i in range(n)]
     lines.append("f(x:y:s) = x:f(s)")
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [6, 12, 32])
+def test_one_analysis_composes_each_box_pair_once(monkeypatch, n):
+    """The derivations of a ring's n constants repeat one another's box-box
+    steps; an analysis composes each of its 2n-1 distinct pairs once, and a
+    second analysis starts afresh."""
+    calls = []
+    compose = prodterm.compose
+
+    def counted(s, t):
+        calls.append((s, t))
+        return compose(s, t)
+
+    monkeypatch.setattr(prodterm, "compose", counted)
+    spec = parse(ring_spec(n))
+    for _ in range(2):
+        calls.clear()
+        verdicts, _, _ = decide(spec)
+        assert len(calls) == 2 * n - 1
+        assert len(set(calls)) == len(calls)
+        assert {v.production for v in verdicts.values()} == {1}
 
 
 def test_decide_ring_of_64():
