@@ -1,5 +1,6 @@
 """Productivity analysis for orthogonal stream specifications."""
 
+from .equations import Caps
 from .ioalg import (
     TOP,
     IOTerm,
@@ -15,7 +16,7 @@ from .ioalg import (
 )
 from .prodterm import Box, Gate, Meet, Mu, Peb, Src, Var, collapse, collapse_trace, gate_apply
 from .streamspec import parse, validate, classify
-from .translate import Caps, decide, translate_constant, translate_symbols
+from .translate import decide, translate_constant, translate_symbols
 
 __all__ = [
     "TOP",

@@ -20,6 +20,7 @@ of the IO-term algebra, and, with `--dump-diagram`, the one for each root.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -27,13 +28,12 @@ import os
 import sys
 
 from . import dogame
-from .equations import FinitizeCapError
+from .equations import CapError, Caps, TranslationError, var_str
 from .ioalg import conat_str, interpret, is_top, render
 from .prodterm import pretty_all
-from . import equations as eqmod
-from .solver import SolverCapError, SolverError, dump_diagram
+from .solver import dump_diagram
 from .streamspec import ParseError, classify, parse, validate
-from .translate import Caps, TranslateError, decide, translate_symbols
+from .translate import decide, translate_symbols
 
 _CLASS_WORDS = {
     "pure": "pure",
@@ -71,23 +71,21 @@ def _build_parser():
     p.add_argument("--mode", choices=["decide", "gates", "oracle-check"], default="decide")
     p.add_argument("--root", help="analyze only this stream constant")
     p.add_argument("--report", choices=["text", "json"], default="text")
-    p.add_argument("--max-columns", type=_count, default=10000)
-    p.add_argument("--finitize-cap", type=_count, default=100000)
-    p.add_argument("--oracle-prod-cap", type=_count, default=32)
-    p.add_argument("--oracle-steps", type=_count, default=100000)
+    for cap in dataclasses.fields(Caps):
+        p.add_argument("--" + cap.name.replace("_", "-"), type=_count, default=cap.default)
     p.add_argument("--dump-equations", action="store_true", help="print the finitized equation system")
     p.add_argument("--dump-diagram", action="store_true", help="print solver columns and repetition witnesses")
     p.add_argument("--verbose", action="store_true")
     return p
 
 
-def _debug_dumps(spec, iospec, args, out):
+def _debug_dumps(iospec, args, out):
     # rendered whole before writing: a diagram sweep may still hit the cap
     text = []
     if args.dump_equations:
         text.append(iospec.dump() + "\n")
         for root in iospec.roots:
-            text.append("%s = %s\n" % (eqmod.var_str(root), iospec.dump_mu(root)))
+            text.append("%s = %s\n" % (var_str(root), iospec.dump_mu(root)))
         text.append("\n")
     if args.dump_diagram:
         for root in iospec.roots:
@@ -148,7 +146,7 @@ def _report_text(spec, cls, gates, verdicts, out):
     out.write("\n".join(lines) + "\n")
 
 
-def _report_json(spec, gates, verdicts, out):
+def _report_json(gates, verdicts, out):
     payload = {
         "constants": [
             {
@@ -223,12 +221,7 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    caps = Caps(
-        max_columns=args.max_columns,
-        finitize_cap=args.finitize_cap,
-        oracle_prod_cap=args.oracle_prod_cap,
-        oracle_steps=args.oracle_steps,
-    )
+    caps = Caps(**{cap.name: getattr(args, cap.name) for cap in dataclasses.fields(Caps)})
     out = sys.stdout
     try:
         with open(args.file, "rb") as handle:
@@ -248,17 +241,17 @@ def main(argv=None) -> int:
         cls = classify(spec)
         gates, iospec = translate_symbols(spec, cls, caps)
         if args.mode == "gates":
-            _debug_dumps(spec, iospec, args, out)
+            _debug_dumps(iospec, args, out)
             out.write("\n".join(_classification_lines(spec, cls)) + "\n\n")
             out.write("\n".join(_gate_lines(spec, gates)) + "\n")
             code = 0
         else:
             verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates, cls=cls)
-            _debug_dumps(spec, iospec, args, out)
+            _debug_dumps(iospec, args, out)
             if args.mode == "oracle-check":
                 code = _oracle_check(spec, cls, gates, verdicts, caps, out)
             elif args.report == "json":
-                _report_json(spec, gates, verdicts, out)
+                _report_json(gates, verdicts, out)
                 code = _exit_code(verdicts)
             else:
                 _report_text(spec, cls, gates, verdicts, out)
@@ -273,10 +266,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(str(exc.diagnostic), file=sys.stderr)
         return 10
-    except (TranslateError, SolverError) as exc:
+    except TranslationError as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 12
-    except (FinitizeCapError, SolverCapError) as exc:
+    except CapError as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
 

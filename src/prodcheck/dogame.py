@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from operator import lt
 
+from .equations import Caps
 from .streamspec import Classification, Cons, StreamSpec, SVar, reachable_symbols
 
 _INF_DEP = 10**9
@@ -116,7 +117,7 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget):
             return res[0], res[1]
 
 
-def do_low_function(spec: StreamSpec, cls: Classification, f: str, supplies, prod_cap: int = 32):
+def do_low_function(spec: StreamSpec, cls: Classification, f: str, supplies, prod_cap: int = Caps.oracle_prod_cap):
     """Least production of f the adversary can force from finite supplies.
 
     The adversary picks any defining rule at every state; the search expands
@@ -137,8 +138,8 @@ def do_low_constant(
     spec: StreamSpec,
     cls: Classification,
     name: str,
-    prod_cap: int = 32,
-    step_cap: int = 100000,
+    prod_cap: int = Caps.oracle_prod_cap,
+    step_cap: int = Caps.oracle_steps,
 ):
     """Least production of a stream constant the adversary can force.
 

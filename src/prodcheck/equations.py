@@ -7,6 +7,9 @@ conceptually infinite in q; `finitize` materializes the part reachable from
 the requested roots and removes non-consuming pseudo-cycles: whenever some
 X_{f,i,q} reaches X_{f,i,q'} with q < q' along a path that only ever emits
 '+', the lower variable is replaced by the all-output variable.
+
+Every later stage imports this module, so it also holds `Caps`, the bounds
+of an analysis, and the two errors an analysis can end in.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .streamspec import Classification, StreamSpec, reachable, reaches_cycle
+from .streamspec import Classification, reachable, reaches_cycle
 
 # ---------------------------------------------------------------------------
 # variables and expressions
@@ -131,12 +134,24 @@ def expr_vars(e: IOExpr):
             todo += ((e.right, consumed), (e.left, consumed))
 
 
+@dataclass
+class Caps:
+    """The search bounds of one analysis.  Each field is the command-line
+    flag of the same name (`max_columns` is `--max-columns`), and its default
+    here is the only one: functions that take a bound default to the field."""
+
+    max_columns: int = 10000  # every diagram sweep
+    finitize_cap: int = 100000  # equations of one finitized system
+    oracle_prod_cap: int = 32  # output the game oracle counts
+    oracle_steps: int = 100000  # expansions the constant games share
+
+
 class TranslationError(Exception):
-    pass
+    """The specification cannot be translated (exit 12)."""
 
 
-class FinitizeCapError(Exception):
-    pass
+class CapError(Exception):
+    """A search bound of `Caps` was reached (exit 13)."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +161,7 @@ class FinitizeCapError(Exception):
 class EquationBuilder:
     """On-demand right-hand sides of the infinite system for one spec."""
 
-    def __init__(self, spec: StreamSpec, cls: Classification):
-        self.spec = spec
+    def __init__(self, cls: Classification):
         self.cls = cls
 
     def _check_translatable(self, symbol: str):
@@ -213,10 +227,6 @@ class EquationBuilder:
         return inf_all(parts)
 
 
-def build_equations(spec: StreamSpec, cls: Classification) -> EquationBuilder:
-    return EquationBuilder(spec, cls)
-
-
 # ---------------------------------------------------------------------------
 # finite systems
 
@@ -249,7 +259,7 @@ def _var_order_key(v):
     return (0, -1, v[0], 0)
 
 
-def finitize(builder: EquationBuilder, roots, cap: int = 100000) -> IOSpec:
+def finitize(builder: EquationBuilder, roots, cap: int = Caps.finitize_cap) -> IOSpec:
     """Materialize the system reachable from `roots`, applying pseudo-cycle
     removal eagerly, lowest supply level first.
 
@@ -297,7 +307,7 @@ def finitize(builder: EquationBuilder, roots, cap: int = 100000) -> IOSpec:
         _, v = heapq.heappop(missing)
         set_equation(v, builder.rhs(v))
         if len(eqs) > cap:
-            raise FinitizeCapError("finitization cap exceeded (%d equations)" % cap)
+            raise CapError("finitization cap exceeded (%d equations)" % cap)
         reach([w for w, _ in expr_vars(eqs[v])])
         # star, X_+, X_- and X_id equations have clean edges only to variables
         # that are not argument variables, and so do those variables' own

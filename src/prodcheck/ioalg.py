@@ -26,6 +26,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .equations import Caps, EEmpty, EInf, EVar, IOSpec, steps
+
 MINUS = "-"
 PLUS = "+"
 
@@ -345,14 +347,13 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
             i_t, r_t = advance(wt, t_loop, i_t)
 
 
-def infimum(s: IOTerm, t: IOTerm, max_columns: int = 10000) -> IOTerm:
+def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.max_columns) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
     Solves the one-root system X = s /\\ t, where each operand with a loop
     continues with its own variable L = loop L, so that the solver is the
     single engine for rational infima; `max_columns` caps its diagram.
     """
-    from .equations import EEmpty, EInf, EVar, IOSpec, steps
     from .solver import solve  # solver imports this module
 
     equations: dict = {}

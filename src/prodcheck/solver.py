@@ -23,21 +23,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .equations import EEmpty, EInf, EStep, EVar, IOSpec, expr_vars, is_weakly_guarded
+from .equations import (
+    CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, expr_vars, is_weakly_guarded, var_str,
+)
 from .ioalg import EPSILON, TOP, CoNat, IOTerm, infimum, is_top, normalize, prepend
-
-
-class SolverError(Exception):
-    pass
-
-
-class SolverCapError(Exception):
-    pass
 
 
 @dataclass
 class TraceGraph:
-    nodes: list  # (var, position) labels, index = node id
+    nodes: list  # (var, parent id, branch digit) labels, index = node id
     eps: list  # silent successors per node
     out_plus: list
     out_minus: list
@@ -49,62 +43,67 @@ class TraceGraph:
         return len(self.nodes)
 
 
-def _positions(expr):
-    """Enumerate (position, subexpression) in prefix order."""
-    out = []
-    stack = [((), expr)]
-    while stack:
-        pos, e = stack.pop()
-        out.append((pos, e))
-        if isinstance(e, EStep):
-            stack.append((pos + (1,), e.body))
-        elif isinstance(e, EInf):
-            stack.append((pos + (2,), e.right))
-            stack.append((pos + (1,), e.left))
-    return out
-
-
 def _system_graph(iospec: IOSpec) -> TraceGraph:
-    """The trace graph of the whole system, without a root."""
-    index: dict = {}
-    nodes: list = []
-    subexpr: list = []
-    for var, expr in iospec.equations.items():
-        for pos, e in _positions(expr):
-            index[(var, pos)] = len(nodes)
-            nodes.append((var, pos))
-            subexpr.append(e)
+    """The trace graph of the whole system, without a root.
 
-    eps = [[] for _ in nodes]
-    out_plus = [[] for _ in nodes]
-    out_minus = [[] for _ in nodes]
-    for nid, (var, pos) in enumerate(nodes):
-        e = subexpr[nid]
-        if isinstance(e, EVar):
-            if e.var not in iospec.equations:
-                raise SolverError("undefined variable %s" % (e.var,))
-            eps[nid].append(index[(e.var, ())])
-        elif isinstance(e, EStep):
-            target = index[(var, pos + (1,))]
-            (out_minus if e.sym == "-" else out_plus)[nid].append(target)
-        elif isinstance(e, EInf):
-            eps[nid].append(index[(var, pos + (1,))])
-            eps[nid].append(index[(var, pos + (2,))])
-        else:  # the end of the sequence: production freezes, inputs are ignored
-            out_minus[nid].append(nid)
+    One preorder walk per right-hand side numbers its positions, so a
+    node's first child is the next node; an infimum's right child is linked
+    when the walk reaches it, a variable reference once every head is known.
+    """
+    nodes: list = []
+    eps: list = []
+    out_plus: list = []
+    out_minus: list = []
+    heads: dict = {}
+    refs: list = []  # (node id, variable) of every reference, in node order
+    for var, expr in iospec.equations.items():
+        heads[var] = len(nodes)
+        todo = [(expr, None, None)]
+        while todo:
+            e, parent, digit = todo.pop()
+            nid = len(nodes)
+            nodes.append((var, parent, digit))
+            eps.append([])
+            out_plus.append([])
+            out_minus.append([])
+            if digit == 2:
+                eps[parent].append(nid)
+            if isinstance(e, EVar):
+                refs.append((nid, e.var))
+            elif isinstance(e, EStep):
+                (out_minus if e.sym == "-" else out_plus)[nid].append(nid + 1)
+                todo.append((e.body, nid, 1))
+            elif isinstance(e, EInf):
+                eps[nid].append(nid + 1)
+                todo += ((e.right, nid, 2), (e.left, nid, 1))
+            else:  # the end of the sequence: production freezes, inputs are ignored
+                out_minus[nid].append(nid)
+    for nid, v in refs:
+        if v not in heads:
+            raise TranslationError("undefined variable %s" % (v,))
+        eps[nid].append(heads[v])
 
     if not is_weakly_guarded(iospec):
-        raise SolverError("silent cycle: system is not weakly guarded")
-
-    heads = {var: index[(var, ())] for var in iospec.equations}
+        raise TranslationError("silent cycle: system is not weakly guarded")
     return TraceGraph(nodes, eps, out_plus, out_minus, heads)
+
+
+def _position(g: TraceGraph, node: int) -> str:
+    """The node's position in its right-hand side, as branch digits ("e" at
+    the top)."""
+    digits = []
+    _, parent, digit = g.nodes[node]
+    while parent is not None:
+        digits.append(str(digit))
+        _, parent, digit = g.nodes[parent]
+    return "".join(reversed(digits)) or "e"
 
 
 def build_graph(iospec: IOSpec, root) -> TraceGraph:
     """The system's trace graph rooted at `root`.  The graph is built and
     checked once per system and kept on the `IOSpec`; every root shares it."""
     if root not in iospec.equations:
-        raise SolverError("root %r has no equation" % (root,))
+        raise TranslationError("root %r has no equation" % (root,))
     if iospec.graph is None:
         iospec.graph = _system_graph(iospec)
     return replace(iospec.graph, root=iospec.graph.heads[root])
@@ -203,12 +202,10 @@ def _check_repetition(g: TraceGraph, diagram: Diagram, x1: int, x2: int) -> bool
     return True
 
 
-def dump_diagram(iospec: IOSpec, root, max_columns: int = 10000) -> str:
+def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
     """Per-column node/height table plus the repetition that closed the
     search (debug rendering for the CLI), read off the diagram the solver
     swept."""
-    from .equations import var_str
-
     diagram = Diagram(build_graph(iospec, root))
     witness: list = []
     _sweep(diagram, max_columns, witness)
@@ -220,8 +217,7 @@ def dump_diagram(iospec: IOSpec, root, max_columns: int = 10000) -> str:
         beta = diagram.bound(x)
         cells = []
         for v, y in sorted(col.items(), key=lambda kv: (kv[1], kv[0])):
-            var, pos = g.nodes[v]
-            cells.append("%s@%s=%d" % (var_str(var), "".join(map(str, pos)) or "e", y))
+            cells.append("%s@%s=%d" % (var_str(g.nodes[v][0]), _position(g, v), y))
         lines.append("  x=%d beta=%s | %s" % (x, "inf" if is_top(beta) else int(beta), " ".join(cells)))
         if is_top(beta):
             break
@@ -232,7 +228,7 @@ def dump_diagram(iospec: IOSpec, root, max_columns: int = 10000) -> str:
     return "\n".join(lines)
 
 
-def solve(iospec: IOSpec, root, max_columns: int = 10000, trace=None) -> IOTerm:
+def solve(iospec: IOSpec, root, max_columns: int = Caps.max_columns, trace=None) -> IOTerm:
     """Canonical IO-term denoting the unique solution for `root`.  When a
     repetition closes the search, `(x1, x2)`, the columns of its two strips,
     is appended to `trace`."""
@@ -271,7 +267,7 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
                     )
                     return normalize(IOTerm(_stair(bounds[: x1 + 1]), loop))
         strips.setdefault(key, []).append((x, rel))
-    raise SolverCapError("repetition search cap exceeded (%d columns)" % max_columns)
+    raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def feedback_order(iospec: IOSpec, roots) -> tuple[set, list]:
     return feedback, order
 
 
-def evaluate(expr, values: dict, max_columns: int = 10000) -> IOTerm:
+def evaluate(expr, values: dict, max_columns: int = Caps.max_columns) -> IOTerm:
     """Canonical IO-term of `expr` when every variable it names has its
     canonical value in `values`: a run of steps prepends its whole word,
     an infimum solves the two operands' rational system."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import equations as eq
-from .equations import TranslationError as TranslateError
+from .equations import Caps, TranslationError
 from .ioalg import CoNat, is_top
 from .prodterm import Gate, Mu, Peb, ProdTerm, Var, collapse_trace, gate_apply, meet_all
 from .solver import evaluate, feedback_order, solve
@@ -27,20 +27,12 @@ from .streamspec import (
 )
 
 
-@dataclass
-class Caps:
-    max_columns: int = 10000
-    finitize_cap: int = 100000
-    oracle_prod_cap: int = 32
-    oracle_steps: int = 100000
-
-
 def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps: Caps | None = None):
     """Gate table for every stream function of the specification."""
     cls = cls or classify(spec)
     caps = caps or Caps()
     functions = spec.signature.stream_functions()
-    builder = eq.build_equations(spec, cls)
+    builder = eq.EquationBuilder(cls)
     roots = []
     for name in functions:
         info = spec.signature.symbols[name]
@@ -73,7 +65,7 @@ def translate_constant(spec: StreamSpec, gates: dict, name: str) -> ProdTerm:
     """
     sig = spec.signature
     if name not in sig.symbols or sig.symbols[name].kind != "const":
-        raise TranslateError("%r is not a stream constant" % name)
+        raise TranslationError("%r is not a stream constant" % name)
     built: list = []  # translations waiting for their parent's build step
     todo: list = [(App(name, ()), frozenset())]
     while todo:
@@ -91,13 +83,13 @@ def translate_constant(spec: StreamSpec, gates: dict, name: str) -> ProdTerm:
         elif isinstance(term, Cons):
             todo += (((None, 1), None), (term.tail, visited))
         elif isinstance(term, SVar):
-            raise TranslateError("stream variable %r reachable from constant %r" % (term.name, name))
+            raise TranslationError("stream variable %r reachable from constant %r" % (term.name, name))
         elif term.sym in visited:  # only constants are ever visited
             built.append(Var(term.sym))
         elif sig.symbols[term.sym].kind == "const":
             rules = spec.rules_of(term.sym)
             if not rules:
-                raise TranslateError("stream constant %r has no defining rule" % term.sym)
+                raise TranslationError("stream constant %r has no defining rule" % term.sym)
             todo.append(((term.sym, len(rules)), None))
             todo.extend((r.rhs, visited | {term.sym}) for r in reversed(rules))
         else:
@@ -126,7 +118,7 @@ class Verdict:
         return "%s is not productive (production = %d)." % (self.constant, k)
 
 
-def _context_for(spec: StreamSpec, cls: Classification, constant: str) -> str:
+def _context_for(cls: Classification, constant: str) -> str:
     reach = reachable_symbols(cls, constant)
     classes = {cls.symbol_class[s] for s in reach if s in cls.symbol_class}
     if "friendly" in classes:
@@ -146,7 +138,7 @@ def decide(spec: StreamSpec, caps: Caps | None = None, root: str | None = None, 
     constants = spec.signature.stream_constants()
     if root is not None:
         if root not in constants:
-            raise TranslateError("unknown stream constant %r" % root)
+            raise TranslationError("unknown stream constant %r" % root)
         constants = [root]
     verdicts = {}
     compositions: dict = {}  # box-box contractions, shared by this analysis's collapses
@@ -154,7 +146,7 @@ def decide(spec: StreamSpec, caps: Caps | None = None, root: str | None = None, 
         term = translate_constant(spec, gates, name)
         trace = collapse_trace(term, compositions)
         k = (trace[-1][1] if trace else term).value
-        context = _context_for(spec, cls, name)
+        context = _context_for(cls, name)
         if is_top(k):
             answer = "productive"
         elif context == "pure":

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -8,7 +9,9 @@ import sys
 
 import pytest
 
+from prodcheck import cli
 from prodcheck.cli import main
+from prodcheck.equations import CapError, Caps
 
 from conftest import CORPUS, spec_path
 from test_solver import _chain_spec
@@ -338,6 +341,35 @@ def test_negative_cap_is_usage_error(flag, capsys):
         assert captured.out == ""
         assert captured.err.startswith("usage: prodcheck")
         assert "argument %s: %s\n" % (flag, message) in captured.err
+
+
+def test_every_cap_is_a_flag_with_its_default(monkeypatch):
+    """Each field of `Caps` is the flag of the same name, its default is the
+    field's, and `main` hands the flags' values on in one `Caps`."""
+    flags = {
+        "max_columns": "--max-columns",
+        "finitize_cap": "--finitize-cap",
+        "oracle_prod_cap": "--oracle-prod-cap",
+        "oracle_steps": "--oracle-steps",
+    }
+    assert [cap.name for cap in dataclasses.fields(Caps)] == list(flags)
+    pascal = str(spec_path("pascal"))
+    parsed = cli._build_parser().parse_args([pascal])
+    for cap in dataclasses.fields(Caps):
+        assert getattr(parsed, cap.name) == cap.default == getattr(Caps(), cap.name)
+
+    seen = []
+
+    def capped(spec, cls, caps):
+        seen.append(caps)
+        raise CapError("some cap")
+
+    monkeypatch.setattr(cli, "translate_symbols", capped)
+    argv = [pascal]
+    for value, flag in enumerate(flags.values(), start=1):
+        argv += [flag, str(value)]
+    assert run_cli(argv) == (13, "", "prodcheck: some cap\n")
+    assert seen == [Caps(1, 2, 3, 4)]
 
 
 def test_usage_error_exit_code_from_command_line():

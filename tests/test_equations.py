@@ -4,17 +4,18 @@ import pytest
 
 from prodcheck import equations as eq
 from prodcheck.equations import (
+    CapError,
     EEmpty,
     EInf,
     EStep,
     EVar,
+    EquationBuilder,
     IOSpec,
     TranslationError,
     XID,
     XM,
     XP,
     arg,
-    build_equations,
     finitize,
     is_weakly_guarded,
     star,
@@ -30,7 +31,7 @@ from test_translate import random_flat_spec
 
 
 def builder_for(spec):
-    return build_equations(spec, classify(spec))
+    return EquationBuilder(classify(spec))
 
 
 def test_pascal_arg_equation(corpus):
@@ -117,7 +118,7 @@ def test_finitize_rpc_fires_on_nested_example(corpus):
 def test_finitize_cap():
     spec = load("nested_fb")
     b = builder_for(spec)
-    with pytest.raises(eq.FinitizeCapError):
+    with pytest.raises(CapError):
         finitize(b, [arg("f", 1, 0)], cap=2)
 
 
@@ -311,7 +312,7 @@ def _finitize_reference(builder, roots, cap=100000):
         v = min(missing, key=eq._var_order_key)
         eqs[v] = builder.rhs(v)
         if len(eqs) > cap:
-            raise eq.FinitizeCapError("finitization cap exceeded (%d equations)" % cap)
+            raise CapError("finitization cap exceeded (%d equations)" % cap)
         rpc_sweep()
 
     _, seen = reachable_undefined()
@@ -330,7 +331,7 @@ def _all_roots(spec):
 def _outcome(fn, builder, roots, **kw):
     try:
         return list(fn(builder, roots, **kw).equations.items())
-    except eq.FinitizeCapError as exc:
+    except CapError as exc:
         return (type(exc), str(exc))
 
 

@@ -3,19 +3,20 @@ import random
 import pytest
 
 from prodcheck.equations import (
+    CapError,
     EEmpty,
     EInf,
     EStep,
     EVar,
     IOSpec,
+    TranslationError,
     is_weakly_guarded,
     steps,
 )
-from prodcheck.ioalg import TOP, interpret, parse_ioterm, render
+from prodcheck.ioalg import TOP, infimum, interpret, parse_ioterm, render
 from prodcheck.solver import (
     Diagram,
-    SolverCapError,
-    SolverError,
+    _position,
     _step_right,
     _vclose,
     build_graph,
@@ -60,12 +61,12 @@ def test_graph_translation_example():
 
 def test_graph_rejects_silent_cycle():
     iospec = sys1(X=EVar(Y), Y=EVar(X))
-    with pytest.raises(SolverError):
+    with pytest.raises(TranslationError):
         build_graph(iospec, X)
 
 
 def test_graph_missing_root():
-    with pytest.raises(SolverError):
+    with pytest.raises(TranslationError):
         build_graph(sys1(X=EEmpty()), Y)
 
 
@@ -77,7 +78,7 @@ def test_graph_shared_by_roots():
     gx, gy = build_graph(iospec, X), build_graph(iospec, Y)
     assert gx.nodes is gy.nodes and gx.eps is gy.eps
     assert gx.out_plus is gy.out_plus and gx.out_minus is gy.out_minus
-    assert gx.nodes[gx.root] == (X, ()) and gy.nodes[gy.root] == (Y, ())
+    assert gx.nodes[gx.root] == (X, None, None) and gy.nodes[gy.root] == (Y, None, None)
     fresh = IOSpec(dict(iospec.equations), iospec.roots)
     assert solve(iospec, Y) == solve(fresh, Y)
 
@@ -89,16 +90,39 @@ def test_graph_errors_on_every_call():
     broken = sys1(X=EVar(Z), Y=EInf(EVar(Y), EStep("+", EVar(X))))
     cycle = sys1(X=EVar(Y), Y=EVar(X))
     for _ in range(2):
-        with pytest.raises(SolverError, match="has no equation"):
+        with pytest.raises(TranslationError, match="has no equation"):
             build_graph(broken, Z)
-        with pytest.raises(SolverError, match="undefined variable"):
+        with pytest.raises(TranslationError, match="undefined variable"):
             build_graph(broken, X)
-        with pytest.raises(SolverError, match="undefined variable"):
+        with pytest.raises(TranslationError, match="undefined variable"):
             solve(broken, Y)
-        with pytest.raises(SolverError, match="silent cycle"):
+        with pytest.raises(TranslationError, match="silent cycle"):
             build_graph(cycle, X)
-        with pytest.raises(SolverError, match="silent cycle"):
+        with pytest.raises(TranslationError, match="silent cycle"):
             solve(cycle, Y)
+
+
+def test_graph_of_a_long_word():
+    """A right-hand side of 20,000 steps: one node per position, numbered in
+    one walk, so the graph and an infimum over such a loop cost linear time;
+    only the dump spells a position out."""
+    word = "-" * 19999 + "+"
+    g = build_graph(sys1(X=steps(word, EVar(X))), X)
+    assert g.size == 20001
+    assert g.nodes[19999] == (X, 19998, 1) and _position(g, 19999) == "1" * 19999
+    assert g.out_plus[19999] == [20000] and g.eps[20000] == [g.root]
+    assert _position(g, g.root) == "e"
+    s, t = parse_ioterm("(%s+)" % ("-" * 20000)), parse_ioterm("(-+)")
+    got = infimum(s, t, max_columns=30000)
+    for n in [*range(51), *range(19990, 20011)]:
+        assert interpret(got, n) == min(interpret(s, n), interpret(t, n)), n
+
+
+def test_graph_reports_the_first_undefined_reference():
+    Z1, Z2 = ("v", "Z1"), ("v", "Z2")
+    iospec = sys1(X=EInf(steps("-+", EInf(EVar(Z1), EVar(Z2))), EVar(Z2)), Y=EVar(Z2))
+    with pytest.raises(TranslationError, match="undefined variable \\('v', 'Z1'\\)"):
+        build_graph(iospec, Y)
 
 
 # --- columns and bounds ------------------------------------------------------
@@ -121,22 +145,22 @@ def test_columns_identity():
 
 
 def test_columns_pascal(corpus):
-    from prodcheck.equations import arg, build_equations, finitize
+    from prodcheck.equations import EquationBuilder, arg, finitize
     from prodcheck.streamspec import classify
 
     spec = corpus["pascal"]
-    b = build_equations(spec, classify(spec))
+    b = EquationBuilder(classify(spec))
     iospec = finitize(b, [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
     assert [Diagram(g).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
 
 
 def test_bound_matches_nested_solution(corpus):
-    from prodcheck.equations import arg, build_equations, finitize
+    from prodcheck.equations import EquationBuilder, arg, finitize
     from prodcheck.streamspec import classify
 
     spec = corpus["nested_fb"]
-    b = build_equations(spec, classify(spec))
+    b = EquationBuilder(classify(spec))
     iospec = finitize(b, [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
     expect = parse_ioterm("-+--(+)")
@@ -169,7 +193,7 @@ def test_solve_guarded_words():
 
 def test_solve_cap():
     iospec = sys1(X=EStep("-", EStep("+", EVar(X))))
-    with pytest.raises(SolverCapError):
+    with pytest.raises(CapError):
         solve(iospec, X, max_columns=2)
 
 
@@ -258,7 +282,7 @@ def test_omit_safety_random_systems():
         root = iospec.roots[0]
         try:
             g = build_graph(iospec, root)
-        except SolverError:
+        except TranslationError:
             continue
         if g.size > 20:
             continue
@@ -286,7 +310,7 @@ def test_solve_random_systems_match_diagram():
         root = iospec.roots[0]
         try:
             got = solve(iospec, root)
-        except SolverError:
+        except TranslationError:
             continue
         checked += 1
         g = build_graph(iospec, root)
@@ -337,11 +361,11 @@ def test_feedback_order_checks_the_system_first():
     undefined = sys1(X=steps("-+", EVar(Y)), Y=EInf(EVar(Z), EEmpty()))
     acyclic = sys1(X=steps("-+", EVar(Y)), Y=EInf(EStep("+", EEmpty()), EEmpty()))
     assert feedback_order(acyclic, (X,)) == (set(), [Y, X])
-    with pytest.raises(SolverError, match="undefined variable"):
+    with pytest.raises(TranslationError, match="undefined variable"):
         feedback_order(undefined, (X,))
-    with pytest.raises(SolverError, match="silent cycle"):
+    with pytest.raises(TranslationError, match="silent cycle"):
         feedback_order(sys1(X=EStep("+", EVar(Y)), Y=EInf(EVar(Y), EEmpty())), (X,))
-    with pytest.raises(SolverError, match="has no equation"):
+    with pytest.raises(TranslationError, match="has no equation"):
         feedback_order(acyclic, (X, Z))
 
 
@@ -381,5 +405,5 @@ def test_evaluate_caps_infima():
     values = {X: parse_ioterm("(-+)"), Y: parse_ioterm("++")}
     expr = EInf(EVar(X), EVar(Y))
     assert evaluate(expr, values, max_columns=5) == parse_ioterm("-+-+")
-    with pytest.raises(SolverCapError):
+    with pytest.raises(CapError):
         evaluate(expr, values, max_columns=4)

@@ -6,8 +6,8 @@ from prodcheck import dogame, prodterm
 from prodcheck.ioalg import TOP, interpret, parse_ioterm
 from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, _children, collapse, gate_apply, meet_all
 from prodcheck.streamspec import App, Cons, Rule, SVar, classify, parse
+from prodcheck.equations import TranslationError
 from prodcheck.translate import (
-    TranslateError,
     decide,
     translate_constant,
     translate_symbols,
@@ -78,7 +78,7 @@ def test_translate_unfriendly_rejected():
     f(x:y:s) = x:g(f(s))
     g(x:s) = x:g(s)
     """
-    with pytest.raises(TranslateError) as err:
+    with pytest.raises(TranslationError) as err:
         translate_symbols(parse(text))
     assert "f" in str(err.value)
 
@@ -114,7 +114,7 @@ def test_translate_constant_two_rules():
 
 
 def test_translate_constant_unknown(corpus):
-    with pytest.raises(TranslateError):
+    with pytest.raises(TranslationError):
         translate_constant(corpus["pascal"], {}, "nope")
 
 
@@ -126,14 +126,14 @@ def ref_translate_constant(spec, gates, name):
         if isinstance(term, Cons):
             return Peb(tr(term.tail, visited))
         if isinstance(term, SVar):
-            raise TranslateError("stream variable %r reachable from constant %r" % (term.name, name))
+            raise TranslationError("stream variable %r reachable from constant %r" % (term.name, name))
         info = sig.symbols[term.sym]
         if info.kind == "const":
             if term.sym in visited:
                 return Var(term.sym)
             rules = spec.rules_of(term.sym)
             if not rules:
-                raise TranslateError("stream constant %r has no defining rule" % term.sym)
+                raise TranslationError("stream constant %r has no defining rule" % term.sym)
             inner = visited | {term.sym}
             return Mu(term.sym, meet_all([tr(r.rhs, inner) for r in rules]))
         children = [tr(a, visited) for a in term.args[: info.stream_arity]]
@@ -145,7 +145,7 @@ def ref_translate_constant(spec, gates, name):
 def _translation_outcome(fn, spec, gates, name):
     try:
         return fn(spec, gates, name)
-    except TranslateError as exc:
+    except TranslationError as exc:
         return str(exc)
 
 
@@ -179,7 +179,7 @@ def test_translate_constant_matches_recursive_reference():
     for spec in specs:
         try:
             gates = gates_of(spec)
-        except TranslateError:
+        except TranslationError:
             continue
         for c in spec.signature.stream_constants():
             want = ref_translate_constant(spec, gates, c)
@@ -299,7 +299,7 @@ def test_decide_ring_of_64():
 def test_decide_root_restriction(corpus):
     verdicts, _, _ = decide(corpus["convolution"], root="ones")
     assert list(verdicts) == ["ones"]
-    with pytest.raises(TranslateError):
+    with pytest.raises(TranslationError):
         decide(corpus["convolution"], root="zeros")
 
 
