@@ -179,7 +179,7 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
         agree = True
         for supplies in itertools.product(range(5), repeat=arity):
             gate_value = min([g.cap] + [interpret(a, n) for a, n in zip(g.args, supplies)])
-            game = dogame.do_low_function(spec, cls, name, supplies, prod_cap=caps.oracle_prod_cap)
+            game = dogame.do_low_function(cls, name, supplies, prod_cap=caps.oracle_prod_cap)
             if isinstance(game, dogame.AtLeast):
                 ok = is_top(gate_value) or gate_value >= game.bound
             else:

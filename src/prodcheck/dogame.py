@@ -9,10 +9,15 @@ assignment the adversary may commit to, taking the worst outcome.
 Both games are played by one search on an explicit stack, `_game_value`:
 a function game offers the adversary every rule at every state and may
 expand `_FUNCTION_EXPANSIONS` states; a constant's games offer one committed
-rule per symbol and share the `step_cap` of `do_low_constant`.
+rule per symbol and share the `step_cap` of `do_low_constant`.  Under one
+committed assignment a walk is a single path, so the Kleene rounds of a
+constant reuse the states earlier rounds settled instead of walking them
+again.  A reused state is charged the expansions its walk spent, so reuse
+changes neither a value nor how much of `step_cap` is left.
 
 Results are either exact numbers or `AtLeast(b)` lower bounds; the oracle
-never asserts infinity on its own.
+never asserts infinity on its own.  A game that reaches `prod_cap` output
+or runs out of expansions ends in `AtLeast`, never in an error.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def _as_result(lo, exact, prod_cap):
     return AtLeast(int(min(lo, prod_cap)))
 
 
-def _game_value(shapes_of, f, supplies, prod_cap, budget):
+def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
     """Least remaining production from state (f, supplies tuple); (lo, exact).
 
     A depth-first search on an explicit stack that minimizes over the shapes
@@ -62,10 +67,21 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget):
     value depends on no state below it is memoized.  Every expansion spends
     one unit of `budget[0]`, which callers may share; past the budget or
     `prod_cap` output the value is an inexact lower bound.
+
+    `settled` may be given only when every symbol has one shape.  A walk is
+    then one path, the same from a state whichever call reaches it, and the
+    table keeps, across calls, each state whose path ended exact without
+    closing a cycle at or below it: state -> (value, expansions spent, peak
+    output above entry).  A state is taken from the table, and its
+    expansions charged to the budget, only where expanding it again would
+    hit neither `prod_cap` nor the budget, so results and budget use equal
+    those of a search without the table.
     """
     memo: dict = {}
     on_stack: dict = {}  # state -> depth of its frame
     frames: list = []  # [state, acc, branches, calls left, dep, output of the open call]
+    starts: list = []  # with `settled`: budget[0] as each frame was expanded
+    top = 0  # with `settled`: output at the deepest state reached so far
     g, ns, acc = f, supplies, 0
     while True:
         state = (g, ns)
@@ -78,9 +94,22 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget):
                 res = (0, True, entry_depth)  # silent cycle: loop forever
             else:
                 res = (max(prod_cap - acc, 0), False, entry_depth)  # pumping cycle
+        elif (
+            settled is not None
+            and (hit := settled.get(state))
+            and acc + hit[2] < prod_cap
+            and budget[0] >= hit[1]
+        ):
+            lo, spent, peak = hit
+            budget[0] -= spent
+            top = acc + peak
+            res = (lo, True, _INF_DEP)
         elif acc >= prod_cap or budget[0] <= 0:
             res = (0, False, -1)  # cap hit: nothing above may be memoized
         else:
+            if settled is not None:
+                starts.append(budget[0])
+                top = acc
             budget[0] -= 1
             on_stack[state] = len(frames)
             branches, calls = [], []
@@ -113,11 +142,15 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget):
                 res = memo[state] = (lo, exact, _INF_DEP)
             else:
                 res = (lo, exact, dep)
+            if settled is not None:
+                start = starts.pop()
+                if exact and dep == _INF_DEP:  # no cycle closed at or below this frame
+                    settled[state] = (lo, start - budget[0], top - acc)
         else:
             return res[0], res[1]
 
 
-def do_low_function(spec: StreamSpec, cls: Classification, f: str, supplies, prod_cap: int = Caps.oracle_prod_cap):
+def do_low_function(cls: Classification, f: str, supplies, prod_cap: int = Caps.oracle_prod_cap):
     """Least production of f the adversary can force from finite supplies.
 
     The adversary picks any defining rule at every state; the search expands
@@ -147,8 +180,10 @@ def do_low_constant(
     symbol); for each, the constant values are the least fixed point of the
     resulting single-rule system, computed by iteration from zero with the
     production cap guarding divergence.  The function games of the whole
-    enumeration share `step_cap - 1` expansions.  Nesting rules are outside
-    this oracle's state space.
+    enumeration share `step_cap - 1` expansions; the rounds of one
+    assignment share a table of settled states, so each round walks only
+    the states no earlier round settled.  Nesting rules are outside this
+    oracle's state space.
     """
     sig = spec.signature
     symbols = sorted(reachable_symbols(cls, name))
@@ -159,7 +194,7 @@ def do_low_constant(
             raise ValueError("%r has no defining rule" % s)
     constants = [s for s in symbols if sig.symbols[s].kind == "const"]
 
-    def term_production(term, values, shapes_of):
+    def term_production(term, values, shapes_of, settled):
         # postorder on an explicit stack: an item 1 is a cons over the last
         # result, an item (symbol, n) plays the symbol's game on the last n
         done: list = []
@@ -174,7 +209,7 @@ def do_low_constant(
                 child = done[len(done) - n :]
                 del done[len(done) - n :]
                 supplies = tuple(min(lo, prod_cap) for lo, _ in child)
-                lo, exact = _game_value(shapes_of, sym, supplies, prod_cap, budget)
+                lo, exact = _game_value(shapes_of, sym, supplies, prod_cap, budget, settled)
                 done.append((lo, exact and all(ex for _, ex in child)))
             elif isinstance(term, Cons):
                 todo += (1, term.tail)
@@ -194,17 +229,18 @@ def do_low_constant(
         committed = {s: (sh,) for s, sh in zip(symbols, picks)}
         rule_of = {c: committed[c][0].rule for c in constants}
         values = {c: (0, True) for c in constants}
-        settled = False
+        settled: dict = {}  # game states whose path this assignment's rounds replay
+        converged = False
         for _ in range(prod_cap * max(1, len(constants)) + 2):
-            new = {c: term_production(rule_of[c].rhs, values, committed.__getitem__) for c in constants}
+            new = {c: term_production(rule_of[c].rhs, values, committed.__getitem__, settled) for c in constants}
             # a capped iterate is only a lower bound from here on
             capped = {c: (min(lo, prod_cap), ex and lo < prod_cap) for c, (lo, ex) in new.items()}
             if capped == values:
-                settled = True
+                converged = True
                 break
             values = capped
         lo, exact = values[name]
-        if not settled or lo >= prod_cap:
+        if not converged or lo >= prod_cap:
             outcomes.append((min(lo, prod_cap), False))
         else:
             outcomes.append((lo, exact))

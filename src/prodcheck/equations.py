@@ -143,7 +143,7 @@ class Caps:
     max_columns: int = 10000  # every diagram sweep
     finitize_cap: int = 100000  # equations of one finitized system
     oracle_prod_cap: int = 32  # output the game oracle counts
-    oracle_steps: int = 100000  # expansions the constant games share
+    oracle_steps: int = 100000  # expansions one constant's games share, reused states charged in full
 
 
 class TranslationError(Exception):

@@ -256,7 +256,7 @@ def test_c7_do_game_agreement():
     cls = classify(spec)
     for n in range(9):
         want = max(n - 1, 0)
-        if dogame.do_low_function(spec, cls, "h", (n,)) != want:
+        if dogame.do_low_function(cls, "h", (n,)) != want:
             ok = False
     for name, funcs in (("pascal", ("f",)), ("traces", ("f", "g"))):
         spec = load(name)
@@ -268,7 +268,7 @@ def test_c7_do_game_agreement():
                 gate_value = min(
                     [g.cap] + [interpret(a, n) for a, n in zip(g.args, supplies)]
                 )
-                game = dogame.do_low_function(spec, cls, f, supplies)
+                game = dogame.do_low_function(cls, f, supplies)
                 if isinstance(game, dogame.AtLeast):
                     if gate_value != TOP and gate_value < game.bound:
                         ok = False

@@ -18,27 +18,27 @@ def setup(corpus, name):
 
 def test_h_lower_bound(corpus):
     spec, cls = setup(corpus, "do_h")
-    assert [do_low_function(spec, cls, "h", (n,)) for n in range(1, 9)] == list(range(8))
+    assert [do_low_function(cls, "h", (n,)) for n in range(1, 9)] == list(range(8))
 
 
 def test_traces_f_matches_published_gate(corpus):
     spec, cls = setup(corpus, "traces")
     gate = parse_ioterm("----++-++-+--++-+(-++-)")
     for n in range(20):
-        assert do_low_function(spec, cls, "f", (n,)) == interpret(gate, n)
+        assert do_low_function(cls, "f", (n,)) == interpret(gate, n)
 
 
 def test_stuck_when_supplies_short(corpus):
     spec, cls = setup(corpus, "traces")
     # every rule of g consumes from both arguments
-    assert do_low_function(spec, cls, "g", (0, 0)) == 0
-    assert do_low_function(spec, cls, "g", (9, 0)) == 0
+    assert do_low_function(cls, "g", (0, 0)) == 0
+    assert do_low_function(cls, "g", (9, 0)) == 0
 
 
 def test_rejects_nesting_symbols(corpus):
     spec, cls = setup(corpus, "convolution")
     with pytest.raises(ValueError):
-        do_low_function(spec, cls, "conv", (3, 3))
+        do_low_function(cls, "conv", (3, 3))
     with pytest.raises(ValueError):
         do_low_constant(spec, cls, "nats")
 
@@ -53,8 +53,8 @@ def test_monotone_in_supplies(corpus):
                 base = tuple(rng.randrange(0, 8) for _ in range(arity))
                 i = rng.randrange(arity)
                 bumped = tuple(n + (1 if j == i else 0) for j, n in enumerate(base))
-                lo = do_low_function(spec, cls, f, base)
-                hi = do_low_function(spec, cls, f, bumped)
+                lo = do_low_function(cls, f, base)
+                hi = do_low_function(cls, f, bumped)
                 lo_v = lo.bound if isinstance(lo, AtLeast) else lo
                 hi_v = hi.bound if isinstance(hi, AtLeast) else hi
                 assert lo_v <= hi_v or isinstance(lo, AtLeast)
@@ -69,7 +69,7 @@ def test_rule_order_irrelevant(corpus):
     b = parse(swapped)
     ca, cb = classify(a), classify(b)
     for n in range(10):
-        assert do_low_function(a, ca, "h", (n,)) == do_low_function(b, cb, "h", (n,))
+        assert do_low_function(ca, "h", (n,)) == do_low_function(cb, "h", (n,))
 
 
 def test_constant_do_m(corpus):
@@ -90,6 +90,29 @@ def test_constant_pascal_at_least(corpus):
 def test_constant_productive_streams(corpus):
     spec, cls = setup(corpus, "morse_dol")
     assert do_low_constant(spec, cls, "M", prod_cap=16) == AtLeast(16)
+
+
+def test_constant_rounds_reuse_settled_states(corpus, monkeypatch):
+    """P's value climbs by one per Kleene round, and each round's walk runs
+    through the last round's.  The rounds reuse what earlier rounds walked,
+    so the states actually expanded grow linearly in `prod_cap`; replaying
+    every walk would grow quadratically.  Each expansion compares supplies
+    with `lt`, so its calls count the walking done."""
+    spec, cls = setup(corpus, "pascal")
+    calls = [0]
+
+    def counting_lt(a, b):
+        calls[0] += 1
+        return a < b
+
+    monkeypatch.setattr(dogame, "lt", counting_lt)
+    work = []
+    for prod_cap in (32, 64, 128):
+        calls[0] = 0
+        assert do_low_constant(spec, cls, "P", prod_cap=prod_cap) == AtLeast(prod_cap)
+        work.append(calls[0])
+    assert work[1] <= 2.5 * work[0] and work[2] <= 2.5 * work[1], work
+
 
 
 # --- the shared game search against the recursive searches it replaced ------
@@ -251,7 +274,7 @@ def test_game_search_matches_recursive_references(corpus, monkeypatch):
             arity = spec.signature.symbols[f].stream_arity
             for supplies in itertools.product(range(5), repeat=arity):
                 want = _function_reference(cls, f, supplies, depth_cap=300)
-                assert do_low_function(spec, cls, f, supplies) == want, (case, f, supplies)
+                assert do_low_function(cls, f, supplies) == want, (case, f, supplies)
                 checked += 1
         for c in spec.signature.stream_constants():
             for step_cap in (1, 2, 3, 5, 20, 100):
@@ -261,3 +284,25 @@ def test_game_search_matches_recursive_references(corpus, monkeypatch):
                     assert got == want, (case, c, step_cap, prod_cap)
                     checked += 1
     assert checked > 5000
+
+
+_SILENT_RING = """Signature( C, D : stream(bit), f, g : stream(bit) -> stream(bit), 0, 1 : bit )
+C = 0:f(C)
+D = g(C)
+f(x:s) = g(x:s)
+g(x:s) = f(x:s)
+"""
+
+
+def test_constant_rounds_reuse_no_state_inside_a_cycle():
+    """C's walk enters the silent cycle f -> g -> f at f, D's walk enters it
+    at g.  Inside C's walk g cost one expansion, from D's walk it costs two,
+    so a state whose walk closed a cycle at or below it is never reused, and
+    every budget gives the reference's answer."""
+    spec = parse(_SILENT_RING)
+    cls = classify(spec)
+    for c in ("C", "D"):
+        for prod_cap in (4, 12):
+            for step_cap in range(1, 30):
+                want = _constant_reference(spec, cls, c, prod_cap, step_cap)
+                assert do_low_constant(spec, cls, c, prod_cap, step_cap) == want, (c, prod_cap, step_cap)

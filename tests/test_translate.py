@@ -332,7 +332,7 @@ def test_gates_agree_with_game(corpus):
                 gate_value = min(
                     [g.cap] + [interpret(a, n) for a, n in zip(g.args, supplies)]
                 )
-                game = dogame.do_low_function(spec, cls, f, supplies)
+                game = dogame.do_low_function(cls, f, supplies)
                 if isinstance(game, dogame.AtLeast):
                     assert gate_value == TOP or gate_value >= game.bound
                 else:
@@ -411,7 +411,7 @@ def test_random_flat_specs_cross_validated():
                 gate_value = min(
                     [g.cap] + [interpret(a, n) for a, n in zip(g.args, supplies)]
                 )
-                game = dogame.do_low_function(spec, cls, f, supplies, prod_cap=40)
+                game = dogame.do_low_function(cls, f, supplies, prod_cap=40)
                 if isinstance(game, dogame.AtLeast):
                     assert gate_value == TOP or gate_value >= game.bound, text
                 else:
