@@ -9,7 +9,7 @@ Exit codes: 0 every analyzed constant is productive, 1 some constant is
 (data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
 error, 11 validation error, 12 translation error, 13 a search cap was
 exceeded (`--finitize-cap` or `--max-columns`), 14 standard output was
-closed before the report was written, 15 a malformed command line (a
+closed before the whole report was written, 15 a malformed command line (a
 cap below 0 included), reported by argparse's usage message.
 
 `--max-columns` bounds every diagram sweep: the repetition search for each
@@ -111,15 +111,15 @@ def _gate_lines(spec, gates):
 
 
 def _trace_lines(verdict):
-    lines = ["-- analysis of %s --" % verdict.constant]
-    # one call per derivation: its terms share their strings, and the memo
-    # behind them is dropped before the next derivation is rendered
+    yield "-- analysis of %s --" % verdict.constant
+    # one call per derivation, each line rendered when it is asked for: its
+    # terms share their strings, and the memo behind them is dropped before
+    # the next derivation is rendered
     shown = pretty_all([term for _, term in verdict.trace])
-    lines.append("[%s] = %s" % (verdict.constant, shown[0]))
-    for (rule, _), text in zip(verdict.trace[1:], shown[1:]):
-        lines.append("  ~> %s    [%s]" % (text, rule))
-    lines.append(verdict.sentence())
-    return lines
+    yield "[%s] = %s" % (verdict.constant, next(shown))
+    for (rule, _), text in zip(verdict.trace[1:], shown):
+        yield "  ~> %s    [%s]" % (text, rule)
+    yield verdict.sentence()
 
 
 def _exit_code(verdicts) -> int:
@@ -132,18 +132,14 @@ def _exit_code(verdicts) -> int:
 
 
 def _report_text(spec, cls, gates, verdicts, out):
-    lines = []
-    lines.extend(_classification_lines(spec, cls))
-    lines.append("")
-    lines.extend(_gate_lines(spec, gates))
-    for name in verdicts:
-        lines.append("")
-        lines.extend(_trace_lines(verdicts[name]))
-    lines.append("")
-    lines.append("-- summary --")
-    for name, v in verdicts.items():
-        lines.append("%s : production = %s : %s" % (name, conat_str(v.production), v.answer))
+    lines = _classification_lines(spec, cls) + [""] + _gate_lines(spec, gates)
     out.write("\n".join(lines) + "\n")
+    for verdict in verdicts.values():  # each line written as soon as it is rendered
+        out.write("\n")
+        out.writelines(line + "\n" for line in _trace_lines(verdict))
+    out.write("\n-- summary --\n")
+    for name, v in verdicts.items():
+        out.write("%s : production = %s : %s\n" % (name, conat_str(v.production), v.answer))
 
 
 def _report_json(gates, verdicts, out):

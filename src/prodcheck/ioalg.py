@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .equations import Caps, EEmpty, EInf, EVar, IOSpec, steps
 
@@ -109,6 +109,7 @@ class IOTerm:
 
     prefix_runs: tuple
     loop_runs: tuple
+    normal: bool = field(default=False, compare=False, repr=False)  # built by `normalize`
 
     def __init__(self, prefix: str, loop: str = ""):
         object.__setattr__(self, "prefix_runs", _runs(prefix))
@@ -135,11 +136,12 @@ class IOTerm:
         return render(self)
 
 
-def _term(prefix_runs: tuple, loop_runs: tuple) -> IOTerm:
+def _term(prefix_runs: tuple, loop_runs: tuple, normal: bool = False) -> IOTerm:
     """The term with these runs, which must be merged and non-empty."""
     t = object.__new__(IOTerm)
     object.__setattr__(t, "prefix_runs", prefix_runs)
     object.__setattr__(t, "loop_runs", loop_runs)
+    object.__setattr__(t, "normal", normal)
     return t
 
 
@@ -178,12 +180,14 @@ def normalize(t: IOTerm) -> IOTerm:
     the prefix into the loop, converts a '+'-free loop into a finite word,
     and trims trailing requirements off finite words.
     """
+    if t.normal:  # built here: already the representative
+        return t
     pre, loop = t.prefix_runs, t.loop_runs
     if not loop or (len(loop) == 1 and loop[0][0] == MINUS):
         # an all-input loop never produces again; same function as stopping
         if pre and pre[-1][0] == MINUS:
             pre = pre[:-1]
-        return _term(pre, ())
+        return _term(pre, (), True)
     if len(loop) > 1 and loop[0][0] == loop[-1][0]:
         # pre (F B)^w = pre F (B F)^w: the loop now starts and ends on
         # different symbols, so its runs repeat exactly when its word does
@@ -192,7 +196,7 @@ def normalize(t: IOTerm) -> IOTerm:
     if len(loop) == 1:  # all '+': '+' forever takes every trailing '+'
         if pre and pre[-1][0] == PLUS:
             pre = pre[:-1]
-        return _term(pre, ((PLUS, 1),))
+        return _term(pre, ((PLUS, 1),), True)
     for d in range(2, len(loop), 2):
         if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
             loop = loop[:d]
@@ -227,7 +231,7 @@ def normalize(t: IOTerm) -> IOTerm:
             loop = ((sym, part),) + loop[k + 1:] + loop[:k] + ((sym, n - part),)
         else:
             loop = loop[k + 1:] + loop[:k + 1]
-    return _term(pre, loop)
+    return _term(pre, loop, True)
 
 
 def _interpret_runs(runs, need: int, prod: int) -> tuple:

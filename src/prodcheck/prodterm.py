@@ -6,11 +6,18 @@ and binary meets.  Every closed term collapses, by a terminating and
 confluent rewrite system, to a unique numeral src(k); that k is the term's
 production.  Gates package the per-argument transducers of a translated
 stream function.
+
+A node is a slotted object that carries, besides its fields, its free
+variables (`free_vars`) and the collapse rule whose left-hand side matches
+at it (`rule`, or None), both worked out once by its constructor.  Nodes
+are immutable by contract: nothing is assigned to one after it is built,
+for its hash and these two depend on its fields.  Equality and hashing are
+structural (`streamspec.Node`); `repr` is `pretty`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ioalg import (
     TOP,
@@ -23,69 +30,84 @@ from .ioalg import (
     least_fixed_point,
     render,
 )
+from .streamspec import Node
 
 
-# Every node keeps its free variables, computed once when it is built, so
-# that no test of them walks a term.
+class _ProdNode(Node):
+    # a class attribute shadows a slot whose value is the same for every node
+    # of the class: the free variables of Src, the rule of Src, Var and Peb
+    __slots__ = ("free_vars", "rule")
 
-_CLOSED: frozenset = frozenset()
-
-
-@dataclass(frozen=True)
-class Src:
-    value: CoNat
-    free_vars = _CLOSED  # a class attribute, not a field
+    def __repr__(self):
+        return pretty(self)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    free_vars: frozenset = field(init=False, compare=False, repr=False)
+class Src(_ProdNode):
+    __slots__ = __match_args__ = ("value",)
+    free_vars = frozenset()
+    rule = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_vars", frozenset((self.name,)))
-
-
-@dataclass(frozen=True)
-class Peb:
-    body: "ProdTerm"
-    free_vars: frozenset = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "free_vars", self.body.free_vars)
+    def __init__(self, value: CoNat):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Box:
-    seq: IOTerm
-    body: "ProdTerm"
-    free_vars: frozenset = field(init=False, compare=False, repr=False)
+class Var(_ProdNode):
+    __slots__ = __match_args__ = ("name",)
+    rule = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_vars", self.body.free_vars)
-
-
-@dataclass(frozen=True)
-class Mu:
-    name: str
-    body: "ProdTerm"
-    free_vars: frozenset = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        inner = self.body.free_vars
-        object.__setattr__(self, "free_vars", inner - {self.name} if self.name in inner else inner)
+    def __init__(self, name: str):
+        self.name = name
+        self.free_vars = frozenset((name,))
 
 
-@dataclass(frozen=True)
-class Meet:
-    left: "ProdTerm"
-    right: "ProdTerm"
-    free_vars: frozenset = field(init=False, compare=False, repr=False)
+class Peb(_ProdNode):
+    __slots__ = __match_args__ = ("body",)
+    rule = "peb"
 
-    def __post_init__(self):
-        left, right = self.left.free_vars, self.right.free_vars
-        object.__setattr__(self, "free_vars", left | right if left and right else left or right)
+    def __init__(self, body: "ProdTerm"):
+        self.body = body
+        self.free_vars = body.free_vars
 
+
+class Box(_ProdNode):
+    __slots__ = __match_args__ = ("seq", "body")
+
+    def __init__(self, seq: IOTerm, body: "ProdTerm"):
+        self.seq = seq
+        self.body = body
+        self.free_vars = body.free_vars
+        self.rule = _BOX_RULES.get(type(body))
+
+
+class Mu(_ProdNode):
+    __slots__ = __match_args__ = ("name", "body")
+
+    def __init__(self, name: str, body: "ProdTerm"):
+        self.name = name
+        self.body = body
+        inner = body.free_vars
+        self.free_vars = inner - {name} if name in inner else inner
+        self.rule = (
+            "mu-meet" if isinstance(body, Meet)
+            else "mu-drop" if name not in inner
+            else "mu-var" if isinstance(body, Var)  # `name` is then its only free variable
+            else "mu-box" if isinstance(body, Box) and isinstance(body.body, Var)
+            else None
+        )
+
+
+class Meet(_ProdNode):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "ProdTerm", right: "ProdTerm"):
+        self.left = left
+        self.right = right
+        a, b = left.free_vars, right.free_vars
+        self.free_vars = a | b if a and b else a or b
+        self.rule = "meet-src" if isinstance(left, Src) and isinstance(right, Src) else None
+
+
+_BOX_RULES = {Box: "box-box", Meet: "box-meet", Src: "box-src"}
 
 ProdTerm = Src | Var | Peb | Box | Mu | Meet
 
@@ -105,11 +127,12 @@ def meet_all(parts: list) -> ProdTerm:
 
 def pretty(t: ProdTerm) -> str:
     """mu P. peb(box<-(-+)>(P)) style rendering."""
-    return pretty_all([t])[0]
+    return next(pretty_all([t]))
 
 
-def pretty_all(terms) -> list:
-    """The `pretty` rendering of each term, each distinct node rendered once.
+def pretty_all(terms):
+    """The `pretty` rendering of each term, in order, each distinct node
+    rendered once; each text is yielded as soon as it is made.
 
     The terms of a derivation share every subterm off the rewritten path.
     A node asked for more than once (by two parents, or by a parent and the
@@ -131,7 +154,6 @@ def pretty_all(terms) -> list:
             wanted[id(t)] = 1
             stack.extend(_children(t))
     shown: dict = {}  # id -> string of a node still wanted later
-    out = []
     for term in terms:
         parts = [[]]  # the pieces of the term and of each shared node open inside it
         todo = [term]
@@ -170,40 +192,11 @@ def pretty_all(terms) -> list:
             else:
                 parts[-1].append("meet(")
                 todo += (")", t.right, ", ", t.left)
-        out.append("".join(parts[0]))
-    return out
+        yield "".join(parts[0])
 
 
 # ---------------------------------------------------------------------------
 # collapse
-
-
-def _rule_at(t: ProdTerm):
-    if isinstance(t, Peb):
-        return "peb"
-    if isinstance(t, Box):
-        b = t.body
-        if isinstance(b, Box):
-            return "box-box"
-        if isinstance(b, Meet):
-            return "box-meet"
-        if isinstance(b, Src):
-            return "box-src"
-        return None
-    if isinstance(t, Mu):
-        b = t.body
-        if isinstance(b, Var) and b.name == t.name:
-            return "mu-var"
-        if isinstance(b, Box) and isinstance(b.body, Var) and b.body.name == t.name:
-            return "mu-box"
-        if isinstance(b, Meet):
-            return "mu-meet"
-        if t.name not in b.free_vars:
-            return "mu-drop"
-        return None
-    if isinstance(t, Meet) and isinstance(t.left, Src) and isinstance(t.right, Src):
-        return "meet-src"
-    return None
 
 
 def _contract(t: ProdTerm, rule: str, memo: dict) -> ProdTerm:
@@ -270,7 +263,7 @@ def _first_redex(t: ProdTerm):
     todo = [(t, None)]
     while todo:
         t, link = todo.pop()
-        rule = _rule_at(t)
+        rule = t.rule
         if rule is not None:
             path = []
             while link is not None:

@@ -144,24 +144,60 @@ class Signature:
 # terms
 
 
-@dataclass(frozen=True)
-class SVar:
+class Node:
+    """A node of a stream term, and the base of production-term nodes.
+
+    `__match_args__` names the fields that make up the term: nodes, tuples
+    of nodes or plain values.  Equality and hashing are structural and walk
+    an explicit stack, so term depth is not bounded by the interpreter.  A
+    node is never changed once built, for its hash depends on its fields.
+    """
+
+    __slots__ = ()
+
+    def _flat(self) -> list:
+        """The term in preorder: node types, tuple lengths and plain values."""
+        parts, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Node):
+                parts.append(type(t))
+                todo += [getattr(t, f) for f in t.__match_args__]
+            elif type(t) is tuple:
+                parts += (tuple, len(t))
+                todo += t
+            else:
+                parts.append(t)
+        return parts
+
+    def __eq__(self, other):
+        return self._flat() == other._flat() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._flat()))
+
+    def __repr__(self):
+        return term_str(self)
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class SVar(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class DVar:
+@dataclass(slots=True, eq=False, repr=False)
+class DVar(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Cons:
+@dataclass(slots=True, eq=False, repr=False)
+class Cons(Node):
     head: object  # data term
     tail: object  # stream term
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(slots=True, eq=False, repr=False)
+class App(Node):
     sym: str
     args: tuple
 

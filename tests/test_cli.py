@@ -226,6 +226,25 @@ def test_closed_stdout_exit_fourteen(args):
     assert done.stderr == b""
 
 
+def test_reader_closing_partway_through_a_text_report(tmp_path):
+    """A reader that closes the pipe after the first 64 KiB of a text
+    report of about 24 MB, written line by line as it is rendered."""
+    path = tmp_path / "prefix2000.spec"
+    path.write_text(_prefix_spec(2000))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prodcheck", str(path)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        head = proc.stdout.read(1 << 16)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()  # nothing left to stop once it has exited
+    assert head.startswith(b"-- classification --\n") and len(head) == 1 << 16
+    assert (proc.returncode, err) == (14, b"")
+
+
 def test_reports_byte_stable():
     for name in ("pascal", "ternary_morse_flat", "ternary_morse_pure", "morse_dol", "convolution"):
         first = run_cli([str(spec_path(name))])

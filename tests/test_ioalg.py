@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import pathlib
 import random
+import typing
 
 import pytest
 
-from prodcheck import ioalg
+from prodcheck import ioalg, prodterm, streamspec
 from prodcheck.ioalg import (
     EPSILON,
     TOP,
@@ -26,6 +28,11 @@ T = parse_ioterm
 
 def plus_count(t):
     return interpret(t, TOP)
+
+
+def is_normal(t):
+    """`t` is marked normal, and normalizing an unmarked copy gives `t`."""
+    return t.normal and normalize(IOTerm.of_runs(t.prefix_runs, t.loop_runs)) == t
 
 
 def random_canonical(rng, max_len=6):
@@ -165,7 +172,7 @@ def test_infimum_of_long_loops(s, t):
     """The solver spells each operand out one step per symbol; loops of
     thousands of symbols must not meet the interpreter's recursion limit."""
     got = infimum(s, t)
-    assert got == normalize(got)
+    assert is_normal(got)
     size = len(s.prefix) + len(s.loop)
     for n in list(range(3 * size)) + [TOP]:
         assert interpret(got, n) == min(interpret(s, n), interpret(t, n)), n
@@ -280,7 +287,20 @@ def test_normalize_idempotent():
             "".join(rng.choice("-+") for _ in range(rng.randrange(7))),
         )
         n = normalize(t)
-        assert normalize(n) == n
+        assert is_normal(n) and normalize(n) is n
+
+
+def test_normalize_marks_its_results():
+    """Only `normalize` marks a term normal; a marked term comes back as it
+    is, and the shared constants stay unmarked."""
+    t = IOTerm("+", "-+")
+    assert not t.normal and not IOTerm.of_runs(t.prefix_runs, t.loop_runs).normal
+    n = normalize(t)
+    assert n == T("(+-)") and n.normal and normalize(n) is n and not t.normal
+    assert n == IOTerm("", "+-") and hash(n) == hash(IOTerm("", "+-"))
+    assert not any(c.normal for c in (EPSILON, ioalg._SUCCESSOR, prodterm.PEB_SEQ))
+    assert is_normal(compose(t, T("-(-+)"))) and is_normal(remove_requirement(t))
+    assert not prepend("-", n).normal
 
 
 # --- equality and notation ------------------------------------------------
@@ -499,7 +519,7 @@ def test_pebble_compositions(monkeypatch):
         s = IOTerm(_run_word(rng, 6, 3), loop)
         for outer, inner in ((s, peb), (peb, s)):
             c = compose(outer, inner)
-            assert normalize(c) == c, render(c)
+            assert is_normal(c), render(c)
             for n in list(range(31)) + [TOP]:
                 assert interpret(c, n) == interpret(outer, interpret(inner, n)), (render(outer), render(inner), n)
             assert c == _reference_compose(outer, inner), (render(outer), render(inner))
@@ -576,6 +596,24 @@ def test_no_recursive_functions():
     assert {name: cycle for name, cycle in found.items() if cycle} == {}
     recursive = ast.parse("def f(t):\n    return [f(c) for c in t]\ndef g(t):\n    return h(t)\ndef h(t):\n    return t.g()\n")
     assert _on_cycles(_call_graph(recursive)) == {"f", "g", "h"}
+
+
+def test_term_methods_are_written_in_the_package():
+    """Every production-term and stream-term class takes `__eq__`,
+    `__hash__` and `__repr__` from a function written in a module of the
+    package, never from dataclass code generation, whose methods recurse
+    once per level and which the guard above cannot see."""
+    package = pathlib.Path(ioalg.__file__).parent
+    classes = typing.get_args(prodterm.ProdTerm) + typing.get_args(streamspec.Term)
+    assert len(classes) == 10
+    found = {}
+    for cls in classes:
+        for name in ("__eq__", "__hash__", "__repr__"):
+            code = getattr(getattr(cls, name), "__code__", None)
+            found[cls.__name__, name] = code is not None and pathlib.Path(code.co_filename).parent == package
+    assert found == dict.fromkeys(found, True)
+    generated = dataclasses.dataclass(frozen=True)(type("Frozen", (), {"__annotations__": {"x": int}}))
+    assert generated.__eq__.__code__.co_filename == "<string>"
 
 
 _CACHES = ("cache", "lru_cache")

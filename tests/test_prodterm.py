@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,6 @@ from prodcheck.prodterm import (
     _children,
     _first_redex,
     _rewrite_at,
-    _rule_at,
     collapse,
     collapse_trace,
     gate_apply,
@@ -31,10 +31,40 @@ from conftest import DATA
 T = parse_ioterm
 
 
+def ref_rule_at(t):
+    """The collapse rule whose left-hand side matches at `t`, worked out
+    from the node and its children: the reference for the cached `rule`."""
+    if isinstance(t, Peb):
+        return "peb"
+    if isinstance(t, Box):
+        b = t.body
+        if isinstance(b, Box):
+            return "box-box"
+        if isinstance(b, Meet):
+            return "box-meet"
+        if isinstance(b, Src):
+            return "box-src"
+        return None
+    if isinstance(t, Mu):
+        b = t.body
+        if isinstance(b, Var) and b.name == t.name:
+            return "mu-var"
+        if isinstance(b, Box) and isinstance(b.body, Var) and b.body.name == t.name:
+            return "mu-box"
+        if isinstance(b, Meet):
+            return "mu-meet"
+        if t.name not in b.free_vars:
+            return "mu-drop"
+        return None
+    if isinstance(t, Meet) and isinstance(t.left, Src) and isinstance(t.right, Src):
+        return "meet-src"
+    return None
+
+
 def find_redexes(t, path=()):
     """All redex positions, in preorder, as (path, rule) pairs."""
     found = []
-    rule = _rule_at(t)
+    rule = ref_rule_at(t)
     if rule is not None:
         found.append((path, rule))
     for i, c in enumerate(_children(t)):
@@ -265,7 +295,7 @@ def ref_rewrite_at(t, path, rule):
 
 def ref_first_redex(t, path=()):
     """The recursive search that `_first_redex` replaced."""
-    rule = _rule_at(t)
+    rule = ref_rule_at(t)
     if rule is not None:
         return (path, rule)
     for i, c in enumerate(_children(t)):
@@ -338,7 +368,7 @@ def test_pretty_pascal():
     assert pretty(pascal_term()) == "mu P. peb(peb(box<-(-+)>(P)))"
     assert pretty(Meet(Src(0), Src(TOP))) == "meet(src(0), src(inf))"
     shared = Box(T("-(-+)"), Var("x"))
-    assert pretty_all([Mu("x", Meet(shared, shared)), shared]) == [
+    assert list(pretty_all([Mu("x", Meet(shared, shared)), shared])) == [
         "mu x. meet(box<-(-+)>(x), box<-(-+)>(x))",
         "box<-(-+)>(x)",
     ]
@@ -358,7 +388,7 @@ def test_pretty_all_matches_reference_on_derivations():
         derivations.extend([term for _, term in v.trace] for v in verdicts.values())
     assert sum(map(len, derivations)) > 2000
     for terms in derivations:
-        assert pretty_all(terms) == [_reference_pretty(t) for t in terms]
+        assert list(pretty_all(terms)) == [_reference_pretty(t) for t in terms]
 
 
 def test_pretty_deep_chain():
@@ -390,7 +420,7 @@ def test_pretty_all_renders_each_box_once(monkeypatch):
         return render(seq)
 
     monkeypatch.setattr(prodterm, "render", counting_render)
-    shown = pretty_all(terms)
+    shown = list(pretty_all(terms))
     assert (len(terms), len(calls)) == (802, boxes)
     assert shown[-1] == "src(inf)"
 
@@ -431,6 +461,44 @@ def test_free_vars_cached_per_node_match_walk():
                 checked += 1
                 stack.extend(_children(u))
     assert checked > 10000
+
+
+def test_rule_cached_per_node_matches_reference():
+    """Every node of 3,000 random closed terms, and of every term of the
+    derivations of the specs under tests/data, carries the rule that the
+    reference works out; every rule shows up."""
+    rng = random.Random(29)
+    roots = [random_closed_term(rng, rng.randrange(1, 24)) for _ in range(3000)]
+    for path in sorted(DATA.glob("*.spec")):
+        verdicts, _, _ = decide(parse(path.read_text(), str(path)))
+        roots += [term for v in verdicts.values() for _, term in v.trace]
+    seen, stack, rules = set(), list(roots), Counter()
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            assert u.rule == ref_rule_at(u), pretty(u)
+            rules[u.rule] += 1
+            stack.extend(_children(u))
+    assert len(rules) == 10 and min(rules.values()) > 50, rules
+
+
+def test_deep_terms_compare_hash_and_repr():
+    """`==`, `hash` and `repr` of a 20,000-deep production term walk an
+    explicit stack."""
+    n = 20000
+
+    def term(leaf):
+        t = Box(T("(-+)"), leaf)
+        for _ in range(n):
+            t = Peb(t)
+        return Mu("x", Meet(Src(1), t))
+
+    a, b, c = term(Var("x")), term(Var("x")), term(Var("y"))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != c and not a == c and a != Src(1) and a != "x"
+    assert len({a, b, c}) == 2
+    assert repr(a) == pretty(a) == "mu x. meet(src(1), %sbox<(-+)>(x)%s)" % ("peb(" * n, ")" * n)
 
 
 def test_box_box_composes_long_runs():

@@ -505,6 +505,21 @@ def test_deep_terms_parse_without_recursion():
     assert (depth, t) == (m, App("0", ()))
 
 
+def test_deep_stream_terms_compare_hash_and_repr():
+    """`==`, `hash` and `repr` of 20,000-deep stream terms, a cons chain and
+    a nest of applications, and the hash of a rule holding them, walk an
+    explicit stack."""
+    m = 20000
+    text = "Signature( P : stream(nat), s : nat -> nat, 0 : nat )\nP = %s0%s:%sP\n" % ("s(" * m, ")" * m, "0:" * m)
+    (a,), (b,) = parse(text).stream_rules, parse(text).stream_rules
+    assert a.rhs == b.rhs and a.rhs is not b.rhs and hash(a.rhs) == hash(b.rhs)
+    assert a == b and hash(a) == hash(b)
+    assert a.rhs.head != b.rhs.head.args[0] and a.rhs != a.rhs.tail and a.rhs != "P"
+    assert len({a.rhs, b.rhs, a.rhs.tail}) == 2
+    assert repr(a.rhs) == term_str(a.rhs) == "%s0%s:%sP" % ("s(" * m, ")" * m, "0:" * m)
+    assert repr(Cons(DVar("x"), SVar("s"))) == "x:s" and Cons(DVar("x"), SVar("s")) != Cons(SVar("x"), SVar("s"))
+
+
 def test_wide_patterns_validate():
     """Exhaustiveness, overlap and the witness of a pattern 2,000 elements
     wide, without recursion per element."""

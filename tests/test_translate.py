@@ -203,13 +203,10 @@ def test_translate_constant_of_a_deep_prefix():
     m = 20000
     spec = parse(_prefix_spec(m))
     gates = gates_of(spec)
-    term = translate_constant(spec, gates, "P")
-    assert isinstance(term, Mu) and term.name == "P"
-    t = term.body
-    for _ in range(m):  # walked down: the equality of dataclasses recurses
-        assert isinstance(t, Peb)
-        t = t.body
-    assert t == Box(T("(-+)"), Var("P"))
+    expected = Box(T("(-+)"), Var("P"))
+    for _ in range(m):
+        expected = Peb(expected)
+    assert translate_constant(spec, gates, "P") == Mu("P", expected)
 
 
 # --- decisions ---------------------------------------------------------------
