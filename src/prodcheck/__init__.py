@@ -6,7 +6,6 @@ from .ioalg import (
     IOTerm,
     compose,
     equal_denotation,
-    infimum,
     interpret,
     least_fixed_point,
     normalize,
@@ -15,6 +14,7 @@ from .ioalg import (
     render,
 )
 from .prodterm import Box, Gate, Meet, Mu, Peb, Src, Var, collapse, collapse_trace, gate_apply
+from .solver import infimum
 from .streamspec import parse, validate, classify
 from .translate import decide, translate_constant, translate_symbols
 

@@ -14,7 +14,8 @@ cap below 0 included), reported by argparse's usage message.
 
 `--max-columns` bounds every diagram sweep: the repetition search for each
 variable of the equations' feedback vertex set, the one inside each infimum
-of the IO-term algebra, and, with `--dump-diagram`, the one for each root.
+the solver takes for the other variables, and, with `--dump-diagram`, the
+one for each root.
 """
 
 from __future__ import annotations

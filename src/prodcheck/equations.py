@@ -158,73 +158,69 @@ class CapError(Exception):
 # the equation generator
 
 
-class EquationBuilder:
-    """On-demand right-hand sides of the infinite system for one spec."""
+def _check_translatable(cls: Classification, symbol: str):
+    if cls.symbol_class.get(symbol) == "unfriendly":
+        bad = next(sh for sh in cls.shapes[symbol] if sh.nesting)
+        raise TranslationError("cannot translate %r: unfriendly nesting rule %r" % (symbol, str(bad.rule)))
 
-    def __init__(self, cls: Classification):
-        self.cls = cls
 
-    def _check_translatable(self, symbol: str):
-        klass = self.cls.symbol_class.get(symbol)
-        if klass == "unfriendly":
-            bad = next(sh for sh in self.cls.shapes[symbol] if sh.nesting)
-            raise TranslationError(
-                "cannot translate %r: unfriendly nesting rule %r" % (symbol, str(bad.rule))
-            )
+def rhs(cls: Classification, v) -> IOExpr:
+    """The right-hand side of `v` in the infinite system of the classified
+    specification."""
+    if v == XM:
+        return EEmpty()
+    if v == XP:
+        return EStep("+", EVar(XP))
+    if v == XID:
+        return EStep("-", EStep("+", EVar(XID)))
+    if v[0] == "star":
+        return _star_rhs(cls, v[1])
+    return _arg_rhs(cls, v[1], v[2], v[3])
 
-    def rhs(self, v) -> IOExpr:
-        if v == XM:
-            return EEmpty()
-        if v == XP:
-            return EStep("+", EVar(XP))
-        if v == XID:
-            return EStep("-", EStep("+", EVar(XID)))
-        if v[0] == "star":
-            return self._star_rhs(v[1])
-        return self._arg_rhs(v[1], v[2], v[3])
 
-    def _star_rhs(self, f: str) -> IOExpr:
-        self._check_translatable(f)
-        if not self.cls.guarded[f]:
-            return EVar(XM)
-        parts = []
-        for sh in self.cls.shapes[f]:
-            if sh.nesting:
-                # a nesting rule keeps producing whatever it is fed
-                parts.append(EVar(XID))
-            elif sh.tail_var is not None:
-                parts.append(EVar(XP))
+def _star_rhs(cls: Classification, f: str) -> IOExpr:
+    _check_translatable(cls, f)
+    if not cls.guarded[f]:
+        return EVar(XM)
+    parts = []
+    for sh in cls.shapes[f]:
+        if sh.nesting:
+            # a nesting rule keeps producing whatever it is fed
+            parts.append(EVar(XID))
+        elif sh.tail_var is not None:
+            parts.append(EVar(XP))
+        else:
+            parts.append(steps("+" * sh.produce, EVar(star(sh.callee))))
+    return inf_all(parts)
+
+
+def _arg_rhs(cls: Classification, f: str, i: int, q: int) -> IOExpr:
+    _check_translatable(cls, f)
+    if not cls.guarded[f]:
+        return EVar(XM)
+    parts = []
+    for sh in cls.shapes[f]:
+        if sh.nesting:
+            parts.append(EVar(XID))
+            continue
+        c = sh.consume[i - 1]
+        p = max(c - q, 0)
+        q2 = max(q - c, 0)
+        word = "-" * p + "+" * sh.produce
+        if sh.tail_var is not None:
+            if sh.tail_var == i:
+                body = steps("+" * q2, EVar(XID))
             else:
-                parts.append(steps("+" * sh.produce, EVar(star(sh.callee))))
-        return inf_all(parts)
-
-    def _arg_rhs(self, f: str, i: int, q: int) -> IOExpr:
-        self._check_translatable(f)
-        if not self.cls.guarded[f]:
-            return EVar(XM)
-        parts = []
-        for sh in self.cls.shapes[f]:
-            if sh.nesting:
-                parts.append(EVar(XID))
-                continue
-            c = sh.consume[i - 1]
-            p = max(c - q, 0)
-            q2 = max(q - c, 0)
-            word = "-" * p + "+" * sh.produce
-            if sh.tail_var is not None:
-                if sh.tail_var == i:
-                    body = steps("+" * q2, EVar(XID))
-                else:
-                    body = EVar(XP)
-            else:
-                members = [
-                    EVar(arg(sh.callee, j + 1, q2 + sh.feedback[j]))
-                    for j in range(len(sh.perm))
-                    if sh.perm[j] == i
-                ]
-                body = inf_all(members)
-            parts.append(steps(word, body))
-        return inf_all(parts)
+                body = EVar(XP)
+        else:
+            members = [
+                EVar(arg(sh.callee, j + 1, q2 + sh.feedback[j]))
+                for j in range(len(sh.perm))
+                if sh.perm[j] == i
+            ]
+            body = inf_all(members)
+        parts.append(steps(word, body))
+    return inf_all(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +255,7 @@ def _var_order_key(v):
     return (0, -1, v[0], 0)
 
 
-def finitize(builder: EquationBuilder, roots, cap: int = Caps.finitize_cap) -> IOSpec:
+def finitize(cls: Classification, roots, cap: int = Caps.finitize_cap) -> IOSpec:
     """Materialize the system reachable from `roots`, applying pseudo-cycle
     removal eagerly, lowest supply level first.
 
@@ -305,7 +301,7 @@ def finitize(builder: EquationBuilder, roots, cap: int = Caps.finitize_cap) -> I
     reach(list(roots))
     while missing:
         _, v = heapq.heappop(missing)
-        set_equation(v, builder.rhs(v))
+        set_equation(v, rhs(cls, v))
         if len(eqs) > cap:
             raise CapError("finitization cap exceeded (%d equations)" % cap)
         reach([w for w, _ in expr_vars(eqs[v])])

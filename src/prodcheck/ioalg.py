@@ -15,9 +15,10 @@ demand, by the `prefix` and `loop` properties and by `render`.
 
 Interpreting a sequence gives an increasing step function from input supply
 to output count, with TOP playing the role of infinity on both ends.  All
-operations here (composition, pointwise infimum, requirement removal, least
-fixed point) are exact on that function semantics, and `normalize` computes
-the unique shortest representative of a sequence.
+operations here (composition, requirement removal, least fixed point) are
+exact on that function semantics, and `normalize` computes the unique
+shortest representative of a sequence.  The pointwise infimum of two
+sequences is an equation system, solved in `prodcheck.solver`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-
-from .equations import Caps, EEmpty, EInf, EVar, IOSpec, steps
 
 MINUS = "-"
 PLUS = "+"
@@ -349,28 +348,6 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
             _push(out, MINUS, r_t)
             emitted += r_t
             i_t, r_t = advance(wt, t_loop, i_t)
-
-
-def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.max_columns) -> IOTerm:
-    """Pointwise minimum of the two interpretations, as a canonical term.
-
-    Solves the one-root system X = s /\\ t, where each operand with a loop
-    continues with its own variable L = loop L, so that the solver is the
-    single engine for rational infima; `max_columns` caps its diagram.
-    """
-    from .solver import solve  # solver imports this module
-
-    equations: dict = {}
-
-    def operand(name: tuple, u: IOTerm):
-        if u.finite:
-            return steps(u.prefix, EEmpty())
-        equations[name] = steps(u.loop, EVar(name))
-        return steps(u.prefix, EVar(name))
-
-    root = ("inf",)
-    equations[root] = EInf(operand(("inf", 1), s), operand(("inf", 2), t))
-    return solve(IOSpec(equations, (root,)), root, max_columns=max_columns)
 
 
 def _drop_first_minus(runs: tuple):

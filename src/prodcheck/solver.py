@@ -4,7 +4,8 @@ Only the cyclic part of a system needs the diagram.  A depth-first walk of
 the variable graph from the requested roots takes the targets of its back
 edges as a feedback vertex set F; every other variable's equation is then a
 composition of prepends and infima over values already known, in the walk's
-post-order, and is evaluated with the IO-term algebra (`evaluate`).
+post-order, and is evaluated with the IO-term algebra (`evaluate`); each
+infimum is solved as a small system of its own (`infimum`).
 
 The unique solution for a variable of F is recovered from a trace graph: a
 node per position of every right-hand side, with silent edges for variable
@@ -24,9 +25,9 @@ import heapq
 from dataclasses import dataclass, replace
 
 from .equations import (
-    CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, expr_vars, is_weakly_guarded, var_str,
+    CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, expr_vars, is_weakly_guarded, steps, var_str,
 )
-from .ioalg import EPSILON, TOP, CoNat, IOTerm, infimum, is_top, normalize, prepend
+from .ioalg import EPSILON, TOP, CoNat, IOTerm, is_top, normalize, prepend
 
 
 @dataclass
@@ -311,6 +312,26 @@ def feedback_order(iospec: IOSpec, roots) -> tuple[set, list]:
                 on_stack[v] = False
                 order.append(v)
     return feedback, order
+
+
+def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.max_columns) -> IOTerm:
+    """Pointwise minimum of the two interpretations, as a canonical term.
+
+    Solves the one-root system X = s /\\ t, where each operand with a loop
+    continues with its own variable L = loop L, so that the diagram is the
+    single engine for rational infima; `max_columns` caps its sweep.
+    """
+    equations: dict = {}
+
+    def operand(name: tuple, u: IOTerm):
+        if u.finite:
+            return steps(u.prefix, EEmpty())
+        equations[name] = steps(u.loop, EVar(name))
+        return steps(u.prefix, EVar(name))
+
+    root = ("inf",)
+    equations[root] = EInf(operand(("inf", 1), s), operand(("inf", 2), t))
+    return solve(IOSpec(equations, (root,)), root, max_columns=max_columns)
 
 
 def evaluate(expr, values: dict, max_columns: int = Caps.max_columns) -> IOTerm:

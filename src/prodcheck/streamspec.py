@@ -245,16 +245,10 @@ class StreamSpec:
     signature: Signature
     stream_rules: list
     data_rules: list
+    by_root: dict = field(compare=False, repr=False)  # root symbol -> its rules, in file order
     filename: str = "<input>"
-    # rules per root symbol, indexed on first use; the rules must not change
-    # once it is there
-    by_root: dict = field(default=None, compare=False, repr=False)
 
     def rules_of(self, symbol: str):
-        if self.by_root is None:
-            self.by_root = {}
-            for r in self.stream_rules + self.data_rules:
-                self.by_root.setdefault(r.root, []).append(r)
         return self.by_root.get(symbol, [])
 
 
@@ -567,6 +561,7 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
     concrete = sig.concrete_sorts()
     stream_rules: list = []
     data_rules: list = []
+    by_root: dict = {}
     while True:
         p.skip_newlines()
         if p.peek() is None:
@@ -597,7 +592,8 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
             )
         rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", first.line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
-    return StreamSpec(sig, stream_rules, data_rules, filename)
+        by_root.setdefault(root, []).append(rule)
+    return StreamSpec(sig, stream_rules, data_rules, by_root, filename)
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +774,9 @@ def validate(spec: StreamSpec):
                     Diagnostic("error", "overlapping rules for %r (lines %d and %d)" % (r1.root, r1.line, r2.line), r2.line, 1, spec.filename)
                 )
 
+    for name in sig.stream_constants():
+        if not spec.rules_of(name):
+            diags.append(Diagnostic("error", "stream constant %r has no defining rule" % name, 1, 1, spec.filename))
     for name in sig.stream_functions():
         rules = spec.rules_of(name)
         info = sig.symbols[name]

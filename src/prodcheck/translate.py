@@ -32,13 +32,12 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
     cls = cls or classify(spec)
     caps = caps or Caps()
     functions = spec.signature.stream_functions()
-    builder = eq.EquationBuilder(cls)
     roots = []
     for name in functions:
         info = spec.signature.symbols[name]
         roots.append(eq.star(name))
         roots.extend(eq.arg(name, i, 0) for i in range(1, info.stream_arity + 1))
-    iospec = eq.finitize(builder, roots, cap=caps.finitize_cap)
+    iospec = eq.finitize(cls, roots, cap=caps.finitize_cap)
     # the diagram only for a feedback vertex set; the rest is acyclic over it
     feedback, order = feedback_order(iospec, roots)
     values = {v: solve(iospec, v, max_columns=caps.max_columns) for v in order if v in feedback}

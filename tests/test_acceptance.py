@@ -10,19 +10,18 @@ import random
 import pytest
 
 from prodcheck import dogame
-from prodcheck.equations import EquationBuilder, TranslationError, arg, finitize, star
+from prodcheck.equations import TranslationError, arg, finitize, star
 from prodcheck.ioalg import (
     TOP,
     IOTerm,
     compose,
-    infimum,
     interpret,
     least_fixed_point,
     normalize,
     parse_ioterm,
 )
 from prodcheck.prodterm import Box, Mu, Var, collapse, collapse_trace
-from prodcheck.solver import Diagram, build_graph, solve
+from prodcheck.solver import Diagram, build_graph, infimum, solve
 from prodcheck.streamspec import classify
 from prodcheck.translate import decide, translate_symbols
 
@@ -187,13 +186,12 @@ def _corpus_roots():
     ):
         spec = load(name)
         cls = classify(spec)
-        builder = EquationBuilder(cls)
         roots = []
         for f in spec.signature.stream_functions():
             info = spec.signature.symbols[f]
             roots.append(star(f))
             roots.extend(arg(f, i, 0) for i in range(1, info.stream_arity + 1))
-        iospec = finitize(builder, roots)
+        iospec = finitize(cls, roots)
         for root in roots:
             yield iospec, root
 

@@ -76,6 +76,17 @@ def test_validate_error_exit_eleven(tmp_path):
     assert "overlapping" in err
 
 
+@pytest.mark.parametrize("mode", ["decide", "gates", "oracle-check"])
+def test_rule_less_constant_exit_eleven(mode, tmp_path):
+    """A stream constant without a rule is a validation error in every mode,
+    as a stream function without one is."""
+    bad = tmp_path / "norule.spec"
+    bad.write_text("Signature( P, Q : stream(nat), 0 : nat )\nP = 0:Q\n")
+    code, out, err = run_cli([str(bad), "--mode", mode])
+    assert (code, out) == (11, "")
+    assert err == "%s:1:1: error: stream constant 'Q' has no defining rule\n" % bad
+
+
 UNFRIENDLY_SPEC = (
     "Signature( P : stream(bit), f : stream(bit) -> stream(bit),"
     " g : stream(bit) -> stream(bit), 0, 1 : bit )\n"

@@ -9,7 +9,6 @@ from prodcheck.equations import (
     EInf,
     EStep,
     EVar,
-    EquationBuilder,
     IOSpec,
     TranslationError,
     XID,
@@ -30,13 +29,9 @@ from conftest import load
 from test_translate import random_flat_spec
 
 
-def builder_for(spec):
-    return EquationBuilder(classify(spec))
-
-
 def test_pascal_arg_equation(corpus):
-    b = builder_for(corpus["pascal"])
-    got = b.rhs(arg("f", 1, 0))
+    cls = classify(corpus["pascal"])
+    got = eq.rhs(cls, arg("f", 1, 0))
     want = EInf(
         steps("--+", EVar(arg("f", 1, 1))),
         steps("-++", EVar(arg("f", 1, 0))),
@@ -45,36 +40,36 @@ def test_pascal_arg_equation(corpus):
 
 
 def test_pascal_star_equation(corpus):
-    b = builder_for(corpus["pascal"])
-    assert b.rhs(star("f")) == EInf(steps("+", EVar(star("f"))), steps("++", EVar(star("f"))))
+    cls = classify(corpus["pascal"])
+    assert eq.rhs(cls, star("f")) == EInf(steps("+", EVar(star("f"))), steps("++", EVar(star("f"))))
 
 
 def test_base_equations(corpus):
-    b = builder_for(corpus["pascal"])
-    assert b.rhs(XM) == eq.EEmpty()
-    assert b.rhs(XP) == EStep("+", EVar(XP))
-    assert b.rhs(XID) == EStep("-", EStep("+", EVar(XID)))
+    cls = classify(corpus["pascal"])
+    assert eq.rhs(cls, XM) == eq.EEmpty()
+    assert eq.rhs(cls, XP) == EStep("+", EVar(XP))
+    assert eq.rhs(cls, XID) == EStep("-", EStep("+", EVar(XID)))
 
 
 def test_nested_feedback_equations(corpus):
-    b = builder_for(corpus["nested_fb"])
+    cls = classify(corpus["nested_fb"])
     for q in range(4):
-        assert b.rhs(arg("b", 3, q)) == EStep("+", EVar(arg("b", 2, q + 1)))
-    assert b.rhs(arg("b", 1, 0)) == steps("--+", EVar(arg("b", 3, 1)))
-    assert b.rhs(arg("b", 1, 1)) == steps("-+", EVar(arg("b", 3, 1)))
-    assert b.rhs(arg("b", 1, 3)) == steps("+", EVar(arg("b", 3, 2)))
+        assert eq.rhs(cls, arg("b", 3, q)) == EStep("+", EVar(arg("b", 2, q + 1)))
+    assert eq.rhs(cls, arg("b", 1, 0)) == steps("--+", EVar(arg("b", 3, 1)))
+    assert eq.rhs(cls, arg("b", 1, 1)) == steps("-+", EVar(arg("b", 3, 1)))
+    assert eq.rhs(cls, arg("b", 1, 3)) == steps("+", EVar(arg("b", 3, 2)))
 
 
 def test_unguarded_symbol_maps_to_empty(corpus):
-    b = builder_for(corpus["intro_b"])
-    assert b.rhs(arg("g", 1, 0)) == EVar(XM)
-    assert b.rhs(star("g")) == EVar(XM)
+    cls = classify(corpus["intro_b"])
+    assert eq.rhs(cls, arg("g", 1, 0)) == EVar(XM)
+    assert eq.rhs(cls, star("g")) == EVar(XM)
 
 
 def test_nesting_rule_maps_to_identity(corpus):
-    b = builder_for(corpus["convolution"])
-    assert b.rhs(arg("conv", 1, 0)) == EVar(XID)
-    assert b.rhs(star("conv")) == EVar(XID)
+    cls = classify(corpus["convolution"])
+    assert eq.rhs(cls, arg("conv", 1, 0)) == EVar(XID)
+    assert eq.rhs(cls, star("conv")) == EVar(XID)
 
 
 def test_unfriendly_not_translatable():
@@ -87,28 +82,28 @@ def test_unfriendly_not_translatable():
     g(x:s) = x:g(s)
     """
     spec = parse(text)
-    b = builder_for(spec)
+    cls = classify(spec)
     with pytest.raises(TranslationError):
-        b.rhs(arg("f", 1, 0))
+        eq.rhs(cls, arg("f", 1, 0))
 
 
 def test_finitize_pascal_reachable_set(corpus):
-    b = builder_for(corpus["pascal"])
-    iospec = finitize(b, [arg("f", 1, 0)])
+    cls = classify(corpus["pascal"])
+    iospec = finitize(cls, [arg("f", 1, 0)])
     argvars = {v for v in iospec.equations if v[0] == "arg"}
     assert argvars == {arg("f", 1, 0), arg("f", 1, 1)}
     assert is_weakly_guarded(iospec)
 
 
 def test_finitize_pascal_star(corpus):
-    b = builder_for(corpus["pascal"])
-    iospec = finitize(b, [star("f")])
+    cls = classify(corpus["pascal"])
+    iospec = finitize(cls, [star("f")])
     assert solve(iospec, star("f")) == parse_ioterm("(+)")
 
 
 def test_finitize_rpc_fires_on_nested_example(corpus):
-    b = builder_for(corpus["nested_fb"])
-    iospec = finitize(b, [arg("f", 1, 0)])
+    cls = classify(corpus["nested_fb"])
+    iospec = finitize(cls, [arg("f", 1, 0)])
     assert iospec.equations[arg("b", 3, 0)] == EVar(XP)
     assert iospec.equations[arg("b", 3, 1)] == EVar(XP)
     assert solve(iospec, arg("f", 1, 0)) == parse_ioterm("-+--(+)")
@@ -117,21 +112,20 @@ def test_finitize_rpc_fires_on_nested_example(corpus):
 
 def test_finitize_cap():
     spec = load("nested_fb")
-    b = builder_for(spec)
+    cls = classify(spec)
     with pytest.raises(CapError):
-        finitize(b, [arg("f", 1, 0)], cap=2)
+        finitize(cls, [arg("f", 1, 0)], cap=2)
 
 
 def test_corpus_systems_weakly_guarded(corpus):
     for name, spec in corpus.items():
-        b = builder_for(spec)
         cls = classify(spec)
         roots = []
         for f in spec.signature.stream_functions():
             info = spec.signature.symbols[f]
             roots.append(star(f))
             roots.extend(arg(f, i, 0) for i in range(1, info.stream_arity + 1))
-        iospec = finitize(b, roots)
+        iospec = finitize(cls, roots)
         assert is_weakly_guarded(iospec), name
 
 
@@ -140,24 +134,24 @@ def test_rpc_soundness_against_deep_truncation(corpus):
     system materialized far deeper than any value we inspect."""
     for name in ("nested_fb", "pascal", "traces", "convolution"):
         spec = load(name)
-        b = builder_for(spec)
+        cls = classify(spec)
         for f in spec.signature.stream_functions():
             info = spec.signature.symbols[f]
             for i in range(1, info.stream_arity + 1):
                 root = arg(f, i, 0)
-                solved = solve(finitize(b, [root]), root)
-                deep = _truncate_without_rpc(b, root, qmax=100)
+                solved = solve(finitize(cls, [root]), root)
+                deep = _truncate_without_rpc(cls, root, qmax=100)
                 g = build_graph(deep, root)
                 diagram = Diagram(g)
                 for n in range(40):
                     assert interpret(solved, n) == diagram.bound(n), (name, f, i, n)
 
 
-def _truncate_without_rpc(builder, root, qmax):
+def _truncate_without_rpc(cls, root, qmax):
     """Materialize the raw system breadth-first; references above the q
     ceiling are stubbed with the all-output variable, which only all-'+'
     chains can reach within the inspected range."""
-    eqs = {v: builder.rhs(v) for v in (XM, XP, XID)}
+    eqs = {v: eq.rhs(cls, v) for v in (XM, XP, XID)}
     todo = [root]
     while todo:
         v = todo.pop()
@@ -166,7 +160,7 @@ def _truncate_without_rpc(builder, root, qmax):
         if v[0] == "arg" and v[3] > qmax:
             eqs[v] = EVar(XP)
             continue
-        eqs[v] = builder.rhs(v)
+        eqs[v] = eq.rhs(cls, v)
         for w, _ in eq.expr_vars(eqs[v]):
             if w not in eqs:
                 todo.append(w)
@@ -174,8 +168,8 @@ def _truncate_without_rpc(builder, root, qmax):
 
 
 def test_dump_format(corpus):
-    b = builder_for(corpus["pascal"])
-    iospec = finitize(b, [arg("f", 1, 0)])
+    cls = classify(corpus["pascal"])
+    iospec = finitize(cls, [arg("f", 1, 0)])
     dump = iospec.dump()
     assert "X_{f,1,0} = /\\ { --+X_{f,1,1}, -++X_{f,1,0} }" in dump
 
@@ -226,7 +220,7 @@ def test_rendering_matches_recursive_reference(corpus):
     systems = []
     for name, spec in _finitize_cases(corpus):
         try:
-            systems.append(finitize(builder_for(spec), _all_roots(spec)))
+            systems.append(finitize(classify(spec), _all_roots(spec)))
         except TranslationError:
             continue
     rng = random.Random(27)
@@ -247,7 +241,7 @@ def test_rendering_matches_recursive_reference(corpus):
 
 def test_dump_mu_of_a_long_chain():
     """The mu rendering of a 1,000-function chain nests 1,000 binders."""
-    iospec = finitize(builder_for(_chain(1000)), [arg("f00", 1, 0)])
+    iospec = finitize(classify(_chain(1000)), [arg("f00", 1, 0)])
     text = iospec.dump_mu(arg("f00", 1, 0))
     assert text.count("mu X_") == 1000 and text.endswith("X_{f00,1,0}")
 
@@ -255,7 +249,7 @@ def test_dump_mu_of_a_long_chain():
 # --- incremental finitize against the from-scratch sweep ---------------------
 
 
-def _finitize_reference(builder, roots, cap=100000):
+def _finitize_reference(cls, roots, cap=100000):
     """Pseudo-cycle removal done from scratch: after every new equation,
     rebuild all clean edges and search from every variable, restarting
     after each replacement.  The order of the materialized equations, the
@@ -310,7 +304,7 @@ def _finitize_reference(builder, roots, cap=100000):
         if not missing:
             break
         v = min(missing, key=eq._var_order_key)
-        eqs[v] = builder.rhs(v)
+        eqs[v] = eq.rhs(cls, v)
         if len(eqs) > cap:
             raise CapError("finitization cap exceeded (%d equations)" % cap)
         rpc_sweep()
@@ -328,9 +322,9 @@ def _all_roots(spec):
     return roots
 
 
-def _outcome(fn, builder, roots, **kw):
+def _outcome(fn, cls, roots, **kw):
     try:
-        return list(fn(builder, roots, **kw).equations.items())
+        return list(fn(cls, roots, **kw).equations.items())
     except CapError as exc:
         return (type(exc), str(exc))
 
@@ -379,16 +373,16 @@ def _finitize_cases(corpus):
 def test_finitize_matches_from_scratch_sweep(corpus):
     replaced = 0
     for name, spec in _finitize_cases(corpus):
-        b = builder_for(spec)
+        cls = classify(spec)
         roots = _all_roots(spec)
-        want = _outcome(_finitize_reference, b, roots)
-        assert _outcome(finitize, b, roots) == want, name
+        want = _outcome(_finitize_reference, cls, roots)
+        assert _outcome(finitize, cls, roots) == want, name
         for cap in range(6):
-            assert _outcome(finitize, b, roots, cap=cap) == _outcome(
-                _finitize_reference, b, roots, cap=cap
+            assert _outcome(finitize, cls, roots, cap=cap) == _outcome(
+                _finitize_reference, cls, roots, cap=cap
             ), (name, cap)
         if isinstance(want, list):
-            replaced += sum(1 for v, e in want if e == EVar(XP) and b.rhs(v) != e)
+            replaced += sum(1 for v, e in want if e == EVar(XP) and eq.rhs(cls, v) != e)
     assert replaced > 0  # the cases exercise pseudo-cycle removal
 
 
@@ -461,7 +455,7 @@ def test_weakly_guarded_matches_colour_search(corpus):
     assert outcomes == {True, False}
     for name, spec in _finitize_cases(corpus):
         try:
-            iospec = finitize(builder_for(spec), _all_roots(spec))
+            iospec = finitize(classify(spec), _all_roots(spec))
         except TranslationError:
             continue
         assert is_weakly_guarded(iospec) == _weakly_guarded_reference(iospec), name

@@ -1,0 +1,167 @@
+"""Source guards over every module of the package."""
+
+import ast
+import dataclasses
+import pathlib
+import typing
+
+from prodcheck import ioalg, prodterm, streamspec
+
+SOURCES = sorted(pathlib.Path(ioalg.__file__).parent.glob("*.py"))
+
+
+def test_no_assert_statements():
+    """Guards must hold under `python -O` too, which drops assert
+    statements, so every module raises explicitly."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _call_graph(tree):
+    """Function name -> names it calls, nested functions included in their
+    parents' calls; a call through `super()` is left out."""
+    calls: dict = {}
+    todo = [tree]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = calls.setdefault(node.name, set())
+                for sub in ast.walk(node):
+                    f = sub.func if isinstance(sub, ast.Call) else None
+                    if isinstance(f, ast.Name):
+                        names.add(f.id)
+                    elif isinstance(f, ast.Attribute):
+                        via_super = isinstance(f.value, ast.Call) and getattr(f.value.func, "id", None) == "super"
+                        if not via_super:
+                            names.add(f.attr)
+            todo.append(node)
+    return calls
+
+
+def _on_cycles(calls):
+    cyclic = set()
+    for start in calls:
+        seen, todo = set(), [start]
+        while todo:
+            for w in calls.get(todo.pop(), ()):
+                if w in calls and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if start in seen:
+            cyclic.add(start)
+    return cyclic
+
+
+def test_no_recursive_functions():
+    """No function of the package calls itself, directly or through others
+    of its module (matched by name), so nesting depth is bounded by caps
+    and never by the interpreter's recursion limit."""
+    found = {path.name: sorted(_on_cycles(_call_graph(ast.parse(path.read_text(encoding="utf-8"))))) for path in SOURCES}
+    assert {name: cycle for name, cycle in found.items() if cycle} == {}
+    recursive = ast.parse("def f(t):\n    return [f(c) for c in t]\ndef g(t):\n    return h(t)\ndef h(t):\n    return t.g()\n")
+    assert _on_cycles(_call_graph(recursive)) == {"f", "g", "h"}
+
+
+def test_term_methods_are_written_in_the_package():
+    """Every production-term and stream-term class takes `__eq__`,
+    `__hash__` and `__repr__` from a function written in a module of the
+    package, never from dataclass code generation, whose methods recurse
+    once per level and which the guard above cannot see."""
+    package = pathlib.Path(ioalg.__file__).parent
+    classes = typing.get_args(prodterm.ProdTerm) + typing.get_args(streamspec.Term)
+    assert len(classes) == 10
+    found = {}
+    for cls in classes:
+        for name in ("__eq__", "__hash__", "__repr__"):
+            code = getattr(getattr(cls, name), "__code__", None)
+            found[cls.__name__, name] = code is not None and pathlib.Path(code.co_filename).parent == package
+    assert found == dict.fromkeys(found, True)
+    generated = dataclasses.dataclass(frozen=True)(type("Frozen", (), {"__annotations__": {"x": int}}))
+    assert generated.__eq__.__code__.co_filename == "<string>"
+
+
+_CACHES = ("cache", "lru_cache")
+
+
+def _cache_uses(tree, allowed=()):
+    """Lines that name functools.cache or lru_cache, outside the decorators
+    of the functions named in `allowed`."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in allowed:
+            exempt.update(id(sub) for d in node.decorator_list for sub in ast.walk(d))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in _CACHES and getattr(node.value, "id", None) == "functools":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name in _CACHES]
+    return sorted(found)
+
+
+def test_no_cache_outlives_an_analysis():
+    """Every operation is pure and keeps no state between analyses: a memo
+    lives in one call.  Only the argument parser, the same for every
+    command line, is cached."""
+    found = {}
+    for path in SOURCES:
+        allowed = ("_build_parser",) if path.name == "cli.py" else ()
+        lines = _cache_uses(ast.parse(path.read_text(encoding="utf-8")), allowed)
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+    cli = ast.parse((pathlib.Path(ioalg.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    assert len(_cache_uses(cli)) == 1
+    cached = ast.parse("import functools\n@functools.lru_cache(None)\ndef f(x):\n    return x\nfrom functools import cache\n")
+    assert _cache_uses(cached) == [2, 5]
+
+
+def _imported_modules(tree, modules):
+    """The names in `modules`, the package's modules, that the tree imports
+    anywhere: as `from . import m`, `from .m import x`, or the same spelled
+    from `prodcheck`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names = [base + "." + alias.name for alias in node.names] if base in (".", "prodcheck") else [base]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            module = name.rpartition(".")[2]
+            if name.startswith((".", "prodcheck.")) and module in modules:
+                found.add(module)
+    return found
+
+
+def test_imports_sit_at_module_level():
+    """An import inside a function hides a dependency from the module's
+    head, and with it any cycle it closes."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert found == []
+
+
+def test_module_imports_are_one_way():
+    """The modules of the package import one another without a cycle, so
+    each layer builds only on the ones below it."""
+    modules = {path.stem for path in SOURCES}
+    imports = {path.stem: _imported_modules(ast.parse(path.read_text(encoding="utf-8")), modules) for path in SOURCES}
+    assert imports["ioalg"] == set()
+    assert _on_cycles(imports) == set()
+    sample = ast.parse("from . import a, f\nfrom .b import x\nimport prodcheck.c, re\ndef f():\n    from prodcheck.d import y\n")
+    assert _imported_modules(sample, {"a", "b", "c", "d", "re"}) == {"a", "b", "c", "d"}

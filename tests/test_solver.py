@@ -13,7 +13,7 @@ from prodcheck.equations import (
     is_weakly_guarded,
     steps,
 )
-from prodcheck.ioalg import TOP, infimum, interpret, parse_ioterm, render
+from prodcheck.ioalg import TOP, interpret, parse_ioterm, render
 from prodcheck.solver import (
     Diagram,
     _position,
@@ -22,6 +22,7 @@ from prodcheck.solver import (
     build_graph,
     evaluate,
     feedback_order,
+    infimum,
     solve,
 )
 
@@ -145,23 +146,21 @@ def test_columns_identity():
 
 
 def test_columns_pascal(corpus):
-    from prodcheck.equations import EquationBuilder, arg, finitize
+    from prodcheck.equations import arg, finitize
     from prodcheck.streamspec import classify
 
     spec = corpus["pascal"]
-    b = EquationBuilder(classify(spec))
-    iospec = finitize(b, [arg("f", 1, 0)])
+    iospec = finitize(classify(spec), [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
     assert [Diagram(g).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
 
 
 def test_bound_matches_nested_solution(corpus):
-    from prodcheck.equations import EquationBuilder, arg, finitize
+    from prodcheck.equations import arg, finitize
     from prodcheck.streamspec import classify
 
     spec = corpus["nested_fb"]
-    b = EquationBuilder(classify(spec))
-    iospec = finitize(b, [arg("f", 1, 0)])
+    iospec = finitize(classify(spec), [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
     expect = parse_ioterm("-+--(+)")
     for n in range(6):

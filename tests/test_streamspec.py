@@ -290,7 +290,10 @@ def ref_parse(text, filename="<input>"):
                 )
         rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", first.line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
-    return StreamSpec(sig, stream_rules, data_rules, filename)
+    by_root = {}
+    for rule in stream_rules + data_rules:
+        by_root.setdefault(rule.root, []).append(rule)
+    return StreamSpec(sig, stream_rules, data_rules, by_root, filename)
 
 
 def ref_missing_vector(rows, col_sorts, by_sort):
@@ -375,6 +378,7 @@ def test_front_end_matches_recursive_reference():
         assert spec.signature.order == want.signature.order, text
         assert spec.stream_rules == want.stream_rules, text
         assert spec.data_rules == want.data_rules, text
+        assert spec.by_root == want.by_root, text
         parsed += 1
         sig = spec.signature
         by_sort = _constructors_of(spec)
