@@ -9,7 +9,10 @@ assignment the adversary may commit to, taking the worst outcome.
 Both games are played by one search on an explicit stack, `_game_value`:
 a function game offers the adversary every rule at every state and may
 expand `_FUNCTION_EXPANSIONS` states; a constant's games offer one committed
-rule per symbol and share the `step_cap` of `do_low_constant`.  Under one
+rule per symbol and share the `step_cap` of `do_low_constant`.  Feedback
+makes supplies grow along a path, so states seldom repeat exactly; a state
+dominated by an open frame of its symbol, with supplies at least as large
+in every argument, closes a cycle there (the Karp-Miller cut).  Under one
 committed assignment a walk is a single path, so the Kleene rounds of a
 constant reuse the states earlier rounds settled instead of walking them
 again.  A reused state is charged the expansions its walk spent, so reuse
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import lt
+from operator import le, lt
 
 from .equations import Caps
 from .streamspec import Classification, Cons, StreamSpec, SVar, reachable_symbols
@@ -54,6 +57,19 @@ def _as_result(lo, exact, prod_cap):
     return AtLeast(int(min(lo, prod_cap)))
 
 
+def _dominated(own, ns):
+    """Depth of the deepest open frame in `own` whose supplies are <= ns in
+    every argument, or -1.  A tuple <= ns pointwise is also <= ns in
+    lexicographic order, which the interpreter checks in C before the
+    pointwise test; the running minimum of the newest frame rejects most
+    misses without a scan."""
+    if all(map(le, own[-1][2], ns)):
+        for sup, depth, _ in reversed(own):
+            if sup <= ns and all(map(le, sup, ns)):
+                return depth
+    return -1
+
+
 def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
     """Least remaining production from state (f, supplies tuple); (lo, exact).
 
@@ -61,12 +77,19 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
     `shapes_of(g)` at every state (g, supplies): a shape whose pattern wants
     more than some supply strands the term (value 0); a shape continuing
     with a plain argument tail pays out that argument's leftover; a
-    recursive tail is followed with updated supplies.  A state met again on
-    the stack closes a cycle: without output since its entry the adversary
-    loops forever (0), with output it pumps past any bound.  A state whose
-    value depends on no state below it is memoized.  Every expansion spends
-    one unit of `budget[0]`, which callers may share; past the budget or
-    `prod_cap` output the value is an inexact lower bound.
+    recursive tail is followed with updated supplies.  A state (g, ns')
+    dominated by an open frame (g, ns), ns <= ns' in every argument, closes
+    a cycle at the deepest such frame: without output since that frame the
+    adversary repeats the same rules forever (0); with output, the branch
+    gets the inexact bound of a pump past `prod_cap`.  The cut is sound
+    because a state's value never decreases as its supplies grow: a rule
+    enabled at ns is still enabled at ns' and hands its callee supplies at
+    least as large, and a rule that strands at ns gives 0 there.  So a
+    pumping branch, its output plus the value at ns', is never the frame's
+    minimum, the argument that an exact repeat (ns = ns') rests on.  A state
+    whose value depends on no state below it is memoized.  Every expansion
+    spends one unit of `budget[0]`, which callers may share; past the budget
+    or `prod_cap` output the value is an inexact lower bound.
 
     `settled` may be given only when every symbol has one shape.  A walk is
     then one path, the same from a state whichever call reaches it, and the
@@ -75,10 +98,13 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
     output above entry).  A state is taken from the table, and its
     expansions charged to the budget, only where expanding it again would
     hit neither `prod_cap` nor the budget, so results and budget use equal
-    those of a search without the table.
+    those of a search without the table.  Reuse stays so under the cut: if
+    a settled state's path reached a state dominating a frame above it, the
+    path would repeat from there, dominate its own start and close a cycle
+    at or below the settled state.
     """
     memo: dict = {}
-    on_stack: dict = {}  # state -> depth of its frame
+    opened: dict = {}  # symbol -> its open frames, [(supplies, depth, pointwise min of supplies so far)]
     frames: list = []  # [state, acc, branches, calls left, dep, output of the open call]
     starts: list = []  # with `settled`: budget[0] as each frame was expanded
     top = 0  # with `settled`: output at the deepest state reached so far
@@ -88,8 +114,7 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
         res = None  # (lo, exact, shallowest stack depth it depends on)
         if state in memo:
             res = memo[state]
-        elif state in on_stack:
-            entry_depth = on_stack[state]
+        elif (own := opened.get(g)) and own[-1][2] <= ns and (entry_depth := _dominated(own, ns)) >= 0:
             if acc == frames[entry_depth][1]:
                 res = (0, True, entry_depth)  # silent cycle: loop forever
             else:
@@ -111,7 +136,11 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
                 starts.append(budget[0])
                 top = acc
             budget[0] -= 1
-            on_stack[state] = len(frames)
+            own = opened.setdefault(g, [])
+            low = ns  # pointwise min of the supplies of g's open frames, ns while they shrink
+            if own and not (ns <= own[-1][2] and all(map(le, ns, own[-1][2]))):
+                low = tuple(map(min, own[-1][2], ns))
+            own.append((ns, len(frames), low))
             branches, calls = [], []
             for sh in reversed(shapes_of(g)):  # calls pop off in rule order
                 if any(map(lt, ns, sh.consume)):  # some supply runs short
@@ -136,7 +165,7 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
                 acc += produce
                 break  # expand the callee state (g, ns)
             frames.pop()
-            del on_stack[state]
+            opened[state[0]].pop()
             lo, exact = branches[0] if len(branches) == 1 else _combine_min(branches)
             if dep >= len(frames):  # no live dependency below this frame
                 res = memo[state] = (lo, exact, _INF_DEP)

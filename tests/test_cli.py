@@ -14,6 +14,7 @@ from prodcheck.cli import main
 from prodcheck.equations import CapError, Caps
 
 from conftest import CORPUS, spec_path
+from test_dogame import PSEUDO_CYCLE_SEEDS
 from test_solver import _chain_spec
 from test_translate import _prefix_spec, random_flat_spec, ring_spec
 
@@ -414,7 +415,8 @@ def test_usage_error_exit_code_from_command_line():
 
 @pytest.mark.parametrize("seed", [26, 50])
 def test_oracle_check_answers_deep_games(seed, tmp_path):
-    """The function games of these specs run thousands of states deep; the
+    """Without the dominance cut, the function games of these specs ran
+    10,000 and 5,000 states deep; with it they close within 5 states.  The
     oracle answers within its caps instead of ending in exit 13."""
     p = tmp_path / "deep_game.spec"
     p.write_text(random_flat_spec(random.Random(seed), max_feedback=2))
@@ -433,3 +435,36 @@ def test_oracle_check_agrees_on_generated_specs(tmp_path):
         code, out, err = run_cli([str(p), "--mode", "oracle-check"])
         assert (code, err) == (0, ""), seed
         assert "MISMATCH" not in out, seed
+
+
+def test_oracle_check_sweeps_generated_specs_with_two_feedback(tmp_path):
+    """With two elements of feedback per argument every oracle check ends in
+    a verdict, and exactly the pseudo-cycle seeds report a mismatch."""
+    p = tmp_path / "generated.spec"
+    mismatched = set()
+    for seed in range(300):
+        p.write_text(random_flat_spec(random.Random(seed), max_feedback=2))
+        code, out, err = run_cli([str(p), "--mode", "oracle-check"])
+        assert code in (0, 1) and err == "", (seed, code, err)
+        assert (code == 1) == ("MISMATCH" in out), seed
+        if code == 1:
+            mismatched.add(seed)
+    assert mismatched == PSEUDO_CYCLE_SEEDS
+
+
+def test_oracle_check_pins_pseudo_cycle():
+    """Pseudo-cycle removal gives `f0` the gate `-(+)`, where the game gives
+    n-1 at supply n (ROADMAP item 1).  The mismatch lines stay pinned until
+    that is mended."""
+    code, out, err = run_cli([str(spec_path("pseudo_cycle")), "--mode", "oracle-check"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "f0(1,) : gate inf vs game 0",
+        "f0(2,) : gate inf vs game 1",
+        "f0(3,) : gate inf vs game 2",
+        "f0(4,) : gate inf vs game 3",
+        "f0 : MISMATCH",
+        "f1 : gate agrees with game",
+        "C0 : production inf vs game 0 : MISMATCH",
+        "C1 : production inf vs game 1 : MISMATCH",
+    ]
