@@ -267,19 +267,21 @@ def finitize(cls: Classification, roots, cap: int = Caps.finitize_cap) -> IOSpec
     """
     roots = tuple(roots)
     eqs: dict = {}
+    names: dict = {}  # var -> the variables its equation names, left to right
     clean: dict = {}  # var -> variables occurring clean in its equation
     clean_rev: dict = {}  # var -> variables whose equation has it clean
     seen: set = set()  # reachable from the roots
     missing: list = []  # heap of (order key, var): reachable, no equation yet
 
-    def reach(todo):
+    def reach(starts):
+        todo = list(starts)
         while todo:
             v = todo.pop()
             if v in seen:
                 continue
             seen.add(v)
             if v in eqs:
-                todo.extend(w for w, _ in expr_vars(eqs[v]))
+                todo += names[v]
             else:
                 heapq.heappush(missing, (_var_order_key(v), v))
 
@@ -287,7 +289,9 @@ def finitize(cls: Classification, roots, cap: int = Caps.finitize_cap) -> IOSpec
         for w in clean.get(v, ()):
             clean_rev[w].discard(v)
         eqs[v] = e
-        clean[v] = {w for w, is_clean in expr_vars(e) if is_clean}
+        occurrences = list(expr_vars(e))
+        names[v] = [w for w, _ in occurrences]
+        clean[v] = {w for w, is_clean in occurrences if is_clean}
         for w in clean[v]:
             clean_rev.setdefault(w, set()).add(v)
 
@@ -298,13 +302,13 @@ def finitize(cls: Classification, roots, cap: int = Caps.finitize_cap) -> IOSpec
             for w in reachable((v,), lambda w: clean.get(w, ()))
         )
 
-    reach(list(roots))
+    reach(roots)
     while missing:
         _, v = heapq.heappop(missing)
         set_equation(v, rhs(cls, v))
         if len(eqs) > cap:
             raise CapError("finitization cap exceeded (%d equations)" % cap)
-        reach([w for w, _ in expr_vars(eqs[v])])
+        reach(names[v])
         # star, X_+, X_- and X_id equations have clean edges only to variables
         # that are not argument variables, and so do those variables' own
         # equations: no path through them reaches an argument variable, so
@@ -321,7 +325,7 @@ def finitize(cls: Classification, roots, cap: int = Caps.finitize_cap) -> IOSpec
         if replaced:
             seen.clear()
             missing.clear()
-            reach(list(roots))
+            reach(roots)
 
     kept = {v: e for v, e in eqs.items() if v in seen}
     ordered = dict(sorted(kept.items(), key=lambda kv: _var_order_key(kv[0])))

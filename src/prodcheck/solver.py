@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass, replace
 
 from .equations import (
-    CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, expr_vars, is_weakly_guarded, steps, var_str,
+    CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, is_weakly_guarded, steps, var_str,
 )
 from .ioalg import EPSILON, TOP, CoNat, IOTerm, is_top, normalize, prepend
 
@@ -37,6 +37,7 @@ class TraceGraph:
     out_plus: list
     out_minus: list
     heads: dict  # var -> node id of the top position of its right-hand side
+    refs: dict  # var -> the variables its right-hand side names, in preorder
     root: int | None = None
 
     @property
@@ -50,15 +51,19 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
     One preorder walk per right-hand side numbers its positions, so a
     node's first child is the next node; an infimum's right child is linked
     when the walk reaches it, a variable reference once every head is known.
+    The walk also lists the variables each right-hand side names, left to
+    right, as `refs`.
     """
     nodes: list = []
     eps: list = []
     out_plus: list = []
     out_minus: list = []
     heads: dict = {}
-    refs: list = []  # (node id, variable) of every reference, in node order
+    refs: dict = {}
+    links: list = []  # (node id, variable) of every reference, in node order
     for var, expr in iospec.equations.items():
         heads[var] = len(nodes)
+        named = refs[var] = []
         todo = [(expr, None, None)]
         while todo:
             e, parent, digit = todo.pop()
@@ -70,7 +75,8 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
             if digit == 2:
                 eps[parent].append(nid)
             if isinstance(e, EVar):
-                refs.append((nid, e.var))
+                links.append((nid, e.var))
+                named.append(e.var)
             elif isinstance(e, EStep):
                 (out_minus if e.sym == "-" else out_plus)[nid].append(nid + 1)
                 todo.append((e.body, nid, 1))
@@ -79,14 +85,14 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
                 todo += ((e.right, nid, 2), (e.left, nid, 1))
             else:  # the end of the sequence: production freezes, inputs are ignored
                 out_minus[nid].append(nid)
-    for nid, v in refs:
+    for nid, v in links:
         if v not in heads:
             raise TranslationError("undefined variable %s" % (v,))
         eps[nid].append(heads[v])
 
     if not is_weakly_guarded(iospec):
         raise TranslationError("silent cycle: system is not weakly guarded")
-    return TraceGraph(nodes, eps, out_plus, out_minus, heads)
+    return TraceGraph(nodes, eps, out_plus, out_minus, heads, refs)
 
 
 def _position(g: TraceGraph, node: int) -> str:
@@ -100,14 +106,22 @@ def _position(g: TraceGraph, node: int) -> str:
     return "".join(reversed(digits)) or "e"
 
 
-def build_graph(iospec: IOSpec, root) -> TraceGraph:
-    """The system's trace graph rooted at `root`.  The graph is built and
-    checked once per system and kept on the `IOSpec`; every root shares it."""
+def _shared_graph(iospec: IOSpec, root) -> TraceGraph:
+    """The system's trace graph, without a root, once `root` is checked.
+    The graph is built and checked once per system and kept on the
+    `IOSpec`."""
     if root not in iospec.equations:
         raise TranslationError("root %r has no equation" % (root,))
     if iospec.graph is None:
         iospec.graph = _system_graph(iospec)
-    return replace(iospec.graph, root=iospec.graph.heads[root])
+    return iospec.graph
+
+
+def build_graph(iospec: IOSpec, root) -> TraceGraph:
+    """The system's trace graph rooted at `root`; every root shares the
+    graph of `_shared_graph`."""
+    g = _shared_graph(iospec, root)
+    return replace(g, root=g.heads[root])
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +294,14 @@ def feedback_order(iospec: IOSpec, roots) -> tuple[set, list]:
     those variables in an order where each one not in F comes after every
     variable its equation names that is not in F.
 
-    The system is checked first, as `build_graph` checks it for `solve`.
-    Then one depth-first walk takes the targets of back edges as F (every
-    cycle holds a back edge) and lists the variables in post-order.
+    Each root is checked first, in order, and the system with the first
+    one, by `_shared_graph` as for `solve`.  Then one depth-first walk over
+    the graph's `refs` takes the targets of back edges as F (every cycle
+    holds a back edge) and lists the variables in post-order.  With no
+    roots, no graph is built.
     """
     for root in roots:
-        build_graph(iospec, root)
-
-    def successors(v):
-        return (w for w, _ in expr_vars(iospec.equations[v]))
+        refs = _shared_graph(iospec, root).refs
 
     feedback: set = set()
     order: list = []
@@ -297,13 +310,13 @@ def feedback_order(iospec: IOSpec, roots) -> tuple[set, list]:
         if root in on_stack:
             continue
         on_stack[root] = True
-        stack = [(root, successors(root))]
+        stack = [(root, iter(refs[root]))]
         while stack:
             v, pending = stack[-1]
             for w in pending:
                 if w not in on_stack:
                     on_stack[w] = True
-                    stack.append((w, successors(w)))
+                    stack.append((w, iter(refs[w])))
                     break
                 if on_stack[w]:
                     feedback.add(w)

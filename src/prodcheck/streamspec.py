@@ -12,14 +12,16 @@ Input files declare a two-layer signature, then one rewrite rule per line:
 
 `--` starts a line comment, `:` is the right-associative stream cons and
 binds looser than application, and any identifier not declared in the
-signature is a variable whose sort is inferred from its position.
+signature is a variable whose sort is inferred from its position.  Only
+"\\n", "\\r\\n" and "\\r" end a line: form feed, vertical tab and the
+other characters at which `str.splitlines()` ends one are whitespace, inside
+a comment too.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -48,36 +50,46 @@ class ParseError(Exception):
 
 _PUNCT = {"(": "LP", ")": "RP", ",": "COMMA", ":": "COLON", "=": "EQ"}
 
-# one alternative per token class; the last one is any other character, an
-# error.  `[\w']` and `\S` agree with `str.isalnum()` plus `_'` and with
-# `str.isspace()` on every code point (the tests check this).
-_TOKEN = re.compile(r"(->)|([(),:=])|([\w']+)|(\S)")
+# the whitespace in front of a token, then one alternative per token class;
+# the last one is any other character, an error.  `[\w']` and `\S` agree
+# with `str.isalnum()` plus `_'` and with `str.isspace()` on every code point
+# (the tests check this).
+_TOKEN = re.compile(r"(\s*)(?:(->)|([(),:=])|([\w']+)|(\S))")
 
 
-class Tok(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+def _tokenize(text: str, filename: str) -> list:
+    """The tokens of `text` as plain `(kind, value, line, col)` tuples, line
+    and column 1-based, with an `NL` token at the end of every line.
 
-
-def _tokenize(text: str, filename: str):
+    Only "\\n", "\\r\\n" and "\\r" end a line (`str.splitlines()` also ends
+    one at form feed and the other separators, even inside a comment).  One
+    `findall` per line yields each token with the whitespace in front of it,
+    so a column is a running sum; trailing whitespace is stripped first, or
+    the pattern would retry it at every position.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # after the last line's end, or an empty text
     tokens = []
     append = tokens.append
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("--", 1)[0]
-        for m in _TOKEN.finditer(line):
-            group = m.lastindex
-            value = m.group(group)
-            if group == 3:
-                append(Tok("IDENT", value, lineno, m.start() + 1))
-            elif group == 2:
-                append(Tok(_PUNCT[value], value, lineno, m.start() + 1))
-            elif group == 1:
-                append(Tok("ARROW", value, lineno, m.start() + 1))
+    punct = _PUNCT
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("--", 1)[0]
+        col = 1
+        for space, arrow, sym, ident, other in _TOKEN.findall(line.rstrip()):
+            col += len(space)
+            if ident:
+                append(("IDENT", ident, lineno, col))
+                col += len(ident)
+            elif sym:
+                append((punct[sym], sym, lineno, col))
+                col += 1
+            elif arrow:
+                append(("ARROW", arrow, lineno, col))
+                col += 2
             else:
-                raise ParseError(Diagnostic("error", "unexpected character %r" % value, lineno, m.start() + 1, filename))
-        append(Tok("NL", "", lineno, len(line) + 1))
+                raise ParseError(Diagnostic("error", "unexpected character %r" % other, lineno, col, filename))
+        append(("NL", "", lineno, len(line) + 1))
     return tokens
 
 
@@ -257,6 +269,8 @@ class StreamSpec:
 
 
 class _Parser:
+    """A cursor over the token list; a token is `(kind, value, line, col)`."""
+
     def __init__(self, tokens, filename):
         self.toks = tokens
         self.i = 0
@@ -265,6 +279,10 @@ class _Parser:
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
 
+    def at(self, kind) -> bool:
+        """Whether the next token is of `kind`."""
+        return self.i < len(self.toks) and self.toks[self.i][0] == kind
+
     def next(self):
         tok = self.peek()
         if tok is not None:
@@ -272,33 +290,36 @@ class _Parser:
         return tok
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek() or Tok("EOF", "", 0, 0)
-        raise ParseError(Diagnostic("error", message, tok.line, tok.col, self.filename))
+        _, _, line, col = tok or self.peek() or ("EOF", "", 0, 0)
+        raise ParseError(Diagnostic("error", message, line, col, self.filename))
 
     def expect(self, kind, what):
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            self.fail("expected %s" % what, tok)
-        return self.next()
+        if not self.at(kind):
+            self.fail("expected %s" % what)
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def skip_newlines(self):
-        while self.peek() is not None and self.peek().kind == "NL":
-            self.next()
+        toks, i = self.toks, self.i
+        end = len(toks)
+        while i < end and toks[i][0] == "NL":
+            i += 1
+        self.i = i
 
 
 def _parse_sort(p: _Parser):
-    tok = p.expect("IDENT", "a sort")
-    if tok.value == "stream":
+    name = p.expect("IDENT", "a sort")[1]
+    if name == "stream":
         p.expect("LP", "'('")
-        param = p.expect("IDENT", "a sort name")
+        param = p.expect("IDENT", "a sort name")[1]
         p.expect("RP", "')'")
-        return StreamSort(param.value)
-    return DataSort(tok.value)
+        return StreamSort(param)
+    return DataSort(name)
 
 
 def _parse_type(p: _Parser):
     sorts = [_parse_sort(p)]
-    while p.peek() is not None and p.peek().kind == "ARROW":
+    while p.at("ARROW"):
         p.next()
         p.skip_newlines()
         sorts.append(_parse_sort(p))
@@ -310,7 +331,7 @@ def _parse_signature(p: _Parser) -> Signature:
     head = p.peek()
     if head is None:
         p.fail("no stream constant declared")
-    if head.kind != "IDENT" or head.value != "Signature":
+    if head[:2] != ("IDENT", "Signature"):
         p.fail("expected 'Signature('")
     p.next()
     p.expect("LP", "'('")
@@ -318,18 +339,17 @@ def _parse_signature(p: _Parser) -> Signature:
     order: list = []
     while True:
         p.skip_newlines()
-        if p.peek() is not None and p.peek().kind == "RP":
+        if p.at("RP"):
             p.next()
             break
         names = [p.expect("IDENT", "a symbol name")]
-        while p.peek() is not None and p.peek().kind == "COMMA":
+        while p.at("COMMA"):
             save = p.i
             p.next()
             p.skip_newlines()
-            nxt = p.peek()
-            after = p.toks[p.i + 1] if p.i + 1 < len(p.toks) else None
+            after = p.toks[p.i + 1][0] if p.i + 1 < len(p.toks) else None
             # a comma continues the name list only when 'name :' or 'name ,' follows
-            if nxt is not None and nxt.kind == "IDENT" and after is not None and after.kind in ("COLON", "COMMA"):
+            if p.at("IDENT") and after in ("COLON", "COMMA"):
                 names.append(p.next())
                 continue
             p.i = save
@@ -339,22 +359,23 @@ def _parse_signature(p: _Parser) -> Signature:
         sorts = _parse_type(p)
         arg_sorts, result = tuple(sorts[:-1]), sorts[-1]
         for tok in names:
-            if tok.value in symbols:
-                p.fail("redeclaration of %r" % tok.value, tok)
+            name = tok[1]
+            if name in symbols:
+                p.fail("redeclaration of %r" % name, tok)
             if isinstance(result, StreamSort):
                 streams = [s for s in arg_sorts if isinstance(s, StreamSort)]
                 datas = [s for s in arg_sorts if isinstance(s, DataSort)]
                 if streams and tuple(arg_sorts[: len(streams)]) != tuple(streams):
-                    p.fail("stream arguments of %r must precede data arguments" % tok.value, tok)
+                    p.fail("stream arguments of %r must precede data arguments" % name, tok)
                 kind = "func" if streams else "const"
             else:
                 if any(isinstance(s, StreamSort) for s in arg_sorts):
-                    p.fail("data symbol %r cannot take stream arguments" % tok.value, tok)
+                    p.fail("data symbol %r cannot take stream arguments" % name, tok)
                 kind = "data"
-            symbols[tok.value] = SymbolInfo(tok.value, kind, tuple(arg_sorts), result)
-            order.append(tok.value)
+            symbols[name] = SymbolInfo(name, kind, tuple(arg_sorts), result)
+            order.append(name)
         p.skip_newlines()
-        if p.peek() is not None and p.peek().kind == "COMMA":
+        if p.at("COMMA"):
             p.next()
     return Signature(symbols, order, p.filename)
 
@@ -372,18 +393,19 @@ def _parse_term_tokens(p: _Parser):
     stack: list = []
     while True:
         tok = toks[i] if i < end else None
-        if tok is None or tok.kind != "IDENT":
+        if tok is None or tok[0] != "IDENT":
             p.i = i
             p.fail("expected a term", tok)
         i += 1
-        if i < end and toks[i].kind == "LP":
+        if i < end and toks[i][0] == "LP":
             stack.append([tok, []])
             i += 1
             continue  # shift the first argument
         term = ("app", tok, ())
         while True:  # reduce the finished application `term`
             nxt = toks[i] if i < end else None
-            if nxt is not None and nxt.kind == "COLON":
+            kind = nxt[0] if nxt is not None else None
+            if kind == "COLON":
                 stack.append((nxt, term))
                 i += 1
                 break  # shift the tail
@@ -395,10 +417,10 @@ def _parse_term_tokens(p: _Parser):
                 return term
             frame = stack[-1]
             frame[1].append(term)
-            if nxt is not None and nxt.kind == "COMMA":
+            if kind == "COMMA":
                 i += 1
                 break  # shift the next argument
-            if nxt is None or nxt.kind != "RP":
+            if kind != "RP":
                 p.i = i
                 p.fail("expected ')'", nxt)
             i += 1
@@ -411,18 +433,34 @@ class _Sorter:
 
     Data sorts that are never the result sort of a data symbol act as sort
     variables and unify freely; concrete data sorts, the set `concrete`,
-    must match exactly.
+    must match exactly.  One sorter serves a whole parse: which symbols
+    have only concrete sorts is decided once, and `start_rule` forgets the
+    sort variables of the rule before.
     """
 
     def __init__(self, sig: Signature, filename: str, concrete: set):
         self.sig = sig
         self.filename = filename
         self.concrete = concrete
+        # the symbols whose every sort is concrete: an occurrence of one
+        # has its declared sorts and makes no fresh sort variable
+        self.fixed = {
+            name
+            for name, info in sig.symbols.items()
+            if all(
+                (s.param if isinstance(s, StreamSort) else s.name) in concrete
+                for s in (*info.arg_sorts, info.result_sort)
+            )
+        }
+        self.elements: dict = {}  # sort name -> the DataSort of a stream's elements
+        self.start_rule()
+
+    def start_rule(self):
         self.fresh = 0
         self.bindings: dict = {}
 
     def fail(self, message, tok):
-        raise ParseError(Diagnostic("error", message, tok.line, tok.col, self.filename))
+        raise ParseError(Diagnostic("error", message, tok[2], tok[3], self.filename))
 
     def _freshen(self, sort, inst_map):
         if isinstance(sort, StreamSort):
@@ -438,12 +476,9 @@ class _Sorter:
         return inst_map[name]
 
     def instantiate(self, info: SymbolInfo):
-        """The sorts of one occurrence of `info`, its sort variables fresh."""
-        concrete = self.concrete
-        if all(
-            (s.param if isinstance(s, StreamSort) else s.name) in concrete
-            for s in (*info.arg_sorts, info.result_sort)
-        ):
+        """The sorts of one occurrence of `info`, its sort variables fresh;
+        the declared ones, shared, when all of them are concrete."""
+        if info.name in self.fixed:
             return info.arg_sorts, info.result_sort
         inst_map: dict = {}
         return [self._freshen(s, inst_map) for s in info.arg_sorts], self._freshen(info.result_sort, inst_map)
@@ -465,6 +500,8 @@ class _Sorter:
             self.fail("sort clash: %s vs %s" % (a, b), tok)
 
     def unify(self, a, b, tok):
+        if a is b:
+            return
         if isinstance(a, StreamSort) != isinstance(b, StreamSort):
             self.fail(
                 "sort clash: %s term where %s expected"
@@ -482,44 +519,53 @@ def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
     """Turn a raw token tree into a sorted Term of sort `expected`.
 
     Returns the term and the first variable it adds to `varsorts` (None if
-    it adds none).  A preorder walk on an explicit stack: a `("build", sym,
-    n)` entry pops its n resolved subterms into a node, a Cons if `sym` is
-    None.  Checks and unifications run in preorder, left to right.
+    it adds none).  A preorder walk on an explicit stack of `(raw,
+    expected)` pairs; a pair `(n, sym)` pops the n resolved subterms of an
+    application of `sym` into its node, a Cons if `sym` is None.  A leaf is
+    done when it is visited.  Checks and unifications run in preorder, left
+    to right.
     """
     symbols = sorter.sig.symbols
+    elements = sorter.elements
     first_new = None
     todo: list = [(raw, expected)]
     done: list = []
     while todo:
         raw, expected = todo.pop()
-        kind = raw[0]
-        if kind == "build":
-            _, sym, n = raw
-            k = len(done) - n
-            parts = tuple(done[k:])
-            del done[k:]
-            done.append(Cons(*parts) if sym is None else App(sym, parts))
+        if type(raw) is int:
+            if expected is None:
+                tail = done.pop()
+                done[-1] = Cons(done[-1], tail)
+            else:
+                parts = tuple(done[-raw:])
+                del done[-raw:]
+                done.append(App(expected, parts))
             continue
-        if kind == "cons":
+        if raw[0] == "cons":
             _, colon, head, tail = raw
             if not isinstance(expected, StreamSort):
                 sorter.fail("':' builds a stream where a data term is expected", colon)
-            todo += (("build", None, 2), None), (tail, expected), (head, DataSort(expected.param))
+            element = elements.get(expected.param)
+            if element is None:
+                element = elements[expected.param] = DataSort(expected.param)
+            todo += (2, None), (tail, expected), (head, element)
             continue
         _, tok, args = raw
-        name = tok.value
+        name = tok[1]
         info = symbols.get(name)
         if info is not None:
             arg_sorts, result = sorter.instantiate(info)
-            if info.kind == "const" and not args and info.data_arity > 0:
-                sorter.fail("%r expects %d data arguments" % (name, info.data_arity), tok)
             if len(args) != len(arg_sorts):
-                sorter.fail(
-                    "%r expects %d arguments, got %d" % (name, len(arg_sorts), len(args)), tok
-                )
+                if info.kind == "const" and not args:
+                    sorter.fail("%r expects %d data arguments" % (name, info.data_arity), tok)
+                sorter.fail("%r expects %d arguments, got %d" % (name, len(arg_sorts), len(args)), tok)
             sorter.unify(result, expected, tok)
-            todo.append((("build", name, len(args)), None))
-            todo += reversed(list(zip(args, arg_sorts)))
+            if not args:
+                done.append(App(name, ()))
+                continue
+            todo.append((len(args), name))
+            for k in range(len(args) - 1, -1, -1):
+                todo.append((args[k], arg_sorts[k]))
             continue
         if args:
             sorter.fail("undeclared symbol %r applied to arguments" % name, tok)
@@ -558,7 +604,7 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
     sig = _parse_signature(p)
     if not sig.stream_constants() and not sig.stream_functions():
         raise ParseError(Diagnostic("error", "no stream constant declared", 1, 1, filename))
-    concrete = sig.concrete_sorts()
+    sorter = _Sorter(sig, filename, sig.concrete_sorts())
     stream_rules: list = []
     data_rules: list = []
     by_root: dict = {}
@@ -566,20 +612,19 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
         p.skip_newlines()
         if p.peek() is None:
             break
-        first = p.peek()
+        _, _, line, col = p.peek()
         lhs_raw = _parse_term_tokens(p)
         p.expect("EQ", "'='")
         rhs_raw = _parse_term_tokens(p)
-        nl = p.peek()
-        if nl is not None and nl.kind != "NL":
+        if p.peek() is not None and not p.at("NL"):
             p.fail("trailing tokens after rule")
         if lhs_raw[0] == "cons":
-            raise ParseError(Diagnostic("error", "rule left-hand side cannot be a cons", first.line, first.col, filename))
-        root = lhs_raw[1].value
+            raise ParseError(Diagnostic("error", "rule left-hand side cannot be a cons", line, col, filename))
+        root = lhs_raw[1][1]
         if root not in sig.symbols:
-            raise ParseError(Diagnostic("error", "variable on left-hand side root", first.line, first.col, filename))
+            raise ParseError(Diagnostic("error", "variable on left-hand side root", line, col, filename))
         info = sig.symbols[root]
-        sorter = _Sorter(sig, filename, concrete)
+        sorter.start_rule()
         varsorts: dict = {}
         expected = info.result_sort
         lhs, _ = _resolve_term(lhs_raw, expected, sorter, varsorts)
@@ -588,9 +633,9 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
         if unbound is not None:
             kind = "stream" if isinstance(unbound, SVar) else "data"
             raise ParseError(
-                Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, unbound.name), first.line, first.col, filename)
+                Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, unbound.name), line, col, filename)
             )
-        rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", first.line)
+        rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
         by_root.setdefault(root, []).append(rule)
     return StreamSpec(sig, stream_rules, data_rules, by_root, filename)

@@ -66,6 +66,41 @@ def test_parse_error_exit_ten(tmp_path):
     assert "error" in err
 
 
+def test_only_newlines_end_a_line(tmp_path):
+    """"\\n", "\\r\\n" and "\\r" end a line; every other character at which
+    `str.splitlines()` ends one is whitespace, in a comment too.  A
+    diagnostic carries the line number that `grep -n` gives."""
+    separators = {ch for ch in map(chr, range(sys.maxunicode + 1)) if len(("a" + ch + "b").splitlines()) == 2}
+    others = sorted(separators - {"\n", "\r"})
+    assert others == ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    path = tmp_path / "sep.spec"
+    for sep in others:
+        for newline in ("\n", "\r\n", "\r"):
+            text = "Signature(\n  P : stream(nat),  -- the constant%s here\n  0 : nat\n)\nP = 0:P\n" % sep
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            code, out, err = run_cli([str(path)])
+            assert (code, err) == (0, ""), repr(sep + newline)
+            assert "The specification of P is productive." in out
+            # line 6 of 6 for `grep -n`, which counts "\n" only
+            text = "-- page break%s\nSignature(\n  P : stream(nat),\n  0 : nat\n)\nP = 0:Q(P)\n" % sep
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            code, out, err = run_cli([str(path)])
+            assert (code, out) == (10, ""), repr(sep + newline)
+            assert err == "%s:6:7: error: undeclared symbol 'Q' applied to arguments\n" % path
+    # a spec with CRLF or CR line ends gives byte for byte the output of its
+    # LF original, diagnostics included
+    for name in ("convolution", "pascal", "pseudo_cycle"):
+        text = spec_path(name).read_text()
+        assert "\r" not in text
+        path = tmp_path / (name + ".spec")
+        outputs = set()
+        for newline in ("\n", "\r\n", "\r"):
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            outputs.add(run_cli([str(path), "--mode", "oracle-check"]))
+            outputs.add(run_cli([str(path), "--dump-equations"]))
+        assert len(outputs) == 2, name
+
+
 def test_validate_error_exit_eleven(tmp_path):
     bad = tmp_path / "dup.spec"
     bad.write_text(

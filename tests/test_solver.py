@@ -10,6 +10,7 @@ from prodcheck.equations import (
     EVar,
     IOSpec,
     TranslationError,
+    expr_vars,
     is_weakly_guarded,
     steps,
 )
@@ -347,6 +348,8 @@ def test_feedback_set_gates_match_per_root_solve():
         feedback, order = feedback_order(iospec, iospec.roots)
         sizes.add(len(feedback))
         assert set(order) == set(iospec.equations)
+        # the walk reads each variable's successors in the order of `expr_vars`
+        assert iospec.graph.refs == {v: [w for w, _ in expr_vars(e)] for v, e in iospec.equations.items()}
         for name, gate in gates.items():
             assert gate.star == solve(iospec, star(name)), text
             args = tuple(solve(iospec, arg(name, i, 0)) for i in range(1, gate.arity + 1))
@@ -366,6 +369,12 @@ def test_feedback_order_checks_the_system_first():
         feedback_order(sys1(X=EStep("+", EVar(Y)), Y=EInf(EVar(Y), EEmpty())), (X,))
     with pytest.raises(TranslationError, match="has no equation"):
         feedback_order(acyclic, (X, Z))
+    # the system is checked with the first root, before the second one
+    with pytest.raises(TranslationError, match="undefined variable"):
+        feedback_order(undefined, (X, Z))
+    # no roots: nothing reachable, and no graph is built
+    assert feedback_order(undefined, ()) == (set(), [])
+    assert undefined.graph is None
 
 
 def test_chain_solves_only_the_feedback_set(monkeypatch):
@@ -387,6 +396,39 @@ def test_chain_solves_only_the_feedback_set(monkeypatch):
     assert len(solved) == len(feedback) <= 2
     assert set(solved) == feedback
     assert {str(g) for g in gates.values()} == {"[inf]((-+))"}
+
+
+def test_feedback_order_walks_left_to_right():
+    """Successors in the order the right-hand side names them: the cycle
+    Y <-> Z is entered at Y, so Y is the back edge's target."""
+    Z = ("v", "Z")
+    iospec = sys1(X=EInf(EVar(Y), EVar(Z)), Y=EStep("+", EVar(Z)), Z=EStep("+", EVar(Y)))
+    assert feedback_order(iospec, (X,)) == ({Y}, [Z, Y, X])
+
+
+def test_chain_builds_one_graph_per_solve(monkeypatch):
+    """`feedback_order` reads the system's graph without a rooted copy: a
+    chain of n one-step functions builds a rooted graph only for each of
+    its |F| = 2 sweeps, not for each of its 2n roots."""
+    import prodcheck.solver as solver
+    import prodcheck.translate as translate
+    from prodcheck.streamspec import parse
+
+    built, solved = [], []
+    real_build, real_solve = solver.build_graph, translate.solve
+
+    def counting_build(iospec, root):
+        built.append(root)
+        return real_build(iospec, root)
+
+    def counting_solve(iospec, root, **kwargs):
+        solved.append(root)
+        return real_solve(iospec, root, **kwargs)
+
+    monkeypatch.setattr(solver, "build_graph", counting_build)
+    monkeypatch.setattr(translate, "solve", counting_solve)
+    translate.translate_symbols(parse(_chain_spec(512)))
+    assert len(built) == len(solved) == 2
 
 
 def test_evaluate_deep_expressions():
