@@ -1,16 +1,18 @@
 """Solver for finite, weakly guarded IO-expression systems.
 
-Only the cyclic part of a system needs the diagram.  A depth-first walk of
-the variable graph from the requested roots takes the targets of its back
-edges as a feedback vertex set F; every other variable's equation is then a
-composition of prepends and infima over values already known, in the walk's
-post-order, and is evaluated with the IO-term algebra (`evaluate`); each
-infimum is solved as a small system of its own (`infimum`).
+Only the cyclic part of a system needs the diagram.  The caller walks the
+variable graph (`TraceGraph.refs`) from its roots with
+`streamspec.feedback_order`, whose back-edge targets form a feedback vertex
+set F; every other variable's equation is then a composition of prepends and
+infima over values already known, in the walk's post-order, and is evaluated
+with the IO-term algebra (`evaluate`); each infimum is solved as a small
+system of its own (`infimum`).
 
 The unique solution for a variable of F is recovered from a trace graph: a
 node per position of every right-hand side, with silent edges for variable
 references and infimum forks and labelled edges for '-'/'+'.  The graph is
-the same for every root, so it is built once per system.  Sweeping a
+the same for every root, so each system keeps one checked graph, and a
+root's diagram starts at the head of its equation.  Sweeping that
 two-dimensional diagram over the graph column by column (one column per
 input consumed, heights counting outputs) gives the solution's value at
 every supply as the lowest '-'-capable entry of the column.  A repetition
@@ -22,7 +24,7 @@ is quasi-periodic and the rational IO-term can be read off.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .equations import (
     CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, is_weakly_guarded, steps, var_str,
@@ -38,7 +40,6 @@ class TraceGraph:
     out_minus: list
     heads: dict  # var -> node id of the top position of its right-hand side
     refs: dict  # var -> the variables its right-hand side names, in preorder
-    root: int | None = None
 
     @property
     def size(self) -> int:
@@ -46,7 +47,7 @@ class TraceGraph:
 
 
 def _system_graph(iospec: IOSpec) -> TraceGraph:
-    """The trace graph of the whole system, without a root.
+    """The trace graph of the whole system, shared by every root.
 
     One preorder walk per right-hand side numbers its positions, so a
     node's first child is the next node; an infimum's right child is linked
@@ -106,22 +107,15 @@ def _position(g: TraceGraph, node: int) -> str:
     return "".join(reversed(digits)) or "e"
 
 
-def _shared_graph(iospec: IOSpec, root) -> TraceGraph:
-    """The system's trace graph, without a root, once `root` is checked.
-    The graph is built and checked once per system and kept on the
-    `IOSpec`."""
+def build_graph(iospec: IOSpec, root) -> TraceGraph:
+    """The system's trace graph, once `root` is checked to have an
+    equation.  Every root shares it: it is built and checked on first use
+    and kept on the `IOSpec`."""
     if root not in iospec.equations:
         raise TranslationError("root %r has no equation" % (root,))
     if iospec.graph is None:
         iospec.graph = _system_graph(iospec)
     return iospec.graph
-
-
-def build_graph(iospec: IOSpec, root) -> TraceGraph:
-    """The system's trace graph rooted at `root`; every root shares the
-    graph of `_shared_graph`."""
-    g = _shared_graph(iospec, root)
-    return replace(g, root=g.heads[root])
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +157,14 @@ def _bound(g: TraceGraph, column: dict) -> CoNat:
 
 
 class Diagram:
-    """Columns of the omit-reduced diagram, built left to right."""
+    """Columns of the omit-reduced diagram of `root`'s solution, built left
+    to right; the first column starts at the head of `root`'s equation."""
 
-    def __init__(self, g: TraceGraph):
+    def __init__(self, g: TraceGraph, root):
         self.g = g
         self.columns: list = []
         self.bounds: list = []
-        self._append(_vclose(g, {g.root: 0}))
+        self._append(_vclose(g, {g.heads[root]: 0}))
 
     def _append(self, column: dict):
         self.columns.append(column)
@@ -221,7 +216,7 @@ def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
     """Per-column node/height table plus the repetition that closed the
     search (debug rendering for the CLI), read off the diagram the solver
     swept."""
-    diagram = Diagram(build_graph(iospec, root))
+    diagram = Diagram(build_graph(iospec, root), root)
     witness: list = []
     _sweep(diagram, max_columns, witness)
     last = witness[0][1] if witness else 0
@@ -247,7 +242,7 @@ def solve(iospec: IOSpec, root, max_columns: int = Caps.max_columns, trace=None)
     """Canonical IO-term denoting the unique solution for `root`.  When a
     repetition closes the search, `(x1, x2)`, the columns of its two strips,
     is appended to `trace`."""
-    return _sweep(Diagram(build_graph(iospec, root)), max_columns, trace)
+    return _sweep(Diagram(build_graph(iospec, root), root), max_columns, trace)
 
 
 def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
@@ -287,44 +282,6 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
 
 # ---------------------------------------------------------------------------
 # the acyclic rest of a system
-
-
-def feedback_order(iospec: IOSpec, roots) -> tuple[set, list]:
-    """A feedback vertex set F of the variables reachable from `roots`, and
-    those variables in an order where each one not in F comes after every
-    variable its equation names that is not in F.
-
-    Each root is checked first, in order, and the system with the first
-    one, by `_shared_graph` as for `solve`.  Then one depth-first walk over
-    the graph's `refs` takes the targets of back edges as F (every cycle
-    holds a back edge) and lists the variables in post-order.  With no
-    roots, no graph is built.
-    """
-    for root in roots:
-        refs = _shared_graph(iospec, root).refs
-
-    feedback: set = set()
-    order: list = []
-    on_stack: dict = {}  # var -> True while on the walk's stack, False after
-    for root in roots:
-        if root in on_stack:
-            continue
-        on_stack[root] = True
-        stack = [(root, iter(refs[root]))]
-        while stack:
-            v, pending = stack[-1]
-            for w in pending:
-                if w not in on_stack:
-                    on_stack[w] = True
-                    stack.append((w, iter(refs[w])))
-                    break
-                if on_stack[w]:
-                    feedback.add(w)
-            else:
-                stack.pop()
-                on_stack[v] = False
-                order.append(v)
-    return feedback, order
 
 
 def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.max_columns) -> IOTerm:

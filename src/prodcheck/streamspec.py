@@ -290,7 +290,9 @@ class _Parser:
         return tok
 
     def fail(self, message, tok=None):
-        _, _, line, col = tok or self.peek() or ("EOF", "", 0, 0)
+        """At the end of input, the error is at the last token (the `NL` of
+        the last line), or at 1:1 when there is none."""
+        _, _, line, col = tok or self.peek() or (self.toks or [("NL", "", 1, 1)])[-1]
         raise ParseError(Diagnostic("error", message, line, col, self.filename))
 
     def expect(self, kind, what):
@@ -959,21 +961,50 @@ def classify(spec: StreamSpec) -> Classification:
 def reaches_cycle(edges: dict) -> set:
     """Nodes from which some path runs into a directed cycle.
 
-    `edges` maps each node to its successors.  Sinks are peeled off until
-    none is left; a target with no entry of its own is a sink.
+    `edges` maps each node to its successors; a target with no entry of its
+    own has none.  Every node of `feedback_order`'s F lies on a cycle, and in
+    its post-order each node comes after its successors outside F, so one
+    pass over that order adds every node with a successor already found.
     """
-    left = {v: len(ws) for v, ws in edges.items()}  # successors not peeled
-    preds: dict = {}
-    for v, ws in edges.items():
-        for w in ws:
-            preds.setdefault(w, []).append(v)
-    todo = [v for v in preds if v not in edges] + [v for v, n in left.items() if not n]
-    while todo:
-        for u in preds.get(todo.pop(), ()):
-            left[u] -= 1
-            if not left[u]:
-                todo.append(u)
-    return {v for v, n in left.items() if n}
+    found, order = feedback_order(edges, lambda v: edges.get(v, ()))
+    for v in order:
+        if not found.isdisjoint(edges.get(v, ())):
+            found.add(v)
+    return found
+
+
+def feedback_order(roots, successors) -> tuple[set, list]:
+    """A feedback vertex set F of the nodes reachable from `roots`, and
+    those nodes in post-order: each one comes after every successor that is
+    not in F.
+
+    One depth-first walk on an explicit stack, reading each node's
+    `successors` left to right, takes the targets of its back edges as F
+    (every cycle holds a back edge, and every back edge's target lies on a
+    cycle).
+    """
+    feedback: set = set()
+    order: list = []
+    on_stack: dict = {}  # node -> True while on the walk's stack, False after
+    for root in roots:
+        if root in on_stack:
+            continue
+        on_stack[root] = True
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if w not in on_stack:
+                    on_stack[w] = True
+                    stack.append((w, iter(successors(w))))
+                    break
+                if on_stack[w]:
+                    feedback.add(w)
+            else:
+                stack.pop()
+                on_stack[v] = False
+                order.append(v)
+    return feedback, order
 
 
 def reachable(starts, successors):

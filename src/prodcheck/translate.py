@@ -15,7 +15,7 @@ from . import equations as eq
 from .equations import Caps, TranslationError
 from .ioalg import CoNat, is_top
 from .prodterm import Gate, Mu, Peb, ProdTerm, Var, collapse_trace, gate_apply, meet_all
-from .solver import evaluate, feedback_order, solve
+from .solver import build_graph, evaluate, solve
 from .streamspec import (
     App,
     Classification,
@@ -23,6 +23,7 @@ from .streamspec import (
     StreamSpec,
     SVar,
     classify,
+    feedback_order,
     reachable_symbols,
 )
 
@@ -38,8 +39,11 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
         roots.append(eq.star(name))
         roots.extend(eq.arg(name, i, 0) for i in range(1, info.stream_arity + 1))
     iospec = eq.finitize(cls, roots, cap=caps.finitize_cap)
+    refs: dict = {}  # no roots, no graph
+    for root in roots:  # each checked in order, the system with the first
+        refs = build_graph(iospec, root).refs
     # the diagram only for a feedback vertex set; the rest is acyclic over it
-    feedback, order = feedback_order(iospec, roots)
+    feedback, order = feedback_order(roots, refs.__getitem__)
     values = {v: solve(iospec, v, max_columns=caps.max_columns) for v in order if v in feedback}
     for v in order:
         if v not in feedback:

@@ -16,6 +16,7 @@ from prodcheck.equations import CapError, Caps
 from conftest import CORPUS, spec_path
 from test_dogame import PSEUDO_CYCLE_SEEDS
 from test_solver import _chain_spec
+from test_streamspec import END_OF_INPUT_ERRORS, FRONT_END_ERRORS
 from test_translate import _prefix_spec, random_flat_spec, ring_spec
 
 
@@ -99,6 +100,15 @@ def test_only_newlines_end_a_line(tmp_path):
             outputs.add(run_cli([str(path), "--mode", "oracle-check"]))
             outputs.add(run_cli([str(path), "--dump-equations"]))
         assert len(outputs) == 2, name
+
+
+@pytest.mark.parametrize("text, message", FRONT_END_ERRORS + END_OF_INPUT_ERRORS)
+def test_parse_error_position(text, message, tmp_path):
+    """Each parse error names the line and column where it was found; one
+    at the end of input names where the input stopped, never 0:0."""
+    bad = tmp_path / "m.spec"
+    bad.write_text(text)
+    assert run_cli([str(bad)]) == (10, "", "%s:%s\n" % (bad, message))
 
 
 def test_validate_error_exit_eleven(tmp_path):

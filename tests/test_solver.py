@@ -22,10 +22,10 @@ from prodcheck.solver import (
     _vclose,
     build_graph,
     evaluate,
-    feedback_order,
     infimum,
     solve,
 )
+from prodcheck.streamspec import feedback_order
 
 X = ("v", "X")
 Y = ("v", "Y")
@@ -43,9 +43,10 @@ def test_graph_single_plus_loop():
     iospec = sys1(X=EStep("+", EVar(X)))
     g = build_graph(iospec, X)
     assert g.size == 2
-    assert g.out_plus[g.root] and not g.out_minus[g.root]
-    (target,) = g.out_plus[g.root]
-    assert g.eps[target] == [g.root]
+    head = g.heads[X]
+    assert g.out_plus[head] and not g.out_minus[head]
+    (target,) = g.out_plus[head]
+    assert g.eps[target] == [head]
 
 
 def test_graph_translation_example():
@@ -77,10 +78,9 @@ def test_graph_shared_by_roots():
         X=EInf(steps("-++", EVar(X)), steps("--+", EVar(Y))),
         Y=EInf(steps("++", EVar(X)), steps("-+", EVar(Y))),
     )
-    gx, gy = build_graph(iospec, X), build_graph(iospec, Y)
-    assert gx.nodes is gy.nodes and gx.eps is gy.eps
-    assert gx.out_plus is gy.out_plus and gx.out_minus is gy.out_minus
-    assert gx.nodes[gx.root] == (X, None, None) and gy.nodes[gy.root] == (Y, None, None)
+    g = build_graph(iospec, X)
+    assert build_graph(iospec, Y) is g is iospec.graph
+    assert g.nodes[g.heads[X]] == (X, None, None) and g.nodes[g.heads[Y]] == (Y, None, None)
     fresh = IOSpec(dict(iospec.equations), iospec.roots)
     assert solve(iospec, Y) == solve(fresh, Y)
 
@@ -112,8 +112,8 @@ def test_graph_of_a_long_word():
     g = build_graph(sys1(X=steps(word, EVar(X))), X)
     assert g.size == 20001
     assert g.nodes[19999] == (X, 19998, 1) and _position(g, 19999) == "1" * 19999
-    assert g.out_plus[19999] == [20000] and g.eps[20000] == [g.root]
-    assert _position(g, g.root) == "e"
+    assert g.out_plus[19999] == [20000] and g.eps[20000] == [g.heads[X]]
+    assert _position(g, g.heads[X]) == "e"
     s, t = parse_ioterm("(%s+)" % ("-" * 20000)), parse_ioterm("(-+)")
     got = infimum(s, t, max_columns=30000)
     for n in [*range(51), *range(19990, 20011)]:
@@ -133,17 +133,17 @@ def test_graph_reports_the_first_undefined_reference():
 def test_columns_all_output():
     iospec = sys1(X=EStep("+", EVar(X)))
     g = build_graph(iospec, X)
-    col = Diagram(g).column(0)
-    assert col[g.root] == 0 and len(col) == 2
-    assert Diagram(g).bound(0) == TOP
-    assert Diagram(g).bound(5) == TOP
+    col = Diagram(g, X).column(0)
+    assert col[g.heads[X]] == 0 and len(col) == 2
+    assert Diagram(g, X).bound(0) == TOP
+    assert Diagram(g, X).bound(5) == TOP
 
 
 def test_columns_identity():
     iospec = sys1(X=EStep("-", EStep("+", EVar(X))))
     g = build_graph(iospec, X)
-    assert [Diagram(g).bound(x) for x in range(4)] == [0, 1, 2, 3]
-    assert Diagram(g).bound(7) == 7
+    assert [Diagram(g, X).bound(x) for x in range(4)] == [0, 1, 2, 3]
+    assert Diagram(g, X).bound(7) == 7
 
 
 def test_columns_pascal(corpus):
@@ -153,7 +153,7 @@ def test_columns_pascal(corpus):
     spec = corpus["pascal"]
     iospec = finitize(classify(spec), [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
-    assert [Diagram(g).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
+    assert [Diagram(g, arg("f", 1, 0)).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
 
 
 def test_bound_matches_nested_solution(corpus):
@@ -165,7 +165,7 @@ def test_bound_matches_nested_solution(corpus):
     g = build_graph(iospec, arg("f", 1, 0))
     expect = parse_ioterm("-+--(+)")
     for n in range(6):
-        assert Diagram(g).bound(n) == interpret(expect, n)
+        assert Diagram(g, arg("f", 1, 0)).bound(n) == interpret(expect, n)
 
 
 # --- solving -----------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_repetition_witness_and_shift_stability():
     assert witness
     x1, x2 = witness[0]
     g = build_graph(iospec, X)
-    diagram = Diagram(g)
+    diagram = Diagram(g, X)
 
     def pseudo(x1, x2):
         c1, c2 = diagram.column(x1), diagram.column(x2)
@@ -227,7 +227,7 @@ def test_vclose_is_a_closure():
         Y=EInf(steps("++", EVar(X)), steps("-+", EVar(Y))),
     )
     g = build_graph(iospec, X)
-    col = _vclose(g, {g.root: 0})
+    col = _vclose(g, {g.heads[X]: 0})
     assert _vclose(g, dict(col)) == col
     nxt = _vclose(g, _step_right(g, col))
     assert _vclose(g, dict(nxt)) == nxt
@@ -256,10 +256,10 @@ def random_system(rng, max_eqs=5, max_size=8):
     return IOSpec(table, tuple(names))
 
 
-def no_omit_entries(g, xmax, ymax):
+def no_omit_entries(g, root, xmax, ymax):
     """All diagram entries with bounded height, by saturation (no omit)."""
-    entries = {(g.root, 0, 0)}
-    frontier = [(g.root, 0, 0)]
+    entries = {(g.heads[root], 0, 0)}
+    frontier = [(g.heads[root], 0, 0)]
     while frontier:
         v, x, y = frontier.pop()
         moves = [(w, x, y) for w in g.eps[v]]
@@ -288,8 +288,8 @@ def test_omit_safety_random_systems():
             continue
         checked += 1
         ymax = 25
-        entries = no_omit_entries(g, xmax=12, ymax=ymax)
-        diagram = Diagram(g)
+        entries = no_omit_entries(g, root, xmax=12, ymax=ymax)
+        diagram = Diagram(g, root)
         for x in range(12):
             ys = [y for (v, xx, y) in entries if xx == x and g.out_minus[v]]
             brute = min(ys) if ys else TOP
@@ -314,7 +314,7 @@ def test_solve_random_systems_match_diagram():
             continue
         checked += 1
         g = build_graph(iospec, root)
-        diagram = Diagram(g)
+        diagram = Diagram(g, root)
         for n in range(40):
             assert interpret(got, n) == diagram.bound(n), (iospec.dump(), render(got), n)
 
@@ -331,6 +331,13 @@ def _chain_spec(n):
     return "\n".join(lines) + "\n"
 
 
+def system_order(iospec, roots):
+    """`feedback_order` over the system graph's `refs`, as
+    `translate_symbols` walks it."""
+    refs = build_graph(iospec, roots[0]).refs
+    return feedback_order(roots, lambda v: refs[v])
+
+
 def test_feedback_set_gates_match_per_root_solve():
     from conftest import DATA
     from prodcheck.equations import arg, star
@@ -345,7 +352,7 @@ def test_feedback_set_gates_match_per_root_solve():
     sizes = set()
     for text in texts:
         gates, iospec = translate_symbols(parse(text))
-        feedback, order = feedback_order(iospec, iospec.roots)
+        feedback, order = system_order(iospec, iospec.roots)
         sizes.add(len(feedback))
         assert set(order) == set(iospec.equations)
         # the walk reads each variable's successors in the order of `expr_vars`
@@ -357,24 +364,41 @@ def test_feedback_set_gates_match_per_root_solve():
     assert {0, 1, 2, 3} <= sizes
 
 
-def test_feedback_order_checks_the_system_first():
+def test_feedback_order_checks_the_system_first(monkeypatch):
+    """`translate_symbols` checks each root in order through `build_graph`,
+    which checks the system with the first one, before the walk."""
+    import prodcheck.translate as translate
+    from prodcheck.equations import arg, star
+    from prodcheck.streamspec import parse
+
     Z = ("v", "Z")
     # acyclic: no variable needs the diagram, and the checks still run
     undefined = sys1(X=steps("-+", EVar(Y)), Y=EInf(EVar(Z), EEmpty()))
     acyclic = sys1(X=steps("-+", EVar(Y)), Y=EInf(EStep("+", EEmpty()), EEmpty()))
-    assert feedback_order(acyclic, (X,)) == (set(), [Y, X])
+    assert system_order(acyclic, (X,)) == (set(), [Y, X])
     with pytest.raises(TranslationError, match="undefined variable"):
-        feedback_order(undefined, (X,))
+        build_graph(undefined, X)
     with pytest.raises(TranslationError, match="silent cycle"):
-        feedback_order(sys1(X=EStep("+", EVar(Y)), Y=EInf(EVar(Y), EEmpty())), (X,))
+        build_graph(sys1(X=EStep("+", EVar(Y)), Y=EInf(EVar(Y), EEmpty())), X)
     with pytest.raises(TranslationError, match="has no equation"):
-        feedback_order(acyclic, (X, Z))
+        build_graph(acyclic, Z)
+
+    # `f`'s roots are star(f), then arg(f, 1, 0); finitize hands back `system`
+    one = parse("Signature( C : stream(nat), f : stream(nat) -> stream(nat), 0 : nat )\nC = 0:C\nf(s) = s\n")
+    none = parse("Signature( C : stream(nat), 0 : nat )\nC = 0:C\n")
+    system = None
+    monkeypatch.setattr(translate.eq, "finitize", lambda cls, roots, cap: system)
+    system = IOSpec({star("f"): EStep("+", EVar(Z))}, ())
     # the system is checked with the first root, before the second one
     with pytest.raises(TranslationError, match="undefined variable"):
-        feedback_order(undefined, (X, Z))
+        translate.translate_symbols(one)
+    system = IOSpec({arg("f", 1, 0): EStep("+", EVar(Z))}, ())
+    with pytest.raises(TranslationError, match="has no equation"):
+        translate.translate_symbols(one)
+    system = IOSpec({X: EStep("+", EVar(Z))}, ())
     # no roots: nothing reachable, and no graph is built
-    assert feedback_order(undefined, ()) == (set(), [])
-    assert undefined.graph is None
+    assert translate.translate_symbols(none) == ({}, system)
+    assert system.graph is None
 
 
 def test_chain_solves_only_the_feedback_set(monkeypatch):
@@ -392,7 +416,7 @@ def test_chain_solves_only_the_feedback_set(monkeypatch):
 
     monkeypatch.setattr(translate, "solve", counting_solve)
     gates, iospec = translate.translate_symbols(parse(_chain_spec(512)))
-    feedback, _ = feedback_order(iospec, iospec.roots)
+    feedback, _ = system_order(iospec, iospec.roots)
     assert len(solved) == len(feedback) <= 2
     assert set(solved) == feedback
     assert {str(g) for g in gates.values()} == {"[inf]((-+))"}
@@ -403,32 +427,32 @@ def test_feedback_order_walks_left_to_right():
     Y <-> Z is entered at Y, so Y is the back edge's target."""
     Z = ("v", "Z")
     iospec = sys1(X=EInf(EVar(Y), EVar(Z)), Y=EStep("+", EVar(Z)), Z=EStep("+", EVar(Y)))
-    assert feedback_order(iospec, (X,)) == ({Y}, [Z, Y, X])
+    assert system_order(iospec, (X,)) == ({Y}, [Z, Y, X])
 
 
 def test_chain_builds_one_graph_per_solve(monkeypatch):
-    """`feedback_order` reads the system's graph without a rooted copy: a
-    chain of n one-step functions builds a rooted graph only for each of
-    its |F| = 2 sweeps, not for each of its 2n roots."""
+    """Every root and every sweep shares the system's one graph: a chain of
+    n one-step functions builds it once, not once per each of its 2n roots
+    or |F| = 2 sweeps."""
     import prodcheck.solver as solver
     import prodcheck.translate as translate
     from prodcheck.streamspec import parse
 
     built, solved = [], []
-    real_build, real_solve = solver.build_graph, translate.solve
+    real_build, real_solve = solver._system_graph, translate.solve
 
-    def counting_build(iospec, root):
-        built.append(root)
-        return real_build(iospec, root)
+    def counting_build(iospec):
+        built.append(iospec)
+        return real_build(iospec)
 
     def counting_solve(iospec, root, **kwargs):
         solved.append(root)
         return real_solve(iospec, root, **kwargs)
 
-    monkeypatch.setattr(solver, "build_graph", counting_build)
+    monkeypatch.setattr(solver, "_system_graph", counting_build)
     monkeypatch.setattr(translate, "solve", counting_solve)
     translate.translate_symbols(parse(_chain_spec(512)))
-    assert len(built) == len(solved) == 2
+    assert len(built) == 1 and len(solved) == 2
 
 
 def test_evaluate_deep_expressions():

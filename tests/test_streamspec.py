@@ -29,6 +29,7 @@ from prodcheck.streamspec import (
     _term_vars,
     _wild,
     classify,
+    feedback_order,
     parse,
     reachable,
     reaches_cycle,
@@ -368,9 +369,35 @@ def _mutate(rng, text):
     return "\n".join(lines) + "\n"
 
 
+# Errors that neither the corpus nor its mutations reach, with the position
+# and message each one reports.
+FRONT_END_ERRORS = [
+    (
+        "Signature(\n  f : nat -> stream(nat) -> stream(nat),\n  P : stream(nat),\n  0 : nat\n)\nP = 0:P\n",
+        "2:3: error: stream arguments of 'f' must precede data arguments",
+    ),
+    (
+        "Signature(\n  P : nat -> stream(nat),\n  0 : nat\n)\nP(x) = 0:P\n",
+        "5:10: error: 'P' expects 1 data arguments",
+    ),
+    (
+        "Signature(\n  P : stream(nat),\n  s : nat -> nat,\n  0 : nat\n)\nP = s(0:P):P\n",
+        "6:8: error: ':' builds a stream where a data term is expected",
+    ),
+]
+
+# Inputs that end early: the error is at the last line's end, or at 1:1.
+END_OF_INPUT_ERRORS = [
+    ("Signature(\n  P : stream(nat),\n  0 : nat\n", "3:10: error: expected a symbol name"),
+    ("-- a comment\n-- and another\n", "2:1: error: no stream constant declared"),
+    ("", "1:1: error: no stream constant declared"),
+]
+
+
 def _front_end_inputs():
     texts = [path.read_text() for path in sorted(DATA.glob("*.spec"))]
     inputs = list(texts)
+    inputs += [text for text, _ in FRONT_END_ERRORS + END_OF_INPUT_ERRORS]
     inputs += [random_flat_spec(random.Random(seed), max_feedback=2) for seed in range(200)]
     rng = random.Random(909)
     inputs += [_mutate(rng, rng.choice(texts)) for _ in range(5000)]
@@ -817,3 +844,45 @@ def test_reaches_cycle_against_brute_force():
         assert reaches_cycle(edges) == want, edges
         sizes.add(len(want))
     assert 0 in sizes and len(sizes) > 3
+
+
+def test_feedback_order_on_random_graphs():
+    """Removing F leaves the reachable graph acyclic, every node of F lies on
+    a cycle, and the order lists each reachable node once, after each of its
+    successors outside F; a second call gives the same result."""
+    rng = random.Random(2009)
+    sizes = set()
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        targets = list(range(n + rng.randrange(0, 3)))  # some have no entry
+        edges = {v: [w for w in targets if rng.random() < 0.25] for v in range(n)}
+        roots = rng.sample(range(n), rng.randrange(1, n + 1))
+
+        def successors(v):
+            return edges.get(v, ())
+
+        feedback, order = feedback_order(roots, successors)
+        assert feedback_order(roots, successors) == (feedback, order)
+        assert sorted(order) == sorted(reachable(roots, successors)), edges
+        position = {v: i for i, v in enumerate(order)}
+        for v in order:
+            assert all(position[w] < position[v] for w in successors(v) if w not in feedback), edges
+        def rest(v):
+            return [w for w in successors(v) if w not in feedback]
+
+        for v in order:
+            if v not in feedback:
+                assert v not in set(reachable(rest(v), rest)), edges
+        for v in feedback:
+            assert v in set(reachable(successors(v), successors)), edges
+        sizes.add(len(feedback))
+    assert 0 in sizes and len(sizes) > 3
+
+
+def test_feedback_order_does_not_recurse():
+    """A path of 20,000 nodes closed into a cycle: far deeper than the
+    interpreter's recursion limit, so the walk keeps its own stack."""
+    n = 20000
+    feedback, order = feedback_order([0], lambda v: ((v + 1) % n,))
+    assert feedback == {0}
+    assert order == list(range(n - 1, -1, -1))
