@@ -21,7 +21,6 @@ one for each root.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -72,8 +71,8 @@ def _build_parser():
     p.add_argument("--mode", choices=["decide", "gates", "oracle-check"], default="decide")
     p.add_argument("--root", help="analyze only this stream constant")
     p.add_argument("--report", choices=["text", "json"], default="text")
-    for cap in dataclasses.fields(Caps):
-        p.add_argument("--" + cap.name.replace("_", "-"), type=_count, default=cap.default)
+    for name, default in Caps.DEFAULTS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=_count, default=default)
     p.add_argument("--dump-equations", action="store_true", help="print the finitized equation system")
     p.add_argument("--dump-diagram", action="store_true", help="print solver columns and repetition witnesses")
     p.add_argument("--verbose", action="store_true")
@@ -218,7 +217,7 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    caps = Caps(**{cap.name: getattr(args, cap.name) for cap in dataclasses.fields(Caps)})
+    caps = Caps(**{name: getattr(args, name) for name in Caps.DEFAULTS})
     out = sys.stdout
     try:
         with open(args.file, "rb") as handle:

@@ -26,19 +26,20 @@ or runs out of expansions ends in `AtLeast`, never in an error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import le, lt
 
 from .equations import Caps
-from .streamspec import Classification, Cons, StreamSpec, SVar, reachable_symbols
+from .streamspec import Classification, Cons, Node, StreamSpec, SVar, reachable_symbols
 
 _INF_DEP = 10**9
 _FUNCTION_EXPANSIONS = 10000  # game states one do_low_function call may expand
 
 
-@dataclass(frozen=True)
-class AtLeast:
-    bound: int
+class AtLeast(Node):
+    __slots__ = __match_args__ = ("bound",)
+
+    def __init__(self, bound: int):
+        self.bound = bound
 
     def __repr__(self):
         return "AtLeast(%d)" % self.bound
@@ -179,7 +180,7 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
             return res[0], res[1]
 
 
-def do_low_function(cls: Classification, f: str, supplies, prod_cap: int = Caps.oracle_prod_cap):
+def do_low_function(cls: Classification, f: str, supplies, prod_cap: int = Caps.DEFAULTS["oracle_prod_cap"]):
     """Least production of f the adversary can force from finite supplies.
 
     The adversary picks any defining rule at every state; the search expands
@@ -200,8 +201,8 @@ def do_low_constant(
     spec: StreamSpec,
     cls: Classification,
     name: str,
-    prod_cap: int = Caps.oracle_prod_cap,
-    step_cap: int = Caps.oracle_steps,
+    prod_cap: int = Caps.DEFAULTS["oracle_prod_cap"],
+    step_cap: int = Caps.DEFAULTS["oracle_steps"],
 ):
     """Least production of a stream constant the adversary can force.
 

@@ -15,9 +15,8 @@ of an analysis, and the two errors an analysis can end in.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
-from .streamspec import Classification, reachable, reaches_cycle
+from .streamspec import Classification, Node, reachable, reaches_cycle
 
 # ---------------------------------------------------------------------------
 # variables and expressions
@@ -48,26 +47,41 @@ def var_str(v) -> str:
     return "X_{%s,%d,%d}" % (v[1], v[2], v[3])
 
 
-@dataclass(frozen=True)
-class EEmpty:
-    pass
+class _ExprNode(Node):
+    """An IO-expression node: structural `==` and `hash` from `Node`, and
+    `repr` is `expr_str`."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return expr_str(self)
 
 
-@dataclass(frozen=True)
-class EVar:
-    var: tuple
+class EEmpty(_ExprNode):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class EStep:
-    sym: str  # '-' or '+'
-    body: "IOExpr"
+class EVar(_ExprNode):
+    __slots__ = __match_args__ = ("var",)
+
+    def __init__(self, var: tuple):
+        self.var = var
 
 
-@dataclass(frozen=True)
-class EInf:
-    left: "IOExpr"
-    right: "IOExpr"
+class EStep(_ExprNode):
+    __slots__ = __match_args__ = ("sym", "body")
+
+    def __init__(self, sym: str, body: "IOExpr"):
+        self.sym = sym  # '-' or '+'
+        self.body = body
+
+
+class EInf(_ExprNode):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "IOExpr", right: "IOExpr"):
+        self.left = left
+        self.right = right
 
 
 IOExpr = EEmpty | EVar | EStep | EInf
@@ -134,16 +148,28 @@ def expr_vars(e: IOExpr):
             todo += ((e.right, consumed), (e.left, consumed))
 
 
-@dataclass
-class Caps:
-    """The search bounds of one analysis.  Each field is the command-line
-    flag of the same name (`max_columns` is `--max-columns`), and its default
-    here is the only one: functions that take a bound default to the field."""
+class Caps(Node):
+    """The search bounds of one analysis, given in the order of `DEFAULTS`
+    or by name.  Each field is the command-line flag of the same name
+    (`max_columns` is `--max-columns`), and its default in `DEFAULTS` is the
+    only one: functions that take a bound default to it."""
 
-    max_columns: int = 10000  # every diagram sweep
-    finitize_cap: int = 100000  # equations of one finitized system
-    oracle_prod_cap: int = 32  # output the game oracle counts
-    oracle_steps: int = 100000  # expansions one constant's games share, reused states charged in full
+    DEFAULTS = {
+        "max_columns": 10000,  # every diagram sweep
+        "finitize_cap": 100000,  # equations of one finitized system
+        "oracle_prod_cap": 32,  # output the game oracle counts
+        "oracle_steps": 100000,  # expansions one constant's games share, reused states charged in full
+    }
+    __slots__ = __match_args__ = tuple(DEFAULTS)
+
+    def __init__(self, *values, **named):
+        if len(values) > len(self.DEFAULTS):
+            raise TypeError("Caps takes at most %d values" % len(self.DEFAULTS))
+        for name, value in dict(self.DEFAULTS, **dict(zip(self.DEFAULTS, values)), **named).items():
+            setattr(self, name, value)
+
+    def __repr__(self):
+        return "Caps(%s)" % ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.DEFAULTS)
 
 
 class TranslationError(Exception):
@@ -227,13 +253,15 @@ def _arg_rhs(cls: Classification, f: str, i: int, q: int) -> IOExpr:
 # finite systems
 
 
-@dataclass
 class IOSpec:
-    equations: dict  # var -> IOExpr
-    roots: tuple
-    # the solver's trace graph, built on first use; the equations must not
-    # change once it is there
-    graph: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("equations", "roots", "graph")
+
+    def __init__(self, equations: dict, roots: tuple):
+        self.equations = equations  # var -> IOExpr
+        self.roots = roots
+        # the solver's trace graph, built on first use; the equations must
+        # not change once it is there
+        self.graph = None
 
     def dump(self) -> str:
         lines = []
@@ -255,7 +283,7 @@ def _var_order_key(v):
     return (0, -1, v[0], 0)
 
 
-def finitize(cls: Classification, roots, cap: int = Caps.finitize_cap) -> IOSpec:
+def finitize(cls: Classification, roots, cap: int = Caps.DEFAULTS["finitize_cap"]) -> IOSpec:
     """Materialize the system reachable from `roots`, applying pseudo-cycle
     removal eagerly, lowest supply level first.
 

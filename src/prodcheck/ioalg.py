@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 MINUS = "-"
 PLUS = "+"
@@ -97,22 +96,33 @@ def _split(runs: tuple, k: int) -> tuple:
     return runs, ()
 
 
-@dataclass(frozen=True, init=False)
 class IOTerm:
     """A rational IO-sequence: `prefix` then `loop` forever.
 
     An empty loop means the sequence is the finite word `prefix`.  The term
     is built from the two words and keeps them as runs; :meth:`of_runs`
-    builds one from runs directly.
+    builds one from runs directly.  Equality and hashing go by the runs;
+    `normal` (built by `normalize`) is left out.  A term is never changed
+    once built.
     """
 
-    prefix_runs: tuple
-    loop_runs: tuple
-    normal: bool = field(default=False, compare=False, repr=False)  # built by `normalize`
+    __slots__ = ("prefix_runs", "loop_runs", "normal")
 
     def __init__(self, prefix: str, loop: str = ""):
-        object.__setattr__(self, "prefix_runs", _runs(prefix))
-        object.__setattr__(self, "loop_runs", _runs(loop))
+        self.prefix_runs = _runs(prefix)
+        self.loop_runs = _runs(loop)
+        self.normal = False
+
+    def __eq__(self, other):
+        if type(other) is not IOTerm:
+            return NotImplemented
+        return self.prefix_runs == other.prefix_runs and self.loop_runs == other.loop_runs
+
+    def __hash__(self):
+        return hash((self.prefix_runs, self.loop_runs))
+
+    def __repr__(self):
+        return "IOTerm.of_runs(%r, %r)" % (self.prefix_runs, self.loop_runs)
 
     @classmethod
     def of_runs(cls, prefix_runs=(), loop_runs=()) -> "IOTerm":
@@ -138,9 +148,9 @@ class IOTerm:
 def _term(prefix_runs: tuple, loop_runs: tuple, normal: bool = False) -> IOTerm:
     """The term with these runs, which must be merged and non-empty."""
     t = object.__new__(IOTerm)
-    object.__setattr__(t, "prefix_runs", prefix_runs)
-    object.__setattr__(t, "loop_runs", loop_runs)
-    object.__setattr__(t, "normal", normal)
+    t.prefix_runs = prefix_runs
+    t.loop_runs = loop_runs
+    t.normal = normal
     return t
 
 

@@ -17,8 +17,6 @@ structural (`streamspec.Node`); `repr` is `pretty`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ioalg import (
     TOP,
     CoNat,
@@ -313,17 +311,16 @@ def collapse(t: ProdTerm) -> CoNat:
 # gates
 
 
-@dataclass(frozen=True)
 class Gate:
     """The IO-sequence `star` of the production with all supplies infinite,
     whose output count is the cap, plus one transducer per stream argument."""
 
-    star: IOTerm
-    args: tuple
+    __slots__ = ("star", "args", "cap")
 
-    @property
-    def cap(self) -> CoNat:
-        return interpret(self.star, TOP)
+    def __init__(self, star: IOTerm, args: tuple):
+        self.star = star
+        self.args = args
+        self.cap = interpret(star, TOP)
 
     @property
     def arity(self) -> int:

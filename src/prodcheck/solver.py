@@ -24,7 +24,6 @@ is quasi-periodic and the rational IO-term can be read off.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .equations import (
     CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, is_weakly_guarded, steps, var_str,
@@ -32,14 +31,16 @@ from .equations import (
 from .ioalg import EPSILON, TOP, CoNat, IOTerm, is_top, normalize, prepend
 
 
-@dataclass
 class TraceGraph:
-    nodes: list  # (var, parent id, branch digit) labels, index = node id
-    eps: list  # silent successors per node
-    out_plus: list
-    out_minus: list
-    heads: dict  # var -> node id of the top position of its right-hand side
-    refs: dict  # var -> the variables its right-hand side names, in preorder
+    __slots__ = ("nodes", "eps", "out_plus", "out_minus", "heads", "refs")
+
+    def __init__(self, nodes: list, eps: list, out_plus: list, out_minus: list, heads: dict, refs: dict):
+        self.nodes = nodes  # (var, parent id, branch digit) labels, index = node id
+        self.eps = eps  # silent successors per node
+        self.out_plus = out_plus
+        self.out_minus = out_minus
+        self.heads = heads  # var -> node id of the top position of its right-hand side
+        self.refs = refs  # var -> the variables its right-hand side names, in preorder
 
     @property
     def size(self) -> int:
@@ -238,7 +239,7 @@ def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
     return "\n".join(lines)
 
 
-def solve(iospec: IOSpec, root, max_columns: int = Caps.max_columns, trace=None) -> IOTerm:
+def solve(iospec: IOSpec, root, max_columns: int = Caps.DEFAULTS["max_columns"], trace=None) -> IOTerm:
     """Canonical IO-term denoting the unique solution for `root`.  When a
     repetition closes the search, `(x1, x2)`, the columns of its two strips,
     is appended to `trace`."""
@@ -284,7 +285,7 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
 # the acyclic rest of a system
 
 
-def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.max_columns) -> IOTerm:
+def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
     Solves the one-root system X = s /\\ t, where each operand with a loop
@@ -304,7 +305,7 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.max_columns) -> IOTerm
     return solve(IOSpec(equations, (root,)), root, max_columns=max_columns)
 
 
-def evaluate(expr, values: dict, max_columns: int = Caps.max_columns) -> IOTerm:
+def evaluate(expr, values: dict, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
     """Canonical IO-term of `expr` when every variable it names has its
     canonical value in `values`: a run of steps prepends its whole word,
     an infimum solves the two operands' rational system."""

@@ -21,19 +21,20 @@ a comment too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning" | "note"
-    message: str
-    line: int = 0
-    col: int = 0
-    filename: str = "<input>"
+    __slots__ = ("severity", "message", "line", "col", "filename")
+
+    def __init__(self, severity: str, message: str, line: int = 0, col: int = 0, filename: str = "<input>"):
+        self.severity = severity  # "error" | "warning" | "note"
+        self.message = message
+        self.line = line
+        self.col = col
+        self.filename = filename
 
     def __str__(self):
         return "%s:%d:%d: %s: %s" % (self.filename, self.line, self.col, self.severity, self.message)
@@ -97,28 +98,34 @@ def _tokenize(text: str, filename: str) -> list:
 # signature
 
 
-@dataclass(frozen=True)
 class StreamSort:
-    param: str
+    __slots__ = ("param",)
+
+    def __init__(self, param: str):
+        self.param = param
 
     def __str__(self):
         return "stream(%s)" % self.param
 
 
-@dataclass(frozen=True)
 class DataSort:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class SymbolInfo:
-    name: str
-    kind: str  # "const" | "func" | "data"
-    arg_sorts: tuple
-    result_sort: object
+    __slots__ = ("name", "kind", "arg_sorts", "result_sort")
+
+    def __init__(self, name: str, kind: str, arg_sorts: tuple, result_sort):
+        self.name = name
+        self.kind = kind  # "const" | "func" | "data"
+        self.arg_sorts = arg_sorts
+        self.result_sort = result_sort
 
     @property
     def stream_arity(self) -> int:
@@ -129,11 +136,13 @@ class SymbolInfo:
         return sum(1 for s in self.arg_sorts if isinstance(s, DataSort))
 
 
-@dataclass
 class Signature:
-    symbols: dict  # name -> SymbolInfo
-    order: list  # declaration order
-    filename: str = "<input>"
+    __slots__ = ("symbols", "order", "filename")
+
+    def __init__(self, symbols: dict, order: list, filename: str = "<input>"):
+        self.symbols = symbols  # name -> SymbolInfo
+        self.order = order  # declaration order
+        self.filename = filename
 
     def stream_constants(self):
         return [n for n in self.order if self.symbols[n].kind == "const"]
@@ -157,9 +166,10 @@ class Signature:
 
 
 class Node:
-    """A node of a stream term, and the base of production-term nodes.
+    """A node of a stream term, and the base of every class compared by its
+    fields: production-term nodes, IO-expressions and a few records.
 
-    `__match_args__` names the fields that make up the term: nodes, tuples
+    `__match_args__` names the fields that make up the node: nodes, tuples
     of nodes or plain values.  Equality and hashing are structural and walk
     an explicit stack, so term depth is not bounded by the interpreter.  A
     node is never changed once built, for its hash depends on its fields.
@@ -192,26 +202,34 @@ class Node:
         return term_str(self)
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class SVar(Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class DVar(Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class Cons(Node):
-    head: object  # data term
-    tail: object  # stream term
+    __slots__ = __match_args__ = ("head", "tail")
+
+    def __init__(self, head, tail):
+        self.head = head  # data term
+        self.tail = tail  # stream term
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class App(Node):
-    sym: str
-    args: tuple
+    __slots__ = __match_args__ = ("sym", "args")
+
+    def __init__(self, sym: str, args: tuple):
+        self.sym = sym
+        self.args = args
 
 
 Term = SVar | DVar | Cons | App
@@ -237,12 +255,14 @@ def term_str(t: Term) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class Rule:
-    lhs: Term
-    rhs: Term
-    layer: str  # "stream" | "data"
-    line: int
+class Rule(Node):
+    __slots__ = __match_args__ = ("lhs", "rhs", "layer", "line")
+
+    def __init__(self, lhs: Term, rhs: Term, layer: str, line: int):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.layer = layer  # "stream" | "data"
+        self.line = line
 
     @property
     def root(self) -> str:
@@ -251,14 +271,20 @@ class Rule:
     def __str__(self):
         return "%s = %s" % (term_str(self.lhs), term_str(self.rhs))
 
+    def __repr__(self):
+        return "Rule(%r, %r, %r, %d)" % (self.lhs, self.rhs, self.layer, self.line)
 
-@dataclass
+
 class StreamSpec:
-    signature: Signature
-    stream_rules: list
-    data_rules: list
-    by_root: dict = field(compare=False, repr=False)  # root symbol -> its rules, in file order
-    filename: str = "<input>"
+    __slots__ = ("signature", "stream_rules", "data_rules", "by_root", "filename")
+
+    def __init__(self, signature: Signature, stream_rules: list, data_rules: list, by_root: dict,
+                 filename: str = "<input>"):
+        self.signature = signature
+        self.stream_rules = stream_rules
+        self.data_rules = data_rules
+        self.by_root = by_root  # root symbol -> its rules, in file order
+        self.filename = filename
 
     def rules_of(self, symbol: str):
         return self.by_root.get(symbol, [])
@@ -849,18 +875,20 @@ def validate(spec: StreamSpec):
 # classification
 
 
-@dataclass(frozen=True)
 class RuleShape:
     """Consumption/production/feedback skeleton of one stream rule."""
 
-    rule: Rule
-    nesting: bool
-    consume: tuple  # per stream argument, elements taken by the pattern
-    produce: int  # elements emitted before the tail
-    tail_var: int | None  # case (a): index of the argument continued with
-    callee: str | None  # case (b): symbol of the tail call (maybe a constant)
-    perm: tuple | None  # case (b): callee arg j continues lhs arg perm[j]
-    feedback: tuple | None  # case (b): elements pushed in front per callee arg
+    __slots__ = ("rule", "nesting", "consume", "produce", "tail_var", "callee", "perm", "feedback")
+
+    def __init__(self, rule: Rule, nesting: bool, consume: tuple, produce: int, tail_var, callee, perm, feedback):
+        self.rule = rule
+        self.nesting = nesting
+        self.consume = consume  # per stream argument, elements taken by the pattern
+        self.produce = produce  # elements emitted before the tail
+        self.tail_var = tail_var  # case (a): index of the argument continued with
+        self.callee = callee  # case (b): symbol of the tail call (maybe a constant)
+        self.perm = perm  # case (b): callee arg j continues lhs arg perm[j]
+        self.feedback = feedback  # case (b): elements pushed in front per callee arg
 
     @property
     def signature(self):
@@ -917,12 +945,14 @@ def rule_shape(spec: StreamSpec, rule: Rule) -> RuleShape:
     return RuleShape(rule, True, tuple(consume), produce, None, None, None, None)
 
 
-@dataclass
 class Classification:
-    shapes: dict  # symbol -> [RuleShape]
-    symbol_class: dict  # stream function -> "pure"|"flat"|"friendly"|"unfriendly"
-    guarded: dict  # stream symbol -> bool (weakly guarded)
-    depends: dict  # stream symbol -> set of stream symbols in its rule rhss
+    __slots__ = ("shapes", "symbol_class", "guarded", "depends")
+
+    def __init__(self, shapes: dict, symbol_class: dict, guarded: dict, depends: dict):
+        self.shapes = shapes  # symbol -> [RuleShape]
+        self.symbol_class = symbol_class  # stream function -> "pure"|"flat"|"friendly"|"unfriendly"
+        self.guarded = guarded  # stream symbol -> bool (weakly guarded)
+        self.depends = depends  # stream symbol -> set of stream symbols in its rule rhss
 
 
 def classify(spec: StreamSpec) -> Classification:

@@ -9,8 +9,6 @@ constant touches (pure, flat, or friendly nesting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import equations as eq
 from .equations import Caps, TranslationError
 from .ioalg import CoNat, is_top
@@ -102,13 +100,15 @@ def translate_constant(spec: StreamSpec, gates: dict, name: str) -> ProdTerm:
     return built[0]
 
 
-@dataclass
 class Verdict:
-    constant: str
-    production: CoNat
-    context: str  # "pure" | "flat" | "friendly-nesting"
-    answer: str  # "productive" | "not-productive" | "not-do-productive" | "unknown"
-    trace: list = field(default_factory=list)
+    __slots__ = ("constant", "production", "context", "answer", "trace")
+
+    def __init__(self, constant: str, production: CoNat, context: str, answer: str, trace: list):
+        self.constant = constant
+        self.production = production
+        self.context = context  # "pure" | "flat" | "friendly-nesting"
+        self.answer = answer  # "productive" | "not-productive" | "not-do-productive" | "unknown"
+        self.trace = trace  # (rule or None, production term) per step, the untouched term first
 
     def sentence(self) -> str:
         if self.answer == "productive":

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -263,6 +262,16 @@ def test_optimized_interpreter_matches_goldens(name):
     assert done.stderr == b""
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Importing the command line in a fresh interpreter, one that reads no
+    environment variables and no user site, leaves the two modules that
+    dataclass code generation needs unloaded."""
+    script = "import sys; sys.path.insert(0, %r); import prodcheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    command = [sys.executable, "-I", "-c", script % str(SRC)]
+    done = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"[]\n", b"")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -428,11 +437,11 @@ def test_every_cap_is_a_flag_with_its_default(monkeypatch):
         "oracle_prod_cap": "--oracle-prod-cap",
         "oracle_steps": "--oracle-steps",
     }
-    assert [cap.name for cap in dataclasses.fields(Caps)] == list(flags)
+    assert list(Caps.DEFAULTS) == list(flags)
     pascal = str(spec_path("pascal"))
     parsed = cli._build_parser().parse_args([pascal])
-    for cap in dataclasses.fields(Caps):
-        assert getattr(parsed, cap.name) == cap.default == getattr(Caps(), cap.name)
+    for name, default in Caps.DEFAULTS.items():
+        assert getattr(parsed, name) == default == getattr(Caps(), name)
 
     seen = []
 

@@ -15,6 +15,7 @@ from prodcheck.equations import (
     XM,
     XP,
     arg,
+    expr_str,
     finitize,
     is_weakly_guarded,
     star,
@@ -244,6 +245,22 @@ def test_dump_mu_of_a_long_chain():
     iospec = finitize(classify(_chain(1000)), [arg("f00", 1, 0)])
     text = iospec.dump_mu(arg("f00", 1, 0))
     assert text.count("mu X_") == 1000 and text.endswith("X_{f00,1,0}")
+
+
+def test_deep_expressions_compare_hash_and_repr():
+    """`==`, `hash` and `repr` of a 20,000-deep IO-expression walk an
+    explicit stack."""
+    n = 20000
+
+    def expr(v):
+        return EInf(EVar(XP), steps("-+" * (n // 2), EInf(EVar(v), EEmpty())))
+
+    a, b, c = expr(arg("f", 1, 0)), expr(arg("f", 1, 0)), expr(arg("f", 1, 1))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != c and not a == c and a != EVar(XP) and a != "x"
+    assert len({a, b, c}) == 2
+    assert EEmpty() == EEmpty() and EVar(XM) != EEmpty() and EStep("+", EEmpty()) != EStep("-", EEmpty())
+    assert repr(a) == expr_str(a) == "/\\ { X_+, %s/\\ { X_{f,1,0}, eps } }" % ("-+" * (n // 2))
 
 
 # --- incremental finitize against the from-scratch sweep ---------------------

@@ -5,7 +5,7 @@ import dataclasses
 import pathlib
 import typing
 
-from prodcheck import ioalg, prodterm, streamspec
+from prodcheck import equations, ioalg, prodterm, streamspec
 
 SOURCES = sorted(pathlib.Path(ioalg.__file__).parent.glob("*.py"))
 
@@ -66,13 +66,13 @@ def test_no_recursive_functions():
 
 
 def test_term_methods_are_written_in_the_package():
-    """Every production-term and stream-term class takes `__eq__`,
-    `__hash__` and `__repr__` from a function written in a module of the
-    package, never from dataclass code generation, whose methods recurse
-    once per level and which the guard above cannot see."""
+    """Every production-term, stream-term and IO-expression class takes
+    `__eq__`, `__hash__` and `__repr__` from a function written in a module
+    of the package, never from dataclass code generation, whose methods
+    recurse once per level and which the guard above cannot see."""
     package = pathlib.Path(ioalg.__file__).parent
-    classes = typing.get_args(prodterm.ProdTerm) + typing.get_args(streamspec.Term)
-    assert len(classes) == 10
+    classes = typing.get_args(prodterm.ProdTerm) + typing.get_args(streamspec.Term) + typing.get_args(equations.IOExpr)
+    assert len(classes) == 14
     found = {}
     for cls in classes:
         for name in ("__eq__", "__hash__", "__repr__"):
@@ -81,6 +81,31 @@ def test_term_methods_are_written_in_the_package():
     assert found == dict.fromkeys(found, True)
     generated = dataclasses.dataclass(frozen=True)(type("Frozen", (), {"__annotations__": {"x": int}}))
     assert generated.__eq__.__code__.co_filename == "<string>"
+
+
+def _dataclass_imports(tree):
+    """Lines that import the standard library's `dataclasses`, whole or
+    from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [node.lineno for name in names if name == "dataclasses"]
+    return found
+
+
+def test_no_dataclasses():
+    """No module imports `dataclasses`: generating a class's methods costs
+    about a millisecond per class at every start-up, and loading the module
+    loads `inspect` too.  Records are slotted classes with written methods."""
+    found = {path.name: _dataclass_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sample = ast.parse("import re, dataclasses\nfrom dataclasses import field\nfrom . import dataclasses\nimport dataclasses_x\n")
+    assert _dataclass_imports(sample) == [1, 2]
 
 
 _CACHES = ("cache", "lru_cache")
