@@ -212,8 +212,10 @@ def do_low_constant(
     production cap guarding divergence.  The function games of the whole
     enumeration share `step_cap - 1` expansions; the rounds of one
     assignment share a table of settled states, so each round walks only
-    the states no earlier round settled.  Nesting rules are outside this
-    oracle's state space.
+    the states no earlier round settled.  Past the budget every game is
+    (0, inexact) whatever its shapes: if each constant has one rule, the
+    first assignment that starts with the budget spent is the last one
+    played.  Nesting rules are outside this oracle's state space.
     """
     sig = spec.signature
     symbols = sorted(reachable_symbols(cls, name))
@@ -256,6 +258,7 @@ def do_low_constant(
     outcomes = []
     budget = [step_cap - 1]
     for picks in itertools.product(*(cls.shapes[s] for s in symbols)):
+        last = budget[0] <= 0 and all(len(cls.shapes[c]) == 1 for c in constants)
         committed = {s: (sh,) for s, sh in zip(symbols, picks)}
         rule_of = {c: committed[c][0].rule for c in constants}
         values = {c: (0, True) for c in constants}
@@ -274,5 +277,7 @@ def do_low_constant(
             outcomes.append((min(lo, prod_cap), False))
         else:
             outcomes.append((lo, exact))
+        if last:
+            break
     lo, exact = _combine_min(outcomes)
     return _as_result(lo, exact, prod_cap)

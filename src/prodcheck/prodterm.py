@@ -245,34 +245,20 @@ def _replace_child(t: ProdTerm, i: int, sub: ProdTerm) -> ProdTerm:
     raise AssertionError
 
 
-def _rewrite_at(t: ProdTerm, path, rule: str, memo: dict) -> ProdTerm:
-    spine = [t]
-    for i in path:
-        spine.append(_children(spine[-1])[i])
-    t = _contract(spine.pop(), rule, memo)
-    for i in reversed(path):
-        t = _replace_child(spine.pop(), i, t)
-    return t
-
-
 def _first_redex(t: ProdTerm):
-    # a preorder walk on an explicit stack; each node carries a link
-    # (parent's link, child index), so the path is built once, at the hit
+    """The leftmost-outermost redex of `t` as (redex, rule, chain), or None.
+    A chain is None at the root, else (parent, child index, parent's chain),
+    linked once as the preorder walk, on an explicit stack, reaches a node."""
     todo = [(t, None)]
     while todo:
-        t, link = todo.pop()
+        t, chain = todo.pop()
         rule = t.rule
         if rule is not None:
-            path = []
-            while link is not None:
-                link, i = link
-                path.append(i)
-            path.reverse()
-            return (tuple(path), rule)
+            return t, rule, chain
         if isinstance(t, Meet):
-            todo += ((t.right, (link, 1)), (t.left, (link, 0)))
+            todo += ((t.right, (t, 1, chain)), (t.left, (t, 0, chain)))
         elif not isinstance(t, (Src, Var)):
-            todo.append((t.body, (link, 0)))
+            todo.append((t.body, (t, 0, chain)))
     return None
 
 
@@ -280,10 +266,11 @@ def collapse_trace(t: ProdTerm, memo: dict | None = None):
     """Leftmost-outermost rewrite steps down to a numeral.
 
     Returns the list of (rule name, term after the step); empty when the
-    term already is a numeral.  Box-box steps look their composition up in
-    `memo` and add it there on a miss: the collapses of one analysis share
-    one dict, which lives no longer than the analysis (by default, one
-    collapse).
+    term already is a numeral.  Each step contracts the redex `_first_redex`
+    finds and rebuilds the ancestors along its chain, bottom up.  Box-box
+    steps look their composition up in `memo` and add it there on a miss:
+    the collapses of one analysis share one dict, which lives no longer
+    than the analysis (by default, one collapse).
     """
     if t.free_vars:
         raise ValueError("open term: %s" % ", ".join(sorted(t.free_vars)))
@@ -295,8 +282,11 @@ def collapse_trace(t: ProdTerm, memo: dict | None = None):
             if not isinstance(t, Src):
                 raise AssertionError("stuck non-numeral: %s" % pretty(t))
             return steps
-        path, rule = hit
-        t = _rewrite_at(t, path, rule, memo)
+        redex, rule, chain = hit
+        t = _contract(redex, rule, memo)
+        while chain is not None:
+            parent, i, chain = chain
+            t = _replace_child(parent, i, t)
         steps.append((rule, t))
 
 

@@ -192,9 +192,10 @@ def _stair(values) -> str:
     return word
 
 
-def _check_repetition(g: TraceGraph, diagram: Diagram, x1: int, x2: int) -> bool:
+def _check_repetition(diagram: Diagram, x1: int, x2: int) -> bool:
     """Only the nodes that kept their relative height may contribute to the
     bound on [x1, x2], and they must rebuild themselves shifted at x2."""
+    g = diagram.g
     col1, col2 = diagram.column(x1), diagram.column(x2)
     h1, h2 = min(col1.values()), min(col2.values())
     d = h2 - h1
@@ -215,27 +216,18 @@ def _check_repetition(g: TraceGraph, diagram: Diagram, x1: int, x2: int) -> bool
 
 def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
     """Per-column node/height table plus the repetition that closed the
-    search (debug rendering for the CLI), read off the diagram the solver
-    swept."""
+    search (debug rendering for the CLI): every column the solver's sweep
+    read, with its bound, as the sweep left the diagram."""
     diagram = Diagram(build_graph(iospec, root), root)
     witness: list = []
     _sweep(diagram, max_columns, witness)
-    last = witness[0][1] if witness else 0
     g = diagram.g
     lines = ["diagram for %s" % var_str(root)]
-    for x in range(last + 1):
-        col = diagram.column(x)
-        beta = diagram.bound(x)
-        cells = []
-        for v, y in sorted(col.items(), key=lambda kv: (kv[1], kv[0])):
-            cells.append("%s@%s=%d" % (var_str(g.nodes[v][0]), _position(g, v), y))
-        lines.append("  x=%d beta=%s | %s" % (x, "inf" if is_top(beta) else int(beta), " ".join(cells)))
-        if is_top(beta):
-            break
-    if witness:
-        lines.append("  repetition: strips %d and %d" % witness[0])
-    else:
-        lines.append("  all-output tail: no repetition needed")
+    for x, (col, beta) in enumerate(zip(diagram.columns, diagram.bounds)):
+        cells = sorted(col.items(), key=lambda kv: (kv[1], kv[0]))
+        text = " ".join("%s@%s=%d" % (var_str(g.nodes[v][0]), _position(g, v), y) for v, y in cells)
+        lines.append("  x=%d beta=%s | %s" % (x, "inf" if is_top(beta) else int(beta), text))
+    lines.append("  repetition: strips %d and %d" % witness[0] if witness else "  all-output tail: no repetition needed")
     return "\n".join(lines)
 
 
@@ -248,17 +240,14 @@ def solve(iospec: IOSpec, root, max_columns: int = Caps.DEFAULTS["max_columns"],
 
 def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
     """The repetition search of `solve`, over the columns of `diagram`."""
-    g = diagram.g
-    bounds: list = []
+    bounds = diagram.bounds
     strips: dict = {}  # frozenset of nodes -> [(x, relative heights)]
     for x in range(max_columns):
         col = diagram.column(x)
-        beta = diagram.bound(x)
-        if is_top(beta):
+        if is_top(bounds[x]):
             # no consuming node is left: all output from here on
-            word = (_stair(bounds) + "-") if x else ""
+            word = (_stair(bounds[:x]) + "-") if x else ""
             return normalize(IOTerm(word, "+"))
-        bounds.append(beta)
         if not col:
             raise AssertionError("empty column with a finite bound")
         h = min(col.values())
@@ -266,7 +255,7 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
         key = frozenset(col)
         for x1, rel1 in strips.get(key, ()):
             if all(rel[v] >= rel1[v] for v in rel1):
-                if _check_repetition(g, diagram, x1, x):
+                if _check_repetition(diagram, x1, x):
                     if trace is not None:
                         trace.append((x1, x))
                     if bounds[x] == bounds[x1]:

@@ -1,0 +1,175 @@
+"""Generators and oracles shared by the test modules.
+
+Specification families as text: a cyclic `chain` of one-step functions, a
+`ring` of constants over a halving function, a constant behind a cons
+`prefix`, a constant under `nested_calls` of two-rule functions, and
+`random_flat_spec`, a random exhaustive flat specification.
+`chain(16)`, `ring(6)` and `prefix(20)` are the files of the same names
+under `tests/data/`.  Random IO-expression systems, production terms and
+canonical IO-terms come with the rng they draw from, so a seed pins each
+one; `kleene_lfp` is the least fixed point by iteration.
+"""
+
+from prodcheck.equations import EEmpty, EInf, EStep, EVar, IOSpec
+from prodcheck.ioalg import TOP, IOTerm, interpret, normalize
+from prodcheck.prodterm import Box, Meet, Mu, Peb, Src, Var
+
+
+def _spec(constants, functions, rules) -> str:
+    return "Signature(\n  %s : stream(nat),\n  %s : stream(nat) -> stream(nat),\n  0 : nat\n)\n%s\n" % (
+        ", ".join(constants),
+        ", ".join(functions),
+        "\n".join(rules),
+    )
+
+
+def chain(n: int) -> str:
+    """C = 0:f00(C), f_i(x:s) = x:f_{i+1 mod n}(s)."""
+    fs = ["f%02d" % i for i in range(n)]
+    rules = ["C = 0:f00(C)"] + ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
+    return _spec(["C"], fs, rules)
+
+
+def ring(n: int) -> str:
+    """P_i = 0:f(P_{i+1 mod n}) over the halving f(x:y:s) = x:f(s)."""
+    ps = ["P%d" % i for i in range(n)]
+    rules = ["%s = 0:f(%s)" % (ps[i], ps[(i + 1) % n]) for i in range(n)] + ["f(x:y:s) = x:f(s)"]
+    return _spec(ps, ["f"], rules)
+
+
+def prefix(m: int) -> str:
+    """P = 0:...:0:f(P), m conses, over the identity f(x:s) = x:f(s)."""
+    return _spec(["P"], ["f"], ["P = %sf(P)" % ("0:" * m), "f(x:s) = x:f(s)"])
+
+
+def nested_calls(n: int) -> str:
+    """C = 0:f0(f1(...f<n-1>(C))) over n functions of two rules each,
+    f_i(0:xs) = 0:f_i(xs) and f_i(s(x):xs) = x:x:f_i(xs)."""
+    fs = ["f%d" % i for i in range(n)]
+    rhs = "C"
+    for f in reversed(fs):
+        rhs = "%s(%s)" % (f, rhs)
+    rules = ["C = 0:" + rhs]
+    for f in fs:
+        rules += ["%s(0:xs) = 0:%s(xs)" % (f, f), "%s(s(x):xs) = x:x:%s(xs)" % (f, f)]
+    return "Signature(\n  C : stream(nat),\n  %s : stream(nat) -> stream(nat),\n  0 : nat,\n  s : nat -> nat\n)\n%s\n" % (
+        ", ".join(fs),
+        "\n".join(rules),
+    )
+
+
+def random_flat_spec(rng, max_feedback=1):
+    """Random exhaustive flat specification over bits; each argument of a
+    call gets up to `max_feedback` elements pushed back in front of it."""
+    funs = {"f%d" % i: rng.randrange(1, 3) for i in range(rng.randrange(1, 3))}
+    cons = ["C%d" % i for i in range(rng.randrange(1, 3))]
+    decls = [", ".join(cons) + " : stream(bit)"]
+    for f, a in funs.items():
+        decls.append("%s : %s" % (f, " -> ".join(["stream(bit)"] * (a + 1))))
+    decls.append("0, 1 : bit")
+    rules = []
+    for f, a in funs.items():
+        for d in ("0", "1"):  # exhaustive split on the head of argument 1
+            consume = [rng.randrange(1, 3) for _ in range(a)]
+            pats = []
+            for i, c in enumerate(consume):
+                parts = [d] if i == 0 else ["y%d_0" % i]
+                parts += ["y%d_%d" % (i, j) for j in range(1, c)]
+                pats.append(":".join(parts + ["s%d" % i]))
+            out = [rng.choice("01") for _ in range(rng.randrange(0, 3))]
+            if rng.random() < 0.35:
+                tail = "s%d" % rng.randrange(a)
+            else:
+                g = rng.choice(sorted(funs))
+                args = []
+                for _ in range(funs[g]):
+                    src = rng.randrange(a)
+                    fb = [rng.choice("01") for _ in range(rng.randrange(0, max_feedback + 1))]
+                    args.append(":".join(fb + ["s%d" % src]))
+                tail = "%s(%s)" % (g, ",".join(args))
+            rules.append("%s(%s) = %s" % (f, ",".join(pats), ":".join(out + [tail])))
+    for c in cons:
+        out = [rng.choice("01") for _ in range(rng.randrange(0, 3))]
+        f = rng.choice(sorted(funs))
+        args = ",".join(rng.choice(cons) for _ in range(funs[f]))
+        tail = "%s(%s)" % (f, args) if rng.random() < 0.8 else rng.choice(cons)
+        rules.append("%s = %s" % (c, ":".join(out + [tail])))
+    return "Signature( " + ", ".join(decls) + " )\n" + "\n".join(rules)
+
+
+def random_system(rng, max_eqs=5, max_size=8):
+    """Random IO-expression system over variables ("v", "X<i>"), every one
+    a root; it need not be weakly guarded."""
+    names = [("v", "X%d" % i) for i in range(rng.randrange(1, max_eqs + 1))]
+
+    def expr(budget):
+        kind = rng.choice(["step", "step", "var", "inf", "empty"])
+        if budget <= 1:
+            kind = rng.choice(["var", "empty"])
+        if kind == "empty":
+            return EEmpty()
+        if kind == "var":
+            return EVar(rng.choice(names))
+        if kind == "step":
+            return EStep(rng.choice("-+"), expr(budget - 1))
+        left = budget // 2
+        return EInf(expr(left), expr(budget - 1 - left))
+
+    table = {n: expr(rng.randrange(2, max_size + 1)) for n in names}
+    return IOSpec(table, tuple(names))
+
+
+def random_closed_term(rng, size, scope=(), loop_len=4):
+    """Random closed production term with about `size` constructors."""
+
+    def ioterm():
+        while True:
+            pre = "".join(rng.choice("-+") for _ in range(rng.randrange(loop_len + 1)))
+            loop = "".join(rng.choice("-+") for _ in range(rng.randrange(loop_len + 1)))
+            if loop and "+" not in loop:
+                continue
+            return IOTerm(pre, loop)
+
+    def build(budget, scope):
+        if budget <= 1:
+            if scope and rng.random() < 0.5:
+                return Var(rng.choice(scope))
+            return Src(rng.choice([0, 1, 2, 5, TOP]))
+        kind = rng.choice(["peb", "box", "mu", "meet", "leaf"])
+        if kind == "leaf":
+            return build(1, scope)
+        if kind == "peb":
+            return Peb(build(budget - 1, scope))
+        if kind == "box":
+            return Box(ioterm(), build(budget - 1, scope))
+        if kind == "mu":
+            name = "x%d" % len(scope)
+            return Mu(name, build(budget - 1, scope + (name,)))
+        left = budget // 2
+        return Meet(build(left, scope), build(budget - 1 - left, scope))
+
+    return build(size, tuple(scope))
+
+
+def random_canonical(rng, max_len=6, loop_p=0.8):
+    """Random canonical IO-term with prefix and loop lengths up to
+    `max_len`; it has a loop with probability `loop_p`."""
+    while True:
+        pre = "".join(rng.choice("-+") for _ in range(rng.randrange(max_len + 1)))
+        if rng.random() < loop_p:
+            loop = "".join(rng.choice("-+") for _ in range(rng.randrange(1, max_len + 1)))
+            if "+" not in loop:
+                continue
+            return normalize(IOTerm(pre, loop))
+        return normalize(IOTerm(pre, ""))
+
+
+def kleene_lfp(s, cap=200):
+    """Independent oracle: iterate the interpretation from 0."""
+    v = 0
+    for _ in range(cap):
+        nv = interpret(s, v)
+        if nv == v:
+            return v
+        v = nv
+    return TOP  # justified: fixed points of these small terms are far below cap

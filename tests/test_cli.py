@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,11 +13,11 @@ from prodcheck import cli
 from prodcheck.cli import main
 from prodcheck.equations import CapError, Caps
 
+import specgen
 from conftest import CORPUS, spec_path
+from specgen import random_flat_spec
 from test_dogame import PSEUDO_CYCLE_SEEDS
-from test_solver import _chain_spec
 from test_streamspec import END_OF_INPUT_ERRORS, FRONT_END_ERRORS
-from test_translate import _prefix_spec, random_flat_spec, ring_spec
 
 
 def run_cli(args):
@@ -296,7 +297,7 @@ def test_reader_closing_partway_through_a_text_report(tmp_path):
     """A reader that closes the pipe after the first 64 KiB of a text
     report of about 24 MB, written line by line as it is rendered."""
     path = tmp_path / "prefix2000.spec"
-    path.write_text(_prefix_spec(2000))
+    path.write_text(specgen.prefix(2000))
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
         [sys.executable, "-m", "prodcheck", str(path)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
@@ -389,12 +390,12 @@ def test_fuzz_documented_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "text, args, code",
     [
-        (_prefix_spec(1000), ["--report", "json"], 0),
-        (_prefix_spec(2000), [], 0),
-        (_prefix_spec(2000), ["--mode", "oracle-check"], 0),
-        (ring_spec(200), ["--report", "json", "--root", "P0"], 1),
-        (_chain_spec(300), ["--mode", "gates", "--dump-equations"], 0),
-        (_prefix_spec(5000), ["--report", "json"], 0),
+        (specgen.prefix(1000), ["--report", "json"], 0),
+        (specgen.prefix(2000), [], 0),
+        (specgen.prefix(2000), ["--mode", "oracle-check"], 0),
+        (specgen.ring(200), ["--report", "json", "--root", "P0"], 1),
+        (specgen.chain(300), ["--mode", "gates", "--dump-equations"], 0),
+        (specgen.prefix(5000), ["--report", "json"], 0),
     ],
     ids=["prefix1000-json", "prefix2000", "prefix2000-oracle", "ring200-json", "chain300-dump", "prefix5000-json"],
 )
@@ -408,9 +409,21 @@ def test_deep_inputs_end_in_a_verdict(text, args, code, tmp_path):
     assert (got, err) == (code, "")
 
 
+def test_oracle_check_of_many_two_rule_functions(tmp_path):
+    """C's game has 2^24 rule assignments; the enumeration ends once the
+    oracle's expansions are spent."""
+    p = tmp_path / "nested24.spec"
+    p.write_text(specgen.nested_calls(24))
+    start = time.perf_counter()
+    code, out, err = run_cli([str(p), "--mode", "oracle-check"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert out.endswith("f23 : gate agrees with game\nC : production inf vs game AtLeast(1) : consistent\n")
+
+
 def test_deep_prefix_from_the_command_line(tmp_path):
     p = tmp_path / "deep.spec"
-    p.write_text(_prefix_spec(5000))
+    p.write_text(specgen.prefix(5000))
     done = _run_module([str(p), "--report", "json"], stdout=subprocess.PIPE)
     assert (done.returncode, done.stderr) == (0, b"")
     assert json.loads(done.stdout)["constants"] == [{"name": "P", "production": "inf", "verdict": "productive"}]

@@ -10,7 +10,8 @@ from prodcheck.ioalg import interpret, is_top, parse_ioterm
 from prodcheck.streamspec import Cons, SVar, classify, parse, reachable_symbols, validate
 from prodcheck.translate import translate_symbols
 
-from test_translate import random_flat_spec
+import specgen
+from specgen import random_flat_spec
 
 
 def setup(corpus, name):
@@ -365,6 +366,31 @@ def test_game_search_matches_recursive_references(corpus, monkeypatch):
                     assert _keeps_contract(got, old), (case, c, step_cap, prod_cap, got, old)
                     checked += 1
     assert checked > 5000
+
+
+# A constant of two rules over three two-rule functions: its first rule's
+# assignments come first and spend the budget with outcomes of at least 3,
+# and its second rule, a silent cycle, still gives 0.
+_TWO_RULE_CONSTANT = """Signature( C : nat -> stream(nat), f0, f1, f2 : stream(nat) -> stream(nat), 0 : nat, s : nat -> nat )
+C(0) = 0:0:0:f0(f1(f2(C(0))))
+C(s(x)) = f0(f1(f2(C(x))))
+""" + "".join("f%d(0:xs) = 0:f%d(xs)\nf%d(s(x):xs) = x:x:f%d(xs)\n" % ((i,) * 4) for i in range(3))
+
+
+def test_constant_enumeration_ends_once_the_budget_is_spent():
+    """Past the budget every game is (0, inexact) whatever its rules, so with
+    one rule per constant the 2^n assignments of n two-rule functions have
+    one outcome from there on; a constant of two rules still has both
+    played.  The same answers as the reference, which plays every
+    assignment."""
+    specs = [parse(specgen.nested_calls(n)) for n in range(1, 6)] + [parse(_TWO_RULE_CONSTANT)]
+    for spec in specs:
+        cls = classify(spec)
+        for step_cap in (1, 2, 3, 5, 10, 40, 200):
+            for prod_cap in (4, 12):
+                want = _constant_reference(spec, cls, "C", prod_cap, step_cap)
+                got = do_low_constant(spec, cls, "C", prod_cap, step_cap)
+                assert got == want, (spec.signature.stream_functions(), step_cap, prod_cap)
 
 
 _SILENT_RING = """Signature( C, D : stream(bit), f, g : stream(bit) -> stream(bit), 0, 1 : bit )

@@ -26,8 +26,9 @@ from prodcheck.ioalg import interpret, parse_ioterm
 from prodcheck.solver import Diagram, build_graph, solve
 from prodcheck.streamspec import classify, parse
 
+import specgen
 from conftest import load
-from test_translate import random_flat_spec
+from specgen import random_flat_spec
 
 
 def test_pascal_arg_equation(corpus):
@@ -242,7 +243,7 @@ def test_rendering_matches_recursive_reference(corpus):
 
 def test_dump_mu_of_a_long_chain():
     """The mu rendering of a 1,000-function chain nests 1,000 binders."""
-    iospec = finitize(classify(_chain(1000)), [arg("f00", 1, 0)])
+    iospec = finitize(classify(parse(specgen.chain(1000))), [arg("f00", 1, 0)])
     text = iospec.dump_mu(arg("f00", 1, 0))
     assert text.count("mu X_") == 1000 and text.endswith("X_{f00,1,0}")
 
@@ -346,25 +347,6 @@ def _outcome(fn, cls, roots, **kw):
         return (type(exc), str(exc))
 
 
-def _generated_spec(constants, functions, rules):
-    return parse(
-        "Signature(\n  %s : stream(nat),\n  %s : stream(nat) -> stream(nat),\n  0 : nat\n)\n%s\n"
-        % (", ".join(constants), ", ".join(functions), "\n".join(rules))
-    )
-
-
-def _chain(n):
-    fs = ["f%02d" % i for i in range(n)]
-    rules = ["C = 0:f00(C)"] + ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
-    return _generated_spec(["C"], fs, rules)
-
-
-def _ring(n):
-    ps = ["P%d" % i for i in range(n)]
-    rules = ["%s = 0:f(%s)" % (ps[i], ps[(i + 1) % n]) for i in range(n)] + ["f(x:y:s) = x:f(s)"]
-    return _generated_spec(ps, ["f"], rules)
-
-
 # One new equation here opens two pseudo-cycles at once: the second one must
 # still be removed after the first replacement.
 TWO_PSEUDO_CYCLES = """Signature( C0, C1 : stream(bit), f0 : stream(bit) -> stream(bit) -> stream(bit), 0, 1 : bit )
@@ -383,8 +365,8 @@ def _finitize_cases(corpus):
         yield "feedback seed %d" % seed, parse(random_flat_spec(random.Random(seed), max_feedback=3))
     yield "two pseudo-cycles", parse(TWO_PSEUDO_CYCLES)
     yield from corpus.items()
-    yield "chain 24", _chain(24)
-    yield "ring 8", _ring(8)
+    yield "chain 24", parse(specgen.chain(24))
+    yield "ring 8", parse(specgen.ring(8))
 
 
 def test_finitize_matches_from_scratch_sweep(corpus):

@@ -19,6 +19,8 @@ from prodcheck.ioalg import (
 )
 from prodcheck.solver import infimum
 
+from specgen import kleene_lfp, random_canonical
+
 T = parse_ioterm
 
 
@@ -29,19 +31,6 @@ def plus_count(t):
 def is_normal(t):
     """`t` is marked normal, and normalizing an unmarked copy gives `t`."""
     return t.normal and normalize(IOTerm.of_runs(t.prefix_runs, t.loop_runs)) == t
-
-
-def random_canonical(rng, max_len=6):
-    """Random canonical term with prefix/loop lengths up to max_len."""
-    while True:
-        pre = "".join(rng.choice("-+") for _ in range(rng.randrange(max_len + 1)))
-        has_loop = rng.random() < 0.8
-        if has_loop:
-            loop = "".join(rng.choice("-+") for _ in range(rng.randrange(1, max_len + 1)))
-            if "+" not in loop:
-                continue
-            return normalize(IOTerm(pre, loop))
-        return normalize(IOTerm(pre, ""))
 
 
 # --- interpretation -------------------------------------------------------
@@ -202,17 +191,6 @@ def test_remove_requirement_composition_laws():
 
 
 # --- least fixed point ----------------------------------------------------
-
-
-def kleene_lfp(s, cap=200):
-    """Independent oracle: iterate the interpretation from 0."""
-    v = 0
-    for _ in range(cap):
-        nv = interpret(s, v)
-        if nv == v:
-            return v
-        v = nv
-    return TOP  # justified: fixed points of these small terms are far below cap
 
 
 def test_fix_examples():

@@ -16,7 +16,6 @@ from prodcheck.prodterm import (
     Var,
     _children,
     _first_redex,
-    _rewrite_at,
     collapse,
     collapse_trace,
     gate_apply,
@@ -27,6 +26,7 @@ from prodcheck.streamspec import parse
 from prodcheck.translate import decide
 
 from conftest import DATA
+from specgen import random_closed_term
 
 T = parse_ioterm
 
@@ -84,7 +84,7 @@ def collapse_random(t, rng, trail=None):
         if not redexes:
             return t.value
         path, rule = rng.choice(redexes)
-        t = _rewrite_at(t, path, rule, {})
+        t = ref_rewrite_at(t, path, rule)
 
 
 def weight(t):
@@ -100,38 +100,6 @@ def weight(t):
 
 def pascal_term():
     return Mu("P", Peb(Peb(Box(T("-(-+)"), Var("P")))))
-
-
-def random_closed_term(rng, size, scope=(), loop_len=4):
-    """Random closed production term with about `size` constructors."""
-
-    def ioterm():
-        while True:
-            pre = "".join(rng.choice("-+") for _ in range(rng.randrange(loop_len + 1)))
-            loop = "".join(rng.choice("-+") for _ in range(rng.randrange(loop_len + 1)))
-            if loop and "+" not in loop:
-                continue
-            return IOTerm(pre, loop)
-
-    def build(budget, scope):
-        if budget <= 1:
-            if scope and rng.random() < 0.5:
-                return Var(rng.choice(scope))
-            return Src(rng.choice([0, 1, 2, 5, TOP]))
-        kind = rng.choice(["peb", "box", "mu", "meet", "leaf"])
-        if kind == "leaf":
-            return build(1, scope)
-        if kind == "peb":
-            return Peb(build(budget - 1, scope))
-        if kind == "box":
-            return Box(ioterm(), build(budget - 1, scope))
-        if kind == "mu":
-            name = "x%d" % len(scope)
-            return Mu(name, build(budget - 1, scope + (name,)))
-        left = budget // 2
-        return Meet(build(left, scope), build(budget - 1 - left, scope))
-
-    return build(size, tuple(scope))
 
 
 # --- collapse -------------------------------------------------------------
@@ -286,7 +254,7 @@ def test_denot_agrees_with_collapse():
 
 
 def ref_rewrite_at(t, path, rule):
-    """The recursive rewrite that `_rewrite_at` replaced."""
+    """The contraction of the `rule` redex at `path`, rebuilt by recursion."""
     if not path:
         return prodterm._contract(t, rule, {})
     i = path[0]
@@ -305,11 +273,26 @@ def ref_first_redex(t, path=()):
     return None
 
 
+def chain_path(t, redex, chain):
+    """The path from `t` down to `redex` that `chain` links up, each link's
+    parent checked to hold the node below it at the linked index."""
+    path = []
+    node = redex
+    while chain is not None:
+        parent, i, chain = chain
+        assert _children(parent)[i] is node
+        path.append(i)
+        node = parent
+    assert node is t
+    return tuple(reversed(path))
+
+
 def test_redex_search_and_rewrite_match_recursive_reference():
     """On every term of random-order derivations of random terms and their
     subterms, open ones included, and on every term of the derivations of
-    the specs under tests/data: the same first redex, and the same result of
-    contracting each redex."""
+    the specs under tests/data: the same first redex, reached by its chain.
+    On the closed ones, `collapse_trace` takes the steps of the recursive
+    search and rewrite."""
     rng = random.Random(28)
     terms = []
     for _ in range(300):
@@ -325,21 +308,37 @@ def test_redex_search_and_rewrite_match_recursive_reference():
         terms += [term for v in verdicts.values() for _, term in v.trace]
     rewrites = 0
     for t in terms:
-        assert _first_redex(t) == ref_first_redex(t), pretty(t)
-        for path, rule in find_redexes(t):
-            assert _rewrite_at(t, path, rule, {}) == ref_rewrite_at(t, path, rule), (pretty(t), path)
-            rewrites += 1
+        hit = _first_redex(t)
+        want = ref_first_redex(t)
+        if hit is None:
+            assert want is None, pretty(t)
+            continue
+        redex, rule, chain = hit
+        assert (chain_path(t, redex, chain), rule) == want, pretty(t)
+        if not t.free_vars:
+            steps = []
+            while want is not None:
+                path, rule = want
+                steps.append((rule, ref_rewrite_at(steps[-1][1] if steps else t, path, rule)))
+                want = ref_first_redex(steps[-1][1])
+            assert collapse_trace(t) == steps, pretty(t)
+            rewrites += len(steps)
     assert len(terms) > 10000 and rewrites > 20000, (len(terms), rewrites)
 
 
 def test_redex_deep_in_a_term():
-    """The only redex of a left comb of meets sits 5,000 levels down."""
+    """The only redex of a left comb of meets sits 5,000 levels down; its
+    chain holds the 5,000 meets above it, and the step rebuilds them."""
     n = 5000
     t = Meet(Src(1), Src(2))
     for _ in range(n):
         t = Meet(t, Src(3))
-    assert _first_redex(t) == ((0,) * n, "meet-src")
-    u = _rewrite_at(t, (0,) * n, "meet-src", {})
+    redex, rule, chain = _first_redex(t)
+    assert (redex, rule, chain_path(t, redex, chain)) == (Meet(Src(1), Src(2)), "meet-src", (0,) * n)
+    u = prodterm._contract(redex, rule, {})
+    while chain is not None:
+        parent, i, chain = chain
+        u = prodterm._replace_child(parent, i, u)
     for _ in range(n):
         assert u.right == Src(3)
         u = u.left

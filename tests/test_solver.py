@@ -21,11 +21,15 @@ from prodcheck.solver import (
     _step_right,
     _vclose,
     build_graph,
+    dump_diagram,
     evaluate,
     infimum,
     solve,
 )
 from prodcheck.streamspec import feedback_order
+
+import specgen
+from specgen import random_flat_spec, random_system
 
 X = ("v", "X")
 Y = ("v", "Y")
@@ -168,6 +172,19 @@ def test_bound_matches_nested_solution(corpus):
         assert Diagram(g, arg("f", 1, 0)).bound(n) == interpret(expect, n)
 
 
+def test_dump_diagram_shows_every_swept_column(corpus):
+    """The sweep of X_{f,1,0} = -+--(+) reads columns 0-3 and stops at the
+    all-output column 3: the dump shows each of them with its bound."""
+    from prodcheck.equations import arg
+    from prodcheck.translate import translate_symbols
+
+    _, iospec = translate_symbols(corpus["nested_fb"])
+    lines = dump_diagram(iospec, arg("f", 1, 0), max_columns=100).splitlines()
+    heads = [line.split(" | ")[0] for line in lines[1:-1]]
+    assert heads == ["  x=0 beta=0", "  x=1 beta=1", "  x=2 beta=1", "  x=3 beta=inf"]
+    assert lines[-1] == "  all-output tail: no repetition needed"
+
+
 # --- solving -----------------------------------------------------------------
 
 
@@ -236,26 +253,6 @@ def test_vclose_is_a_closure():
 # --- random systems against a no-omit enumeration --------------------------
 
 
-def random_system(rng, max_eqs=5, max_size=8):
-    names = [("v", "X%d" % i) for i in range(rng.randrange(1, max_eqs + 1))]
-
-    def expr(budget):
-        kind = rng.choice(["step", "step", "var", "inf", "empty"])
-        if budget <= 1:
-            kind = rng.choice(["var", "empty"])
-        if kind == "empty":
-            return EEmpty()
-        if kind == "var":
-            return EVar(rng.choice(names))
-        if kind == "step":
-            return EStep(rng.choice("-+"), expr(budget - 1))
-        left = budget // 2
-        return EInf(expr(left), expr(budget - 1 - left))
-
-    table = {n: expr(rng.randrange(2, max_size + 1)) for n in names}
-    return IOSpec(table, tuple(names))
-
-
 def no_omit_entries(g, root, xmax, ymax):
     """All diagram entries with bounded height, by saturation (no omit)."""
     entries = {(g.heads[root], 0, 0)}
@@ -322,15 +319,6 @@ def test_solve_random_systems_match_diagram():
 # --- diagrams for a feedback vertex set, the algebra for the rest ------------
 
 
-def _chain_spec(n):
-    """C = 0:f0(C), f_i(x:s) = x:f_{i+1 mod n}(s)."""
-    fs = ["f%03d" % i for i in range(n)]
-    lines = ["Signature( C : stream(nat), %s : stream(nat) -> stream(nat), 0 : nat )" % ", ".join(fs)]
-    lines.append("C = 0:f000(C)")
-    lines += ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
-    return "\n".join(lines) + "\n"
-
-
 def system_order(iospec, roots):
     """`feedback_order` over the system graph's `refs`, as
     `translate_symbols` walks it."""
@@ -343,7 +331,6 @@ def test_feedback_set_gates_match_per_root_solve():
     from prodcheck.equations import arg, star
     from prodcheck.streamspec import parse
     from prodcheck.translate import translate_symbols
-    from test_translate import random_flat_spec
 
     texts = [p.read_text() for p in sorted(DATA.glob("*.spec"))]
     texts += [
@@ -415,7 +402,7 @@ def test_chain_solves_only_the_feedback_set(monkeypatch):
         return real_solve(iospec, root, **kwargs)
 
     monkeypatch.setattr(translate, "solve", counting_solve)
-    gates, iospec = translate.translate_symbols(parse(_chain_spec(512)))
+    gates, iospec = translate.translate_symbols(parse(specgen.chain(512)))
     feedback, _ = system_order(iospec, iospec.roots)
     assert len(solved) == len(feedback) <= 2
     assert set(solved) == feedback
@@ -451,7 +438,7 @@ def test_chain_builds_one_graph_per_solve(monkeypatch):
 
     monkeypatch.setattr(solver, "_system_graph", counting_build)
     monkeypatch.setattr(translate, "solve", counting_solve)
-    translate.translate_symbols(parse(_chain_spec(512)))
+    translate.translate_symbols(parse(specgen.chain(512)))
     assert len(built) == 1 and len(solved) == 2
 
 

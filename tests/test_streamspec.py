@@ -39,8 +39,8 @@ from prodcheck.streamspec import (
 )
 
 from conftest import DATA, load
-from test_solver import _chain_spec
-from test_translate import random_flat_spec
+import specgen
+from specgen import random_flat_spec
 
 
 def render_spec(spec):
@@ -493,7 +493,7 @@ def test_concrete_sorts_computed_once_per_parse(monkeypatch):
         return concrete_sorts(sig)
 
     monkeypatch.setattr(Signature, "concrete_sorts", counted)
-    spec = parse(_chain_spec(128))
+    spec = parse(specgen.chain(128))
     assert len(spec.stream_rules) == 129
     assert len(calls) == 1
 

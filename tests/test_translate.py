@@ -13,7 +13,9 @@ from prodcheck.translate import (
     translate_symbols,
 )
 
+import specgen
 from conftest import DATA, load
+from specgen import random_flat_spec
 
 T = parse_ioterm
 
@@ -174,7 +176,7 @@ def test_translate_constant_matches_recursive_reference():
     term or the same first error."""
     specs = [parse(path.read_text(), str(path)) for path in sorted(DATA.glob("*.spec"))]
     specs += [parse(random_flat_spec(random.Random(seed), max_feedback=2)) for seed in range(200)]
-    specs += [parse(ring_spec(12)), parse(_prefix_spec(300)), parse(_TWO_RULES)]
+    specs += [parse(specgen.ring(12)), parse(specgen.prefix(300)), parse(_TWO_RULES)]
     translated = 0
     for spec in specs:
         try:
@@ -195,13 +197,9 @@ def test_translate_constant_matches_recursive_reference():
     assert outcomes[2] == outcomes[3] == "stream variable 's' reachable from constant 'C1'"
 
 
-def _prefix_spec(m):
-    return "Signature( P : stream(nat), f : stream(nat) -> stream(nat), 0 : nat )\nP = %sf(P)\nf(x:s) = x:f(s)\n" % ("0:" * m)
-
-
 def test_translate_constant_of_a_deep_prefix():
     m = 20000
-    spec = parse(_prefix_spec(m))
+    spec = parse(specgen.prefix(m))
     gates = gates_of(spec)
     expected = Box(T("(-+)"), Var("P"))
     for _ in range(m):
@@ -242,16 +240,6 @@ def test_decide_pseudo_cycle_not_productive():
     assert verdicts["C0"].production == 0
 
 
-def ring_spec(n):
-    """P_i = 0:f(P_{i+1 mod n}) over the halving f(x:y:s) = x:f(s)."""
-    ps = ["P%d" % i for i in range(n)]
-    lines = ["Signature(", "  %s : stream(nat)," % ", ".join(ps), "  f : stream(nat) -> stream(nat),"]
-    lines += ["  0 : nat", ")"]
-    lines += ["%s = 0:f(%s)" % (ps[i], ps[(i + 1) % n]) for i in range(n)]
-    lines.append("f(x:y:s) = x:f(s)")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("n", [6, 12, 32])
 def test_one_analysis_composes_each_box_pair_once(monkeypatch, n):
     """The derivations of a ring's n constants repeat one another's box-box
@@ -265,7 +253,7 @@ def test_one_analysis_composes_each_box_pair_once(monkeypatch, n):
         return compose(s, t)
 
     monkeypatch.setattr(prodterm, "compose", counted)
-    spec = parse(ring_spec(n))
+    spec = parse(specgen.ring(n))
     for _ in range(2):
         calls.clear()
         verdicts, _, _ = decide(spec)
@@ -277,7 +265,7 @@ def test_one_analysis_composes_each_box_pair_once(monkeypatch, n):
 def test_decide_ring_of_64():
     """Each P_i has its head and no more.  Its collapse composes loops of up
     to 2^64 + 1 symbols, which are four runs each."""
-    verdicts, gates, _ = decide(parse(ring_spec(64)))
+    verdicts, gates, _ = decide(parse(specgen.ring(64)))
     assert str(gates["f"]) == "[inf]((--+))"
     assert len(verdicts) == 64
     assert {(v.production, v.answer) for v in verdicts.values()} == {(1, "not-productive")}
@@ -343,45 +331,6 @@ def test_constant_production_matches_game(corpus):
         verdicts, _, _ = decide(spec)
         game = dogame.do_low_constant(spec, cls, constant, prod_cap=8)
         assert verdicts[constant].production == game
-
-
-def random_flat_spec(rng, max_feedback=1):
-    """Random exhaustive flat specification over bits; each argument of a
-    call gets up to `max_feedback` elements pushed back in front of it."""
-    funs = {"f%d" % i: rng.randrange(1, 3) for i in range(rng.randrange(1, 3))}
-    cons = ["C%d" % i for i in range(rng.randrange(1, 3))]
-    decls = [", ".join(cons) + " : stream(bit)"]
-    for f, a in funs.items():
-        decls.append("%s : %s" % (f, " -> ".join(["stream(bit)"] * (a + 1))))
-    decls.append("0, 1 : bit")
-    rules = []
-    for f, a in funs.items():
-        for d in ("0", "1"):  # exhaustive split on the head of argument 1
-            consume = [rng.randrange(1, 3) for _ in range(a)]
-            pats = []
-            for i, c in enumerate(consume):
-                parts = [d] if i == 0 else ["y%d_0" % i]
-                parts += ["y%d_%d" % (i, j) for j in range(1, c)]
-                pats.append(":".join(parts + ["s%d" % i]))
-            out = [rng.choice("01") for _ in range(rng.randrange(0, 3))]
-            if rng.random() < 0.35:
-                tail = "s%d" % rng.randrange(a)
-            else:
-                g = rng.choice(sorted(funs))
-                args = []
-                for _ in range(funs[g]):
-                    src = rng.randrange(a)
-                    fb = [rng.choice("01") for _ in range(rng.randrange(0, max_feedback + 1))]
-                    args.append(":".join(fb + ["s%d" % src]))
-                tail = "%s(%s)" % (g, ",".join(args))
-            rules.append("%s(%s) = %s" % (f, ",".join(pats), ":".join(out + [tail])))
-    for c in cons:
-        out = [rng.choice("01") for _ in range(rng.randrange(0, 3))]
-        f = rng.choice(sorted(funs))
-        args = ",".join(rng.choice(cons) for _ in range(funs[f]))
-        tail = "%s(%s)" % (f, args) if rng.random() < 0.8 else rng.choice(cons)
-        rules.append("%s = %s" % (c, ":".join(out + [tail])))
-    return "Signature( " + ", ".join(decls) + " )\n" + "\n".join(rules)
 
 
 def test_random_flat_specs_cross_validated():
