@@ -30,7 +30,7 @@ import sys
 from . import dogame
 from .equations import CapError, Caps, TranslationError, var_str
 from .ioalg import conat_str, interpret, is_top, render
-from .prodterm import pretty_all
+from .prodterm import derivation_texts
 from .solver import dump_diagram
 from .streamspec import ParseError, classify, parse, validate
 from .translate import decide, translate_symbols
@@ -84,42 +84,31 @@ def _debug_dumps(iospec, args, out):
     text = []
     if args.dump_equations:
         text.append(iospec.dump() + "\n")
-        for root in iospec.roots:
-            text.append("%s = %s\n" % (var_str(root), iospec.dump_mu(root)))
+        text += ["%s = %s\n" % (var_str(root), iospec.dump_mu(root)) for root in iospec.roots]
         text.append("\n")
     if args.dump_diagram:
-        for root in iospec.roots:
-            text.append(dump_diagram(iospec, root, max_columns=args.max_columns) + "\n")
+        text += [dump_diagram(iospec, root, max_columns=args.max_columns) + "\n" for root in iospec.roots]
         text.append("\n")
     out.write("".join(text))
 
 
-def _classification_lines(spec, cls):
+def _tables(spec, cls, gates):
+    """The classification and the gate table, as the text report starts."""
     lines = ["-- classification --"]
     for name in spec.signature.stream_functions():
         klass = _CLASS_WORDS[cls.symbol_class[name]]
         guard = "weakly guarded" if cls.guarded[name] else "unguarded"
         lines.append("%s : %s (%s)" % (name, klass, guard))
-    return lines
-
-
-def _gate_lines(spec, gates):
-    lines = ["-- gates --"]
-    for name in spec.signature.stream_functions():
-        lines.append("%s : %s" % (name, gates[name]))
-    return lines
+    lines += ["", "-- gates --"] + ["%s : %s" % (name, gates[name]) for name in spec.signature.stream_functions()]
+    return "\n".join(lines) + "\n"
 
 
 def _trace_lines(verdict):
-    yield "-- analysis of %s --" % verdict.constant
-    # one call per derivation, each line rendered when it is asked for: its
-    # terms share their strings, and the memo behind them is dropped before
-    # the next derivation is rendered
-    shown = pretty_all([term for _, term in verdict.trace])
-    yield "[%s] = %s" % (verdict.constant, next(shown))
-    for (rule, _), text in zip(verdict.trace[1:], shown):
-        yield "  ~> %s    [%s]" % (text, rule)
-    yield verdict.sentence()
+    texts = derivation_texts([term for _, term in verdict.trace])
+    yield "\n-- analysis of %s --\n[%s] = %s\n" % (verdict.constant, verdict.constant, next(texts))
+    for (rule, _), text in zip(verdict.trace[1:], texts):
+        yield "  ~> %s    [%s]\n" % (text, rule)
+    yield verdict.sentence() + "\n"
 
 
 def _exit_code(verdicts) -> int:
@@ -132,11 +121,9 @@ def _exit_code(verdicts) -> int:
 
 
 def _report_text(spec, cls, gates, verdicts, out):
-    lines = _classification_lines(spec, cls) + [""] + _gate_lines(spec, gates)
-    out.write("\n".join(lines) + "\n")
+    out.write(_tables(spec, cls, gates))
     for verdict in verdicts.values():  # each line written as soon as it is rendered
-        out.write("\n")
-        out.writelines(line + "\n" for line in _trace_lines(verdict))
+        out.writelines(_trace_lines(verdict))
     out.write("\n-- summary --\n")
     for name, v in verdicts.items():
         out.write("%s : production = %s : %s\n" % (name, conat_str(v.production), v.answer))
@@ -171,9 +158,8 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
             out.write("%s : skipped (nesting)\n" % name)
             continue
         g = gates[name]
-        arity = g.arity
         agree = True
-        for supplies in itertools.product(range(5), repeat=arity):
+        for supplies in itertools.product(range(5), repeat=g.arity):
             gate_value = min([g.cap] + [interpret(a, n) for a, n in zip(g.args, supplies)])
             game = dogame.do_low_function(cls, name, supplies, prod_cap=caps.oracle_prod_cap)
             if isinstance(game, dogame.AtLeast):
@@ -234,12 +220,13 @@ def main(argv=None) -> int:
                 print(str(d), file=sys.stderr)
         if errors:
             return 11
+        if args.root is not None and args.root not in spec.signature.stream_constants():
+            raise TranslationError("unknown stream constant %r" % args.root)
         cls = classify(spec)
         gates, iospec = translate_symbols(spec, cls, caps)
         if args.mode == "gates":
             _debug_dumps(iospec, args, out)
-            out.write("\n".join(_classification_lines(spec, cls)) + "\n\n")
-            out.write("\n".join(_gate_lines(spec, gates)) + "\n")
+            out.write(_tables(spec, cls, gates))
             code = 0
         else:
             verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates, cls=cls)

@@ -125,72 +125,92 @@ def meet_all(parts: list) -> ProdTerm:
 
 def pretty(t: ProdTerm) -> str:
     """mu P. peb(box<-(-+)>(P)) style rendering."""
-    return next(pretty_all([t]))
+    return next(derivation_texts([t]))
 
 
-def pretty_all(terms):
-    """The `pretty` rendering of each term, in order, each distinct node
-    rendered once; each text is yielded as soon as it is made.
+def _head(t: ProdTerm, seqs: dict) -> str:
+    """The text of `t` before its first child, all of it for a leaf; `seqs`
+    maps each IO-sequence met so far to its box's head."""
+    if isinstance(t, Box):
+        head = seqs.get(t.seq)
+        if head is None:
+            head = seqs[t.seq] = "box<%s>(" % render(t.seq)
+        return head
+    if isinstance(t, Peb):
+        return "peb("
+    if isinstance(t, Mu):
+        return "mu %s. " % t.name
+    if isinstance(t, Meet):
+        return "meet("
+    return "src(%s)" % conat_str(t.value) if isinstance(t, Src) else t.name
 
-    The terms of a derivation share every subterm off the rewritten path.
-    A node asked for more than once (by two parents, or by a parent and the
-    list) is turned into a string once and reused until its last use, so
-    the cost is linear in the output rather than in steps times nodes.
-    Every other node only adds its pieces to its parent's string: a string
-    per node would hold a deep term's text once per level.  Nodes are keyed
-    by identity, which stays unique while `terms` keeps them alive, and both
-    walks use an explicit stack, so nesting depth is not bounded by the
-    interpreter.
+
+def derivation_texts(terms):
+    """The `pretty` rendering of each term of a derivation, yielded in turn.
+
+    Each term after the first is the leftmost-outermost collapse step of
+    the one before it, as `collapse_trace` makes them.  One walk renders the
+    first term and notes each node's width, the length of its text; each
+    later text is the one before it with the redex's span (measured from the
+    end) replaced by the contractum's text, cut from that span.  Widths are
+    keyed by identity, unique while `terms` keeps the nodes alive.
     """
-    wanted: dict = {}  # id -> uses still to come: one per parent, one per place in terms
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if id(t) in wanted:
-            wanted[id(t)] += 1
-        else:
-            wanted[id(t)] = 1
-            stack.extend(_children(t))
-    shown: dict = {}  # id -> string of a node still wanted later
-    for term in terms:
-        parts = [[]]  # the pieces of the term and of each shared node open inside it
-        todo = [term]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, str):
-                parts[-1].append(t)
-                continue
-            if isinstance(t, tuple):  # the end of a shared node
-                text = shown[id(t[0])] = "".join(parts.pop())
-                parts[-1].append(text)
-                continue
-            key = id(t)
-            wanted[key] -= 1
-            if key in shown:
-                parts[-1].append(shown[key] if wanted[key] else shown.pop(key))
-                continue
-            if isinstance(t, Src):
-                parts[-1].append("src(%s)" % conat_str(t.value))
-                continue
-            if isinstance(t, Var):
-                parts[-1].append(t.name)
-                continue
-            if wanted[key]:
-                parts.append([])
-                todo.append((t,))
-            if isinstance(t, Peb):
-                parts[-1].append("peb(")
-                todo += (")", t.body)
-            elif isinstance(t, Box):
-                parts[-1].append("box<%s>(" % render(t.seq))
+    seqs, widths = {}, {}  # IO-sequence -> box head, id(node) -> width
+    pieces, pos, todo = [], 0, [terms[0]]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, int):  # the end of the node below it, which starts at t
+            widths[id(todo.pop())] = pos - t
+            continue
+        if not isinstance(t, str):
+            todo += (t, pos)
+            if isinstance(t, Meet):
+                todo += (")", t.right, ", ", t.left)
+            elif isinstance(t, (Peb, Box)):
                 todo += (")", t.body)
             elif isinstance(t, Mu):
-                parts[-1].append("mu %s. " % t.name)
                 todo.append(t.body)
-            else:
-                parts[-1].append("meet(")
-                todo += (")", t.right, ", ", t.left)
-        yield "".join(parts[0])
+            t = _head(t, seqs)
+        pieces.append(t)
+        pos += len(t)
+    text = "".join(pieces)
+    yield text
+    for prev, new in zip(terms, terms[1:]):
+        redex, rule, chain = _first_redex(prev)
+        end, path = len(text), []
+        while chain is not None:  # less the text after each link's child: `, R)`, `)` or none
+            parent, i, chain = chain
+            if isinstance(parent, Meet) and not i:
+                end -= widths[id(parent.right)] + 3
+            elif not isinstance(parent, Mu):
+                end -= 1
+            path.append((parent, i))
+        start = end - widths[id(redex)]
+        rebuilt = []  # (new ancestor, the old one it replaces), root first
+        for parent, i in reversed(path):
+            rebuilt.append((new, parent))
+            new = _children(new)[i]
+        if isinstance(new, Src):
+            piece = _head(new, seqs)
+        elif rule == "mu-drop":  # mu x. B -> B
+            piece = text[end - widths[id(new)]:end]
+        elif rule in ("peb", "box-box"):  # peb(B) -> box<+(-+)>(B), box<S>(box<T>(B)) -> box<ST>(B)
+            after = end - (2 if rule == "box-box" else 1)  # the end of B
+            piece = _head(new, seqs) + text[after - widths[id(new.body)]:after + 1]
+        else:  # box<S>(meet(L, R)) -> meet(box<S>(L), box<S>(R)), and so under mu x.
+            close = ")" if rule == "box-meet" else ""
+            inner = end - len(close) - widths[id(redex.body)]
+            mid = inner + 5 + widths[id(redex.body.left)]  # the end of L
+            left = text[start:inner] + text[inner + 5:mid] + close
+            right = text[start:inner] + text[mid + 2:end - len(close) - 1] + close
+            widths[id(new.left)], widths[id(new.right)] = len(left), len(right)
+            piece = "meet(%s, %s)" % (left, right)
+        widths[id(new)] = len(piece)
+        grown = len(piece) - (end - start)
+        for node, old in rebuilt:
+            widths[id(node)] = widths[id(old)] + grown
+        text = "".join((text[:start], piece, text[end:]))
+        yield text
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +313,7 @@ def collapse_trace(t: ProdTerm, memo: dict | None = None):
 def collapse(t: ProdTerm) -> CoNat:
     """The unique k with t ->* src(k)."""
     steps = collapse_trace(t)
-    final = steps[-1][1] if steps else t
-    return final.value
+    return (steps[-1][1] if steps else t).value
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +324,13 @@ class Gate:
     """The IO-sequence `star` of the production with all supplies infinite,
     whose output count is the cap, plus one transducer per stream argument."""
 
-    __slots__ = ("star", "args", "cap")
+    __slots__ = ("star", "args", "cap", "port")
 
     def __init__(self, star: IOTerm, args: tuple):
         self.star = star
         self.args = args
         self.cap = interpret(star, TOP)
+        self.port = interpret(star, 0)  # the output count on no input
 
     @property
     def arity(self) -> int:
@@ -329,15 +349,11 @@ def gate_apply(g: Gate, children) -> ProdTerm:
     """
     children = list(children)
     if len(children) != g.arity:
-        raise ValueError(
-            "gate arity mismatch: expected %d children, got %d" % (g.arity, len(children))
-        )
-    port_value = interpret(g.star, 0)
-    port_term = Src(port_value) if g.star.finite else Box(g.star, Src(0))
+        raise ValueError("gate arity mismatch: expected %d children, got %d" % (g.arity, len(children)))
     parts = []
-    if not is_top(port_value):
-        parts.append(port_term)
+    if not is_top(g.port):
+        parts.append(Src(g.port) if g.star.finite else Box(g.star, Src(0)))
     parts.extend(Box(seq, child) for seq, child in zip(g.args, children))
     if not parts:  # nullary gate with an all-plus star
-        return Src(port_value)
+        return Src(g.port)
     return meet_all(parts)

@@ -138,11 +138,8 @@ def decide(spec: StreamSpec, caps: Caps | None = None, root: str | None = None, 
     cls = cls or classify(spec)
     if gates is None:
         gates, _ = translate_symbols(spec, cls, caps)
-    constants = spec.signature.stream_constants()
-    if root is not None:
-        if root not in constants:
-            raise TranslationError("unknown stream constant %r" % root)
-        constants = [root]
+    # a root that is no stream constant fails in translate_constant
+    constants = spec.signature.stream_constants() if root is None else [root]
     verdicts = {}
     compositions: dict = {}  # box-box contractions, shared by this analysis's collapses
     for name in constants:

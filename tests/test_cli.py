@@ -329,6 +329,15 @@ def test_root_flag():
     assert "nats" not in out.split("-- summary --")[1]
 
 
+def test_unknown_root_fails_in_every_mode():
+    """The name is checked before the analysis starts: even a cap the
+    analysis would trip does not come first."""
+    for mode in ("decide", "gates", "oracle-check"):
+        for extra in ([], ["--dump-equations"], ["--finitize-cap", "0"]):
+            code, out, err = run_cli([str(spec_path("convolution")), "--mode", mode, "--root", "NAME"] + extra)
+            assert (code, out, err) == (12, "", "prodcheck: unknown stream constant 'NAME'\n"), (mode, extra)
+
+
 def test_dump_equations_flag():
     code, out, _ = run_cli([str(spec_path("pascal")), "--dump-equations"])
     assert code == 0

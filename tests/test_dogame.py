@@ -10,6 +10,7 @@ from prodcheck.ioalg import interpret, is_top, parse_ioterm
 from prodcheck.streamspec import Cons, SVar, classify, parse, reachable_symbols, validate
 from prodcheck.translate import translate_symbols
 
+from conftest import spec_path
 import specgen
 from specgen import random_flat_spec
 
@@ -65,7 +66,7 @@ def test_monotone_in_supplies(corpus):
 
 def test_rule_order_irrelevant(corpus):
     # determinacy: shuffling the rule list leaves every value unchanged
-    src = open(str(__import__("conftest").spec_path("do_h"))).read()
+    src = spec_path("do_h").read_text()
     lines = src.strip().splitlines()
     swapped = "\n".join(lines[:-2] + [lines[-1], lines[-2]])
     a = parse(src)

@@ -18,15 +18,15 @@ from prodcheck.prodterm import (
     _first_redex,
     collapse,
     collapse_trace,
+    derivation_texts,
     gate_apply,
     pretty,
-    pretty_all,
 )
 from prodcheck.streamspec import parse
 from prodcheck.translate import decide
 
 from conftest import DATA
-from specgen import random_closed_term
+from specgen import prefix, random_closed_term, random_flat_spec, ring
 
 T = parse_ioterm
 
@@ -367,27 +367,46 @@ def test_pretty_pascal():
     assert pretty(pascal_term()) == "mu P. peb(peb(box<-(-+)>(P)))"
     assert pretty(Meet(Src(0), Src(TOP))) == "meet(src(0), src(inf))"
     shared = Box(T("-(-+)"), Var("x"))
-    assert list(pretty_all([Mu("x", Meet(shared, shared)), shared])) == [
+    assert list(derivation_texts([Mu("x", Meet(shared, shared))])) == [
         "mu x. meet(box<-(-+)>(x), box<-(-+)>(x))",
-        "box<-(-+)>(x)",
     ]
 
 
-def test_pretty_all_matches_reference_on_derivations():
-    """Random-order derivations of random terms, and the derivations of
-    every spec under tests/data, render as the recursive walk renders them."""
+def test_derivation_texts_match_reference():
+    """Every line spliced from the one before it renders its term as the
+    recursive walk renders it: on the collapse derivations of random closed
+    terms, of every constant of the specs under tests/data, of generated
+    flat specs, rings and cons prefixes, and of terms whose redexes sit right
+    of a meet or split a meet under a box or a mu, past left parts of every
+    width.  Random-order derivations are not spliced, so `pretty` renders
+    them term by term."""
     rng = random.Random(26)
-    derivations = []
-    for _ in range(300):
+    terms = [random_closed_term(rng, rng.randrange(1, 24)) for _ in range(300)]
+    for _ in range(100):
+        u, v = random_closed_term(rng, rng.randrange(1, 12)), random_closed_term(rng, rng.randrange(1, 12))
+        seq = T(rng.choice(["eps", "+", "-(-+)", "+-+-(--+)", "-" * rng.randrange(1, 40)]))
+        k = rng.choice([0, 7, 12345, TOP])
+        terms += [
+            Meet(Src(k), v),
+            Meet(Src(k), Meet(Src(TOP), Box(seq, v))),
+            Box(seq, Meet(u, v)),
+            Mu("x", Meet(Box(seq, Var("x")), Meet(u, Box(seq, Var("x"))))),
+        ]
+    specs = [path.read_text() for path in sorted(DATA.glob("*.spec"))]
+    specs += [random_flat_spec(random.Random(seed)) for seed in range(100)]
+    specs += [ring(n) for n in range(4, 13)] + [prefix(m) for m in (1, 2, 50, 200, 400)]
+    for text in specs:
+        terms += [v.trace[0][1] for v in decide(parse(text))[0].values()]
+    lines = 0
+    for t in terms:
+        derivation = [t] + [u for _, u in collapse_trace(t)]
+        assert list(derivation_texts(derivation)) == [_reference_pretty(u) for u in derivation]
+        lines += len(derivation)
+    assert lines > 10000, lines
+    for _ in range(100):
         trail = []
         collapse_random(random_closed_term(rng, rng.randrange(1, 24)), rng, trail)
-        derivations.append(trail)
-    for path in sorted(DATA.glob("*.spec")):
-        verdicts, _, _ = decide(parse(path.read_text(), str(path)))
-        derivations.extend([term for _, term in v.trace] for v in verdicts.values())
-    assert sum(map(len, derivations)) > 2000
-    for terms in derivations:
-        assert list(pretty_all(terms)) == [_reference_pretty(t) for t in terms]
+        assert [pretty(u) for u in trail] == [_reference_pretty(u) for u in trail]
 
 
 def test_pretty_deep_chain():
@@ -397,31 +416,41 @@ def test_pretty_deep_chain():
     assert pretty(t) == "peb(" * 20000 + "src(0)" + ")" * 20000
 
 
-def test_pretty_all_renders_each_box_once(monkeypatch):
-    """Over the whole derivation of a 400-element cons prefix, each distinct
-    box node renders its IO-sequence once: the cost stays linear in the
-    output instead of steps times term size."""
-    signature = "Signature(P : stream(nat), f : stream(nat) -> stream(nat), 0 : nat)\n"
-    spec = parse(signature + "P = %sf(P)\nf(x:s) = x:f(s)\n" % ("0:" * 400))
-    (verdict,) = decide(spec)[0].values()
-    terms = [term for _, term in verdict.trace]
-    boxes, seen, stack = 0, set(), list(terms)
-    while stack:
-        u = stack.pop()
-        if id(u) not in seen:
-            seen.add(id(u))
-            boxes += isinstance(u, Box)
-            stack.extend(_children(u))
-    calls = []
+def test_derivation_texts_render_each_sequence_once(monkeypatch):
+    """Over the derivation of a 400-element cons prefix and those of a ring
+    of 8 constants, each distinct IO-sequence is rendered once per
+    derivation, and each later line takes one redex search: a line costs
+    that search and the splice, not a walk of the whole term."""
+    renders, searches = [], []
 
     def counting_render(seq):
-        calls.append(seq)
+        renders.append(seq)
         return render(seq)
 
+    def counting_first_redex(t):
+        searches.append(t)
+        return _first_redex(t)
+
     monkeypatch.setattr(prodterm, "render", counting_render)
-    shown = list(pretty_all(terms))
-    assert (len(terms), len(calls)) == (802, boxes)
-    assert shown[-1] == "src(inf)"
+    monkeypatch.setattr(prodterm, "_first_redex", counting_first_redex)
+    lengths = []
+    for text in (prefix(400), ring(8)):
+        for verdict in decide(parse(text))[0].values():
+            derivation = [term for _, term in verdict.trace]
+            del renders[:], searches[:]
+            shown = list(derivation_texts(derivation))
+            seqs, stack = set(), list(derivation)
+            while stack:
+                u = stack.pop()
+                if isinstance(u, Box):
+                    seqs.add(u.seq)
+                stack.extend(_children(u))
+            assert len(renders) == len(seqs) and set(renders) == seqs
+            assert len(searches) == len(derivation) - 1
+            assert all(u is t for u, t in zip(searches, derivation))
+            assert shown[-1] == "src(%s)" % conat_str(verdict.production)
+            lengths.append(len(derivation))
+    assert lengths[0] == 802 and len(lengths) == 9, lengths
 
 
 def test_free_vars_scoping():

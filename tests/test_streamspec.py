@@ -38,7 +38,7 @@ from prodcheck.streamspec import (
     validate,
 )
 
-from conftest import DATA, load
+from conftest import DATA, load, spec_path
 import specgen
 from specgen import random_flat_spec
 
@@ -800,7 +800,7 @@ def test_guardedness_against_path_enumeration():
 
 
 def test_classification_data_renaming_invariant(corpus):
-    src = open(str(__import__("conftest").spec_path("do_m"))).read()
+    src = spec_path("do_m").read_text()
     renamed = src.replace("0", "zero").replace("1", "one")
     a, b = parse(src), parse(renamed)
     ca, cb = classify(a), classify(b)
