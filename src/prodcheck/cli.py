@@ -5,12 +5,13 @@
                    [--oracle-prod-cap N] [--oracle-steps N]
                    [--dump-equations] [--dump-diagram] [--verbose]
 
-Exit codes: 0 every analyzed constant is productive, 1 some constant is
-(data-obliviously) non-productive, 2 some verdict is unknown; 10 parse
-error, 11 validation error, 12 translation error, 13 a search cap was
+Exit codes: in `--mode decide`, 0 every analyzed constant is productive, 1
+some is (data-obliviously) non-productive, 2 some verdict is unknown;
+`--mode gates` exits 0, and `--mode oracle-check` 0 when all agrees with
+the game oracle, 1 on a MISMATCH, whatever the verdicts.  In every mode, 10
+parse error, 11 validation error, 12 translation error, 13 a search cap was
 exceeded (`--finitize-cap` or `--max-columns`), 14 standard output was
-closed before the whole report was written, 15 a malformed command line (a
-cap below 0 included), reported by argparse's usage message.
+closed before the whole report was written, 15 a malformed command line.
 
 `--max-columns` bounds every diagram sweep: the repetition search for each
 variable of the equations' feedback vertex set, the one inside each infimum
@@ -103,8 +104,8 @@ def _tables(spec, cls, gates):
     return "\n".join(lines) + "\n"
 
 
-def _trace_lines(verdict):
-    texts = derivation_texts([term for _, term in verdict.trace])
+def _trace_lines(verdict, heads):
+    texts = derivation_texts([term for _, term in verdict.trace], heads)
     yield "\n-- analysis of %s --\n[%s] = %s\n" % (verdict.constant, verdict.constant, next(texts))
     for (rule, _), text in zip(verdict.trace[1:], texts):
         yield "  ~> %s    [%s]\n" % (text, rule)
@@ -122,8 +123,9 @@ def _exit_code(verdicts) -> int:
 
 def _report_text(spec, cls, gates, verdicts, out):
     out.write(_tables(spec, cls, gates))
+    heads = {}  # IO-sequence -> box head, one rendering per report
     for verdict in verdicts.values():  # each line written as soon as it is rendered
-        out.writelines(_trace_lines(verdict))
+        out.writelines(_trace_lines(verdict, heads))
     out.write("\n-- summary --\n")
     for name, v in verdicts.items():
         out.write("%s : production = %s : %s\n" % (name, conat_str(v.production), v.answer))

@@ -103,15 +103,16 @@ class IOTerm:
     is built from the two words and keeps them as runs; :meth:`of_runs`
     builds one from runs directly.  Equality and hashing go by the runs;
     `normal` (built by `normalize`) is left out.  A term is never changed
-    once built.
+    once built, so it keeps its hash from the first `hash` on.
     """
 
-    __slots__ = ("prefix_runs", "loop_runs", "normal")
+    __slots__ = ("prefix_runs", "loop_runs", "normal", "_hash")
 
     def __init__(self, prefix: str, loop: str = ""):
         self.prefix_runs = _runs(prefix)
         self.loop_runs = _runs(loop)
         self.normal = False
+        self._hash = None
 
     def __eq__(self, other):
         if type(other) is not IOTerm:
@@ -119,7 +120,10 @@ class IOTerm:
         return self.prefix_runs == other.prefix_runs and self.loop_runs == other.loop_runs
 
     def __hash__(self):
-        return hash((self.prefix_runs, self.loop_runs))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.prefix_runs, self.loop_runs))
+        return h
 
     def __repr__(self):
         return "IOTerm.of_runs(%r, %r)" % (self.prefix_runs, self.loop_runs)
@@ -151,6 +155,7 @@ def _term(prefix_runs: tuple, loop_runs: tuple, normal: bool = False) -> IOTerm:
     t.prefix_runs = prefix_runs
     t.loop_runs = loop_runs
     t.normal = normal
+    t._hash = None
     return t
 
 

@@ -128,13 +128,13 @@ def pretty(t: ProdTerm) -> str:
     return next(derivation_texts([t]))
 
 
-def _head(t: ProdTerm, seqs: dict) -> str:
-    """The text of `t` before its first child, all of it for a leaf; `seqs`
+def _head(t: ProdTerm, heads: dict) -> str:
+    """The text of `t` before its first child, all of it for a leaf; `heads`
     maps each IO-sequence met so far to its box's head."""
     if isinstance(t, Box):
-        head = seqs.get(t.seq)
+        head = heads.get(t.seq)
         if head is None:
-            head = seqs[t.seq] = "box<%s>(" % render(t.seq)
+            head = heads[t.seq] = "box<%s>(" % render(t.seq)
         return head
     if isinstance(t, Peb):
         return "peb("
@@ -145,17 +145,22 @@ def _head(t: ProdTerm, seqs: dict) -> str:
     return "src(%s)" % conat_str(t.value) if isinstance(t, Src) else t.name
 
 
-def derivation_texts(terms):
+def derivation_texts(terms, heads: dict | None = None):
     """The `pretty` rendering of each term of a derivation, yielded in turn.
 
     Each term after the first is the leftmost-outermost collapse step of
     the one before it, as `collapse_trace` makes them.  One walk renders the
     first term and notes each node's width, the length of its text; each
     later text is the one before it with the redex's span (measured from the
-    end) replaced by the contractum's text, cut from that span.  Widths are
-    keyed by identity, unique while `terms` keeps the nodes alive.
+    end) replaced by the contractum's text, cut from that span.  The redex
+    is reached with no search, by walking both terms down the one path on
+    which they differ (see `collapse_trace`) to the first node with a rule.
+    Widths are keyed by identity, unique while `terms` keeps the nodes
+    alive.  `heads` maps IO-sequences to box heads; the derivations of one
+    report share it, so each sequence is rendered once per report.
     """
-    seqs, widths = {}, {}  # IO-sequence -> box head, id(node) -> width
+    heads = {} if heads is None else heads
+    widths = {}  # id(node) -> width
     pieces, pos, todo = [], 0, [terms[0]]
     while todo:
         t = todo.pop()
@@ -170,33 +175,33 @@ def derivation_texts(terms):
                 todo += (")", t.body)
             elif isinstance(t, Mu):
                 todo.append(t.body)
-            t = _head(t, seqs)
+            t = _head(t, heads)
         pieces.append(t)
         pos += len(t)
     text = "".join(pieces)
     yield text
     for prev, new in zip(terms, terms[1:]):
-        redex, rule, chain = _first_redex(prev)
-        end, path = len(text), []
-        while chain is not None:  # less the text after each link's child: `, R)`, `)` or none
-            parent, i, chain = chain
-            if isinstance(parent, Meet) and not i:
-                end -= widths[id(parent.right)] + 3
-            elif not isinstance(parent, Mu):
+        end, rebuilt = len(text), []  # (new ancestor, the old one it replaces), root first
+        while prev.rule is None:  # an ancestor: step both terms towards the redex
+            rebuilt.append((new, prev))  # and take the text after the child off `end`
+            if not isinstance(prev, Meet):  # `)`, or none after `mu x. `
+                end -= 0 if isinstance(prev, Mu) else 1
+                prev, new = prev.body, new.body
+            elif prev.left is new.left:  # the left child is kept: the redex is right, before `)`
                 end -= 1
-            path.append((parent, i))
+                prev, new = prev.right, new.right
+            else:  # the redex is left, before `, R)`
+                end -= widths[id(prev.right)] + 3
+                prev, new = prev.left, new.left
+        redex, rule = prev, prev.rule
         start = end - widths[id(redex)]
-        rebuilt = []  # (new ancestor, the old one it replaces), root first
-        for parent, i in reversed(path):
-            rebuilt.append((new, parent))
-            new = _children(new)[i]
         if isinstance(new, Src):
-            piece = _head(new, seqs)
+            piece = _head(new, heads)
         elif rule == "mu-drop":  # mu x. B -> B
             piece = text[end - widths[id(new)]:end]
         elif rule in ("peb", "box-box"):  # peb(B) -> box<+(-+)>(B), box<S>(box<T>(B)) -> box<ST>(B)
             after = end - (2 if rule == "box-box" else 1)  # the end of B
-            piece = _head(new, seqs) + text[after - widths[id(new.body)]:after + 1]
+            piece = _head(new, heads) + text[after - widths[id(new.body)]:after + 1]
         else:  # box<S>(meet(L, R)) -> meet(box<S>(L), box<S>(R)), and so under mu x.
             close = ")" if rule == "box-meet" else ""
             inner = end - len(close) - widths[id(redex.body)]
@@ -287,7 +292,10 @@ def collapse_trace(t: ProdTerm, memo: dict | None = None):
 
     Returns the list of (rule name, term after the step); empty when the
     term already is a numeral.  Each step contracts the redex `_first_redex`
-    finds and rebuilds the ancestors along its chain, bottom up.  Box-box
+    finds and rebuilds the ancestors along its chain, bottom up, each with
+    its other child kept by identity; a contractum is a new node or the
+    redex's body.  So the nodes a step changes form one path from the root
+    to the redex, which `derivation_texts` walks with no search.  Box-box
     steps look their composition up in `memo` and add it there on a miss:
     the collapses of one analysis share one dict, which lives no longer
     than the analysis (by default, one collapse).

@@ -351,6 +351,14 @@ def test_oracle_check_mode():
     assert "agree" in out
 
 
+def test_gates_mode_exits_zero():
+    """`--mode gates` gives no verdict and exits 0, also on a spec whose
+    constant is not productive (`do_m` exits 1 under `--mode decide`)."""
+    assert run_cli([str(spec_path("do_m"))])[0] == 1
+    code, out, _ = run_cli([str(spec_path("do_m")), "--mode", "gates"])
+    assert code == 0 and "-- gates --" in out and "-- summary --" not in out
+
+
 def _mutate_lines(rng, text):
     lines = text.splitlines()
     i = rng.randrange(len(lines))

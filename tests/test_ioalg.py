@@ -277,6 +277,22 @@ def test_normalize_marks_its_results():
     assert not prepend("-", n).normal
 
 
+def test_hash_is_kept_and_goes_by_the_runs():
+    """Equal terms built by `IOTerm(...)`, `of_runs`, `_term` and `normalize`
+    have equal hashes, each the hash of their runs, whether marked normal or
+    not; a term keeps its hash from the first `hash` on."""
+    rng = random.Random(12)
+    for _ in range(300):
+        words = ["".join(rng.choice("-+") for _ in range(rng.randrange(7))) for _ in range(2)]
+        t = IOTerm(*words)
+        n = normalize(t)
+        for u in (t, n):
+            runs = (u.prefix_runs, u.loop_runs)
+            copies = (IOTerm(u.prefix, u.loop), IOTerm.of_runs(*runs), ioalg._term(*runs), ioalg._term(*runs, True))
+            assert all(c == u for c in copies) and {hash(c) for c in copies + (u,)} == {hash(runs)}
+            assert u._hash == hash(runs)
+
+
 # --- equality and notation ------------------------------------------------
 
 

@@ -1,9 +1,10 @@
+import io
 import random
 from collections import Counter
 
 import pytest
 
-from prodcheck import prodterm
+from prodcheck import cli, prodterm
 from prodcheck.ioalg import TOP, IOTerm, conat_str, interpret, is_top, parse_ioterm, render
 from prodcheck.prodterm import (
     PEB_SEQ,
@@ -345,6 +346,76 @@ def test_redex_deep_in_a_term():
     assert u == Src(1)
 
 
+def lockstep_descent(old, new):
+    """Walk `old` and its collapse step `new` down from the root together,
+    as `derivation_texts` does, to the first old node with a rule; check on
+    the way that each old node passed has no rule and that its new copy
+    differs from it by identity and in the child on the path alone.
+    Returns the old node reached and the child indices of the path."""
+    path = []
+    while old.rule is None:
+        assert new is not old and type(new) is type(old), pretty(old)
+        if isinstance(old, Meet):
+            i = 1 if new.left is old.left else 0
+            assert _children(new)[1 - i] is _children(old)[1 - i]
+        else:
+            i = 0
+            assert getattr(new, "seq", None) is getattr(old, "seq", None)
+            assert getattr(new, "name", None) == getattr(old, "name", None)
+        path.append(i)
+        old, new = _children(old)[i], _children(new)[i]
+    assert new is not old
+    return old, tuple(path)
+
+
+def test_collapse_steps_change_one_path():
+    """The renderer's precondition, on every collapse step of the specs under
+    tests/data, of random closed terms, of rings of 4 to 12 constants and of
+    cons prefixes of 1 to 400 elements (every 21st length, and 400): the
+    nodes where a step's old and new term differ by identity form one path
+    from the root, the old nodes on it above the redex have no rule, each
+    new one keeps its other child, and the path ends at the redex
+    `_first_redex` finds."""
+    rng = random.Random(23)
+    terms = [random_closed_term(rng, rng.randrange(1, 24)) for _ in range(300)]
+    specs = [path.read_text() for path in sorted(DATA.glob("*.spec"))]
+    specs += [ring(n) for n in range(4, 13)] + [prefix(m) for m in (*range(1, 400, 21), 400)]
+    for text in specs:
+        terms += [v.trace[0][1] for v in decide(parse(text))[0].values()]
+    steps = 0
+    for t in terms:
+        derivation = [t] + [u for _, u in collapse_trace(t)]
+        for old, new in zip(derivation, derivation[1:]):
+            reached, path = lockstep_descent(old, new)
+            redex, rule, chain = _first_redex(old)
+            assert reached is redex and chain_path(old, redex, chain) == path, pretty(old)
+            steps += 1
+    assert steps > 10000, steps
+
+
+def test_derivation_texts_deep_redexes():
+    """A derivation whose redexes sit 5,000 levels down, right of meets and
+    under mus, renders each line as `pretty` renders its term."""
+    n = 5000
+    s, x, y = T("-(-+)"), Var("x"), Var("y")
+    t = Mu("x", Box(s, Mu("y", Peb(Meet(x, Box(s, y))))))
+    for k in range(n):
+        t = Meet(Src(k), t)
+    derivation, rules = [t], []
+    for _ in range(12):
+        redex, rule, chain = _first_redex(derivation[-1])
+        u = prodterm._contract(redex, rule, {})
+        while chain is not None:
+            parent, i, chain = chain
+            u = prodterm._replace_child(parent, i, u)
+        reached, path = lockstep_descent(derivation[-1], u)
+        assert reached is redex and path[:n] == (1,) * n
+        derivation.append(u)
+        rules.append(rule)
+    assert set(rules) == {"peb", "box-meet", "mu-meet", "mu-drop", "box-box", "mu-box", "box-src"}
+    assert list(derivation_texts(derivation)) == [pretty(u) for u in derivation]
+
+
 # --- pretty printing ------------------------------------------------------
 
 
@@ -417,40 +488,42 @@ def test_pretty_deep_chain():
 
 
 def test_derivation_texts_render_each_sequence_once(monkeypatch):
-    """Over the derivation of a 400-element cons prefix and those of a ring
-    of 8 constants, each distinct IO-sequence is rendered once per
-    derivation, and each later line takes one redex search: a line costs
-    that search and the splice, not a walk of the whole term."""
-    renders, searches = [], []
+    """The text report of a 400-element cons prefix, and that of a ring of
+    8 constants, render each distinct IO-sequence of all their derivations
+    once, besides the gate table's own renderings, and search for no redex:
+    each line is spliced at the redex the renderer's descent reaches."""
+    renders = []
 
     def counting_render(seq):
         renders.append(seq)
         return render(seq)
 
-    def counting_first_redex(t):
-        searches.append(t)
-        return _first_redex(t)
+    def no_search(t):
+        raise AssertionError("redex search while rendering %s" % pretty(t))
 
-    monkeypatch.setattr(prodterm, "render", counting_render)
-    monkeypatch.setattr(prodterm, "_first_redex", counting_first_redex)
-    lengths = []
-    for text in (prefix(400), ring(8)):
-        for verdict in decide(parse(text))[0].values():
-            derivation = [term for _, term in verdict.trace]
-            del renders[:], searches[:]
-            shown = list(derivation_texts(derivation))
-            seqs, stack = set(), list(derivation)
-            while stack:
-                u = stack.pop()
-                if isinstance(u, Box):
-                    seqs.add(u.seq)
-                stack.extend(_children(u))
-            assert len(renders) == len(seqs) and set(renders) == seqs
-            assert len(searches) == len(derivation) - 1
-            assert all(u is t for u, t in zip(searches, derivation))
-            assert shown[-1] == "src(%s)" % conat_str(verdict.production)
-            lengths.append(len(derivation))
-    assert lengths[0] == 802 and len(lengths) == 9, lengths
+    for text, constants, lines in ((prefix(400), 1, 802), (ring(8), 8, 256)):
+        spec = parse(text)
+        verdicts, gates, cls = decide(spec)
+        derivations = [[term for _, term in v.trace] for v in verdicts.values()]
+        seqs, stack = Counter(), [u for derivation in derivations for u in derivation]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Box):
+                seqs[u.seq] = 1
+            stack.extend(_children(u))
+        table = Counter(a for name in spec.signature.stream_functions() for a in gates[name].args)
+        del renders[:]
+        out = io.StringIO()
+        with monkeypatch.context() as patch:
+            patch.setattr(prodterm, "render", counting_render)
+            patch.setattr(prodterm, "_first_redex", no_search)
+            cli._report_text(spec, cls, gates, verdicts, out)
+        assert Counter(renders) == seqs + table
+        report = out.getvalue()
+        assert (len(derivations), sum(map(len, derivations))) == (constants, lines)
+        assert report.count("\n  ~> ") == lines - constants
+        for v in verdicts.values():
+            assert "  ~> src(%s)    [" % conat_str(v.production) in report
 
 
 def test_free_vars_scoping():
