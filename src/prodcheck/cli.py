@@ -13,10 +13,10 @@ parse error, 11 validation error, 12 translation error, 13 a search cap was
 exceeded (`--finitize-cap` or `--max-columns`), 14 standard output was
 closed before the whole report was written, 15 a malformed command line.
 
-`--max-columns` bounds every diagram sweep: the repetition search for each
-variable of the equations' feedback vertex set, the one inside each infimum
-the solver takes for the other variables, and, with `--dump-diagram`, the
-one for each root.
+`--max-columns` bounds every diagram sweep, the repetition search for each
+variable of the equations' feedback vertex set and, with `--dump-diagram`,
+for each root; an infimum the solver takes for the other variables reads
+at most N supplies.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 
-from .streamspec import Classification, Node, reachable, reaches_cycle
+from .streamspec import Classification, Node, reachable
 
 # ---------------------------------------------------------------------------
 # variables and expressions
@@ -359,20 +359,3 @@ def finitize(cls: Classification, roots, cap: int = Caps.DEFAULTS["finitize_cap"
     ordered = dict(sorted(kept.items(), key=lambda kv: _var_order_key(kv[0])))
     return IOSpec(ordered, roots)
 
-
-def is_weakly_guarded(iospec: IOSpec) -> bool:
-    """Every equation unfolds to a guarded form: the at-surface dependency
-    relation (variable occurrences with no '-'/'+' above them) is acyclic."""
-    surface: dict = {}
-    for v, e in iospec.equations.items():
-        out: set = set()
-        todo = [e]
-        while todo:
-            e = todo.pop()
-            if isinstance(e, EVar):
-                out.add(e.var)
-            elif isinstance(e, EInf):
-                todo.extend((e.left, e.right))
-        surface[v] = out
-
-    return not reaches_cycle(surface)

@@ -18,7 +18,7 @@ to output count, with TOP playing the role of infinity on both ends.  All
 operations here (composition, requirement removal, least fixed point) are
 exact on that function semantics, and `normalize` computes the unique
 shortest representative of a sequence.  The pointwise infimum of two
-sequences is an equation system, solved in `prodcheck.solver`.
+sequences is taken in closed form in `prodcheck.solver`.
 """
 
 from __future__ import annotations

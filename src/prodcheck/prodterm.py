@@ -250,14 +250,6 @@ def _contract(t: ProdTerm, rule: str, memo: dict) -> ProdTerm:
     raise AssertionError(rule)
 
 
-def _children(t: ProdTerm):
-    if isinstance(t, (Peb, Box, Mu)):
-        return (t.body,)
-    if isinstance(t, Meet):
-        return (t.left, t.right)
-    return ()
-
-
 def _replace_child(t: ProdTerm, i: int, sub: ProdTerm) -> ProdTerm:
     if isinstance(t, Peb):
         return Peb(sub)

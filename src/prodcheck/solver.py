@@ -5,30 +5,31 @@ variable graph (`TraceGraph.refs`) from its roots with
 `streamspec.feedback_order`, whose back-edge targets form a feedback vertex
 set F; every other variable's equation is then a composition of prepends and
 infima over values already known, in the walk's post-order, and is evaluated
-with the IO-term algebra (`evaluate`); each infimum is solved as a small
-system of its own (`infimum`).
+with the IO-term algebra (`evaluate`), each infimum in closed form from
+its two operands (`infimum`).
 
 The unique solution for a variable of F is recovered from a trace graph: a
 node per position of every right-hand side, with silent edges for variable
 references and infimum forks and labelled edges for '-'/'+'.  The graph is
-the same for every root, so each system keeps one checked graph, and a
-root's diagram starts at the head of its equation.  Sweeping that
-two-dimensional diagram over the graph column by column (one column per
-input consumed, heights counting outputs) gives the solution's value at
-every supply as the lowest '-'-capable entry of the column.  A repetition
-search over columns finds two strips with the same node constellation whose
-low entries reproduce themselves shifted, at which point the value sequence
-is quasi-periodic and the rational IO-term can be read off.
+the same for every root, so each system keeps one graph, checked to have no
+cycle of silent edges, and a root's diagram starts at the head of its
+equation.  Sweeping that two-dimensional diagram over the graph column by
+column (one column per input consumed, heights counting outputs) gives the
+solution's value at every supply as the lowest '-'-capable entry of the
+column.  A repetition search over columns finds two strips with the same
+node constellation whose low entries reproduce themselves shifted, at which
+point the value sequence is quasi-periodic and the rational IO-term can be
+read off (`_of_values`, as for an infimum).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
-from .equations import (
-    CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, is_weakly_guarded, steps, var_str,
-)
-from .ioalg import EPSILON, TOP, CoNat, IOTerm, is_top, normalize, prepend
+from .equations import CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, var_str
+from .ioalg import EPSILON, MINUS, PLUS, TOP, CoNat, IOTerm, interpret, is_top, normalize, prepend
+from .streamspec import feedback_order
 
 
 class TraceGraph:
@@ -92,7 +93,7 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
             raise TranslationError("undefined variable %s" % (v,))
         eps[nid].append(heads[v])
 
-    if not is_weakly_guarded(iospec):
+    if feedback_order(range(len(nodes)), eps.__getitem__)[0]:
         raise TranslationError("silent cycle: system is not weakly guarded")
     return TraceGraph(nodes, eps, out_plus, out_minus, heads, refs)
 
@@ -185,11 +186,20 @@ class Diagram:
 # repetition search and extraction
 
 
-def _stair(values) -> str:
-    word = "+" * int(values[0])
-    for prev, cur in zip(values, values[1:]):
-        word += "-" + "+" * int(cur - prev)
-    return word
+def _of_values(values: list, start: int) -> IOTerm:
+    """The canonical term whose output at supply n is `values[n]`: a stair up
+    to `values[start]`, then a loop of the increments after it, or all output
+    from the first TOP value on."""
+    runs: list = []
+    prev = 0
+    for n, v in enumerate(values):
+        if n:
+            runs.append((MINUS, 1))
+        if is_top(v):
+            return normalize(IOTerm.of_runs(runs, ((PLUS, 1),)))
+        runs.append((PLUS, v - prev))
+        prev = v
+    return normalize(IOTerm.of_runs(runs[: 2 * start + 1], runs[2 * start + 1 :]))
 
 
 def _check_repetition(diagram: Diagram, x1: int, x2: int) -> bool:
@@ -246,8 +256,7 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
         col = diagram.column(x)
         if is_top(bounds[x]):
             # no consuming node is left: all output from here on
-            word = (_stair(bounds[:x]) + "-") if x else ""
-            return normalize(IOTerm(word, "+"))
+            return _of_values(bounds[: x + 1], x)
         if not col:
             raise AssertionError("empty column with a finite bound")
         h = min(col.values())
@@ -258,14 +267,7 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
                 if _check_repetition(diagram, x1, x):
                     if trace is not None:
                         trace.append((x1, x))
-                    if bounds[x] == bounds[x1]:
-                        # the bound stopped growing: a finite word suffices
-                        return normalize(IOTerm(_stair(bounds[: x1 + 1]), ""))
-                    loop = "".join(
-                        "-" + "+" * int(bounds[k] - bounds[k - 1])
-                        for k in range(x1 + 1, x + 1)
-                    )
-                    return normalize(IOTerm(_stair(bounds[: x1 + 1]), loop))
+                    return _of_values(bounds[: x + 1], x1)
         strips.setdefault(key, []).append((x, rel))
     raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
 
@@ -274,30 +276,52 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
 # the acyclic rest of a system
 
 
+def _shape(u: IOTerm) -> tuple:
+    """(m, p, q, rises): from supply m on, `u`'s output grows by q every p
+    supplies, rising j supplies into each pass for each j in `rises`.  A
+    finite word grows by 0 and all output by TOP, per 1 supply."""
+    m = sum(n for sym, n in u.prefix_runs if sym == MINUS)
+    p = q = 0
+    rises = []
+    for sym, n in u.loop_runs:
+        if sym == PLUS:
+            rises.append(p)
+            q += n
+        else:
+            p += n
+    return (m, p, q, rises) if p else (m, 1, TOP if q else 0, [])
+
+
 def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
-    Solves the one-root system X = s /\\ t, where each operand with a loop
-    continues with its own variable L = loop L, so that the diagram is the
-    single engine for rational infima; `max_columns` caps its sweep.
+    From supply `start` on, each operand grows by a fixed amount every
+    `period` supplies.  With equal growth the minimum repeats over `period`;
+    otherwise the operand that grows less is the minimum, over its own loop,
+    once the other's least lead in one period (where the lesser rises) is
+    made up.  `max_columns` caps the supplies read.
     """
-    equations: dict = {}
-
-    def operand(name: tuple, u: IOTerm):
-        if u.finite:
-            return steps(u.prefix, EEmpty())
-        equations[name] = steps(u.loop, EVar(name))
-        return steps(u.prefix, EVar(name))
-
-    root = ("inf",)
-    equations[root] = EInf(operand(("inf", 1), s), operand(("inf", 2), t))
-    return solve(IOSpec(equations, (root,)), root, max_columns=max_columns)
+    (ms, ps, qs, rs), (mt, pt, qt, rt) = _shape(s), _shape(t)
+    start, period = max(ms, mt), math.lcm(ps, pt)
+    gs, gt = qs * (period // ps), qt * (period // pt)
+    if gs != gt:
+        low, high, m, p, rises = (s, t, ms, ps, rs) if gs < gt else (t, s, mt, pt, rt)
+        # a lead one period on is larger by |gt - gs|, so later rises add nothing
+        bases = range(start - (start - m) % p, start + period, p)
+        supplies = [start, *(base + j for base in bases for j in rises)]
+        lead = min(interpret(high, n) - interpret(low, n) for n in supplies if n >= start)
+        if lead < 0:
+            start += -(lead // abs(gt - gs)) * period
+        period = p
+    if start + period >= max_columns:
+        raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
+    return _of_values([min(interpret(s, n), interpret(t, n)) for n in range(start + period + 1)], start)
 
 
 def evaluate(expr, values: dict, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
     """Canonical IO-term of `expr` when every variable it names has its
     canonical value in `values`: a run of steps prepends its whole word,
-    an infimum solves the two operands' rational system."""
+    an infimum takes the closed form of its two operands' values."""
     results: list = []
     todo: list = [expr]
     while todo:

@@ -7,7 +7,8 @@ Specification families as text: a cyclic `chain` of one-step functions, a
 `chain(16)`, `ring(6)` and `prefix(20)` are the files of the same names
 under `tests/data/`.  Random IO-expression systems, production terms and
 canonical IO-terms come with the rng they draw from, so a seed pins each
-one; `kleene_lfp` is the least fixed point by iteration.
+one; `kleene_lfp` is the least fixed point by iteration, and `children`
+the subterms of a production term, for walks over it.
 """
 
 from prodcheck.equations import EEmpty, EInf, EStep, EVar, IOSpec
@@ -149,6 +150,15 @@ def random_closed_term(rng, size, scope=(), loop_len=4):
         return Meet(build(left, scope), build(budget - 1 - left, scope))
 
     return build(size, tuple(scope))
+
+
+def children(t):
+    """The direct subterms of a production term, left to right."""
+    if isinstance(t, (Peb, Box, Mu)):
+        return (t.body,)
+    if isinstance(t, Meet):
+        return (t.left, t.right)
+    return ()
 
 
 def random_canonical(rng, max_len=6, loop_p=0.8):

@@ -162,12 +162,12 @@ def test_caps_error_exit_thirteen():
 
 @pytest.mark.parametrize(
     "name, first_answer",
-    [("intro_b", 0), ("nested_fb", 3), ("ternary_morse_pure", 3), ("do_h", 5)],
+    [("intro_b", 0), ("nested_fb", 4), ("ternary_morse_pure", 3), ("do_h", 4)],
 )
 def test_max_columns_bounds_feedback_sweeps_and_infima(name, first_answer):
     """`--max-columns` caps the diagram sweeps for the feedback vertex set
-    and for each infimum; gates answer from `first_answer` columns on.
-    `intro_b` has no cycle and needs no infimum, so it answers at 0."""
+    and the supplies each infimum reads; gates answer from `first_answer`
+    on.  `intro_b` has no cycle and needs no infimum, so it answers at 0."""
     for cap in range(first_answer + 1):
         code, out, err = run_cli([str(spec_path(name)), "--mode", "gates", "--max-columns", str(cap)])
         if cap < first_answer:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -17,7 +19,8 @@ from prodcheck.ioalg import (
     remove_requirement,
     render,
 )
-from prodcheck.solver import infimum
+from prodcheck.equations import EEmpty, EInf, EVar, IOSpec, steps
+from prodcheck.solver import infimum, solve
 
 from specgen import kleene_lfp, random_canonical
 
@@ -154,13 +157,63 @@ def test_infimum_unbounded_residuals():
     ],
 )
 def test_infimum_of_long_loops(s, t):
-    """The solver spells each operand out one step per symbol; loops of
-    thousands of symbols must not meet the interpreter's recursion limit."""
+    """Loops of thousands of symbols: the infimum reads one value per
+    supply up to the end of the longer loop's first pass, and the reference
+    spells each operand out one step per symbol, without meeting the
+    interpreter's recursion limit."""
     got = infimum(s, t)
     assert is_normal(got)
+    assert got == ref_infimum(s, t)
     size = len(s.prefix) + len(s.loop)
     for n in list(range(3 * size)) + [TOP]:
         assert interpret(got, n) == min(interpret(s, n), interpret(t, n)), n
+
+
+def ref_infimum(s, t, max_columns=10000):
+    """The infimum as the one-root system X = s /\\ t, where each operand
+    with a loop continues with its own variable L = loop L, solved by the
+    diagram's repetition search: the reference for `infimum`."""
+    equations: dict = {}
+
+    def operand(name, u):
+        if u.finite:
+            return steps(u.prefix, EEmpty())
+        equations[name] = steps(u.loop, EVar(name))
+        return steps(u.prefix, EVar(name))
+
+    root = ("inf",)
+    equations[root] = EInf(operand(("inf", 1), s), operand(("inf", 2), t))
+    return solve(IOSpec(equations, (root,)), root, max_columns=max_columns)
+
+
+def test_infimum_matches_the_one_root_system():
+    rng = random.Random(24)
+    for k in range(3000):
+        depth, loop_p = 2 + k % 7, 0.5 + (k % 6) / 10
+        s, t = random_canonical(rng, depth, loop_p), random_canonical(rng, depth, loop_p)
+        assert infimum(s, t) == ref_infimum(s, t), (s, t)
+
+
+def test_infimum_hand_cases_both_orders():
+    """All output, the empty sequence, finite words and all-output tails,
+    each against each and against loops, in both orders."""
+    terms = [T(x) for x in ("(+)", "eps", "++", "-+-+", "+-(+)", "--(+)", "(-+)", "-(--+)", "+(-++)", "(+--)")]
+    for s, t in itertools.product(terms, repeat=2):
+        got = infimum(s, t)
+        assert got == ref_infimum(s, t), (s, t)
+        for n in list(range(12)) + [TOP]:
+            assert interpret(got, n) == min(interpret(s, n), interpret(t, n)), (s, t, n)
+
+
+def test_infimum_of_close_slow_loops():
+    """(-^1000 +) /\\ (-^999 +) is its first operand: the second one's lead
+    is checked where the first steps up, not at each of the 999,000
+    supplies of both loops' common period."""
+    s = IOTerm.of_runs((), (("-", 1000), ("+", 1)))
+    t = IOTerm.of_runs((), (("-", 999), ("+", 1)))
+    start = time.perf_counter()
+    assert infimum(s, t) == s and infimum(t, s) == s
+    assert time.perf_counter() - start < 0.1
 
 
 # --- requirement removal --------------------------------------------------

@@ -15,7 +15,6 @@ from prodcheck.prodterm import (
     Peb,
     Src,
     Var,
-    _children,
     _first_redex,
     collapse,
     collapse_trace,
@@ -27,7 +26,7 @@ from prodcheck.streamspec import parse
 from prodcheck.translate import decide
 
 from conftest import DATA
-from specgen import prefix, random_closed_term, random_flat_spec, ring
+from specgen import children, prefix, random_closed_term, random_flat_spec, ring
 
 T = parse_ioterm
 
@@ -68,7 +67,7 @@ def find_redexes(t, path=()):
     rule = ref_rule_at(t)
     if rule is not None:
         found.append((path, rule))
-    for i, c in enumerate(_children(t)):
+    for i, c in enumerate(children(t)):
         found.extend(find_redexes(c, path + (i,)))
     return found
 
@@ -259,7 +258,7 @@ def ref_rewrite_at(t, path, rule):
     if not path:
         return prodterm._contract(t, rule, {})
     i = path[0]
-    return prodterm._replace_child(t, i, ref_rewrite_at(_children(t)[i], path[1:], rule))
+    return prodterm._replace_child(t, i, ref_rewrite_at(children(t)[i], path[1:], rule))
 
 
 def ref_first_redex(t, path=()):
@@ -267,7 +266,7 @@ def ref_first_redex(t, path=()):
     rule = ref_rule_at(t)
     if rule is not None:
         return (path, rule)
-    for i, c in enumerate(_children(t)):
+    for i, c in enumerate(children(t)):
         hit = ref_first_redex(c, path + (i,))
         if hit is not None:
             return hit
@@ -281,7 +280,7 @@ def chain_path(t, redex, chain):
     node = redex
     while chain is not None:
         parent, i, chain = chain
-        assert _children(parent)[i] is node
+        assert children(parent)[i] is node
         path.append(i)
         node = parent
     assert node is t
@@ -303,7 +302,7 @@ def test_redex_search_and_rewrite_match_recursive_reference():
             stack = [t]
             while stack:
                 terms.append(stack.pop())
-                stack.extend(_children(terms[-1]))
+                stack.extend(children(terms[-1]))
     for path in sorted(DATA.glob("*.spec")):
         verdicts, _, _ = decide(parse(path.read_text(), str(path)))
         terms += [term for v in verdicts.values() for _, term in v.trace]
@@ -357,13 +356,13 @@ def lockstep_descent(old, new):
         assert new is not old and type(new) is type(old), pretty(old)
         if isinstance(old, Meet):
             i = 1 if new.left is old.left else 0
-            assert _children(new)[1 - i] is _children(old)[1 - i]
+            assert children(new)[1 - i] is children(old)[1 - i]
         else:
             i = 0
             assert getattr(new, "seq", None) is getattr(old, "seq", None)
             assert getattr(new, "name", None) == getattr(old, "name", None)
         path.append(i)
-        old, new = _children(old)[i], _children(new)[i]
+        old, new = children(old)[i], children(new)[i]
     assert new is not old
     return old, tuple(path)
 
@@ -510,7 +509,7 @@ def test_derivation_texts_render_each_sequence_once(monkeypatch):
             u = stack.pop()
             if isinstance(u, Box):
                 seqs[u.seq] = 1
-            stack.extend(_children(u))
+            stack.extend(children(u))
         table = Counter(a for name in spec.signature.stream_functions() for a in gates[name].args)
         del renders[:]
         out = io.StringIO()
@@ -560,7 +559,7 @@ def test_free_vars_cached_per_node_match_walk():
                 u = stack.pop()
                 assert u.free_vars == _reference_free_vars(u), pretty(u)
                 checked += 1
-                stack.extend(_children(u))
+                stack.extend(children(u))
     assert checked > 10000
 
 
@@ -580,7 +579,7 @@ def test_rule_cached_per_node_matches_reference():
             seen.add(id(u))
             assert u.rule == ref_rule_at(u), pretty(u)
             rules[u.rule] += 1
-            stack.extend(_children(u))
+            stack.extend(children(u))
     assert len(rules) == 10 and min(rules.values()) > 50, rules
 
 

@@ -11,7 +11,6 @@ from prodcheck.equations import (
     IOSpec,
     TranslationError,
     expr_vars,
-    is_weakly_guarded,
     steps,
 )
 from prodcheck.ioalg import TOP, interpret, parse_ioterm, render
@@ -110,8 +109,9 @@ def test_graph_errors_on_every_call():
 
 def test_graph_of_a_long_word():
     """A right-hand side of 20,000 steps: one node per position, numbered in
-    one walk, so the graph and an infimum over such a loop cost linear time;
-    only the dump spells a position out."""
+    one walk, so the graph costs linear time; only the dump spells a
+    position out.  An infimum over such a loop reads one value per supply
+    of the loop."""
     word = "-" * 19999 + "+"
     g = build_graph(sys1(X=steps(word, EVar(X))), X)
     assert g.size == 20001
@@ -274,8 +274,6 @@ def test_omit_safety_random_systems():
     checked = 0
     while checked < 60:
         iospec = random_system(rng)
-        if not is_weakly_guarded(iospec):
-            continue
         root = iospec.roots[0]
         try:
             g = build_graph(iospec, root)
@@ -302,8 +300,6 @@ def test_solve_random_systems_match_diagram():
     checked = 0
     while checked < 60:
         iospec = random_system(rng)
-        if not is_weakly_guarded(iospec):
-            continue
         root = iospec.roots[0]
         try:
             got = solve(iospec, root)
@@ -442,6 +438,25 @@ def test_chain_builds_one_graph_per_solve(monkeypatch):
     assert len(built) == 1 and len(solved) == 2
 
 
+def test_cli_analysis_builds_one_graph(monkeypatch):
+    """One analysis of `nested_fb`, infima included, builds the trace graph
+    of its one system and no other."""
+    import prodcheck.solver as solver
+    from conftest import spec_path
+    from prodcheck import cli
+
+    built = []
+    real_build = solver._system_graph
+
+    def counting_build(iospec):
+        built.append(iospec)
+        return real_build(iospec)
+
+    monkeypatch.setattr(solver, "_system_graph", counting_build)
+    assert cli.main([str(spec_path("nested_fb"))]) == 0
+    assert len(built) == 1
+
+
 def test_evaluate_deep_expressions():
     """Nesting deeper than the interpreter's recursion limit."""
     values = {X: parse_ioterm("(-+)")}
@@ -454,8 +469,10 @@ def test_evaluate_deep_expressions():
 
 
 def test_evaluate_caps_infima():
+    """(-+) /\\ ++ is ++ from supply 2 on, with period 1: the infimum reads
+    supplies 0 to 3, and `max_columns` must allow 4."""
     values = {X: parse_ioterm("(-+)"), Y: parse_ioterm("++")}
     expr = EInf(EVar(X), EVar(Y))
-    assert evaluate(expr, values, max_columns=5) == parse_ioterm("-+-+")
-    with pytest.raises(CapError):
-        evaluate(expr, values, max_columns=4)
+    assert evaluate(expr, values, max_columns=4) == parse_ioterm("-+-+")
+    with pytest.raises(CapError, match="3 columns"):
+        evaluate(expr, values, max_columns=3)

@@ -4,7 +4,7 @@ import pytest
 
 from prodcheck import dogame, prodterm
 from prodcheck.ioalg import TOP, interpret, parse_ioterm
-from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, _children, collapse, gate_apply, meet_all
+from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, collapse, gate_apply, meet_all
 from prodcheck.streamspec import App, Cons, Rule, SVar, classify, parse
 from prodcheck.equations import TranslationError
 from prodcheck.translate import (
@@ -15,7 +15,7 @@ from prodcheck.translate import (
 
 import specgen
 from conftest import DATA, load
-from specgen import random_flat_spec
+from specgen import children, random_flat_spec
 
 T = parse_ioterm
 
@@ -138,8 +138,8 @@ def ref_translate_constant(spec, gates, name):
                 raise TranslationError("stream constant %r has no defining rule" % term.sym)
             inner = visited | {term.sym}
             return Mu(term.sym, meet_all([tr(r.rhs, inner) for r in rules]))
-        children = [tr(a, visited) for a in term.args[: info.stream_arity]]
-        return gate_apply(gates[term.sym], children)
+        parts = [tr(a, visited) for a in term.args[: info.stream_arity]]
+        return gate_apply(gates[term.sym], parts)
 
     return tr(App(name, ()), frozenset())
 
@@ -277,7 +277,7 @@ def test_decide_ring_of_64():
             if isinstance(t, Box):
                 assert len(t.seq.loop_runs) <= 4
                 longest = max(longest, sum(n for _, n in t.seq.loop_runs))
-            stack.extend(_children(t))
+            stack.extend(children(t))
     assert longest == 2 ** 64 + 1
 
 
