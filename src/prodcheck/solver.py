@@ -25,6 +25,7 @@ read off (`_of_values`, as for an infimum).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 from .equations import CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, var_str
@@ -292,24 +293,54 @@ def _shape(u: IOTerm) -> tuple:
     return (m, p, q, rises) if p else (m, 1, TOP if q else 0, [])
 
 
+def _rises(u: IOTerm, a: int, b: int) -> list:
+    """The supplies in (a, b) at which `u`'s output rises, one range per '+'
+    run: a loop's steps by its period, an all-output loop's is its m."""
+    m, p, q, rises = _shape(u)
+    n, found = 0, []
+    for sym, k in u.prefix_runs + (u.loop_runs if is_top(q) else ()):
+        if sym == MINUS:
+            n += k
+        else:
+            found.append(range(max(n, a + 1), min(n + 1, b)))
+    return found + [range(m + j + max(0, (a - m - j) // p + 1) * p, b, p) for j in rises]
+
+
+def _lead_points(low: IOTerm, high: IOTerm, a: int, b: int) -> tuple:
+    """How many and which supplies hold the least lead of `high` over `low`
+    on [a, b).  The lead only grows while `low` stays put and only falls
+    while `high` does, so it is least both at a or a rise of `low` and at
+    b - 1 or just before a rise of `high`; the smaller set is read."""
+    ups, downs = _rises(low, a, b), _rises(high, a, b)
+    n_ups, n_downs = sum(map(len, ups)), sum(map(len, downs))
+    if n_ups <= n_downs:
+        return n_ups + 1, itertools.chain([a], *ups)
+    return n_downs + 1, itertools.chain([b - 1], (n - 1 for r in downs for n in r))
+
+
 def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
     From supply `start` on, each operand grows by a fixed amount every
-    `period` supplies.  With equal growth the minimum repeats over `period`;
-    otherwise the operand that grows less is the minimum, over its own loop,
-    once the other's least lead in one period (where the lesser rises) is
-    made up.  `max_columns` caps the supplies read.
+    `period` supplies.  An operand that grows no more than the other and is
+    nowhere above it on [0, start + period) is the minimum.  Otherwise, with
+    equal growth the minimum repeats over `period`; with unequal growth the
+    operand that grows less is the minimum, over its own loop, once the
+    other's least lead in one period is made up.  A check or a minimum that
+    needs more than `max_columns` supplies is skipped or raises `CapError`.
     """
-    (ms, ps, qs, rs), (mt, pt, qt, rt) = _shape(s), _shape(t)
+    (ms, ps, qs, _), (mt, pt, qt, _) = _shape(s), _shape(t)
     start, period = max(ms, mt), math.lcm(ps, pt)
     gs, gt = qs * (period // ps), qt * (period // pt)
+    for low, high, lesser in ((s, t, gs <= gt), (t, s, gt <= gs)):
+        # past `start` the lead repeats over `period` or grows with it
+        count, points = _lead_points(low, high, 0, start + period)
+        if lesser and count <= max_columns and all(interpret(high, n) >= interpret(low, n) for n in points):
+            return normalize(low)
     if gs != gt:
-        low, high, m, p, rises = (s, t, ms, ps, rs) if gs < gt else (t, s, mt, pt, rt)
-        # a lead one period on is larger by |gt - gs|, so later rises add nothing
-        bases = range(start - (start - m) % p, start + period, p)
-        supplies = [start, *(base + j for base in bases for j in rises)]
-        lead = min(interpret(high, n) - interpret(low, n) for n in supplies if n >= start)
+        low, high, p = (s, t, ps) if gs < gt else (t, s, pt)
+        # a lead one period on is larger by |gt - gs|, so one period suffices
+        lead = min(interpret(high, n) - interpret(low, n) for n in _lead_points(low, high, start, start + period)[1])
         if lead < 0:
             start += -(lead // abs(gt - gs)) * period
         period = p

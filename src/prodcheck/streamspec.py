@@ -546,16 +546,14 @@ class _Sorter:
 def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
     """Turn a raw token tree into a sorted Term of sort `expected`.
 
-    Returns the term and the first variable it adds to `varsorts` (None if
-    it adds none).  A preorder walk on an explicit stack of `(raw,
-    expected)` pairs; a pair `(n, sym)` pops the n resolved subterms of an
-    application of `sym` into its node, a Cons if `sym` is None.  A leaf is
-    done when it is visited.  Checks and unifications run in preorder, left
-    to right.
+    Each variable not yet in `varsorts` is added to it with its sort.  A
+    preorder walk on an explicit stack of `(raw, expected)` pairs; a pair
+    `(n, sym)` pops the n resolved subterms of an application of `sym` into
+    its node, a Cons if `sym` is None.  A leaf is done when it is visited.
+    Checks and unifications run in preorder, left to right.
     """
     symbols = sorter.sig.symbols
     elements = sorter.elements
-    first_new = None
     todo: list = [(raw, expected)]
     done: list = []
     while todo:
@@ -598,15 +596,12 @@ def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
         if args:
             sorter.fail("undeclared symbol %r applied to arguments" % name, tok)
         # a variable; record / check its sort
-        var = SVar(name) if isinstance(expected, StreamSort) else DVar(name)
         if name in varsorts:
             sorter.unify(varsorts[name], expected, tok)
         else:
             varsorts[name] = expected
-            if first_new is None:
-                first_new = var
-        done.append(var)
-    return done[0], first_new
+        done.append(SVar(name) if isinstance(expected, StreamSort) else DVar(name))
+    return done[0]
 
 
 def _subterms(t: Term):
@@ -655,14 +650,15 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
         sorter.start_rule()
         varsorts: dict = {}
         expected = info.result_sort
-        lhs, _ = _resolve_term(lhs_raw, expected, sorter, varsorts)
-        # a variable new on the rhs is not bound by the lhs
-        rhs, unbound = _resolve_term(rhs_raw, expected, sorter, varsorts)
-        if unbound is not None:
-            kind = "stream" if isinstance(unbound, SVar) else "data"
-            raise ParseError(
-                Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, unbound.name), line, col, filename)
-            )
+        lhs = _resolve_term(lhs_raw, expected, sorter, varsorts)
+        bound = len(varsorts)
+        rhs = _resolve_term(rhs_raw, expected, sorter, varsorts)
+        # a variable new on the rhs is not bound by the lhs; dicts keep
+        # insertion order, so the first is the first key added after `bound`
+        if len(varsorts) > bound:
+            name = list(varsorts)[bound]
+            kind = "stream" if isinstance(varsorts[name], StreamSort) else "data"
+            raise ParseError(Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, name), line, col, filename))
         rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
         by_root.setdefault(root, []).append(rule)
@@ -717,88 +713,60 @@ def _missing_vector(rows, col_sorts, by_sort):
     Streams have the single constructor cons; data columns split over the
     constructors of their sort.  Returns a list of witness terms or None.
 
-    A depth-first search on an explicit stack.  Rows, columns and witnesses
-    are linked lists `(first, rest)`, so that dropping or splitting the
-    first column copies nothing.  A frame waits for the witness of the
-    columns below it: a sort puts a wildcard of that sort in front of it,
-    "cons" joins its first two terms, and a constructor frame `[ctors,
-    index, rows, rest]` joins its first arguments into an App, or on no
-    witness moves on to its next constructor.
+    A depth-first loop over a stack of tasks `(rows, columns, then)`, in
+    the order of the recursive search, so the first witness found is the
+    answer.  Rows and columns are linked lists `(first, rest)`, so that
+    dropping or splitting the first column copies nothing.  `then` is a
+    linked chain of steps that turn a witness of the task's columns into
+    one of the whole table: a sort puts a wildcard of that sort in front,
+    "cons" joins the first two terms, and a constructor's `SymbolInfo`
+    joins its first arguments into an App.
     """
-    rows = [_linked(r, None) for r in rows]
-    cols = _linked(col_sorts, None)
-    frames: list = []
-    while True:
-        while True:  # descend until the answer for (rows, cols) is known
-            if not rows:
-                found = _linked([_wild(s) for s in _unlinked(cols)], None)
-                break
-            if cols is None:
-                found = None  # some row matches everything remaining
-                break
-            sort, rest = cols
-            if all(isinstance(r[0], (SVar, DVar)) for r in rows):
-                frames.append(sort)
-                rows = [r[1] for r in rows]
-                cols = rest
-            elif isinstance(sort, StreamSort):
-                # only constructor: cons(head, tail); a defined symbol in the
-                # pattern (an error of its own) matches no cons
-                frames.append("cons")
-                rows = [
-                    (DVar("_"), (SVar("_"), tail)) if isinstance(p, SVar) else (p.head, (p.tail, tail))
-                    for p, tail in rows
-                    if not isinstance(p, App)
-                ]
-                cols = (DataSort(sort.param), cols)
-            else:
-                ctors = by_sort.get(sort.name)
-                if not ctors:
-                    # no known constructors for this sort: no witness can be
-                    # built, so none is reported
-                    found = None
-                    break
-                frame = [ctors, 0, rows, rest]
-                frames.append(frame)
-                rows, cols = _split_ctor(frame)
-        while frames:  # hand `found` to the frames waiting for it
-            frame = frames[-1]
-            if isinstance(frame, list) and found is None and frame[1] + 1 < len(frame[0]):
-                frame[1] += 1
-                rows, cols = _split_ctor(frame)
-                break
-            frames.pop()
-            if found is None:
-                continue
-            if isinstance(frame, list):
-                info = frame[0][frame[1]]
-                args = []
-                for _ in info.arg_sorts:
-                    arg, found = found
-                    args.append(arg)
-                found = (App(info.name, tuple(args)), found)
-            elif frame == "cons":
-                head, (tail, found) = found
-                found = (Cons(head, tail), found)
-            else:
-                found = (_wild(frame), found)
+    todo = [([_linked(r, None) for r in rows], _linked(col_sorts, None), None)]
+    while todo:
+        rows, cols, then = todo.pop()
+        if not rows:
+            found = _linked([_wild(s) for s in _unlinked(cols)], None)
+            while then is not None:
+                step, then = then
+                if isinstance(step, SymbolInfo):
+                    args = []
+                    for _ in step.arg_sorts:
+                        arg, found = found
+                        args.append(arg)
+                    found = (App(step.name, tuple(args)), found)
+                elif step == "cons":
+                    head, (tail, found) = found
+                    found = (Cons(head, tail), found)
+                else:
+                    found = (_wild(step), found)
+            return _unlinked(found)
+        if cols is None:
+            continue  # some row matches everything remaining
+        sort, rest = cols
+        if all(isinstance(r[0], (SVar, DVar)) for r in rows):
+            todo.append(([r[1] for r in rows], rest, (sort, then)))
+        elif isinstance(sort, StreamSort):
+            # only constructor: cons(head, tail); a defined symbol in the
+            # pattern (an error of its own) matches no cons
+            rows = [
+                (DVar("_"), (SVar("_"), tail)) if isinstance(p, SVar) else (p.head, (p.tail, tail))
+                for p, tail in rows
+                if not isinstance(p, App)
+            ]
+            todo.append((rows, (DataSort(sort.param), cols), ("cons", then)))
         else:
-            return None if found is None else _unlinked(found)
-
-
-def _split_ctor(frame):
-    """Rows and columns of a data column's constructor frame under its
-    current constructor: its arguments replace the column."""
-    ctors, index, rows, rest = frame
-    info = ctors[index]
-    wilds = [DVar("_")] * len(info.arg_sorts)
-    sub_rows = []
-    for p, tail in rows:
-        if isinstance(p, DVar):
-            sub_rows.append(_linked(wilds, tail))
-        elif isinstance(p, App) and p.sym == info.name:
-            sub_rows.append(_linked(p.args, tail))
-    return sub_rows, _linked(info.arg_sorts, rest)
+            # a sort without known constructors pushes nothing: no witness
+            # can be built, so none is reported
+            for info in reversed(by_sort.get(sort.name, ())):
+                wilds = [DVar("_")] * len(info.arg_sorts)
+                sub_rows = [
+                    _linked(wilds, tail) if isinstance(p, DVar) else _linked(p.args, tail)
+                    for p, tail in rows
+                    if isinstance(p, DVar) or p.sym == info.name
+                ]
+                todo.append((sub_rows, _linked(info.arg_sorts, rest), (info, then)))
+    return None
 
 
 def _linked(items, rest):

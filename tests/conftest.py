@@ -1,6 +1,14 @@
+import os
 import pathlib
+import sys
 
 import pytest
+
+# A test run leaves no bytecode cache in src/, in this process or in the
+# interpreters it starts, so that timing an import there still includes
+# compiling the package, as on a fresh checkout.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from prodcheck.streamspec import parse
 

@@ -162,12 +162,15 @@ def test_caps_error_exit_thirteen():
 
 @pytest.mark.parametrize(
     "name, first_answer",
-    [("intro_b", 0), ("nested_fb", 4), ("ternary_morse_pure", 3), ("do_h", 4)],
+    [("intro_b", 0), ("nested_fb", 2), ("ternary_morse_pure", 3), ("do_h", 3)],
 )
 def test_max_columns_bounds_feedback_sweeps_and_infima(name, first_answer):
     """`--max-columns` caps the diagram sweeps for the feedback vertex set
     and the supplies each infimum reads; gates answer from `first_answer`
-    on.  `intro_b` has no cycle and needs no infimum, so it answers at 0."""
+    on.  `intro_b` has no cycle and needs no infimum, so it answers at 0.
+    Each infimum of `nested_fb` and `do_h` has an operand nowhere above the
+    other, the answer once the supplies that show it are read: two at most
+    for `nested_fb`, and fewer than the three columns `do_h`'s sweeps need."""
     for cap in range(first_answer + 1):
         code, out, err = run_cli([str(spec_path(name)), "--mode", "gates", "--max-columns", str(cap)])
         if cap < first_answer:
@@ -266,9 +269,10 @@ def test_optimized_interpreter_matches_goldens(name):
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Importing the command line in a fresh interpreter, one that reads no
     environment variables and no user site, leaves the two modules that
-    dataclass code generation needs unloaded."""
+    dataclass code generation needs unloaded.  `-B`: it writes no bytecode
+    either."""
     script = "import sys; sys.path.insert(0, %r); import prodcheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    command = [sys.executable, "-I", "-c", script % str(SRC)]
+    command = [sys.executable, "-I", "-B", "-c", script % str(SRC)]
     done = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, b"[]\n", b"")
 

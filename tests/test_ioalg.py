@@ -19,7 +19,7 @@ from prodcheck.ioalg import (
     remove_requirement,
     render,
 )
-from prodcheck.equations import EEmpty, EInf, EVar, IOSpec, steps
+from prodcheck.equations import CapError, EEmpty, EInf, EVar, IOSpec, steps
 from prodcheck.solver import infimum, solve
 
 from specgen import kleene_lfp, random_canonical
@@ -157,10 +157,11 @@ def test_infimum_unbounded_residuals():
     ],
 )
 def test_infimum_of_long_loops(s, t):
-    """Loops of thousands of symbols: the infimum reads one value per
-    supply up to the end of the longer loop's first pass, and the reference
-    spells each operand out one step per symbol, without meeting the
-    interpreter's recursion limit."""
+    """Loops of thousands of symbols: the first and third are nowhere above
+    (-+), the second crosses -(-+) and the infimum reads one value per
+    supply up to the end of its first pass; the reference spells each
+    operand out one step per symbol, without meeting the interpreter's
+    recursion limit."""
     got = infimum(s, t)
     assert is_normal(got)
     assert got == ref_infimum(s, t)
@@ -214,6 +215,57 @@ def test_infimum_of_close_slow_loops():
     start = time.perf_counter()
     assert infimum(s, t) == s and infimum(t, s) == s
     assert time.perf_counter() - start < 0.1
+
+
+def test_infimum_of_a_dominated_operand_reads_no_supply():
+    """(-^16384 +^16384) is nowhere above (-+), so it is their infimum in
+    both orders, found without reading the 16,384 supplies of the common
+    period that the default cap does not allow."""
+    s = IOTerm.of_runs((), (("-", 16384), ("+", 16384)))
+    start = time.perf_counter()
+    assert infimum(s, T("(-+)")) == s and infimum(T("(-+)"), s) == s
+    assert time.perf_counter() - start < 0.1
+
+
+def test_infimum_reads_the_lead_on_the_sparser_side():
+    """In the common period of (-+) and (-^k +^{2k}) at k = 10^6, the first
+    rises at each supply and the second never, so the least lead is read at
+    the period's last supply alone; the minimum starts with k supplies of
+    no output, and the default cap ends the search."""
+    k = 10**6
+    s, t = T("(-+)"), IOTerm.of_runs((), (("-", k), ("+", 2 * k)))
+    start = time.perf_counter()
+    for a, b in ((s, t), (t, s)):
+        with pytest.raises(CapError):
+            infimum(a, b)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_infimum_skips_a_check_past_the_cap():
+    """Loops of slope 1 with periods 301 and 302 rise at nearly every one of
+    the 90,902 supplies of their common period, so checking either against
+    the other would read that many, far past the default cap: the check is
+    skipped, and the minimum's period ends the search at once."""
+    s, t = (IOTerm("", "-+" * k + "--++") for k in (299, 300))
+    start = time.perf_counter()
+    for a, b in ((s, t), (t, s)):
+        with pytest.raises(CapError):
+            infimum(a, b)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_infimum_with_a_dominated_operand():
+    """s /\\ u is nowhere above s, so in either order with s it is the
+    infimum, as the one-root system and the pointwise minimum agree."""
+    rng = random.Random(25)
+    for k in range(600):
+        s, u = random_canonical(rng, 2 + k % 7), random_canonical(rng, 2 + k % 7)
+        low = infimum(s, u)
+        for a, b in ((s, low), (low, s)):
+            got = infimum(a, b)
+            assert got == low == ref_infimum(a, b), (a, b)
+            for n in list(range(30)) + [TOP]:
+                assert interpret(got, n) == min(interpret(a, n), interpret(b, n)), (a, b, n)
 
 
 # --- requirement removal --------------------------------------------------

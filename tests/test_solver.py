@@ -110,8 +110,8 @@ def test_graph_errors_on_every_call():
 def test_graph_of_a_long_word():
     """A right-hand side of 20,000 steps: one node per position, numbered in
     one walk, so the graph costs linear time; only the dump spells a
-    position out.  An infimum over such a loop reads one value per supply
-    of the loop."""
+    position out.  Such a loop is nowhere above (-+), so it is their
+    infimum."""
     word = "-" * 19999 + "+"
     g = build_graph(sys1(X=steps(word, EVar(X))), X)
     assert g.size == 20001

@@ -612,6 +612,19 @@ def test_wide_patterns_validate():
     assert errors == ["overlapping rules for 'f' (lines 3 and 4)"]
 
 
+def test_deep_pattern_witness():
+    """A witness nested deeper than the interpreter's recursion limit: the
+    one rule takes c^3000(z), and c is tried before z at each level, so the
+    first value it misses is c^3001(_)."""
+    d = 3000
+    head = "Signature( P : stream(t), f : stream(t) -> stream(t), c : t -> t, z : t )\nP = z:f(P)\n"
+    rule = "f(%sz%s:xs) = z:f(xs)\n" % ("c(" * d, ")" * d)
+    assert d > sys.getrecursionlimit()
+    (warning,) = validate(parse(head + rule))
+    shown = "%s_%s:_" % ("c(" * (d + 1), ")" * (d + 1))
+    assert warning.message == "non-exhaustive patterns for 'f': no rule matches f(%s)" % shown
+
+
 def test_validate_defined_stream_symbol_in_pattern():
     """A stream constant where a pattern needs a cons matches no stream: an
     error of its own, and a gap in the exhaustiveness check."""
