@@ -5,7 +5,6 @@ from .ioalg import (
     TOP,
     IOTerm,
     compose,
-    equal_denotation,
     interpret,
     least_fixed_point,
     normalize,
@@ -22,7 +21,6 @@ __all__ = [
     "TOP",
     "IOTerm",
     "compose",
-    "equal_denotation",
     "infimum",
     "interpret",
     "least_fixed_point",

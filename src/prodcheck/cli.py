@@ -16,7 +16,7 @@ closed before the whole report was written, 15 a malformed command line.
 `--max-columns` bounds every diagram sweep, the repetition search for each
 variable of the equations' feedback vertex set and, with `--dump-diagram`,
 for each root; an infimum the solver takes for the other variables reads
-at most N supplies.
+at most N supplies, its least-lead scan included.
 """
 
 from __future__ import annotations

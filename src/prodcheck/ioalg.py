@@ -428,8 +428,3 @@ def _checked_fixed_point(t: IOTerm, v: int) -> int:
     if interpret(t, v) != v:
         raise AssertionError("least pre-fixed point %d is not a fixed point" % v)
     return v
-
-
-def equal_denotation(s: IOTerm, t: IOTerm) -> bool:
-    """True iff both terms denote the same sequence (unique normal forms)."""
-    return normalize(s) == normalize(t)

@@ -17,9 +17,9 @@ equation.  Sweeping that two-dimensional diagram over the graph column by
 column (one column per input consumed, heights counting outputs) gives the
 solution's value at every supply as the lowest '-'-capable entry of the
 column.  A repetition search over columns finds two strips with the same
-node constellation whose low entries reproduce themselves shifted, at which
-point the value sequence is quasi-periodic and the rational IO-term can be
-read off (`_of_values`, as for an infimum).
+node constellation whose low entries, swept alone as a second diagram,
+reproduce themselves shifted; the value sequence is then quasi-periodic and
+the rational IO-term is read off (`_of_values`, as for an infimum).
 """
 
 from __future__ import annotations
@@ -160,14 +160,14 @@ def _bound(g: TraceGraph, column: dict) -> CoNat:
 
 
 class Diagram:
-    """Columns of the omit-reduced diagram of `root`'s solution, built left
-    to right; the first column starts at the head of `root`'s equation."""
+    """Columns of the omit-reduced diagram over `g`, built left to right from
+    `first` (node -> height): for a root, the head of its equation at 0."""
 
-    def __init__(self, g: TraceGraph, root):
+    def __init__(self, g: TraceGraph, first: dict):
         self.g = g
         self.columns: list = []
         self.bounds: list = []
-        self._append(_vclose(g, {g.heads[root]: 0}))
+        self._append(_vclose(g, first))
 
     def _append(self, column: dict):
         self.columns.append(column)
@@ -203,36 +203,24 @@ def _of_values(values: list, start: int) -> IOTerm:
     return normalize(IOTerm.of_runs(runs[: 2 * start + 1], runs[2 * start + 1 :]))
 
 
-def _check_repetition(diagram: Diagram, x1: int, x2: int) -> bool:
-    """Only the nodes that kept their relative height may contribute to the
-    bound on [x1, x2], and they must rebuild themselves shifted at x2."""
-    g = diagram.g
-    col1, col2 = diagram.column(x1), diagram.column(x2)
-    h1, h2 = min(col1.values()), min(col2.values())
-    d = h2 - h1
-    core = {v: y for v, y in col1.items() if col2[v] - y == d}
-    if not core:
-        return False
-    restricted = _vclose(g, dict(core))
-    for x in range(x1, x2 + 1):
-        if _bound(g, restricted) != diagram.bound(x):
-            return False
-        if x < x2:
-            restricted = _vclose(g, _step_right(g, restricted))
-    for v, y in core.items():
-        if restricted.get(v) != y + d:
-            return False
-    return True
+def _check_repetition(diagram: Diagram, x1: int, x2: int, core: dict, d: int) -> bool:
+    """Only the nodes that kept their relative height, `core` (as at x1), may
+    contribute to the bound on [x1, x2], and they must rebuild themselves `d`
+    higher at x2; an empty core bounds nothing, and the bound at x1 is finite."""
+    restricted = Diagram(diagram.g, core)
+    return all(restricted.bound(x - x1) == diagram.bounds[x] for x in range(x1, x2 + 1)) and all(
+        restricted.columns[x2 - x1].get(v) == y + d for v, y in core.items()
+    )
 
 
 def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
     """Per-column node/height table plus the repetition that closed the
     search (debug rendering for the CLI): every column the solver's sweep
     read, with its bound, as the sweep left the diagram."""
-    diagram = Diagram(build_graph(iospec, root), root)
+    g = build_graph(iospec, root)
+    diagram = Diagram(g, {g.heads[root]: 0})
     witness: list = []
     _sweep(diagram, max_columns, witness)
-    g = diagram.g
     lines = ["diagram for %s" % var_str(root)]
     for x, (col, beta) in enumerate(zip(diagram.columns, diagram.bounds)):
         cells = sorted(col.items(), key=lambda kv: (kv[1], kv[0]))
@@ -246,13 +234,14 @@ def solve(iospec: IOSpec, root, max_columns: int = Caps.DEFAULTS["max_columns"],
     """Canonical IO-term denoting the unique solution for `root`.  When a
     repetition closes the search, `(x1, x2)`, the columns of its two strips,
     is appended to `trace`."""
-    return _sweep(Diagram(build_graph(iospec, root), root), max_columns, trace)
+    g = build_graph(iospec, root)
+    return _sweep(Diagram(g, {g.heads[root]: 0}), max_columns, trace)
 
 
 def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
     """The repetition search of `solve`, over the columns of `diagram`."""
     bounds = diagram.bounds
-    strips: dict = {}  # frozenset of nodes -> [(x, relative heights)]
+    strips: dict = {}  # frozenset of nodes -> [(x, least height, relative heights)]
     for x in range(max_columns):
         col = diagram.column(x)
         if is_top(bounds[x]):
@@ -263,13 +252,14 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
         h = min(col.values())
         rel = {v: y - h for v, y in col.items()}
         key = frozenset(col)
-        for x1, rel1 in strips.get(key, ()):
+        for x1, h1, rel1 in strips.get(key, ()):
             if all(rel[v] >= rel1[v] for v in rel1):
-                if _check_repetition(diagram, x1, x):
+                core = {v: h1 + r for v, r in rel1.items() if rel[v] == r}
+                if _check_repetition(diagram, x1, x, core, h - h1):
                     if trace is not None:
                         trace.append((x1, x))
                     return _of_values(bounds[: x + 1], x1)
-        strips.setdefault(key, []).append((x, rel))
+        strips.setdefault(key, []).append((x, h, rel))
     raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
 
 
@@ -326,8 +316,8 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"
     nowhere above it on [0, start + period) is the minimum.  Otherwise, with
     equal growth the minimum repeats over `period`; with unequal growth the
     operand that grows less is the minimum, over its own loop, once the
-    other's least lead in one period is made up.  A check or a minimum that
-    needs more than `max_columns` supplies is skipped or raises `CapError`.
+    other's least lead in one period is made up.  Past `max_columns`
+    supplies, a check is skipped and a lead scan or minimum raises `CapError`.
     """
     (ms, ps, qs, _), (mt, pt, qt, _) = _shape(s), _shape(t)
     start, period = max(ms, mt), math.lcm(ps, pt)
@@ -340,7 +330,10 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"
     if gs != gt:
         low, high, p = (s, t, ps) if gs < gt else (t, s, pt)
         # a lead one period on is larger by |gt - gs|, so one period suffices
-        lead = min(interpret(high, n) - interpret(low, n) for n in _lead_points(low, high, start, start + period)[1])
+        count, points = _lead_points(low, high, start, start + period)
+        if count > max_columns:
+            raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
+        lead = min(interpret(high, n) - interpret(low, n) for n in points)
         if lead < 0:
             start += -(lead // abs(gt - gs)) * period
         period = p

@@ -179,7 +179,8 @@ def test_c5_solver_vs_diagram():
     ok = True
     for iospec, root in _corpus_roots():
         got = solve(iospec, root)
-        diagram = Diagram(build_graph(iospec, root), root)
+        g = build_graph(iospec, root)
+        diagram = Diagram(g, {g.heads[root]: 0})
         for n in range(41):
             if interpret(got, n) != diagram.bound(n):
                 ok = False
@@ -194,7 +195,8 @@ def test_c5_solver_vs_diagram():
         except TranslationError:
             continue  # not weakly guarded
         checked += 1
-        diagram = Diagram(build_graph(iospec, root), root)
+        g = build_graph(iospec, root)
+        diagram = Diagram(g, {g.heads[root]: 0})
         for n in range(41):
             if interpret(got, n) != diagram.bound(n):
                 ok = False

@@ -144,7 +144,7 @@ def test_rpc_soundness_against_deep_truncation(corpus):
                 solved = solve(finitize(cls, [root]), root)
                 deep = _truncate_without_rpc(cls, root, qmax=100)
                 g = build_graph(deep, root)
-                diagram = Diagram(g, root)
+                diagram = Diagram(g, {g.heads[root]: 0})
                 for n in range(40):
                     assert interpret(solved, n) == diagram.bound(n), (name, f, i, n)
 

@@ -13,7 +13,7 @@ from prodcheck.equations import (
     expr_vars,
     steps,
 )
-from prodcheck.ioalg import TOP, interpret, parse_ioterm, render
+from prodcheck.ioalg import TOP, IOTerm, interpret, parse_ioterm, render
 from prodcheck.solver import (
     Diagram,
     _position,
@@ -137,17 +137,17 @@ def test_graph_reports_the_first_undefined_reference():
 def test_columns_all_output():
     iospec = sys1(X=EStep("+", EVar(X)))
     g = build_graph(iospec, X)
-    col = Diagram(g, X).column(0)
+    col = Diagram(g, {g.heads[X]: 0}).column(0)
     assert col[g.heads[X]] == 0 and len(col) == 2
-    assert Diagram(g, X).bound(0) == TOP
-    assert Diagram(g, X).bound(5) == TOP
+    assert Diagram(g, {g.heads[X]: 0}).bound(0) == TOP
+    assert Diagram(g, {g.heads[X]: 0}).bound(5) == TOP
 
 
 def test_columns_identity():
     iospec = sys1(X=EStep("-", EStep("+", EVar(X))))
     g = build_graph(iospec, X)
-    assert [Diagram(g, X).bound(x) for x in range(4)] == [0, 1, 2, 3]
-    assert Diagram(g, X).bound(7) == 7
+    assert [Diagram(g, {g.heads[X]: 0}).bound(x) for x in range(4)] == [0, 1, 2, 3]
+    assert Diagram(g, {g.heads[X]: 0}).bound(7) == 7
 
 
 def test_columns_pascal(corpus):
@@ -157,7 +157,7 @@ def test_columns_pascal(corpus):
     spec = corpus["pascal"]
     iospec = finitize(classify(spec), [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
-    assert [Diagram(g, arg("f", 1, 0)).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
+    assert [Diagram(g, {g.heads[arg("f", 1, 0)]: 0}).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
 
 
 def test_bound_matches_nested_solution(corpus):
@@ -169,7 +169,7 @@ def test_bound_matches_nested_solution(corpus):
     g = build_graph(iospec, arg("f", 1, 0))
     expect = parse_ioterm("-+--(+)")
     for n in range(6):
-        assert Diagram(g, arg("f", 1, 0)).bound(n) == interpret(expect, n)
+        assert Diagram(g, {g.heads[arg("f", 1, 0)]: 0}).bound(n) == interpret(expect, n)
 
 
 def test_dump_diagram_shows_every_swept_column(corpus):
@@ -224,7 +224,7 @@ def test_repetition_witness_and_shift_stability():
     assert witness
     x1, x2 = witness[0]
     g = build_graph(iospec, X)
-    diagram = Diagram(g, X)
+    diagram = Diagram(g, {g.heads[X]: 0})
 
     def pseudo(x1, x2):
         c1, c2 = diagram.column(x1), diagram.column(x2)
@@ -284,7 +284,7 @@ def test_omit_safety_random_systems():
         checked += 1
         ymax = 25
         entries = no_omit_entries(g, root, xmax=12, ymax=ymax)
-        diagram = Diagram(g, root)
+        diagram = Diagram(g, {g.heads[root]: 0})
         for x in range(12):
             ys = [y for (v, xx, y) in entries if xx == x and g.out_minus[v]]
             brute = min(ys) if ys else TOP
@@ -307,7 +307,7 @@ def test_solve_random_systems_match_diagram():
             continue
         checked += 1
         g = build_graph(iospec, root)
-        diagram = Diagram(g, root)
+        diagram = Diagram(g, {g.heads[root]: 0})
         for n in range(40):
             assert interpret(got, n) == diagram.bound(n), (iospec.dump(), render(got), n)
 
@@ -345,6 +345,83 @@ def test_feedback_set_gates_match_per_root_solve():
             args = tuple(solve(iospec, arg(name, i, 0)) for i in range(1, gate.arity + 1))
             assert gate.args == args, text
     assert {0, 1, 2, 3} <= sizes
+
+
+def system_values(iospec) -> dict:
+    """Every variable's value as `translate_symbols` computes it: `solve`
+    for the feedback vertex set, `evaluate` for the rest."""
+    feedback, order = system_order(iospec, iospec.roots)
+    values = {v: solve(iospec, v) for v in order if v in feedback}
+    for v in order:
+        if v not in feedback:
+            values[v] = evaluate(iospec.equations[v], values)
+    return values
+
+
+def rhs_at(e, values: dict, n: int):
+    """Output of the right-hand side `e` at supply n, with each variable
+    read from `values`: '+' adds 1, '-' gives 0 at supply 0 and otherwise
+    goes on at n - 1, an infimum takes the minimum."""
+    out = 0
+    while isinstance(e, EStep):
+        if e.sym == "+":
+            out += 1
+        elif n == 0:
+            return out
+        else:
+            n -= 1
+        e = e.body
+    if isinstance(e, EInf):
+        return out + min(rhs_at(e.left, values, n), rhs_at(e.right, values, n))
+    return out + (interpret(values[e.var], n) if isinstance(e, EVar) else 0)
+
+
+def substitution_failure(iospec, values: dict):
+    """The first (variable, supply) at which `values` breaks an equation,
+    or None.  A weakly guarded system has one solution, so values that meet
+    every equation are it.  Each value is read below its prefix's '-' count
+    plus two loop passes, and at least 30."""
+    for v, e in iospec.equations.items():
+        u = values[v]
+        for n in range(max(30, u.prefix.count("-") + 2 * u.loop.count("-"))):
+            if interpret(u, n) != rhs_at(e, values, n):
+                return v, n
+    return None
+
+
+def test_solutions_satisfy_their_equations():
+    """The solver's values checked by substitution, a check that uses
+    neither `Diagram` nor `solve`: over the corpus and 600 generated flat
+    specifications."""
+    from conftest import DATA
+    from prodcheck.streamspec import parse
+    from prodcheck.translate import translate_symbols
+
+    texts = [p.read_text() for p in sorted(DATA.glob("*.spec"))]
+    texts += [random_flat_spec(random.Random(seed), max_feedback=fb) for fb in (1, 2) for seed in range(300)]
+    for text in texts:
+        iospec = translate_symbols(parse(text))[1]
+        assert substitution_failure(iospec, system_values(iospec)) is None, text
+
+
+def test_substitution_catches_a_wrong_value(corpus):
+    """Dropping one loop symbol of one solution, or shifting its prefix by
+    one supply, breaks an equation of every corpus system with a value that
+    both consumes and produces in its loop."""
+    from prodcheck.translate import translate_symbols
+
+    mutated = []
+    for name, spec in corpus.items():
+        iospec = translate_symbols(spec)[1]
+        values = system_values(iospec)
+        v = next((v for v, u in values.items() if "-" in u.loop and "+" in u.loop), None)
+        if v is None:
+            continue
+        u = values[v]
+        for wrong in (IOTerm(u.prefix, u.loop[1:]), IOTerm("-" + u.prefix, u.loop)):
+            assert substitution_failure(iospec, {**values, v: wrong}) is not None, (name, render(wrong))
+        mutated.append(name)
+    assert len(mutated) == 8  # all but intro_b (eps) and nested_fb (all-output loops)
 
 
 def test_feedback_order_checks_the_system_first(monkeypatch):

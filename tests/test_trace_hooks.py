@@ -28,3 +28,24 @@ tracing = _load_tracing()
 )
 def test_hook_present(hook):
     tracing.check_hook(hook)
+
+
+def test_tracer_counts_one_analysis(capsys):
+    """The wrappers see the work of one decide and one oracle-check analysis
+    of pascal, whose diagram closes by repetition, and are taken out again
+    when the pass ends."""
+    import prodcheck.cli as cli
+    import prodcheck.solver as solver
+    import prodcheck.translate as translate
+    from conftest import spec_path
+
+    tracer = tracing.Tracer()
+    with tracer:
+        for mode in ("decide", "oracle-check"):
+            assert tracer.root(cli.main)([str(spec_path("pascal")), "--mode", mode]) == 0
+    assert "productive" in capsys.readouterr().out
+    metrics = tracer.pass_metrics("corpus")
+    assert not tracer.unknown_rules
+    for name in ("solver.graph_nodes", "solver.columns", "prodterm.steps"):
+        assert metrics[name] > 0, name
+    assert translate.solve is solver.solve
