@@ -33,7 +33,7 @@ from .equations import CapError, Caps, TranslationError, var_str
 from .ioalg import conat_str, interpret, is_top, render
 from .prodterm import derivation_texts
 from .solver import dump_diagram
-from .streamspec import ParseError, classify, parse, validate
+from .streamspec import ParseError, classify, parse, reachable_symbols, validate
 from .translate import decide, translate_symbols
 
 _CLASS_WORDS = {
@@ -161,8 +161,9 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
             continue
         g = gates[name]
         agree = True
+        tables = [[min(g.cap, interpret(a, n)) for n in range(5)] for a in g.args]
         for supplies in itertools.product(range(5), repeat=g.arity):
-            gate_value = min([g.cap] + [interpret(a, n) for a, n in zip(g.args, supplies)])
+            gate_value = min((t[n] for t, n in zip(tables, supplies)), default=g.cap)
             game = dogame.do_low_function(cls, name, supplies, prod_cap=caps.oracle_prod_cap)
             if isinstance(game, dogame.AtLeast):
                 ok = is_top(gate_value) or gate_value >= game.bound
@@ -176,13 +177,16 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
                 )
         out.write("%s : %s\n" % (name, "gate agrees with game" if agree else "MISMATCH"))
         failures += 0 if agree else 1
-    for name, v in verdicts.items():
+    # those reaching more symbols first: an enumeration decides what it reaches
+    games, decided = {}, {}
+    for name in sorted(verdicts, key=lambda c: -len(reachable_symbols(cls, c))):
         try:
-            game = dogame.do_low_constant(
-                spec, cls, name, prod_cap=caps.oracle_prod_cap, step_cap=caps.oracle_steps
-            )
+            games[name] = dogame.do_low_constant(spec, cls, name, caps.oracle_prod_cap, caps.oracle_steps, decided)
         except ValueError as exc:
-            out.write("%s : skipped (%s)\n" % (name, exc))
+            games[name] = exc
+    for name, v in verdicts.items():
+        if isinstance(game := games[name], ValueError):
+            out.write("%s : skipped (%s)\n" % (name, game))
             continue
         # the game's adversary commits one rule per symbol, so its value can
         # only exceed the translated lower bound, never undercut it

@@ -203,6 +203,7 @@ def do_low_constant(
     name: str,
     prod_cap: int = Caps.DEFAULTS["oracle_prod_cap"],
     step_cap: int = Caps.DEFAULTS["oracle_steps"],
+    decided: dict | None = None,
 ):
     """Least production of a stream constant the adversary can force.
 
@@ -216,7 +217,16 @@ def do_low_constant(
     (0, inexact) whatever its shapes: if each constant has one rule, the
     first assignment that starts with the budget spent is the last one
     played.  Nesting rules are outside this oracle's state space.
+
+    `decided` (constant -> result), shared under one `prod_cap` and
+    `step_cap`, answers `name` if it holds it.  Otherwise the result of
+    `name` and of each constant D it reaches is stored there when budget is
+    left and, in every assignment, D's constants settled within D's own
+    round limit: D's own enumeration then plays the same games (a round
+    reads only the round before it, a game only D's symbols), once each.
     """
+    if decided is not None and name in decided:
+        return decided[name]
     sig = spec.signature
     symbols = sorted(reachable_symbols(cls, name))
     for s in symbols:
@@ -255,29 +265,36 @@ def do_low_constant(
                 todo.extend(reversed(args))
         return done[0]
 
-    outcomes = []
+    # the constants each constant reaches, and its own enumeration's round limit
+    reach = {c: reachable_symbols(cls, c).intersection(constants) for c in constants}
+    limit = {c: prod_cap * max(1, len(r)) + 2 for c, r in reach.items()}
+    outcomes: dict = {c: [] for c in constants}
     budget = [step_cap - 1]
     for picks in itertools.product(*(cls.shapes[s] for s in symbols)):
         last = budget[0] <= 0 and all(len(cls.shapes[c]) == 1 for c in constants)
         committed = {s: (sh,) for s, sh in zip(symbols, picks)}
         rule_of = {c: committed[c][0].rule for c in constants}
         values = {c: (0, True) for c in constants}
+        changed_at = dict.fromkeys(constants, -1)  # the last round that changed each value
         settled: dict = {}  # game states whose path this assignment's rounds replay
-        converged = False
-        for _ in range(prod_cap * max(1, len(constants)) + 2):
+        for k in range(limit[name]):
             new = {c: term_production(rule_of[c].rhs, values, committed.__getitem__, settled) for c in constants}
             # a capped iterate is only a lower bound from here on
             capped = {c: (min(lo, prod_cap), ex and lo < prod_cap) for c, (lo, ex) in new.items()}
+            changed_at.update((c, k) for c in constants if capped[c] != values[c])
             if capped == values:
-                converged = True
                 break
             values = capped
-        lo, exact = values[name]
-        if not converged or lo >= prod_cap:
-            outcomes.append((min(lo, prod_cap), False))
-        else:
-            outcomes.append((lo, exact))
+        for c, found in list(outcomes.items()):
+            lo, exact = values[c]  # exact only below prod_cap
+            converged = max(changed_at[d] for d in reach[c]) + 1 < limit[c]
+            if c != name and not converged:
+                del outcomes[c]  # its own enumeration would stop at its round limit
+            else:
+                found.append((lo, exact and converged))
         if last:
             break
-    lo, exact = _combine_min(outcomes)
-    return _as_result(lo, exact, prod_cap)
+    results = {c: _as_result(*_combine_min(found), prod_cap) for c, found in outcomes.items()}
+    if decided is not None and budget[0] > 0:
+        decided.update(results)
+    return results[name]

@@ -24,12 +24,13 @@ the rational IO-term is read off (`_of_values`, as for an infimum).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 
 from .equations import CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, var_str
-from .ioalg import EPSILON, MINUS, PLUS, TOP, CoNat, IOTerm, interpret, is_top, normalize, prepend
+from .ioalg import EPSILON, MINUS, PLUS, TOP, CoNat, IOTerm, is_top, normalize, prepend
 from .streamspec import feedback_order
 
 
@@ -308,6 +309,32 @@ def _lead_points(low: IOTerm, high: IOTerm, a: int, b: int) -> tuple:
     return n_downs + 1, itertools.chain([b - 1], (n - 1 for r in downs for n in r))
 
 
+def _reader(u: IOTerm):
+    """`interpret(u, n)` at a finite supply n, by bisection over the '-'
+    counts at the end of each '-' run of `u`'s prefix and one loop pass,
+    each with the output before that run, once n drops whole loop passes."""
+    m, p, q, _ = _shape(u)
+    ends, outs, minus, plus = [], [], 0, 0
+    for sym, k in u.prefix_runs + u.loop_runs:
+        if sym == PLUS:
+            plus += k
+        else:
+            outs.append(plus)
+            minus += k
+            ends.append(minus)
+    outs.append(plus)  # past every '-': a finite word's whole output
+
+    def read(n: int) -> CoNat:
+        if n < m:
+            return outs[bisect.bisect_right(ends, n)]
+        if is_top(q):
+            return TOP
+        passes = (n - m) // p
+        return outs[bisect.bisect_right(ends, n - passes * p)] + passes * q
+
+    return read
+
+
 def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
@@ -318,14 +345,16 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"
     operand that grows less is the minimum, over its own loop, once the
     other's least lead in one period is made up.  Past `max_columns`
     supplies, a check is skipped and a lead scan or minimum raises `CapError`.
+    Each point is read by `_reader`, in time logarithmic in the runs.
     """
     (ms, ps, qs, _), (mt, pt, qt, _) = _shape(s), _shape(t)
+    read = {s: _reader(s), t: _reader(t)}
     start, period = max(ms, mt), math.lcm(ps, pt)
     gs, gt = qs * (period // ps), qt * (period // pt)
     for low, high, lesser in ((s, t, gs <= gt), (t, s, gt <= gs)):
         # past `start` the lead repeats over `period` or grows with it
         count, points = _lead_points(low, high, 0, start + period)
-        if lesser and count <= max_columns and all(interpret(high, n) >= interpret(low, n) for n in points):
+        if lesser and count <= max_columns and all(read[high](n) >= read[low](n) for n in points):
             return normalize(low)
     if gs != gt:
         low, high, p = (s, t, ps) if gs < gt else (t, s, pt)
@@ -333,13 +362,13 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"
         count, points = _lead_points(low, high, start, start + period)
         if count > max_columns:
             raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
-        lead = min(interpret(high, n) - interpret(low, n) for n in points)
+        lead = min(read[high](n) - read[low](n) for n in points)
         if lead < 0:
             start += -(lead // abs(gt - gs)) * period
         period = p
     if start + period >= max_columns:
         raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
-    return _of_values([min(interpret(s, n), interpret(t, n)) for n in range(start + period + 1)], start)
+    return _of_values([min(read[s](n), read[t](n)) for n in range(start + period + 1)], start)
 
 
 def evaluate(expr, values: dict, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:

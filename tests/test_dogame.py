@@ -6,6 +6,7 @@ import pytest
 
 from prodcheck import dogame
 from prodcheck.dogame import AtLeast, do_low_constant, do_low_function
+from prodcheck.equations import Caps
 from prodcheck.ioalg import interpret, is_top, parse_ioterm
 from prodcheck.streamspec import Cons, SVar, classify, parse, reachable_symbols, validate
 from prodcheck.translate import translate_symbols
@@ -414,3 +415,63 @@ def test_constant_rounds_reuse_no_state_inside_a_cycle():
             for step_cap in range(1, 30):
                 want = _constant_reference(spec, cls, c, prod_cap, step_cap)
                 assert do_low_constant(spec, cls, c, prod_cap, step_cap) == want, (c, prod_cap, step_cap)
+
+
+# morse_dol with the constant that the other reaches declared first
+_SUBSET_FIRST = """Signature( Mprime, M : stream(bit), h : stream(bit) -> stream(bit), 0, 1 : bit )
+M = 0:Mprime
+Mprime = 1:h(Mprime)
+h(0:sigma) = 0:1:h(sigma)
+h(1:sigma) = 1:0:h(sigma)
+"""
+
+
+def _constant_results(spec, cls, order, step_cap, decided=None):
+    results = {}
+    for c in order:
+        try:
+            results[c] = do_low_constant(spec, cls, c, step_cap=step_cap, decided=decided)
+        except ValueError as exc:
+            results[c] = "ValueError: %s" % exc
+    return results
+
+
+def test_shared_decisions_equal_fresh_enumerations():
+    """One `decided` table shared by the constants of a spec gives each the
+    result, or the error, of its own enumeration, whether the constants
+    reaching more symbols come first (as the CLI visits them) or last, and
+    also under budgets that run out."""
+    from conftest import DATA
+
+    texts = [p.read_text() for p in sorted(DATA.glob("*.spec"))]
+    texts += [random_flat_spec(random.Random(seed), max_feedback=fb) for fb in (1, 2) for seed in range(150)]
+    texts += [specgen.ring(5), _SUBSET_FIRST]
+    taken = 0
+    for text in texts:
+        spec = parse(text)
+        if any(d.severity == "error" for d in validate(spec)):
+            continue
+        cls = classify(spec)
+        constants = spec.signature.stream_constants()
+        order = sorted(constants, key=lambda c: -len(reachable_symbols(cls, c)))
+        for step_cap in (Caps.DEFAULTS["oracle_steps"], 300, 40):
+            fresh = _constant_results(spec, cls, constants, step_cap)
+            for visit in (order, order[::-1]):
+                decided: dict = {}
+                assert _constant_results(spec, cls, visit, step_cap, decided) == fresh, (text, step_cap, visit)
+                taken += len(decided)
+    assert taken > 100
+
+
+def test_enumeration_decides_the_constants_it_covers(corpus):
+    """Q's enumeration covers Qprime's, so it decides Qprime as well as Q;
+    once the budget is spent (5 steps) it decides nothing."""
+    spec, cls = setup(corpus, "ternary_morse_flat")
+    decided: dict = {}
+    q = do_low_constant(spec, cls, "Q", decided=decided)
+    assert decided == {"Q": q, "Qprime": do_low_constant(spec, cls, "Qprime")}
+    assert q == do_low_constant(spec, cls, "Q")
+    assert do_low_constant(spec, cls, "Qprime", decided=decided) is decided["Qprime"]
+    decided = {}
+    do_low_constant(spec, cls, "Q", step_cap=5, decided=decided)
+    assert decided == {}

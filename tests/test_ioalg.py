@@ -276,6 +276,25 @@ def test_infimum_counts_the_lead_scan_against_the_cap():
             infimum(a, b, max_columns=500)
 
 
+def test_infimum_reads_each_point_by_bisection():
+    """The loops (-+)^{k-1} --++ and -++ (-+)^k share a period of k + 1
+    with about k lead points and 4k runs between them; each point is read
+    by bisection over the runs, not by a walk from the start, so k = 4,000
+    answers at once.  At small k the answer is the pointwise minimum over
+    two periods."""
+    for k in (1, 2, 3, 7, 20):
+        s, t = IOTerm("", "-+" * (k - 1) + "--++"), IOTerm("", "-++" + "-+" * k)
+        for a, b in ((s, t), (t, s)):
+            got = infimum(a, b)
+            for n in range(2 * (k + 1) + 2):
+                assert interpret(got, n) == min(interpret(s, n), interpret(t, n)), (k, n)
+    k = 4000
+    s, t = IOTerm("", "-+" * (k - 1) + "--++"), IOTerm("", "-++" + "-+" * k)
+    start = time.perf_counter()
+    assert infimum(s, t) == infimum(t, s) == s
+    assert time.perf_counter() - start < 0.2
+
+
 def test_infimum_with_a_dominated_operand():
     """s /\\ u is nowhere above s, so in either order with s it is the
     infimum, as the one-root system and the pointwise minimum agree."""

@@ -424,6 +424,30 @@ def test_substitution_catches_a_wrong_value(corpus):
     assert len(mutated) == 8  # all but intro_b (eps) and nested_fb (all-output loops)
 
 
+def test_repetition_needs_the_shifted_core(monkeypatch):
+    """In this generated system a core's bounds match over one strip
+    without the core rebuilding itself shifted.  With the shift check the
+    solver finds the loops below, which meet every equation; with bounds
+    alone it would close early on finite words, which break X0's equation
+    from supply 13 on."""
+    import prodcheck.solver as solver
+
+    iospec = random_system(random.Random(13683), max_eqs=5, max_size=8)
+    v0, v1, v2 = iospec.roots
+    values = {v: solve(iospec, v) for v in iospec.roots}
+    assert values == {v0: parse_ioterm("(-++---)"), v1: parse_ioterm("(--++--)"), v2: parse_ioterm("(+)")}
+    assert substitution_failure(iospec, values) is None
+
+    def bounds_only(diagram, x1, x2, core, d):
+        restricted = Diagram(diagram.g, core)
+        return all(restricted.bound(x - x1) == diagram.bounds[x] for x in range(x1, x2 + 1))
+
+    monkeypatch.setattr(solver, "_check_repetition", bounds_only)
+    early = {v: solve(iospec, v) for v in iospec.roots}
+    assert early[v0] == parse_ioterm("-++----++----++") and early[v1] == parse_ioterm("--++----++----++")
+    assert substitution_failure(iospec, early) == (v0, 13)
+
+
 def test_feedback_order_checks_the_system_first(monkeypatch):
     """`translate_symbols` checks each root in order through `build_graph`,
     which checks the system with the first one, before the walk."""

@@ -49,3 +49,19 @@ def test_tracer_counts_one_analysis(capsys):
     for name in ("solver.graph_nodes", "solver.columns", "prodterm.steps"):
         assert metrics[name] > 0, name
     assert translate.solve is solver.solve
+
+
+def test_tracer_counts_every_oracle_game(capsys):
+    """Oracle-check of morse_dol and ternary_morse_flat plays 5 function
+    games (one unary function at supplies 0..4) and goes through
+    `do_low_constant` once per constant (2) on each spec, even where the
+    other constant's enumeration already decided it."""
+    import prodcheck.cli as cli
+    from conftest import spec_path
+
+    tracer = tracing.Tracer()
+    with tracer:
+        for name in ("morse_dol", "ternary_morse_flat"):
+            assert tracer.root(cli.main)([str(spec_path(name)), "--mode", "oracle-check"]) == 0
+    assert "agree" in capsys.readouterr().out
+    assert tracer.pass_metrics("corpus")["dogame.calls"] == 14
