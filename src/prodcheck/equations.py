@@ -44,7 +44,7 @@ def var_str(v) -> str:
         return "X_id"
     if v[0] == "star":
         return "X_{%s,*}" % v[1]
-    return "X_{%s,%d,%d}" % (v[1], v[2], v[3])
+    return "X_{%s}" % ",".join(map(str, v[1:]))  # an `arg`, or any other kind
 
 
 class _ExprNode(Node):

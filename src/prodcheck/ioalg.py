@@ -102,7 +102,8 @@ class IOTerm:
     An empty loop means the sequence is the finite word `prefix`.  The term
     is built from the two words and keeps them as runs; :meth:`of_runs`
     builds one from runs directly.  Equality and hashing go by the runs;
-    `normal` (built by `normalize`) is left out.  A term is never changed
+    `normal` (set on the normal forms that `normalize` and
+    `remove_requirement` build) is left out.  A term is never changed
     once built, so it keeps its hash from the first `hash` on.
     """
 
@@ -161,7 +162,8 @@ def _term(prefix_runs: tuple, loop_runs: tuple, normal: bool = False) -> IOTerm:
 
 EPSILON = IOTerm("", "")
 
-#: The normal form of +(-+), the successor n -> n+1.
+#: The successor n -> n+1 as a pebble spells it, and its normal form (+-).
+PEB_SEQ = IOTerm("+", "-+")
 _SUCCESSOR = IOTerm("", "+-")
 
 
@@ -194,7 +196,7 @@ def normalize(t: IOTerm) -> IOTerm:
     the prefix into the loop, converts a '+'-free loop into a finite word,
     and trims trailing requirements off finite words.
     """
-    if t.normal:  # built here: already the representative
+    if t.normal:  # built as a normal form: already the representative
         return t
     pre, loop = t.prefix_runs, t.loop_runs
     if not loop or (len(loop) == 1 and loop[0][0] == MINUS):
@@ -298,16 +300,17 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
     there and emits its '+'.  Such passes are jumped together, as many as
     leave the long run unfinished.
 
-    A pebble's successor +(-+), normal form (+-), skips the machine: after
-    it, s loses its first '-', which the extra element meets; before it, t
-    gains one '+' in front.
+    The successor, spelled +(-+) as by a pebble or (+-), skips the machine
+    and is recognized before either operand is normalized: after it, s
+    loses its first '-', which the extra element meets; before it, t gains
+    one '+' in front.
     """
+    if t == PEB_SEQ or t == _SUCCESSOR:
+        return remove_requirement(s)
+    if s == PEB_SEQ or s == _SUCCESSOR:
+        return normalize(prepend(PLUS, t))
     s = normalize(s)
     t = normalize(t)
-    if t == _SUCCESSOR:
-        return remove_requirement(s)
-    if s == _SUCCESSOR:
-        return normalize(prepend(PLUS, t))
     ws, wt = s.prefix_runs + s.loop_runs, t.prefix_runs + t.loop_runs
     s_loop, t_loop = len(s.prefix_runs), len(t.prefix_runs)  # loop starts
     p_s, q_s = _counts(s.loop_runs)
@@ -365,24 +368,39 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
             i_t, r_t = advance(wt, t_loop, i_t)
 
 
-def _drop_first_minus(runs: tuple):
-    """The runs without their first '-', or None when they have none."""
-    for i, (sym, n) in enumerate(runs):
+def _first_minus(runs: tuple):
+    """The index of the first run of '-', or None when there is none."""
+    for i, (sym, _) in enumerate(runs):
         if sym == MINUS:
-            return runs[:i] + ((MINUS, n - 1),) + runs[i + 1:]
+            return i
     return None
 
 
 def remove_requirement(t: IOTerm) -> IOTerm:
-    """Drop the first '-' of the denoted sequence (identity if none)."""
+    """Drop the first '-' of the denoted sequence (identity if none).
+
+    One edit of the runs, whose result is already normal when no rule of
+    `normalize` can fire: the '-' comes from a prefix run that neither
+    empties nor is the last, or from the loop, unrolled once into the
+    prefix, and the new prefix ends on another symbol than the loop (the
+    prefix then had no '-', and the loop is kept).  Else it is normalized.
+    """
     t = normalize(t)
-    pre = _drop_first_minus(t.prefix_runs)
-    if pre is not None:
-        return normalize(IOTerm.of_runs(pre, t.loop_runs))
-    loop = _drop_first_minus(t.loop_runs)
-    if loop is not None:
-        return normalize(IOTerm.of_runs(t.prefix_runs + loop, t.loop_runs))
-    return t
+    pre, loop = t.prefix_runs, t.loop_runs
+    i = _first_minus(pre)
+    if i is None:
+        i = _first_minus(loop)
+        if i is None:
+            return t
+        head = _merged(pre + loop[:i] + ((MINUS, loop[i][1] - 1),) + loop[i + 1:])
+        if head[-1][0] != loop[-1][0]:
+            return _term(head, loop, True)
+        return normalize(_term(head, loop))
+    n = pre[i][1]
+    head = pre[:i] + ((MINUS, n - 1),) + pre[i + 1:]
+    if n > 1 and i < len(pre) - 1:
+        return _term(head, loop, True)
+    return normalize(IOTerm.of_runs(head, loop))
 
 
 def least_fixed_point(t: IOTerm) -> CoNat:

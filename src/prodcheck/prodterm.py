@@ -18,6 +18,7 @@ structural (`streamspec.Node`); `repr` is `pretty`.
 from __future__ import annotations
 
 from .ioalg import (
+    PEB_SEQ,
     TOP,
     CoNat,
     IOTerm,
@@ -109,9 +110,6 @@ _BOX_RULES = {Box: "box-box", Meet: "box-meet", Src: "box-src"}
 
 ProdTerm = Src | Var | Peb | Box | Mu | Meet
 
-#: The successor transducer a pebble abbreviates.
-PEB_SEQ = IOTerm("+", "-+")
-
 
 def meet_all(parts: list) -> ProdTerm:
     """Right-nested meet of a non-empty list."""
@@ -131,18 +129,19 @@ def pretty(t: ProdTerm) -> str:
 def _head(t: ProdTerm, heads: dict) -> str:
     """The text of `t` before its first child, all of it for a leaf; `heads`
     maps each IO-sequence met so far to its box's head."""
-    if isinstance(t, Box):
+    cls = type(t)
+    if cls is Box:
         head = heads.get(t.seq)
         if head is None:
             head = heads[t.seq] = "box<%s>(" % render(t.seq)
         return head
-    if isinstance(t, Peb):
+    if cls is Peb:
         return "peb("
-    if isinstance(t, Mu):
+    if cls is Mu:
         return "mu %s. " % t.name
-    if isinstance(t, Meet):
+    if cls is Meet:
         return "meet("
-    return "src(%s)" % conat_str(t.value) if isinstance(t, Src) else t.name
+    return "src(%s)" % conat_str(t.value) if cls is Src else t.name
 
 
 def derivation_texts(terms, heads: dict | None = None):
@@ -152,7 +151,9 @@ def derivation_texts(terms, heads: dict | None = None):
     the one before it, as `collapse_trace` makes them.  One walk renders the
     first term and notes each node's width, the length of its text; each
     later text is the one before it with the redex's span (measured from the
-    end) replaced by the contractum's text, cut from that span.  The redex
+    end) replaced by the contractum's text, cut from that span; a pebble or
+    box-box step keeps its body's text in place and splices only the new
+    box's head in front of it, with no contractum text built.  The redex
     is reached with no search, by walking both terms down the one path on
     which they differ (see `collapse_trace`) to the first node with a rule.
     Widths are keyed by identity, unique while `terms` keeps the nodes
@@ -195,26 +196,33 @@ def derivation_texts(terms, heads: dict | None = None):
                 prev, new = prev.left, new.left
         redex, rule = prev, prev.rule
         start = end - widths[id(redex)]
-        if isinstance(new, Src):
-            piece = _head(new, heads)
-        elif rule == "mu-drop":  # mu x. B -> B
-            piece = text[end - widths[id(new)]:end]
-        elif rule in ("peb", "box-box"):  # peb(B) -> box<+(-+)>(B), box<S>(box<T>(B)) -> box<ST>(B)
-            after = end - (2 if rule == "box-box" else 1)  # the end of B
-            piece = _head(new, heads) + text[after - widths[id(new.body)]:after + 1]
-        else:  # box<S>(meet(L, R)) -> meet(box<S>(L), box<S>(R)), and so under mu x.
-            close = ")" if rule == "box-meet" else ""
-            inner = end - len(close) - widths[id(redex.body)]
-            mid = inner + 5 + widths[id(redex.body.left)]  # the end of L
-            left = text[start:inner] + text[inner + 5:mid] + close
-            right = text[start:inner] + text[mid + 2:end - len(close) - 1] + close
-            widths[id(new.left)], widths[id(new.right)] = len(left), len(right)
-            piece = "meet(%s, %s)" % (left, right)
-        widths[id(new)] = len(piece)
-        grown = len(piece) - (end - start)
+        if rule == "peb":  # peb(B) -> box<+(-+)>(B): only the head changes
+            head = _head(new, heads)
+            text = "".join((text[:start], head, text[start + 4:]))
+            grown = len(head) - 4
+        elif rule == "box-box":  # box<S>(box<T>(B)) -> box<ST>(B): B, one `)` and the rest stay
+            head = _head(new, heads)
+            b = end - 2 - widths[id(new.body)]  # where B starts
+            text = "".join((text[:start], head, text[b:end - 1], text[end:]))
+            grown = len(head) - 1 - (b - start)
+        else:
+            if isinstance(new, Src):
+                piece = _head(new, heads)
+            elif rule == "mu-drop":  # mu x. B -> B
+                piece = text[end - widths[id(new)]:end]
+            else:  # box<S>(meet(L, R)) -> meet(box<S>(L), box<S>(R)), and so under mu x.
+                close = ")" if rule == "box-meet" else ""
+                inner = end - len(close) - widths[id(redex.body)]
+                mid = inner + 5 + widths[id(redex.body.left)]  # the end of L
+                left = text[start:inner] + text[inner + 5:mid] + close
+                right = text[start:inner] + text[mid + 2:end - len(close) - 1] + close
+                widths[id(new.left)], widths[id(new.right)] = len(left), len(right)
+                piece = "meet(%s, %s)" % (left, right)
+            text = "".join((text[:start], piece, text[end:]))
+            grown = len(piece) - (end - start)
+        widths[id(new)] = widths[id(redex)] + grown
         for node, old in rebuilt:
             widths[id(node)] = widths[id(old)] + grown
-        text = "".join((text[:start], piece, text[end:]))
         yield text
 
 
@@ -251,13 +259,14 @@ def _contract(t: ProdTerm, rule: str, memo: dict) -> ProdTerm:
 
 
 def _replace_child(t: ProdTerm, i: int, sub: ProdTerm) -> ProdTerm:
-    if isinstance(t, Peb):
-        return Peb(sub)
-    if isinstance(t, Box):
+    cls = type(t)  # no node class has subclasses
+    if cls is Box:
         return Box(t.seq, sub)
-    if isinstance(t, Mu):
+    if cls is Mu:
         return Mu(t.name, sub)
-    if isinstance(t, Meet):
+    if cls is Peb:
+        return Peb(sub)
+    if cls is Meet:
         return Meet(sub, t.right) if i == 0 else Meet(t.left, sub)
     raise AssertionError
 
@@ -272,9 +281,10 @@ def _first_redex(t: ProdTerm):
         rule = t.rule
         if rule is not None:
             return t, rule, chain
-        if isinstance(t, Meet):
+        cls = type(t)  # no node class has subclasses
+        if cls is Meet:
             todo += ((t.right, (t, 1, chain)), (t.left, (t, 0, chain)))
-        elif not isinstance(t, (Src, Var)):
+        elif cls is not Src and cls is not Var:
             todo.append((t.body, (t, 0, chain)))
     return None
 

@@ -295,12 +295,14 @@ class StreamSpec:
 
 
 class _Parser:
-    """A cursor over the token list; a token is `(kind, value, line, col)`."""
+    """A cursor over the token list; a token is `(kind, value, line, col)`.
+    `data_sorts` holds one `DataSort` per sort name the signature names."""
 
     def __init__(self, tokens, filename):
         self.toks = tokens
         self.i = 0
         self.filename = filename
+        self.data_sorts: dict = {}
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -342,7 +344,7 @@ def _parse_sort(p: _Parser):
         param = p.expect("IDENT", "a sort name")[1]
         p.expect("RP", "')'")
         return StreamSort(param)
-    return DataSort(name)
+    return p.data_sorts.setdefault(name, DataSort(name))
 
 
 def _parse_type(p: _Parser):
@@ -480,7 +482,10 @@ class _Sorter:
                 for s in (*info.arg_sorts, info.result_sort)
             )
         }
-        self.elements: dict = {}  # sort name -> the DataSort of a stream's elements
+        # sort name -> the DataSort of a stream's elements; first the signature's
+        # own (one per name), so that a cons head of a declared sort unifies by identity
+        self.elements = {s.name: s for info in sig.symbols.values()
+                         for s in (*info.arg_sorts, info.result_sort) if isinstance(s, DataSort)}
         self.start_rule()
 
     def start_rule(self):

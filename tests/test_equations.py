@@ -176,6 +176,19 @@ def test_dump_format(corpus):
     assert "X_{f,1,0} = /\\ { --+X_{f,1,1}, -++X_{f,1,0} }" in dump
 
 
+def test_any_variable_shape_renders():
+    """A variable of another kind than the translation's prints its fields
+    after the kind, so the systems of `specgen.random_system`, over
+    `("v", "X<i>")`, render in `repr`, `expr_str` and `dump`."""
+    assert var_str(("v", "X0")) == "X_{X0}" and var_str(arg("f", 1, 0)) == "X_{f,1,0}"
+    for seed in range(100):
+        iospec = specgen.random_system(random.Random(seed))
+        for v, e in iospec.equations.items():
+            assert var_str(v) == "X_{%s}" % v[1]
+            assert repr(e) == expr_str(e) == ref_expr_str(e)
+        assert iospec.dump().count(" = ") == len(iospec.equations)
+
+
 # --- the explicit-stack renderer against the recursive one -------------------
 
 

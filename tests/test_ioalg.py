@@ -411,8 +411,9 @@ def test_normalize_idempotent():
 
 
 def test_normalize_marks_its_results():
-    """Only `normalize` marks a term normal; a marked term comes back as it
-    is, and the shared constants stay unmarked."""
+    """Only `normalize`, and `remove_requirement` where its edit of a normal
+    term leaves it normal, mark a term normal; a marked term comes back as
+    it is, and the shared constants stay unmarked."""
     t = IOTerm("+", "-+")
     assert not t.normal and not IOTerm.of_runs(t.prefix_runs, t.loop_runs).normal
     n = normalize(t)
@@ -674,3 +675,46 @@ def test_pebble_compositions(monkeypatch):
         compose(T("(-+)"), T("(--+)"))
     for u, after, before in expected:
         assert compose(u, peb) == after and compose(peb, u) == before, render(u)
+
+
+def _removal_case(t):
+    """Which edit `remove_requirement` makes to the normal term `t`."""
+    pre = t.prefix_runs
+    first = next((i for i, (sym, _) in enumerate(pre) if sym == "-"), None)
+    if first is not None:
+        if pre[first][1] == 1:
+            return "run empties"
+        return "last prefix run" if first == len(pre) - 1 else "inner prefix run"
+    if "-" not in t.loop:
+        return "no requirement"
+    unrolled = t.prefix + t.loop.replace("-", "", 1)
+    return "unroll, roll" if unrolled[-1] == t.loop[-1] else "unroll, no roll"
+
+
+def test_successor_fast_paths_are_exact():
+    """Composing with the successor, spelled +(-+) as by a pebble or (+-),
+    adds one to the supply; it skips normalizing, and its result equals
+    the run machine's on the successor spelled +-(+-).  Each result of
+    `remove_requirement`, whichever edit it takes, is the normal form of
+    its runs."""
+    rng = random.Random(2908)
+    machine = IOTerm("+-", "+-")  # normalizes to (+-), past the successor test
+    cases = {}
+    for k in range(1200):
+        if k % 3 == 0:
+            s = random_canonical(rng)
+        elif k % 3 == 1:  # prefix-heavy
+            s = normalize(IOTerm(_run_word(rng, 8, 4), rng.choice(["", "+", "-+", "+--"])))
+        else:  # loop only
+            s = normalize(IOTerm("+" * rng.randrange(3), _run_word(rng, 5, 3) + "+"))
+        cases[_removal_case(s)] = cases.get(_removal_case(s), 0) + 1
+        r = remove_requirement(s)
+        assert is_normal(r), render(s)
+        after = [compose(s, prodterm.PEB_SEQ), compose(s, ioalg._SUCCESSOR)]
+        assert after == [r, r] and r == compose(s, machine), render(s)
+        before = compose(prodterm.PEB_SEQ, s)
+        assert before == compose(ioalg._SUCCESSOR, s) == compose(machine, s), render(s)
+        for n in range(41):
+            assert interpret(r, n) == interpret(s, n + 1), (render(s), n)
+            assert interpret(before, n) == interpret(s, n) + 1, (render(s), n)
+    assert len(cases) == 6 and min(cases.values()) >= 20, cases

@@ -65,3 +65,27 @@ def test_tracer_counts_every_oracle_game(capsys):
             assert tracer.root(cli.main)([str(spec_path(name)), "--mode", "oracle-check"]) == 0
     assert "agree" in capsys.readouterr().out
     assert tracer.pass_metrics("corpus")["dogame.calls"] == 14
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("prefix20", (41, 20, 20, 20, 21, 23)),
+        ("ring6", (138, 36, 66, 11, 66, 19)),
+    ],
+)
+def test_tracer_counts_one_collapse(name, expected, capsys):
+    """One decide of a cons prefix and of a ring: the tracer sees every
+    collapse step, and a `compose` call on each box-box step that misses
+    the analysis's memo, fast path or not."""
+    import prodcheck.cli as cli
+    from conftest import spec_path
+
+    tracer = tracing.Tracer()
+    with tracer:
+        tracer.root(cli.main)([str(spec_path(name)), "--mode", "decide"])
+    assert "productive" in capsys.readouterr().out
+    metrics = tracer.pass_metrics("collapse")
+    names = ("prodterm.steps", "prodterm.steps.peb", "prodterm.steps.box-box",
+             "ioalg.compose_calls", "ioalg.max_seq_len", "prodterm.max_term_nodes")
+    assert tuple(metrics[n] for n in names) == expected
