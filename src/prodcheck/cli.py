@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import os
@@ -183,9 +184,9 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
         try:
             games[name] = dogame.do_low_constant(spec, cls, name, caps.oracle_prod_cap, caps.oracle_steps, decided)
         except ValueError as exc:
-            games[name] = exc
+            games[name] = str(exc)  # the exception itself would hold this frame in a cycle
     for name, v in verdicts.items():
-        if isinstance(game := games[name], ValueError):
+        if isinstance(game := games[name], str):
             out.write("%s : skipped (%s)\n" % (name, game))
             continue
         # the game's adversary commits one rule per symbol, so its value can
@@ -217,6 +218,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 10
+    # the analysis builds no reference cycles: the collector would find nothing
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         spec = parse(text, args.file)
         diagnostics = validate(spec)
@@ -261,6 +265,9 @@ def main(argv=None) -> int:
     except CapError as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

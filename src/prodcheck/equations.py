@@ -290,8 +290,10 @@ def finitize(cls: Classification, roots, cap: int = Caps.DEFAULTS["finitize_cap"
     Reachability from the roots and the clean edges (occurrences with no '-'
     above them) are kept up to date as equations are added.  A new equation
     can only open a pseudo-cycle for a variable that reaches it through clean
-    edges, so only those are checked.  A replacement only removes edges: it
-    opens no pseudo-cycle, and reachability is recomputed only then.
+    edges, so only those are checked, and only after an argument equation
+    that adds a clean edge: every clean path ending at an equation with none
+    was checked when its last edge was added.  A replacement only removes
+    edges: it opens no pseudo-cycle, and reachability is recomputed only then.
     """
     roots = tuple(roots)
     eqs: dict = {}
@@ -340,8 +342,8 @@ def finitize(cls: Classification, roots, cap: int = Caps.DEFAULTS["finitize_cap"
         # star, X_+, X_- and X_id equations have clean edges only to variables
         # that are not argument variables, and so do those variables' own
         # equations: no path through them reaches an argument variable, so
-        # they cannot open a pseudo-cycle
-        if v[0] != "arg":
+        # they cannot open a pseudo-cycle; nor can an equation with no clean edge
+        if v[0] != "arg" or not clean[v]:
             continue
         ancestors = reachable((v,), lambda u: clean_rev.get(u, ()))
         candidates = [u for u in ancestors if u[0] == "arg" and eqs[u] != EVar(XP)]

@@ -19,7 +19,9 @@ solution's value at every supply as the lowest '-'-capable entry of the
 column.  A repetition search over columns finds two strips with the same
 node constellation whose low entries, swept alone as a second diagram,
 reproduce themselves shifted; the value sequence is then quasi-periodic and
-the rational IO-term is read off (`_of_values`, as for an infimum).
+the rational IO-term is read off (`_of_values`, as for an infimum).  An
+exact repeat, every node at its earlier relative height, needs no second
+sweep: its low entries are the earlier column, which replays the strip.
 """
 
 from __future__ import annotations
@@ -256,7 +258,8 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
         for x1, h1, rel1 in strips.get(key, ()):
             if all(rel[v] >= rel1[v] for v in rel1):
                 core = {v: h1 + r for v, r in rel1.items() if rel[v] == r}
-                if _check_repetition(diagram, x1, x, core, h - h1):
+                # an exact repeat's core is column x1: the check holds by construction
+                if len(core) == len(rel) or _check_repetition(diagram, x1, x, core, h - h1):
                     if trace is not None:
                         trace.append((x1, x))
                     return _of_values(bounds[: x + 1], x1)

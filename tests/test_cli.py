@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from prodcheck.cli import main
 from prodcheck.equations import CapError, Caps
 
 import specgen
-from conftest import CORPUS, spec_path
+from conftest import CORPUS, DATA, spec_path
 from specgen import random_flat_spec
 from test_dogame import PSEUDO_CYCLE_SEEDS
 from test_streamspec import END_OF_INPUT_ERRORS, FRONT_END_ERRORS
@@ -556,3 +557,77 @@ def test_oracle_check_pins_pseudo_cycle():
         "C0 : production inf vs game 0 : MISMATCH",
         "C1 : production inf vs game 1 : MISMATCH",
     ]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_state(collecting, tmp_path, monkeypatch):
+    """`main` pauses the cyclic collector for its analysis and leaves it as
+    it found it, whichever way the analysis ends."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text("Signature( P : stream(nat), 0 : nat )\nP = x\n")
+    dup = tmp_path / "dup.spec"
+    dup.write_text(
+        "Signature( P : stream(bit), f : stream(bit) -> stream(bit), 0, 1 : bit )\n"
+        "P = 0:f(P)\nf(x:s) = s\nf(x:s) = s\n"
+    )
+    unf = tmp_path / "unf.spec"
+    unf.write_text(UNFRIENDLY_SPEC)
+    runs = [
+        ([spec_path("pascal")], 0),
+        ([spec_path("do_m")], 1),
+        ([spec_path("convolution")], 2),
+        ([tmp_path / "missing.spec"], 10),
+        ([bad], 10),
+        ([dup], 11),
+        ([unf], 12),
+        ([spec_path("pascal"), "--max-columns", "1"], 13),
+    ]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for args, code in runs:
+            assert run_cli([str(a) for a in args])[0] == code
+            assert gc.isenabled() == collecting, args
+
+        def internal_error(spec):
+            raise RuntimeError("internal error")
+
+        monkeypatch.setattr(cli, "classify", internal_error)
+        with pytest.raises(RuntimeError):
+            run_cli([str(spec_path("pascal"))])
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _cyclic_garbage(args):
+    """The objects in reference cycles that one `main(args)` call leaves,
+    which only the collector would free: it is off around the call."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run_cli(args)
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_analysis_leaves_no_reference_cycles():
+    """With the collector paused, reference counting alone frees everything
+    an analysis builds, in every mode and report of every spec."""
+    _cyclic_garbage([str(spec_path("pascal"))])  # a first call fills caches
+    modes = [[], ["--mode", "oracle-check"], ["--mode", "gates", "--dump-equations", "--dump-diagram"], ["--verbose"]]
+    for path in sorted(DATA.glob("*.spec")):
+        for flags in modes:
+            assert _cyclic_garbage([str(path)] + flags) == 0, (path.name, flags)
+
+
+def test_json_report_cycles_do_not_grow(tmp_path):
+    """The standard library's indenting JSON encoder leaves a few objects
+    in cycles per report, as many for a chain of 128 functions as of 16."""
+    chain128 = tmp_path / "chain128.spec"
+    chain128.write_text(specgen.chain(128))
+    small = _cyclic_garbage([str(spec_path("chain16")), "--report", "json"])
+    assert _cyclic_garbage([str(chain128), "--report", "json"]) == small

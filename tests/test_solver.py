@@ -16,6 +16,7 @@ from prodcheck.equations import (
 from prodcheck.ioalg import TOP, IOTerm, interpret, parse_ioterm, render
 from prodcheck.solver import (
     Diagram,
+    _check_repetition,
     _position,
     _step_right,
     _vclose,
@@ -446,6 +447,61 @@ def test_repetition_needs_the_shifted_core(monkeypatch):
     early = {v: solve(iospec, v) for v in iospec.roots}
     assert early[v0] == parse_ioterm("-++----++----++") and early[v1] == parse_ioterm("--++----++----++")
     assert substitution_failure(iospec, early) == (v0, 13)
+
+
+def test_exact_repeats_pass_the_repetition_check(corpus):
+    """The search closes on an exact repeat, a strip whose every node keeps
+    its height relative to the earlier strip x1, without sweeping its core
+    as a second diagram.  At every such closing, over the corpus systems and
+    2,000 generated ones, that sweep would have accepted it."""
+    from prodcheck.translate import translate_symbols
+
+    systems = [translate_symbols(spec)[1] for spec in corpus.values()]
+    systems += [random_system(random.Random(seed), max_eqs=5, max_size=8) for seed in range(2000)]
+    exact = partial = 0
+    for iospec in systems:
+        for root in iospec.roots:
+            witness: list = []
+            try:
+                solve(iospec, root, trace=witness)
+            except (TranslationError, CapError):
+                continue
+            if not witness:
+                continue
+            x1, x2 = witness[0]
+            g = build_graph(iospec, root)
+            diagram = Diagram(g, {g.heads[root]: 0})
+            first, last = diagram.column(x1), diagram.column(x2)
+            d = min(last.values()) - min(first.values())
+            if all(last[v] == y + d for v, y in first.items()):
+                exact += 1
+                assert _check_repetition(diagram, x1, x2, dict(first), d), (iospec.dump(), root)
+            else:
+                partial += 1
+    assert exact > partial > 0
+
+
+def test_partial_core_still_runs_the_check(monkeypatch):
+    """In the shifted-core system of `test_repetition_needs_the_shifted_core`,
+    X0's search meets three strips whose core is only part of the column;
+    the first matches its bounds alone.  Each still goes through
+    `_check_repetition`, which rejects it, and the search closes on an exact
+    repeat, with no check."""
+    import prodcheck.solver as solver
+
+    calls = []
+
+    def recording(diagram, x1, x2, core, d):
+        accepted = _check_repetition(diagram, x1, x2, core, d)
+        calls.append((x1, x2, len(core) < len(diagram.columns[x1]), accepted))
+        return accepted
+
+    monkeypatch.setattr(solver, "_check_repetition", recording)
+    iospec = random_system(random.Random(13683), max_eqs=5, max_size=8)
+    witness: list = []
+    assert solve(iospec, iospec.roots[0], trace=witness) == parse_ioterm("(-++---)")
+    assert calls == [(10, 11, True, False), (10, 12, True, False), (11, 12, True, False)]
+    assert witness == [(9, 13)]
 
 
 def test_feedback_order_checks_the_system_first(monkeypatch):
