@@ -12,7 +12,7 @@ from .ioalg import (
     remove_requirement,
     render,
 )
-from .prodterm import Box, Gate, Meet, Mu, Peb, Src, Var, collapse, collapse_trace, gate_apply
+from .prodterm import Box, Gate, Meet, Mu, Peb, Src, Var, collapse_trace, gate_apply
 from .solver import infimum
 from .streamspec import parse, validate, classify
 from .translate import decide, translate_constant, translate_symbols
@@ -35,7 +35,6 @@ __all__ = [
     "Peb",
     "Src",
     "Var",
-    "collapse",
     "collapse_trace",
     "gate_apply",
     "parse",

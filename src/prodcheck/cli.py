@@ -11,7 +11,9 @@ some is (data-obliviously) non-productive, 2 some verdict is unknown;
 the game oracle, 1 on a MISMATCH, whatever the verdicts.  In every mode, 10
 parse error, 11 validation error, 12 translation error, 13 a search cap was
 exceeded (`--finitize-cap` or `--max-columns`), 14 standard output was
-closed before the whole report was written, 15 a malformed command line.
+closed before the whole report was written, 15 a malformed command line,
+16 out of memory.  Validation errors and warnings go to standard error;
+`--verbose` adds the notes.
 
 `--max-columns` bounds every diagram sweep, the repetition search for each
 variable of the equations' feedback vertex set and, with `--dump-diagram`,
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
         diagnostics = validate(spec)
         errors = [d for d in diagnostics if d.severity == "error"]
         for d in diagnostics:
-            if d.severity == "error" or args.verbose:
+            if d.severity != "note" or args.verbose:
                 print(str(d), file=sys.stderr)
         if errors:
             return 11
@@ -265,6 +267,9 @@ def main(argv=None) -> int:
     except CapError as exc:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
+    except MemoryError:
+        print("prodcheck: out of memory", file=sys.stderr)
+        return 16
     finally:
         if collecting:
             gc.enable()

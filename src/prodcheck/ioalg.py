@@ -14,15 +14,18 @@ inside one run of the other.  The words themselves are spelled out only on
 demand, by the `prefix` and `loop` properties and by `render`.
 
 Interpreting a sequence gives an increasing step function from input supply
-to output count, with TOP playing the role of infinity on both ends.  All
-operations here (composition, requirement removal, least fixed point) are
-exact on that function semantics, and `normalize` computes the unique
-shortest representative of a sequence.  The pointwise infimum of two
-sequences is taken in closed form in `prodcheck.solver`.
+to output count, its counter function, with TOP playing the role of
+infinity on both ends; `_shape` and `_reader` read it and `_of_values`
+builds a term from its values.  All operations here (composition,
+requirement removal, least fixed point) are exact on that function
+semantics, and `normalize` computes the unique shortest representative of
+a sequence.  The pointwise infimum of two sequences is taken in closed form
+in `prodcheck.solver`.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 
@@ -250,36 +253,67 @@ def normalize(t: IOTerm) -> IOTerm:
     return _term(pre, loop, True)
 
 
-def _interpret_runs(runs, need: int, prod: int) -> tuple:
-    """Walk `runs` on a supply of `need`, having output `prod`: the output
-    count, and the supply left after them or None when it ran out inside."""
-    for sym, n in runs:
+# ---------------------------------------------------------------------------
+# counter functions
+
+
+def _shape(u: IOTerm) -> tuple:
+    """(m, p, q): from supply m on, `u`'s output grows by q every p
+    supplies.  A finite word grows by 0 and all output by TOP, per 1
+    supply."""
+    m = _counts(u.prefix_runs)[0]
+    p, q = _counts(u.loop_runs)
+    return (m, p, q) if p else (m, 1, TOP if q else 0)
+
+
+def _reader(u: IOTerm):
+    """`interpret(u, n)` at a finite supply n, by bisection over the '-'
+    counts at the end of each '-' run of `u`'s prefix and one loop pass,
+    each with the output before that run, once n drops whole loop passes."""
+    m, p, q = _shape(u)
+    ends, outs, minus, plus = [], [], 0, 0
+    for sym, k in u.prefix_runs + u.loop_runs:
         if sym == PLUS:
-            prod += n
-        elif need < n:
-            return prod, None
+            plus += k
         else:
-            need -= n
-    return prod, need
+            outs.append(plus)
+            minus += k
+            ends.append(minus)
+    outs.append(plus)  # past every '-': a finite word's whole output
+
+    def read(n: int) -> CoNat:
+        if n < m:
+            return outs[bisect.bisect_right(ends, n)]
+        if is_top(q):
+            return TOP
+        passes = (n - m) // p
+        return outs[bisect.bisect_right(ends, n - passes * p)] + passes * q
+
+    return read
+
+
+def _of_values(values: list, start: int) -> IOTerm:
+    """The canonical term whose output at supply n is `values[n]`: a stair up
+    to `values[start]`, then a loop of the increments after it, or all output
+    from the first TOP value on."""
+    runs: list = []
+    prev = 0
+    for n, v in enumerate(values):
+        if n:
+            runs.append((MINUS, 1))
+        if is_top(v):
+            return normalize(IOTerm.of_runs(runs, ((PLUS, 1),)))
+        runs.append((PLUS, v - prev))
+        prev = v
+    return normalize(IOTerm.of_runs(runs[: 2 * start + 1], runs[2 * start + 1 :]))
 
 
 def interpret(t: IOTerm, n: CoNat) -> CoNat:
     """Output count of `t` given input supply `n` (monotone in `n`)."""
     if is_top(n):
-        if _counts(t.loop_runs)[1]:
-            return TOP
-        return _counts(t.prefix_runs)[1]
-    prod, need = _interpret_runs(t.prefix_runs, int(n), 0)
-    if need is None or not t.loop_runs:
-        return prod
-    p, q = _counts(t.loop_runs)
-    if p == 0:
-        return TOP
-    cycles = need // p
-    prod, need = _interpret_runs(t.loop_runs, need - cycles * p, prod + cycles * q)
-    if need is not None:
-        raise AssertionError("unreachable: supply not exhausted by loop pass")
-    return prod
+        m, _, q = _shape(t)
+        return TOP if q else _reader(t)(m)
+    return _reader(t)(int(n))
 
 
 def prepend(word: str, t: IOTerm) -> IOTerm:

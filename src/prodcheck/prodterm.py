@@ -320,12 +320,6 @@ def collapse_trace(t: ProdTerm, memo: dict | None = None):
         steps.append((rule, t))
 
 
-def collapse(t: ProdTerm) -> CoNat:
-    """The unique k with t ->* src(k)."""
-    steps = collapse_trace(t)
-    return (steps[-1][1] if steps else t).value
-
-
 # ---------------------------------------------------------------------------
 # gates
 

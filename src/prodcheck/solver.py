@@ -6,7 +6,8 @@ variable graph (`TraceGraph.refs`) from its roots with
 set F; every other variable's equation is then a composition of prepends and
 infima over values already known, in the walk's post-order, and is evaluated
 with the IO-term algebra (`evaluate`), each infimum in closed form from
-its two operands (`infimum`).
+its two operands' counter functions, as `prodcheck.ioalg` reads them
+(`infimum`).
 
 The unique solution for a variable of F is recovered from a trace graph: a
 node per position of every right-hand side, with silent edges for variable
@@ -19,20 +20,19 @@ solution's value at every supply as the lowest '-'-capable entry of the
 column.  A repetition search over columns finds two strips with the same
 node constellation whose low entries, swept alone as a second diagram,
 reproduce themselves shifted; the value sequence is then quasi-periodic and
-the rational IO-term is read off (`_of_values`, as for an infimum).  An
+the rational IO-term is read off (`ioalg._of_values`, as for an infimum).  An
 exact repeat, every node at its earlier relative height, needs no second
 sweep: its low entries are the earlier column, which replays the strip.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
 
 from .equations import CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, var_str
-from .ioalg import EPSILON, MINUS, PLUS, TOP, CoNat, IOTerm, is_top, normalize, prepend
+from .ioalg import EPSILON, MINUS, TOP, CoNat, IOTerm, _of_values, _reader, _shape, is_top, normalize, prepend
 from .streamspec import feedback_order
 
 
@@ -190,22 +190,6 @@ class Diagram:
 # repetition search and extraction
 
 
-def _of_values(values: list, start: int) -> IOTerm:
-    """The canonical term whose output at supply n is `values[n]`: a stair up
-    to `values[start]`, then a loop of the increments after it, or all output
-    from the first TOP value on."""
-    runs: list = []
-    prev = 0
-    for n, v in enumerate(values):
-        if n:
-            runs.append((MINUS, 1))
-        if is_top(v):
-            return normalize(IOTerm.of_runs(runs, ((PLUS, 1),)))
-        runs.append((PLUS, v - prev))
-        prev = v
-    return normalize(IOTerm.of_runs(runs[: 2 * start + 1], runs[2 * start + 1 :]))
-
-
 def _check_repetition(diagram: Diagram, x1: int, x2: int, core: dict, d: int) -> bool:
     """Only the nodes that kept their relative height, `core` (as at x1), may
     contribute to the bound on [x1, x2], and they must rebuild themselves `d`
@@ -271,33 +255,19 @@ def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
 # the acyclic rest of a system
 
 
-def _shape(u: IOTerm) -> tuple:
-    """(m, p, q, rises): from supply m on, `u`'s output grows by q every p
-    supplies, rising j supplies into each pass for each j in `rises`.  A
-    finite word grows by 0 and all output by TOP, per 1 supply."""
-    m = sum(n for sym, n in u.prefix_runs if sym == MINUS)
-    p = q = 0
-    rises = []
-    for sym, n in u.loop_runs:
-        if sym == PLUS:
-            rises.append(p)
-            q += n
-        else:
-            p += n
-    return (m, p, q, rises) if p else (m, 1, TOP if q else 0, [])
-
-
 def _rises(u: IOTerm, a: int, b: int) -> list:
     """The supplies in (a, b) at which `u`'s output rises, one range per '+'
     run: a loop's steps by its period, an all-output loop's is its m."""
-    m, p, q, rises = _shape(u)
+    _, p, q = _shape(u)
     n, found = 0, []
-    for sym, k in u.prefix_runs + (u.loop_runs if is_top(q) else ()):
+    for i, (sym, k) in enumerate(u.prefix_runs + u.loop_runs):
         if sym == MINUS:
             n += k
-        else:
+        elif i < len(u.prefix_runs) or is_top(q):
             found.append(range(max(n, a + 1), min(n + 1, b)))
-    return found + [range(m + j + max(0, (a - m - j) // p + 1) * p, b, p) for j in rises]
+        else:
+            found.append(range(n + max(0, (a - n) // p + 1) * p, b, p))
+    return found
 
 
 def _lead_points(low: IOTerm, high: IOTerm, a: int, b: int) -> tuple:
@@ -312,32 +282,6 @@ def _lead_points(low: IOTerm, high: IOTerm, a: int, b: int) -> tuple:
     return n_downs + 1, itertools.chain([b - 1], (n - 1 for r in downs for n in r))
 
 
-def _reader(u: IOTerm):
-    """`interpret(u, n)` at a finite supply n, by bisection over the '-'
-    counts at the end of each '-' run of `u`'s prefix and one loop pass,
-    each with the output before that run, once n drops whole loop passes."""
-    m, p, q, _ = _shape(u)
-    ends, outs, minus, plus = [], [], 0, 0
-    for sym, k in u.prefix_runs + u.loop_runs:
-        if sym == PLUS:
-            plus += k
-        else:
-            outs.append(plus)
-            minus += k
-            ends.append(minus)
-    outs.append(plus)  # past every '-': a finite word's whole output
-
-    def read(n: int) -> CoNat:
-        if n < m:
-            return outs[bisect.bisect_right(ends, n)]
-        if is_top(q):
-            return TOP
-        passes = (n - m) // p
-        return outs[bisect.bisect_right(ends, n - passes * p)] + passes * q
-
-    return read
-
-
 def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
     """Pointwise minimum of the two interpretations, as a canonical term.
 
@@ -348,9 +292,9 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"
     operand that grows less is the minimum, over its own loop, once the
     other's least lead in one period is made up.  Past `max_columns`
     supplies, a check is skipped and a lead scan or minimum raises `CapError`.
-    Each point is read by `_reader`, in time logarithmic in the runs.
+    Each point is read by `ioalg._reader`, in time logarithmic in the runs.
     """
-    (ms, ps, qs, _), (mt, pt, qt, _) = _shape(s), _shape(t)
+    (ms, ps, qs), (mt, pt, qt) = _shape(s), _shape(t)
     read = {s: _reader(s), t: _reader(t)}
     start, period = max(ms, mt), math.lcm(ps, pt)
     gs, gt = qs * (period // ps), qt * (period // pt)

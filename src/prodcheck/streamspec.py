@@ -716,7 +716,8 @@ def _missing_vector(rows, col_sorts, by_sort):
     """Search for a value vector matched by no pattern row.
 
     Streams have the single constructor cons; data columns split over the
-    constructors of their sort.  Returns a list of witness terms or None.
+    constructors of their sort, or try the first one no row names.
+    Returns a list of witness terms or None.
 
     A depth-first loop over a stack of tasks `(rows, columns, then)`, in
     the order of the recursive search, so the first witness found is the
@@ -761,9 +762,13 @@ def _missing_vector(rows, col_sorts, by_sort):
             ]
             todo.append((rows, (DataSort(sort.param), cols), ("cons", then)))
         else:
-            # a sort without known constructors pushes nothing: no witness
+            # under a constructor no row names, a vector is missing iff the
+            # default matrix, the variable rows, misses one (Maranget 2007).
+            # A sort without known constructors pushes nothing: no witness
             # can be built, so none is reported
-            for info in reversed(by_sort.get(sort.name, ())):
+            infos = by_sort.get(sort.name, ())
+            named = {p.sym for p, _ in rows if isinstance(p, App)}
+            for info in reversed([i for i in infos if i.name not in named][:1] or infos):
                 wilds = [DVar("_")] * len(info.arg_sorts)
                 sub_rows = [
                     _linked(wilds, tail) if isinstance(p, DVar) else _linked(p.args, tail)

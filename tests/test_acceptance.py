@@ -20,14 +20,14 @@ from prodcheck.ioalg import (
     normalize,
     parse_ioterm,
 )
-from prodcheck.prodterm import Box, Mu, Var, collapse, collapse_trace
+from prodcheck.prodterm import Box, Mu, Var, collapse_trace
 from prodcheck.solver import Diagram, build_graph, infimum, solve
 from prodcheck.streamspec import classify
 from prodcheck.translate import decide, translate_symbols
 
 from conftest import load
 from specgen import kleene_lfp, random_canonical, random_closed_term, random_system
-from test_prodterm import denot_production
+from test_prodterm import collapse, denot_production
 
 T = parse_ioterm
 

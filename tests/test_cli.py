@@ -32,6 +32,16 @@ def run_cli(args):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_warning_printed_without_verbose(tmp_path):
+    """A non-exhaustive function's warning reaches standard error with no
+    `--verbose`, and the exit code stays what the verdicts give."""
+    p = tmp_path / "partial.spec"
+    p.write_text("Signature( C, D : stream(bit), f : stream(bit) -> stream(bit), 0, 1 : bit )\nC = 0:f(C)\nD = 1:f(D)\nf(0:s) = 0:f(s)\n")
+    for args in ([], ["--report", "json"]):
+        code, _, err = run_cli([str(p)] + args)
+        assert (code, err) == (0, "%s:4:1: warning: non-exhaustive patterns for 'f': no rule matches f(1:_)\n" % p)
+
+
 def test_pascal_productive_exit_zero():
     code, out, _ = run_cli([str(spec_path("pascal"))])
     assert code == 0
@@ -256,6 +266,26 @@ def _run_module(args, python_flags=(), **kwargs):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     command = [sys.executable, *python_flags, "-m", "prodcheck", *args]
     return subprocess.run(command, env=env, stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+
+def test_out_of_memory_exit_sixteen(tmp_path):
+    """A DAG of 15 constants, each feeding the one above it twice, runs out
+    of a 150 MB address space, limited on the child process only: exit 16
+    and a one-line message, with no traceback."""
+    resource = pytest.importorskip("resource")
+    names = ["C%02d" % i for i in range(15)]
+    p = tmp_path / "dag14.spec"
+    p.write_text(
+        "Signature( %s : stream(nat), g : stream(nat) -> stream(nat) -> stream(nat), 0 : nat )\n" % ", ".join(names)
+        + "".join("%s = 0:g(%s, %s)\n" % (names[i], names[i + 1], names[i + 1]) for i in range(14))
+        + "C14 = 0:C14\ng(x:s, t) = x:g(s, t)\n"
+    )
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (150_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    done = _run_module([str(p), "--report", "json", "--root", "C00"], stdout=subprocess.PIPE, preexec_fn=limit_memory)
+    assert (done.returncode, done.stderr) == (16, b"prodcheck: out of memory\n")
 
 
 @pytest.mark.parametrize("name", ["ring6", "prefix20"])

@@ -404,9 +404,19 @@ def _front_end_inputs():
     return inputs
 
 
+def _shares_instance(a, b):
+    """Whether two patterns, `_` read as any value, match a common value."""
+    if isinstance(a, (SVar, DVar)) or isinstance(b, (SVar, DVar)):
+        return True
+    if isinstance(a, Cons) and isinstance(b, Cons):
+        return _shares_instance(a.head, b.head) and _shares_instance(a.tail, b.tail)
+    return isinstance(a, App) and isinstance(b, App) and a.sym == b.sym and all(map(_shares_instance, a.args, b.args))
+
+
 def test_front_end_matches_recursive_reference():
     """Same signature order and rules (terms, layer, line), or the same first
-    error; on every table of patterns, the same exhaustiveness witness."""
+    error; on every table of patterns, a witness exactly when the reference
+    finds one, and one that no row matches any value of."""
     parsed = errors = 0
     for text in _front_end_inputs():
         try:
@@ -435,7 +445,9 @@ def test_front_end_matches_recursive_reference():
                 for t in _subterms(p)
             ):
                 sorts = list(sig.symbols[name].arg_sorts)
-                assert _missing_vector(table, sorts, by_sort) == ref_missing_vector(table, sorts, by_sort), text
+                witness = _missing_vector(table, sorts, by_sort)
+                assert (witness is None) == (ref_missing_vector(table, sorts, by_sort) is None), text
+                assert witness is None or not any(all(map(_shares_instance, row, witness)) for row in table), text
     assert parsed > 1000 and errors > 1000, (parsed, errors)
 
 
@@ -612,17 +624,54 @@ def test_wide_patterns_validate():
     assert errors == ["overlapping rules for 'f' (lines 3 and 4)"]
 
 
+def _pattern_table(k, cell):
+    """A spec whose function f has k rules over k-element patterns, rule i
+    with `cell(i, j)` in column j."""
+    head = "Signature( C : stream(bit), f : stream(bit) -> stream(bit), 0, 1 : bit )\nC = 0:f(C)\n"
+    rows = [":".join(cell(i, j) or "x%d" % j for j in range(k)) for i in range(k)]
+    return parse(head + "".join("f(%s:s) = 0:f(s)\n" % row for row in rows))
+
+
+def test_pattern_table_families():
+    """Two 64-rule tables that a split per constructor takes exponential
+    time on: a disjoint decision list (rule i: column 63-i is 0, the columns
+    after it 1) and an overlapping list (rule i: column i is 0), the other
+    columns variables.  Each validates at once, with its exact
+    diagnostics."""
+    k = 64
+    missing = "non-exhaustive patterns for 'f': no rule matches f(%s_)" % ("1:" * k)
+    every_pair = [(a, b) for a in range(3, k + 3) for b in range(a + 1, k + 3)]  # rules start on line 3
+    assert len(every_pair) == 2016
+    families = [
+        (lambda i, j: "0" if j == k - 1 - i else "1" if j > k - 1 - i else None, []),
+        (lambda i, j: "0" if j == i else None, every_pair),
+    ]
+    for cell, overlaps in families:
+        spec = _pattern_table(k, cell)
+        start = time.perf_counter()
+        diags = validate(spec)
+        assert time.perf_counter() - start < 0.5
+        assert [(d.severity, d.message) for d in diags] == [
+            ("error", "overlapping rules for 'f' (lines %d and %d)" % pair) for pair in overlaps
+        ] + [("warning", missing)]
+
+
 def test_deep_pattern_witness():
-    """A witness nested deeper than the interpreter's recursion limit: the
-    one rule takes c^3000(z), and c is tried before z at each level, so the
-    first value it misses is c^3001(_)."""
+    """A pattern nested deeper than the interpreter's recursion limit.  The
+    one rule takes c^3000(z), and z is a constructor it leaves out at the
+    top, so the witness is z itself.  Where every level names its sort's
+    only constructor, the witness is as deep as the pattern."""
     d = 3000
     head = "Signature( P : stream(t), f : stream(t) -> stream(t), c : t -> t, z : t )\nP = z:f(P)\n"
     rule = "f(%sz%s:xs) = z:f(xs)\n" % ("c(" * d, ")" * d)
     assert d > sys.getrecursionlimit()
     (warning,) = validate(parse(head + rule))
-    shown = "%s_%s:_" % ("c(" * (d + 1), ")" * (d + 1))
-    assert warning.message == "non-exhaustive patterns for 'f': no rule matches f(%s)" % shown
+    assert warning.message == "non-exhaustive patterns for 'f': no rule matches f(z:_)"
+    head = "Signature( P : stream(b), f : stream(b) -> t -> stream(b), c : b -> t -> t, 0, 1 : b )\nP = 0:P\n"
+    rule = "f(s, %sc(0, y)%s) = s\n" % ("".join("c(x%d, " % i for i in range(d)), ")" * d)
+    (warning,) = validate(parse(head + rule))
+    shown = "%sc(1,_)%s" % ("c(_," * d, ")" * d)
+    assert warning.message == "non-exhaustive patterns for 'f': no rule matches f(_,%s)" % shown
 
 
 def test_validate_defined_stream_symbol_in_pattern():

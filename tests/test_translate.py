@@ -4,7 +4,7 @@ import pytest
 
 from prodcheck import dogame, prodterm
 from prodcheck.ioalg import TOP, interpret, parse_ioterm
-from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, collapse, gate_apply, meet_all
+from prodcheck.prodterm import Box, Meet, Mu, Peb, Var, gate_apply, meet_all
 from prodcheck.streamspec import App, Cons, Rule, SVar, classify, parse
 from prodcheck.equations import TranslationError
 from prodcheck.translate import (
@@ -16,6 +16,7 @@ from prodcheck.translate import (
 import specgen
 from conftest import DATA, load
 from specgen import children, random_flat_spec
+from test_prodterm import collapse
 
 T = parse_ioterm
 
