@@ -12,8 +12,9 @@ the game oracle, 1 on a MISMATCH, whatever the verdicts.  In every mode, 10
 parse error, 11 validation error, 12 translation error, 13 a search cap was
 exceeded (`--finitize-cap` or `--max-columns`), 14 standard output was
 closed before the whole report was written, 15 a malformed command line,
-16 out of memory.  Validation errors and warnings go to standard error;
-`--verbose` adds the notes.
+16 out of memory, named with the stage it ran out in: parse, validate,
+classify, translate_symbols, decide or report.  Validation errors and
+warnings go to standard error; `--verbose` adds the notes.
 
 `--max-columns` bounds every diagram sweep, the repetition search for each
 variable of the equations' feedback vertex set and, with `--dump-diagram`,
@@ -33,7 +34,7 @@ import sys
 
 from . import dogame
 from .equations import CapError, Caps, TranslationError, var_str
-from .ioalg import conat_str, interpret, is_top, render
+from .ioalg import _reader, conat_str, is_top, render
 from .prodterm import derivation_texts
 from .solver import dump_diagram
 from .streamspec import ParseError, classify, parse, reachable_symbols, validate
@@ -164,7 +165,7 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
             continue
         g = gates[name]
         agree = True
-        tables = [[min(g.cap, interpret(a, n)) for n in range(5)] for a in g.args]
+        tables = [[min(g.cap, read(n)) for n in range(5)] for read in map(_reader, g.args)]
         for supplies in itertools.product(range(5), repeat=g.arity):
             gate_value = min((t[n] for t, n in zip(tables, supplies)), default=g.cap)
             game = dogame.do_low_function(cls, name, supplies, prod_cap=caps.oracle_prod_cap)
@@ -223,8 +224,10 @@ def main(argv=None) -> int:
     # the analysis builds no reference cycles: the collector would find nothing
     collecting = gc.isenabled()
     gc.disable()
+    stage = "parse"  # the step an out-of-memory exit names
     try:
         spec = parse(text, args.file)
+        stage = "validate"
         diagnostics = validate(spec)
         errors = [d for d in diagnostics if d.severity == "error"]
         for d in diagnostics:
@@ -234,14 +237,19 @@ def main(argv=None) -> int:
             return 11
         if args.root is not None and args.root not in spec.signature.stream_constants():
             raise TranslationError("unknown stream constant %r" % args.root)
+        stage = "classify"
         cls = classify(spec)
+        stage = "translate_symbols"
         gates, iospec = translate_symbols(spec, cls, caps)
         if args.mode == "gates":
+            stage = "report"
             _debug_dumps(iospec, args, out)
             out.write(_tables(spec, cls, gates))
             code = 0
         else:
+            stage = "decide"
             verdicts, gates, cls = decide(spec, caps, root=args.root, gates=gates, cls=cls)
+            stage = "report"
             _debug_dumps(iospec, args, out)
             if args.mode == "oracle-check":
                 code = _oracle_check(spec, cls, gates, verdicts, caps, out)
@@ -268,7 +276,7 @@ def main(argv=None) -> int:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
     except MemoryError:
-        print("prodcheck: out of memory", file=sys.stderr)
+        print("prodcheck: out of memory in %s" % stage, file=sys.stderr)
         return 16
     finally:
         if collecting:

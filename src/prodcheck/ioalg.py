@@ -9,9 +9,11 @@ An infinite sequence must be productive (its loop contains a '+').
 An IOTerm stores its prefix and its loop as runs, tuples of (symbol, count)
 pairs in which adjacent runs are merged and no count is 0, so that a loop of
 2^n symbols in four runs costs four pairs.  Every operation advances one run
-per step; composition also jumps whole loop passes of one operand that fall
-inside one run of the other.  The words themselves are spelled out only on
-demand, by the `prefix` and `loop` properties and by `render`.
+per step; composition reads the outer operand's counter function along the
+inner one's runs, and jumps at once the loop passes of the inner operand
+that leave the outer one's output unchanged.  The words themselves are
+spelled out only on demand, by the `prefix` and `loop` properties and by
+`render`.
 
 Interpreting a sequence gives an increasing step function from input supply
 to output count, its counter function, with TOP playing the role of
@@ -87,16 +89,6 @@ def _counts(runs) -> tuple:
         else:
             minus += n
     return minus, plus
-
-
-def _split(runs: tuple, k: int) -> tuple:
-    """The runs of the first k symbols, and the runs of the rest."""
-    for i, (sym, n) in enumerate(runs):
-        if k < n:
-            head = runs[:i] + ((sym, k),) if k else runs[:i]
-            return head, ((sym, n - k),) + runs[i + 1:]
-        k -= n
-    return runs, ()
 
 
 class IOTerm:
@@ -267,9 +259,10 @@ def _shape(u: IOTerm) -> tuple:
 
 
 def _reader(u: IOTerm):
-    """`interpret(u, n)` at a finite supply n, by bisection over the '-'
+    """`interpret(u, n)` as a function of n, by bisection over the '-'
     counts at the end of each '-' run of `u`'s prefix and one loop pass,
-    each with the output before that run, once n drops whole loop passes."""
+    each with the output before that run, once n drops whole loop passes.
+    At TOP it reads TOP if the loop outputs, else the whole output."""
     m, p, q = _shape(u)
     ends, outs, minus, plus = [], [], 0, 0
     for sym, k in u.prefix_runs + u.loop_runs:
@@ -281,11 +274,11 @@ def _reader(u: IOTerm):
             ends.append(minus)
     outs.append(plus)  # past every '-': a finite word's whole output
 
-    def read(n: int) -> CoNat:
+    def read(n: CoNat) -> CoNat:
         if n < m:
             return outs[bisect.bisect_right(ends, n)]
-        if is_top(q):
-            return TOP
+        if is_top(q) or is_top(n):
+            return TOP if q else outs[-1]
         passes = (n - m) // p
         return outs[bisect.bisect_right(ends, n - passes * p)] + passes * q
 
@@ -310,10 +303,7 @@ def _of_values(values: list, start: int) -> IOTerm:
 
 def interpret(t: IOTerm, n: CoNat) -> CoNat:
     """Output count of `t` given input supply `n` (monotone in `n`)."""
-    if is_top(n):
-        m, _, q = _shape(t)
-        return TOP if q else _reader(t)(m)
-    return _reader(t)(int(n))
+    return _reader(t)(n)
 
 
 def prepend(word: str, t: IOTerm) -> IOTerm:
@@ -323,83 +313,58 @@ def prepend(word: str, t: IOTerm) -> IOTerm:
 def compose(s: IOTerm, t: IOTerm) -> IOTerm:
     """Sequential composition: interpret(compose(s, t)) = interpret(s) o interpret(t).
 
-    Runs the communication between the two sequences one run at a time.
-    The state is, per operand, the index of its current run and what is
-    left of that run; it fully determines the future, so when a state
-    repeats the emitted segment in between is the loop (pigeonhole over the
-    finitely many states).  A run index equal to the number of runs marks a
-    finite word that has ended.  While `s` waits inside one run of '-', a
-    whole loop pass of `t` hands it that pass's '+' and emits its '-'; while
-    `t` offers one run of '+', a whole loop pass of `s` takes its '-' from
-    there and emits its '+'.  Such passes are jumped together, as many as
-    leave the long run unfinished.
+    The result takes input where `t` does, so it reads `s` along `t`'s
+    runs: a run of '-' is kept, and a run of k '+' at `t`'s output count c
+    becomes the read(c + k) - read(c) '+' that `s` outputs on them, after
+    the read(0) it outputs on no input.  From supply m on, `s` repeats every
+    p supplies (`_shape`), so a loop pass of `t` that starts at c >= m in a
+    phase (c - m) mod p seen before closes the loop.  The passes that leave
+    `s`'s output unchanged are jumped at once, by galloping and bisection.
+    A TOP read ends the result in (+), and an `s` with nothing left to
+    output ends it as a finite word.
 
-    The successor, spelled +(-+) as by a pebble or (+-), skips the machine
-    and is recognized before either operand is normalized: after it, s
-    loses its first '-', which the extra element meets; before it, t gains
-    one '+' in front.
+    The successor, spelled +(-+) as by a pebble or (+-), is recognized
+    before either operand is normalized: after it, s loses its first '-',
+    which the extra element meets; before it, t gains one '+' in front.
     """
     if t == PEB_SEQ or t == _SUCCESSOR:
         return remove_requirement(s)
     if s == PEB_SEQ or s == _SUCCESSOR:
         return normalize(prepend(PLUS, t))
-    s = normalize(s)
-    t = normalize(t)
-    ws, wt = s.prefix_runs + s.loop_runs, t.prefix_runs + t.loop_runs
-    s_loop, t_loop = len(s.prefix_runs), len(t.prefix_runs)  # loop starts
-    p_s, q_s = _counts(s.loop_runs)
+    s, t = normalize(s), normalize(t)
+    read, (m, p, _) = _reader(s), _shape(s)
     p_t, q_t = _counts(t.loop_runs)
-
-    def advance(word: tuple, loop_start: int, i: int) -> tuple:
-        i += 1
-        if i == len(word) and loop_start < len(word):
-            i = loop_start  # wrap to loop start
-        return i, word[i][1] if i < len(word) else 0
-
-    i_s, r_s = 0, ws[0][1] if ws else 0
-    i_t, r_t = 0, wt[0][1] if wt else 0
-    out: list = []
-    emitted = 0
+    c = done = 0
+    out: list = []  # unmerged runs, so that a loop can start at any index
     seen: dict = {}
+    runs = ((PLUS, 0),) + t.prefix_runs  # an empty run of '+' reads read(0)
     while True:
-        key = (i_s, r_s, i_t, r_t)
-        if key in seen:
-            head, loop = _split(tuple(out), seen[key])
-            if not loop:
-                raise AssertionError("cycle without progress")
-            return normalize(IOTerm.of_runs(head, loop))
-        seen[key] = emitted
-        if i_s == len(ws):
+        for sym, k in runs:
+            if sym == MINUS:
+                out.append((MINUS, k))
+                continue
+            c += k
+            now = read(c)
+            if is_top(now):
+                return normalize(IOTerm.of_runs(out, ((PLUS, 1),)))
+            out.append((PLUS, now - done))
+            done = now
+        if t.finite or done == read(TOP):  # t ends, or s has no more to output
             return normalize(IOTerm.of_runs(out))
-        if ws[i_s][0] == PLUS:
-            _push(out, PLUS, r_s)
-            emitted += r_s
-            i_s, r_s = advance(ws, s_loop, i_s)
-            continue
-        if i_t == len(wt):
-            return normalize(IOTerm.of_runs(out))
-        if i_t >= t_loop and (r_s - 1) // q_t:  # passes of t inside s's '-' run
-            passes = (r_s - 1) // q_t
-            _push(out, MINUS, passes * p_t)
-            emitted += passes * p_t
-            r_s -= passes * q_t
-        elif wt[i_t][0] == PLUS and i_s >= s_loop and p_s and (r_t - 1) // p_s:
-            passes = (r_t - 1) // p_s  # passes of s inside t's '+' run
-            _push(out, PLUS, passes * q_s)
-            emitted += passes * q_s
-            r_t -= passes * p_s
-        elif wt[i_t][0] == PLUS:  # internal hand-over of a run of elements
-            n = min(r_s, r_t)
-            r_s -= n
-            r_t -= n
-            if not r_s:
-                i_s, r_s = advance(ws, s_loop, i_s)
-            if not r_t:
-                i_t, r_t = advance(wt, t_loop, i_t)
-        else:
-            _push(out, MINUS, r_t)
-            emitted += r_t
-            i_t, r_t = advance(wt, t_loop, i_t)
+        lo, hi = 0, 1  # lo passes of t leave s's output at done, hi passes do not
+        while read(c + hi * q_t) == done:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if read(c + mid * q_t) == done else (lo, mid)
+        c += lo * q_t
+        out.append((MINUS, lo * p_t))
+        if c >= m:
+            phase = (c - m) % p
+            if phase in seen:
+                return normalize(IOTerm.of_runs(out[: seen[phase]], out[seen[phase] :]))
+            seen[phase] = len(out)
+        runs = t.loop_runs
 
 
 def _first_minus(runs: tuple):

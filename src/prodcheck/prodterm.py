@@ -22,6 +22,7 @@ from .ioalg import (
     TOP,
     CoNat,
     IOTerm,
+    _reader,
     conat_str,
     compose,
     interpret,
@@ -333,8 +334,8 @@ class Gate:
     def __init__(self, star: IOTerm, args: tuple):
         self.star = star
         self.args = args
-        self.cap = interpret(star, TOP)
-        self.port = interpret(star, 0)  # the output count on no input
+        read = _reader(star)
+        self.cap, self.port = read(TOP), read(0)  # port: the output count on no input
 
     @property
     def arity(self) -> int:

@@ -271,7 +271,8 @@ def _run_module(args, python_flags=(), **kwargs):
 def test_out_of_memory_exit_sixteen(tmp_path):
     """A DAG of 15 constants, each feeding the one above it twice, runs out
     of a 150 MB address space, limited on the child process only: exit 16
-    and a one-line message, with no traceback."""
+    and a one-line message naming the stage, `decide`, whose collapse of
+    the production term runs out, with no traceback."""
     resource = pytest.importorskip("resource")
     names = ["C%02d" % i for i in range(15)]
     p = tmp_path / "dag14.spec"
@@ -285,7 +286,7 @@ def test_out_of_memory_exit_sixteen(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (150_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
     done = _run_module([str(p), "--report", "json", "--root", "C00"], stdout=subprocess.PIPE, preexec_fn=limit_memory)
-    assert (done.returncode, done.stderr) == (16, b"prodcheck: out of memory\n")
+    assert (done.returncode, done.stderr) == (16, b"prodcheck: out of memory in decide\n")
 
 
 @pytest.mark.parametrize("name", ["ring6", "prefix20"])

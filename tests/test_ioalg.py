@@ -97,6 +97,68 @@ def test_compose_associative():
         assert normalize(compose(a, compose(b, c))) == normalize(compose(compose(a, b), c))
 
 
+def _read_limit(monkeypatch, limit):
+    """Every reader `ioalg` builds from here on fails once it is read more
+    than `limit` times, so a composition that walks silent passes one at a
+    time fails at once instead of running for ever."""
+    build = ioalg._reader
+
+    def counted_reader(u):
+        read, left = build(u), [limit]
+
+        def counted(n):
+            left[0] -= 1
+            if left[0] < 0:
+                raise AssertionError("%r read more than %d times" % (u, limit))
+            return read(n)
+
+        return counted
+
+    monkeypatch.setattr(ioalg, "_reader", counted_reader)
+
+
+_COUNTS = (1, 2, 4, 2 ** 20, 2 ** 40, 2 ** 64)
+
+
+def test_compose_at_counts_no_word_spells(monkeypatch):
+    """Every pair of (-^a +^b), +^b and (+), with a and b up to 2^64: the
+    composition reads as s after t at and next to multiples of every
+    count, up to about 2^85, and at TOP.  A loop of (-+) inside a run of
+    2^64 '-' is jumped, so no term is read more than 400 times."""
+    start = time.perf_counter()
+    terms = [IOTerm.of_runs((), (("-", a), ("+", b))) for a in _COUNTS for b in _COUNTS]
+    terms += [IOTerm.of_runs((("+", b),)) for b in _COUNTS] + [T("(+)")]
+    supplies = sorted({max(0, j * x + d) for x in _COUNTS for j in (1, 3, 2 ** 21 + 1) for d in (-1, 0, 1)})
+    _read_limit(monkeypatch, 400)
+    for s, t in itertools.product(terms, repeat=2):
+        c = compose(s, t)
+        for n in supplies + [TOP]:
+            assert interpret(c, n) == interpret(s, interpret(t, n)), (s, t, n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_compose_loop_endings(monkeypatch):
+    """One case for each way the reading ends, checked against the symbol
+    reference where it can spell the operands out: an all-output tail, an
+    outer word with nothing left to output, an inner word that ends, a
+    phase of the outer loop that repeats (with and without a prefix before
+    it), and the passes of (-+) that (-^{2^64} +) turns into no output,
+    2^64 - 2 of them jumped by a gallop and a bisection of 64 reads each."""
+    cases = [
+        ("-(+)", "(--+)", "--(+)"),  # all output once t has output 1
+        ("-+-+", "(-+)", "-+-+"),  # s is spent at t's output 2
+        ("(-++)", "-+-+", "-++-++"),  # t is a finite word
+        ("(-+--++)", "(-++)", "(-+-+++-++)"),  # phase 0 again after 3 passes
+        ("+-+(--+++)", "-(-+)", "+--(+--++)"),  # the same, after a prefix
+    ]
+    for s, t, want in cases:
+        assert compose(T(s), T(t)) == T(want) == _reference_compose(T(s), T(t)), (s, t)
+    _read_limit(monkeypatch, 400)
+    s = IOTerm.of_runs((), (("-", 2 ** 64), ("+", 1)))
+    assert compose(s, T("(-+)")) == s
+    assert compose(T("++"), IOTerm.of_runs((), (("-", 2 ** 64), ("+", 2 ** 64)))) == T("++")
+
+
 # --- infimum --------------------------------------------------------------
 
 
@@ -648,7 +710,7 @@ def test_runs_are_canonical():
 
 def test_pebble_compositions(monkeypatch):
     """Composition with a pebble's successor +(-+), on either side, takes a
-    shortcut past the run machine; its result is the composed function, in
+    shortcut past the general path; its result is the composed function, in
     normal form, and equals the symbol reference's."""
     peb = IOTerm("+", "-+")
     rng = random.Random(806)
@@ -663,14 +725,14 @@ def test_pebble_compositions(monkeypatch):
             assert c == _reference_compose(outer, inner), (render(outer), render(inner))
     twice = compose(peb, peb)
     assert twice == T("+(+-)") and [interpret(twice, n) for n in range(4)] == [2, 3, 4, 5]
-    # the shortcut sees the normal form (+-) of +(-+): with the machine's
-    # loop counting disabled, pebble compositions still come out
+    # the shortcut sees the normal form (+-) of +(-+): with the general
+    # path's loop counting disabled, pebble compositions still come out
     expected = [(u, compose(u, peb), compose(peb, u)) for u in (T("-(--+)"), T("+-+"), T("(+-)"), peb, EPSILON)]
 
-    def no_machine(runs):
-        raise AssertionError("the run machine ran")
+    def no_general_path(runs):
+        raise AssertionError("the general path ran")
 
-    monkeypatch.setattr(ioalg, "_counts", no_machine)
+    monkeypatch.setattr(ioalg, "_counts", no_general_path)
     with pytest.raises(AssertionError):
         compose(T("(-+)"), T("(--+)"))
     for u, after, before in expected:
@@ -694,11 +756,11 @@ def _removal_case(t):
 def test_successor_fast_paths_are_exact():
     """Composing with the successor, spelled +(-+) as by a pebble or (+-),
     adds one to the supply; it skips normalizing, and its result equals
-    the run machine's on the successor spelled +-(+-).  Each result of
+    the general path's on the successor spelled +-(+-).  Each result of
     `remove_requirement`, whichever edit it takes, is the normal form of
     its runs."""
     rng = random.Random(2908)
-    machine = IOTerm("+-", "+-")  # normalizes to (+-), past the successor test
+    general = IOTerm("+-", "+-")  # normalizes to (+-), past the successor test
     cases = {}
     for k in range(1200):
         if k % 3 == 0:
@@ -711,9 +773,9 @@ def test_successor_fast_paths_are_exact():
         r = remove_requirement(s)
         assert is_normal(r), render(s)
         after = [compose(s, prodterm.PEB_SEQ), compose(s, ioalg._SUCCESSOR)]
-        assert after == [r, r] and r == compose(s, machine), render(s)
+        assert after == [r, r] and r == compose(s, general), render(s)
         before = compose(prodterm.PEB_SEQ, s)
-        assert before == compose(ioalg._SUCCESSOR, s) == compose(machine, s), render(s)
+        assert before == compose(ioalg._SUCCESSOR, s) == compose(general, s), render(s)
         for n in range(41):
             assert interpret(r, n) == interpret(s, n + 1), (render(s), n)
             assert interpret(before, n) == interpret(s, n) + 1, (render(s), n)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -423,6 +424,68 @@ def test_substitution_catches_a_wrong_value(corpus):
             assert substitution_failure(iospec, {**values, v: wrong}) is not None, (name, render(wrong))
         mutated.append(name)
     assert len(mutated) == 8  # all but intro_b (eps) and nested_fb (all-output loops)
+
+
+def has_negative_cycle(g, nodes, num, den) -> bool:
+    """Whether some cycle through `nodes`, a set closed under the trace
+    graph's edges, has a '+'/'-' ratio below num/den: Bellman-Ford, from 0
+    at every node, under the integer weights plus·den - num·minus."""
+    weighted = ((g.eps, 0), (g.out_plus, den), (g.out_minus, -num))
+    edges = [(u, v, w) for u in nodes for succ, w in weighted for v in succ[u]]
+    dist = dict.fromkeys(nodes, 0)
+    for _ in range(len(nodes)):  # with no negative cycle, a round changes nothing
+        changed = False
+        for u, v, w in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def test_gate_slopes_are_critical_cycle_ratios():
+    """Slope check, with neither `Diagram` nor `solve`: each gate argument
+    grows by q every p supplies (`_shape`), and q/p is the least '+'/'-'
+    ratio over the cycles of the trace graph reachable from the head of its
+    equation X_{f,i,0}.  With M '-' edges reachable, a simple cycle's ratio
+    has a denominator of at most M, and two such ratios that differ are
+    more than 1/(M²+1) apart.  So q/p, with a denominator of at most M, is
+    the least ratio when no cycle lies below it and one lies below
+    q/p + 1/(M²+1).  A finite word grows by 0; an all-output argument
+    reaches no cycle through a '-' edge.  Over the corpus and 600
+    generated flat specifications."""
+    from fractions import Fraction
+
+    from conftest import DATA
+    from prodcheck.equations import arg
+    from prodcheck.ioalg import _shape
+    from prodcheck.streamspec import parse, reachable
+    from prodcheck.translate import translate_symbols
+
+    start = time.perf_counter()
+    texts = [p.read_text() for p in sorted(DATA.glob("*.spec"))]
+    texts += [random_flat_spec(random.Random(seed), max_feedback=fb) for fb in (1, 2) for seed in range(300)]
+    checked = 0
+    for text in texts:
+        gates, iospec = translate_symbols(parse(text))
+        for name, gate in gates.items():
+            for i, u in enumerate(gate.args, 1):
+                g = build_graph(iospec, arg(name, i, 0))
+                nodes = set(reachable((g.heads[arg(name, i, 0)],), lambda n: g.eps[n] + g.out_plus[n] + g.out_minus[n]))
+                _, p, q = _shape(u)
+                checked += 1
+                if q == TOP:
+                    assert not has_negative_cycle(g, nodes, 1, 0), (text, name, i)
+                    continue
+                minus_edges = sum(len(g.out_minus[n]) for n in nodes)
+                r = Fraction(q, p)
+                above = r + Fraction(1, minus_edges * minus_edges + 1)
+                assert r.denominator <= minus_edges, (text, name, i)
+                assert not has_negative_cycle(g, nodes, r.numerator, r.denominator), (text, name, i)
+                assert has_negative_cycle(g, nodes, above.numerator, above.denominator), (text, name, i)
+    assert checked == 1377  # 146 of them all output, 508 finite words
+    assert time.perf_counter() - start < 3.0
 
 
 def test_repetition_needs_the_shifted_core(monkeypatch):
