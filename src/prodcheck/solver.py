@@ -14,13 +14,14 @@ node per position of every right-hand side, with silent edges for variable
 references and infimum forks and labelled edges for '-'/'+'.  The graph is
 the same for every root, so each system keeps one graph, checked to have no
 cycle of silent edges, and a root's diagram starts at the head of its
-equation.  Sweeping that two-dimensional diagram over the graph column by
-column (one column per input consumed, heights counting outputs) gives the
-solution's value at every supply as the lowest '-'-capable entry of the
-column.  A repetition search over columns finds two strips with the same
-node constellation whose low entries, swept alone as a second diagram,
-reproduce themselves shifted; the value sequence is then quasi-periodic and
-the rational IO-term is read off (`ioalg._of_values`, as for an infimum).  An
+equation.  `_columns` generates that two-dimensional diagram over the graph
+column by column (one column per input consumed, heights counting outputs),
+each with the solution's value at its supply: the lowest '-'-capable entry
+of the column.  The repetition search keeps each column it reads once, with
+the values, and finds two strips with the same node constellation whose low
+entries, swept alone from the earlier strip, reproduce its values and
+themselves shifted; the value sequence is then quasi-periodic and the
+rational IO-term is read off (`ioalg._of_values`, as for an infimum).  An
 exact repeat, every node at its earlier relative height, needs no second
 sweep: its low entries are the earlier column, which replays the strip.
 """
@@ -32,7 +33,7 @@ import itertools
 import math
 
 from .equations import CapError, Caps, EEmpty, EInf, EStep, EVar, IOSpec, TranslationError, var_str
-from .ioalg import EPSILON, MINUS, TOP, CoNat, IOTerm, _of_values, _reader, _shape, is_top, normalize, prepend
+from .ioalg import EPSILON, MINUS, TOP, IOTerm, _of_values, _reader, _shape, is_top, normalize, prepend
 from .streamspec import feedback_order
 
 
@@ -157,62 +158,45 @@ def _step_right(g: TraceGraph, column: dict) -> dict:
     return seed
 
 
-def _bound(g: TraceGraph, column: dict) -> CoNat:
-    ys = [y for v, y in column.items() if g.out_minus[v]]
-    return min(ys) if ys else TOP
-
-
-class Diagram:
-    """Columns of the omit-reduced diagram over `g`, built left to right from
-    `first` (node -> height): for a root, the head of its equation at 0."""
-
-    def __init__(self, g: TraceGraph, first: dict):
-        self.g = g
-        self.columns: list = []
-        self.bounds: list = []
-        self._append(_vclose(g, first))
-
-    def _append(self, column: dict):
-        self.columns.append(column)
-        self.bounds.append(_bound(self.g, column))
-
-    def column(self, x: int) -> dict:
-        while len(self.columns) <= x:
-            self._append(_vclose(self.g, _step_right(self.g, self.columns[-1])))
-        return self.columns[x]
-
-    def bound(self, x: int) -> CoNat:
-        self.column(x)
-        return self.bounds[x]
+def _columns(g: TraceGraph, first: dict):
+    """The columns of the omit-reduced diagram over `g`, left to right from
+    `first` (node -> height; for a root, the head of its equation at 0),
+    each with its bound: the least height of a node that can consume."""
+    column = _vclose(g, first)
+    while True:
+        ys = [y for v, y in column.items() if g.out_minus[v]]
+        yield column, min(ys) if ys else TOP
+        column = _vclose(g, _step_right(g, column))
 
 
 # ---------------------------------------------------------------------------
 # repetition search and extraction
 
 
-def _check_repetition(diagram: Diagram, x1: int, x2: int, core: dict, d: int) -> bool:
+def _check_repetition(g: TraceGraph, bounds: list, x1: int, x2: int, core: dict, d: int) -> bool:
     """Only the nodes that kept their relative height, `core` (as at x1), may
     contribute to the bound on [x1, x2], and they must rebuild themselves `d`
     higher at x2; an empty core bounds nothing, and the bound at x1 is finite."""
-    restricted = Diagram(diagram.g, core)
-    return all(restricted.bound(x - x1) == diagram.bounds[x] for x in range(x1, x2 + 1)) and all(
-        restricted.columns[x2 - x1].get(v) == y + d for v, y in core.items()
-    )
+    for x, (col, beta) in zip(range(x1, x2 + 1), _columns(g, core)):
+        if beta != bounds[x]:
+            return False
+    return all(col.get(v) == y + d for v, y in core.items())
 
 
 def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
     """Per-column node/height table plus the repetition that closed the
     search (debug rendering for the CLI): every column the solver's sweep
-    read, with its bound, as the sweep left the diagram."""
+    read, with its bound, replayed once the sweep has closed."""
     g = build_graph(iospec, root)
-    diagram = Diagram(g, {g.heads[root]: 0})
     witness: list = []
-    _sweep(diagram, max_columns, witness)
+    _sweep(g, root, max_columns, witness)
     lines = ["diagram for %s" % var_str(root)]
-    for x, (col, beta) in enumerate(zip(diagram.columns, diagram.bounds)):
+    for x, (col, beta) in enumerate(_columns(g, {g.heads[root]: 0})):
         cells = sorted(col.items(), key=lambda kv: (kv[1], kv[0]))
         text = " ".join("%s@%s=%d" % (var_str(g.nodes[v][0]), _position(g, v), y) for v, y in cells)
         lines.append("  x=%d beta=%s | %s" % (x, "inf" if is_top(beta) else int(beta), text))
+        if is_top(beta) or witness and x == witness[0][1]:
+            break
     lines.append("  repetition: strips %d and %d" % witness[0] if witness else "  all-output tail: no repetition needed")
     return "\n".join(lines)
 
@@ -221,33 +205,33 @@ def solve(iospec: IOSpec, root, max_columns: int = Caps.DEFAULTS["max_columns"],
     """Canonical IO-term denoting the unique solution for `root`.  When a
     repetition closes the search, `(x1, x2)`, the columns of its two strips,
     is appended to `trace`."""
-    g = build_graph(iospec, root)
-    return _sweep(Diagram(g, {g.heads[root]: 0}), max_columns, trace)
+    return _sweep(build_graph(iospec, root), root, max_columns, trace)
 
 
-def _sweep(diagram: Diagram, max_columns: int, trace) -> IOTerm:
-    """The repetition search of `solve`, over the columns of `diagram`."""
-    bounds = diagram.bounds
-    strips: dict = {}  # frozenset of nodes -> [(x, least height, relative heights)]
-    for x in range(max_columns):
-        col = diagram.column(x)
-        if is_top(bounds[x]):
+def _sweep(g: TraceGraph, root, max_columns: int, trace) -> IOTerm:
+    """The repetition search of `solve` over `root`'s diagram.  Each column
+    is kept once, with its least height, and later ones compare with it."""
+    bounds: list = []
+    strips: dict = {}  # hash of the node set -> [(x, least height, column)]
+    for x, (col, beta) in zip(range(max_columns), _columns(g, {g.heads[root]: 0})):
+        bounds.append(beta)
+        if is_top(beta):
             # no consuming node is left: all output from here on
-            return _of_values(bounds[: x + 1], x)
+            return _of_values(bounds, x)
         if not col:
             raise AssertionError("empty column with a finite bound")
         h = min(col.values())
-        rel = {v: y - h for v, y in col.items()}
-        key = frozenset(col)
-        for x1, h1, rel1 in strips.get(key, ()):
-            if all(rel[v] >= rel1[v] for v in rel1):
-                core = {v: h1 + r for v, r in rel1.items() if rel[v] == r}
+        key = hash(frozenset(col))
+        for x1, h1, col1 in strips.get(key, ()):
+            d = h - h1
+            if col.keys() == col1.keys() and all(col[v] - d >= y for v, y in col1.items()):
+                core = {v: y for v, y in col1.items() if col[v] - d == y}
                 # an exact repeat's core is column x1: the check holds by construction
-                if len(core) == len(rel) or _check_repetition(diagram, x1, x, core, h - h1):
+                if len(core) == len(col) or _check_repetition(g, bounds, x1, x, core, d):
                     if trace is not None:
                         trace.append((x1, x))
-                    return _of_values(bounds[: x + 1], x1)
-        strips.setdefault(key, []).append((x, h, rel))
+                    return _of_values(bounds, x1)
+        strips.setdefault(key, []).append((x, h, col))
     raise CapError("repetition search cap exceeded (%d columns)" % max_columns)
 
 

@@ -2,18 +2,24 @@
 
 Specification families as text: a cyclic `chain` of one-step functions, a
 `ring` of constants over a halving function, a constant behind a cons
-`prefix`, a constant under `nested_calls` of two-rule functions, and
+`prefix`, a constant under `nested_calls` of two-rule functions, a
+`two_rule_width` function whose second rule reads k elements, and
 `random_flat_spec`, a random exhaustive flat specification.
 `chain(16)`, `ring(6)` and `prefix(20)` are the files of the same names
 under `tests/data/`.  Random IO-expression systems, production terms and
 canonical IO-terms come with the rng they draw from, so a seed pins each
-one; `kleene_lfp` is the least fixed point by iteration, and `children`
-the subterms of a production term, for walks over it.
+one; `kleene_lfp` is the least fixed point by iteration, `children`
+the subterms of a production term, for walks over it, and `diagram` the
+solver's diagram read as lists, the reference its solutions are checked
+against.
 """
+
+import itertools
 
 from prodcheck.equations import EEmpty, EInf, EStep, EVar, IOSpec
 from prodcheck.ioalg import TOP, IOTerm, interpret, normalize
 from prodcheck.prodterm import Box, Meet, Mu, Peb, Src, Var
+from prodcheck.solver import _columns
 
 
 def _spec(constants, functions, rules) -> str:
@@ -59,6 +65,14 @@ def nested_calls(n: int) -> str:
     )
 
 
+def two_rule_width(k: int) -> str:
+    """C = 0:f(C) over f(0:s) = 0:f(s), f(1:x2:...:xk:s) = 1:x2:...:xk:f(s),
+    whose gate is [inf](-^{k-1}(-+)): about k columns of O(k) nodes."""
+    word = ":".join(["1"] + ["x%d" % i for i in range(2, k + 1)])
+    rules = ["C = 0:f(C)", "f(0:s) = 0:f(s)", "f(%s:s) = %s:f(s)" % (word, word)]
+    return "Signature(\n  C : stream(bit),\n  f : stream(bit) -> stream(bit),\n  0, 1 : bit\n)\n%s\n" % "\n".join(rules)
+
+
 def random_flat_spec(rng, max_feedback=1):
     """Random exhaustive flat specification over bits; each argument of a
     call gets up to `max_feedback` elements pushed back in front of it."""
@@ -96,6 +110,13 @@ def random_flat_spec(rng, max_feedback=1):
         tail = "%s(%s)" % (f, args) if rng.random() < 0.8 else rng.choice(cons)
         rules.append("%s = %s" % (c, ":".join(out + [tail])))
     return "Signature( " + ", ".join(decls) + " )\n" + "\n".join(rules)
+
+
+def diagram(g, first, n):
+    """The first n columns of the solver's diagram over the trace graph `g`
+    from `first` (node -> height), and their bounds, as two lists."""
+    pairs = list(itertools.islice(_columns(g, first), n))
+    return [col for col, _ in pairs], [beta for _, beta in pairs]
 
 
 def random_system(rng, max_eqs=5, max_size=8):

@@ -21,12 +21,12 @@ from prodcheck.ioalg import (
     parse_ioterm,
 )
 from prodcheck.prodterm import Box, Mu, Var, collapse_trace
-from prodcheck.solver import Diagram, build_graph, infimum, solve
+from prodcheck.solver import build_graph, infimum, solve
 from prodcheck.streamspec import classify
 from prodcheck.translate import decide, translate_symbols
 
 from conftest import load
-from specgen import kleene_lfp, random_canonical, random_closed_term, random_system
+from specgen import diagram, kleene_lfp, random_canonical, random_closed_term, random_system
 from test_prodterm import collapse, denot_production
 
 T = parse_ioterm
@@ -180,9 +180,9 @@ def test_c5_solver_vs_diagram():
     for iospec, root in _corpus_roots():
         got = solve(iospec, root)
         g = build_graph(iospec, root)
-        diagram = Diagram(g, {g.heads[root]: 0})
+        bounds = diagram(g, {g.heads[root]: 0}, 41)[1]
         for n in range(41):
-            if interpret(got, n) != diagram.bound(n):
+            if interpret(got, n) != bounds[n]:
                 ok = False
                 print("  corpus root %s differs at %d" % (root, n))
     rng = random.Random(2000)
@@ -196,9 +196,9 @@ def test_c5_solver_vs_diagram():
             continue  # not weakly guarded
         checked += 1
         g = build_graph(iospec, root)
-        diagram = Diagram(g, {g.heads[root]: 0})
+        bounds = diagram(g, {g.heads[root]: 0}, 41)[1]
         for n in range(41):
-            if interpret(got, n) != diagram.bound(n):
+            if interpret(got, n) != bounds[n]:
                 ok = False
                 print("  random system differs: %s" % iospec.dump())
                 break

@@ -1,0 +1,62 @@
+"""Growth contracts: counts of work that grow no faster than a family's
+documented class, read at sizes n, 2n and 4n.  They assert ratios per
+doubling, not bytes or seconds, so they hold across interpreter versions
+and hosts: at most 2.2 for a linear class, 4.5 for a quadratic one."""
+
+import tracemalloc
+
+import pytest
+
+import prodcheck.translate as translate
+from prodcheck.equations import arg
+from prodcheck.solver import solve
+from prodcheck.streamspec import parse
+
+import specgen
+
+
+def _ratios(counts):
+    return [b / a for a, b in zip(counts, counts[1:])]
+
+
+def _sweep_columns(monkeypatch, text):
+    """The columns each feedback sweep of `translate_symbols` reads, up to
+    the second strip of the repetition that closes it, in solving order."""
+    found = []
+
+    def traced(*args, **kwargs):
+        witness: list = []
+        value = solve(*args, trace=witness, **kwargs)
+        if witness:
+            found.append(witness[-1][1] + 1)
+        return value
+
+    monkeypatch.setattr(translate, "solve", traced)
+    translate.translate_symbols(parse(text))
+    return found
+
+
+@pytest.mark.parametrize("family, sizes", [("chain", (32, 64, 128)), ("two_rule_width", (64, 128, 256))])
+def test_feedback_sweeps_read_linearly_many_columns(monkeypatch, family, sizes):
+    """A chain of n one-step functions and a two-rule width of k each close
+    their feedback sweep after about n (or k) columns."""
+    sweeps = [_sweep_columns(monkeypatch, getattr(specgen, family)(n)) for n in sizes]
+    assert sweeps[0] and len({len(s) for s in sweeps}) == 1, sweeps
+    for per_size in zip(*sweeps):
+        assert max(_ratios(per_size)) <= 2.2, per_size
+
+
+def test_solver_memory_grows_at_most_quadratically():
+    """Two-rule width k sweeps about k columns of O(k) nodes, each kept
+    once, so `solve`'s traced peak grows at most quadratically in k, until
+    gates are computed without a column sweep."""
+    peaks = []
+    for k in (128, 256, 512):
+        iospec = translate.translate_symbols(parse(specgen.two_rule_width(k)))[1]
+        tracemalloc.start()
+        try:
+            solve(iospec, arg("f", 1, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(_ratios(peaks)) <= 4.5, peaks

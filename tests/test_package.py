@@ -5,6 +5,7 @@ import dataclasses
 import pathlib
 import typing
 
+import prodcheck
 from prodcheck import equations, ioalg, prodterm, streamspec
 
 SOURCES = sorted(pathlib.Path(ioalg.__file__).parent.glob("*.py"))
@@ -190,3 +191,49 @@ def test_module_imports_are_one_way():
     assert _on_cycles(imports) == set()
     sample = ast.parse("from . import a, f\nfrom .b import x\nimport prodcheck.c, re\ndef f():\n    from prodcheck.d import y\n")
     assert _imported_modules(sample, {"a", "b", "c", "d", "re"}) == {"a", "b", "c", "d"}
+
+
+# Definitions that only a caller outside the package reaches, with that caller.
+OUTSIDE_CALLERS = {
+    "cli._Parser.error": "argparse, on a malformed command line",
+    "solver.TraceGraph.size": "perfbench/tracing.py, for the solver.graph_nodes count",
+}
+
+
+def _unnamed_definitions(trees, exported):
+    """Qualified names (module.Class.name) of the functions, methods and
+    classes defined in `trees` (module name -> tree) that no tree names,
+    as a variable or an attribute, and that `exported` does not hold;
+    special methods, which Python calls, are left out."""
+    named, defined = set(exported), []
+    for module, tree in trees.items():
+        todo = [(tree, module)]
+        while todo:
+            node, path = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((child.name, path + "." + child.name))
+                    todo.append((child, path + "." + child.name))
+                else:
+                    todo.append((child, path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(q for name, q in defined if name not in named and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_no_definition_exists_only_for_tests():
+    """Every function, method and class of the package is named by some
+    module of it, exported by `prodcheck.__all__`, or reached by a caller
+    outside the package that `OUTSIDE_CALLERS` names: no wrapper is kept
+    only so that a test can call it."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _unnamed_definitions(trees, prodcheck.__all__) == sorted(OUTSIDE_CALLERS)
+    sample = ast.parse(
+        "def used():\n    return C().m\ndef helper():\n    def inner():\n        pass\n    inner()\n"
+        "def api():\n    pass\nclass C:\n    def __init__(self):\n        pass\n    def m(self):\n        pass\n"
+        "    def left(self):\n        pass\nused()\n"
+    )
+    assert _unnamed_definitions({"s": sample}, ["api"]) == ["s.C.left", "s.helper"]

@@ -16,7 +16,6 @@ from prodcheck.equations import (
 )
 from prodcheck.ioalg import TOP, IOTerm, interpret, parse_ioterm, render
 from prodcheck.solver import (
-    Diagram,
     _check_repetition,
     _position,
     _step_right,
@@ -30,7 +29,7 @@ from prodcheck.solver import (
 from prodcheck.streamspec import feedback_order
 
 import specgen
-from specgen import random_flat_spec, random_system
+from specgen import diagram, random_flat_spec, random_system, two_rule_width
 
 X = ("v", "X")
 Y = ("v", "Y")
@@ -139,17 +138,18 @@ def test_graph_reports_the_first_undefined_reference():
 def test_columns_all_output():
     iospec = sys1(X=EStep("+", EVar(X)))
     g = build_graph(iospec, X)
-    col = Diagram(g, {g.heads[X]: 0}).column(0)
-    assert col[g.heads[X]] == 0 and len(col) == 2
-    assert Diagram(g, {g.heads[X]: 0}).bound(0) == TOP
-    assert Diagram(g, {g.heads[X]: 0}).bound(5) == TOP
+    columns, bounds = diagram(g, {g.heads[X]: 0}, 6)
+    assert columns[0][g.heads[X]] == 0 and len(columns[0]) == 2
+    assert bounds[0] == TOP
+    assert bounds[5] == TOP
 
 
 def test_columns_identity():
     iospec = sys1(X=EStep("-", EStep("+", EVar(X))))
     g = build_graph(iospec, X)
-    assert [Diagram(g, {g.heads[X]: 0}).bound(x) for x in range(4)] == [0, 1, 2, 3]
-    assert Diagram(g, {g.heads[X]: 0}).bound(7) == 7
+    bounds = diagram(g, {g.heads[X]: 0}, 8)[1]
+    assert bounds[:4] == [0, 1, 2, 3]
+    assert bounds[7] == 7
 
 
 def test_columns_pascal(corpus):
@@ -159,7 +159,7 @@ def test_columns_pascal(corpus):
     spec = corpus["pascal"]
     iospec = finitize(classify(spec), [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
-    assert [Diagram(g, {g.heads[arg("f", 1, 0)]: 0}).bound(x) for x in range(5)] == [0, 0, 1, 2, 3]
+    assert diagram(g, {g.heads[arg("f", 1, 0)]: 0}, 5)[1] == [0, 0, 1, 2, 3]
 
 
 def test_bound_matches_nested_solution(corpus):
@@ -170,8 +170,9 @@ def test_bound_matches_nested_solution(corpus):
     iospec = finitize(classify(spec), [arg("f", 1, 0)])
     g = build_graph(iospec, arg("f", 1, 0))
     expect = parse_ioterm("-+--(+)")
+    bounds = diagram(g, {g.heads[arg("f", 1, 0)]: 0}, 6)[1]
     for n in range(6):
-        assert Diagram(g, {g.heads[arg("f", 1, 0)]: 0}).bound(n) == interpret(expect, n)
+        assert bounds[n] == interpret(expect, n)
 
 
 def test_dump_diagram_shows_every_swept_column(corpus):
@@ -226,10 +227,10 @@ def test_repetition_witness_and_shift_stability():
     assert witness
     x1, x2 = witness[0]
     g = build_graph(iospec, X)
-    diagram = Diagram(g, {g.heads[X]: 0})
+    columns = diagram(g, {g.heads[X]: 0}, x2 + 4)[0]
 
     def pseudo(x1, x2):
-        c1, c2 = diagram.column(x1), diagram.column(x2)
+        c1, c2 = columns[x1], columns[x2]
         if set(c1) != set(c2):
             return False
         d = min(c2.values()) - min(c1.values())
@@ -286,11 +287,11 @@ def test_omit_safety_random_systems():
         checked += 1
         ymax = 25
         entries = no_omit_entries(g, root, xmax=12, ymax=ymax)
-        diagram = Diagram(g, {g.heads[root]: 0})
+        bounds = diagram(g, {g.heads[root]: 0}, 12)[1]
         for x in range(12):
             ys = [y for (v, xx, y) in entries if xx == x and g.out_minus[v]]
             brute = min(ys) if ys else TOP
-            ours = diagram.bound(x)
+            ours = bounds[x]
             if brute == TOP or brute >= ymax:
                 assert ours == TOP or ours >= min(brute, ymax)
             else:
@@ -309,9 +310,9 @@ def test_solve_random_systems_match_diagram():
             continue
         checked += 1
         g = build_graph(iospec, root)
-        diagram = Diagram(g, {g.heads[root]: 0})
+        bounds = diagram(g, {g.heads[root]: 0}, 40)[1]
         for n in range(40):
-            assert interpret(got, n) == diagram.bound(n), (iospec.dump(), render(got), n)
+            assert interpret(got, n) == bounds[n], (iospec.dump(), render(got), n)
 
 
 # --- diagrams for a feedback vertex set, the algebra for the rest ------------
@@ -393,7 +394,7 @@ def substitution_failure(iospec, values: dict):
 
 def test_solutions_satisfy_their_equations():
     """The solver's values checked by substitution, a check that uses
-    neither `Diagram` nor `solve`: over the corpus and 600 generated flat
+    neither the diagram nor `solve`: over the corpus and 600 generated flat
     specifications."""
     from conftest import DATA
     from prodcheck.streamspec import parse
@@ -445,7 +446,7 @@ def has_negative_cycle(g, nodes, num, den) -> bool:
 
 
 def test_gate_slopes_are_critical_cycle_ratios():
-    """Slope check, with neither `Diagram` nor `solve`: each gate argument
+    """Slope check, with neither the diagram nor `solve`: each gate argument
     grows by q every p supplies (`_shape`), and q/p is the least '+'/'-'
     ratio over the cycles of the trace graph reachable from the head of its
     equation X_{f,i,0}.  With M '-' edges reachable, a simple cycle's ratio
@@ -453,8 +454,8 @@ def test_gate_slopes_are_critical_cycle_ratios():
     more than 1/(M²+1) apart.  So q/p, with a denominator of at most M, is
     the least ratio when no cycle lies below it and one lies below
     q/p + 1/(M²+1).  A finite word grows by 0; an all-output argument
-    reaches no cycle through a '-' edge.  Over the corpus and 600
-    generated flat specifications."""
+    reaches no cycle through a '-' edge.  Over the corpus, 600 generated
+    flat specifications, and the two-rule width and chain families."""
     from fractions import Fraction
 
     from conftest import DATA
@@ -466,6 +467,7 @@ def test_gate_slopes_are_critical_cycle_ratios():
     start = time.perf_counter()
     texts = [p.read_text() for p in sorted(DATA.glob("*.spec"))]
     texts += [random_flat_spec(random.Random(seed), max_feedback=fb) for fb in (1, 2) for seed in range(300)]
+    texts += [two_rule_width(k) for k in (2, 3, 8, 64)] + [specgen.chain(n) for n in (1, 2, 16)]
     checked = 0
     for text in texts:
         gates, iospec = translate_symbols(parse(text))
@@ -484,7 +486,7 @@ def test_gate_slopes_are_critical_cycle_ratios():
                 assert r.denominator <= minus_edges, (text, name, i)
                 assert not has_negative_cycle(g, nodes, r.numerator, r.denominator), (text, name, i)
                 assert has_negative_cycle(g, nodes, above.numerator, above.denominator), (text, name, i)
-    assert checked == 1377  # 146 of them all output, 508 finite words
+    assert checked == 1400  # 146 of them all output, 508 finite words
     assert time.perf_counter() - start < 3.0
 
 
@@ -502,9 +504,8 @@ def test_repetition_needs_the_shifted_core(monkeypatch):
     assert values == {v0: parse_ioterm("(-++---)"), v1: parse_ioterm("(--++--)"), v2: parse_ioterm("(+)")}
     assert substitution_failure(iospec, values) is None
 
-    def bounds_only(diagram, x1, x2, core, d):
-        restricted = Diagram(diagram.g, core)
-        return all(restricted.bound(x - x1) == diagram.bounds[x] for x in range(x1, x2 + 1))
+    def bounds_only(g, bounds, x1, x2, core, d):
+        return diagram(g, core, x2 - x1 + 1)[1] == bounds[x1 : x2 + 1]
 
     monkeypatch.setattr(solver, "_check_repetition", bounds_only)
     early = {v: solve(iospec, v) for v in iospec.roots}
@@ -533,12 +534,12 @@ def test_exact_repeats_pass_the_repetition_check(corpus):
                 continue
             x1, x2 = witness[0]
             g = build_graph(iospec, root)
-            diagram = Diagram(g, {g.heads[root]: 0})
-            first, last = diagram.column(x1), diagram.column(x2)
+            columns, bounds = diagram(g, {g.heads[root]: 0}, x2 + 1)
+            first, last = columns[x1], columns[x2]
             d = min(last.values()) - min(first.values())
             if all(last[v] == y + d for v, y in first.items()):
                 exact += 1
-                assert _check_repetition(diagram, x1, x2, dict(first), d), (iospec.dump(), root)
+                assert _check_repetition(g, bounds, x1, x2, dict(first), d), (iospec.dump(), root)
             else:
                 partial += 1
     assert exact > partial > 0
@@ -552,17 +553,19 @@ def test_partial_core_still_runs_the_check(monkeypatch):
     repeat, with no check."""
     import prodcheck.solver as solver
 
+    iospec = random_system(random.Random(13683), max_eqs=5, max_size=8)
+    root = iospec.roots[0]
     calls = []
 
-    def recording(diagram, x1, x2, core, d):
-        accepted = _check_repetition(diagram, x1, x2, core, d)
-        calls.append((x1, x2, len(core) < len(diagram.columns[x1]), accepted))
+    def recording(g, bounds, x1, x2, core, d):
+        accepted = _check_repetition(g, bounds, x1, x2, core, d)
+        column = diagram(g, {g.heads[root]: 0}, x1 + 1)[0][x1]
+        calls.append((x1, x2, len(core) < len(column), accepted))
         return accepted
 
     monkeypatch.setattr(solver, "_check_repetition", recording)
-    iospec = random_system(random.Random(13683), max_eqs=5, max_size=8)
     witness: list = []
-    assert solve(iospec, iospec.roots[0], trace=witness) == parse_ioterm("(-++---)")
+    assert solve(iospec, root, trace=witness) == parse_ioterm("(-++---)")
     assert calls == [(10, 11, True, False), (10, 12, True, False), (11, 12, True, False)]
     assert witness == [(9, 13)]
 
