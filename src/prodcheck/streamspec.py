@@ -119,21 +119,15 @@ class DataSort:
 
 
 class SymbolInfo:
-    __slots__ = ("name", "kind", "arg_sorts", "result_sort")
+    __slots__ = ("name", "kind", "arg_sorts", "result_sort", "stream_arity", "data_arity")
 
     def __init__(self, name: str, kind: str, arg_sorts: tuple, result_sort):
         self.name = name
         self.kind = kind  # "const" | "func" | "data"
         self.arg_sorts = arg_sorts
         self.result_sort = result_sort
-
-    @property
-    def stream_arity(self) -> int:
-        return sum(1 for s in self.arg_sorts if isinstance(s, StreamSort))
-
-    @property
-    def data_arity(self) -> int:
-        return sum(1 for s in self.arg_sorts if isinstance(s, DataSort))
+        self.stream_arity = sum(1 for s in arg_sorts if isinstance(s, StreamSort))
+        self.data_arity = sum(1 for s in arg_sorts if isinstance(s, DataSort))
 
 
 class Signature:

@@ -33,13 +33,11 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
     functions = spec.signature.stream_functions()
     roots = []
     for name in functions:
-        info = spec.signature.symbols[name]
         roots.append(eq.star(name))
-        roots.extend(eq.arg(name, i, 0) for i in range(1, info.stream_arity + 1))
+        roots.extend(eq.arg(name, i, 0) for i in range(1, spec.signature.symbols[name].stream_arity + 1))
     iospec = eq.finitize(cls, roots, cap=caps.finitize_cap)
-    refs: dict = {}  # no roots, no graph
-    for root in roots:  # each checked in order, the system with the first
-        refs = build_graph(iospec, root).refs
+    # finitize gives every root an equation, and all roots share one graph
+    refs = build_graph(iospec, roots[0]).refs if roots else {}
     # the diagram only for a feedback vertex set; the rest is acyclic over it
     feedback, order = feedback_order(roots, refs.__getitem__)
     values = {v: solve(iospec, v, max_columns=caps.max_columns) for v in order if v in feedback}
@@ -57,46 +55,48 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
 def translate_constant(spec: StreamSpec, gates: dict, name: str) -> ProdTerm:
     """Closed production term for a stream constant.
 
-    Constants unfold under a mu binder, with already-unfolded constants
-    turning into back references; cons becomes a pebble and stream function
-    applications become their gate applied to the translated arguments.
-
-    A preorder walk on an explicit stack: an item `(symbol, n)` with no
-    `visited` set builds a node from the last n translations (None: a pebble).
+    Constants unfold under a mu binder; a constant whose binder is open
+    becomes a back reference, cons a pebble, and a stream function
+    application its gate applied to the translated arguments.  A preorder
+    walk on an explicit stack of terms and markers `(symbol, n)`, which
+    build a node from the last n translations (None: a pebble).
     """
     sig = spec.signature
     if name not in sig.symbols or sig.symbols[name].kind != "const":
         raise TranslationError("%r is not a stream constant" % name)
     built: list = []  # translations waiting for their parent's build step
-    todo: list = [(App(name, ()), frozenset())]
+    path: set = set()  # constants whose marker is on the stack: the open binders
+    todo: list = [App(name, ())]
     while todo:
-        term, visited = todo.pop()
-        if visited is None:
+        term = todo.pop()
+        if isinstance(term, tuple):
             sym, n = term
             parts = built[len(built) - n :]
             del built[len(built) - n :]
             if sym is None:
                 built.append(Peb(parts[0]))
-            elif sig.symbols[sym].kind == "const":
+            elif sym in path:  # a constant's marker closes its binder
+                path.remove(sym)
                 built.append(Mu(sym, meet_all(parts)))
             else:
                 built.append(gate_apply(gates[sym], parts))
         elif isinstance(term, Cons):
-            todo += (((None, 1), None), (term.tail, visited))
+            todo += ((None, 1), term.tail)
         elif isinstance(term, SVar):
             raise TranslationError("stream variable %r reachable from constant %r" % (term.name, name))
-        elif term.sym in visited:  # only constants are ever visited
+        elif term.sym in path:
             built.append(Var(term.sym))
         elif sig.symbols[term.sym].kind == "const":
             rules = spec.rules_of(term.sym)
             if not rules:
                 raise TranslationError("stream constant %r has no defining rule" % term.sym)
-            todo.append(((term.sym, len(rules)), None))
-            todo.extend((r.rhs, visited | {term.sym}) for r in reversed(rules))
+            path.add(term.sym)
+            todo.append((term.sym, len(rules)))
+            todo.extend(r.rhs for r in reversed(rules))
         else:
             args = term.args[: sig.symbols[term.sym].stream_arity]
-            todo.append(((term.sym, len(args)), None))
-            todo.extend((a, visited) for a in reversed(args))
+            todo.append((term.sym, len(args)))
+            todo.extend(reversed(args))
     return built[0]
 
 

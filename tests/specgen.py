@@ -2,9 +2,11 @@
 
 Specification families as text: a cyclic `chain` of one-step functions, a
 `ring` of constants over a halving function, a constant behind a cons
-`prefix`, a constant under `nested_calls` of two-rule functions, a
-`two_rule_width` function whose second rule reads k elements, and
-`random_flat_spec`, a random exhaustive flat specification.
+`prefix`, a `comb` of n nested calls and a `constant_comb` of n constants,
+both over a two-argument function and a second constant, a constant under
+`nested_calls` of two-rule functions, a `two_rule_width` function whose
+second rule reads k elements, and `random_flat_spec`, a random exhaustive
+flat specification.
 `chain(16)`, `ring(6)` and `prefix(20)` are the files of the same names
 under `tests/data/`.  Random IO-expression systems, production terms and
 canonical IO-terms come with the rng they draw from, so a seed pins each
@@ -22,10 +24,11 @@ from prodcheck.prodterm import Box, Meet, Mu, Peb, Src, Var
 from prodcheck.solver import _columns
 
 
-def _spec(constants, functions, rules) -> str:
-    return "Signature(\n  %s : stream(nat),\n  %s : stream(nat) -> stream(nat),\n  0 : nat\n)\n%s\n" % (
+def _spec(constants, functions, rules, arity=1) -> str:
+    return "Signature(\n  %s : stream(nat),\n  %s : %sstream(nat),\n  0 : nat\n)\n%s\n" % (
         ", ".join(constants),
         ", ".join(functions),
+        "stream(nat) -> " * arity,
         "\n".join(rules),
     )
 
@@ -47,6 +50,24 @@ def ring(n: int) -> str:
 def prefix(m: int) -> str:
     """P = 0:...:0:f(P), m conses, over the identity f(x:s) = x:f(s)."""
     return _spec(["P"], ["f"], ["P = %sf(P)" % ("0:" * m), "f(x:s) = x:f(s)"])
+
+
+def comb(n: int) -> str:
+    """C = 0:f(...f(C, D)..., D), n deep, with D = 0:D, over the
+    two-argument identity f(x:s, t) = x:f(s, t)."""
+    rhs = "C"
+    for _ in range(n):
+        rhs = "f(%s, D)" % rhs
+    return _spec(["C", "D"], ["f"], ["C = 0:" + rhs, "D = 0:D", "f(x:s, t) = x:f(s, t)"], arity=2)
+
+
+def constant_comb(n: int) -> str:
+    """C_i = 0:f(C_{i+1}, D) for i < n, C_n = 0:C_n and D = 0:D, over the
+    two-argument identity f(x:s, t) = x:f(s, t)."""
+    cs = ["C%d" % i for i in range(n + 1)]
+    rules = ["%s = 0:f(%s, D)" % (cs[i], cs[i + 1]) for i in range(n)]
+    rules += ["%s = 0:%s" % (cs[n], cs[n]), "D = 0:D", "f(x:s, t) = x:f(s, t)"]
+    return _spec(cs + ["D"], ["f"], rules, arity=2)
 
 
 def nested_calls(n: int) -> str:

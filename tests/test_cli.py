@@ -32,14 +32,35 @@ def run_cli(args):
     return code, out.getvalue(), err.getvalue()
 
 
+PARTIAL = "Signature( C, D : stream(bit), f : stream(bit) -> stream(bit), 0, 1 : bit )\nC = 0:f(C)\nD = 1:f(D)\nf(0:s) = 0:f(s)\n"
+
+
 def test_warning_printed_without_verbose(tmp_path):
     """A non-exhaustive function's warning reaches standard error with no
-    `--verbose`, and the exit code stays what the verdicts give."""
+    `--verbose`, and the exit code stays what the verdicts give.  That exit
+    0 is ROADMAP item 14's open bug: `D` gets stuck after one element."""
     p = tmp_path / "partial.spec"
-    p.write_text("Signature( C, D : stream(bit), f : stream(bit) -> stream(bit), 0, 1 : bit )\nC = 0:f(C)\nD = 1:f(D)\nf(0:s) = 0:f(s)\n")
+    p.write_text(PARTIAL)
     for args in ([], ["--report", "json"]):
         code, _, err = run_cli([str(p)] + args)
         assert (code, err) == (0, "%s:4:1: warning: non-exhaustive patterns for 'f': no rule matches f(1:_)\n" % p)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 14: gates are built as if f's rules covered every input")
+def test_stuck_constant_not_productive(tmp_path):
+    """D -> 1:f(D) -> 1:f(1:f(D)), and no rule matches f(1:_), so D has
+    production 1; an adversary can feed C a 1 the same way, so C is not
+    productive either, in the text report and in JSON."""
+    p = tmp_path / "partial.spec"
+    p.write_text(PARTIAL)
+    code, out, _ = run_cli([str(p)])
+    assert code != 0 and "D : production = 1 :" in out, out
+    assert "The specification of C is productive." not in out, out
+    code, out, _ = run_cli([str(p), "--report", "json"])
+    verdicts = {c["name"]: c for c in json.loads(out)["constants"]}
+    assert code != 0 and verdicts["D"]["production"] == "1", out
+    assert verdicts["C"]["verdict"] != "productive", out
 
 
 def test_pascal_productive_exit_zero():

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import prodcheck.prodterm as prodterm
 import prodcheck.translate as translate
 from prodcheck.equations import arg
 from prodcheck.solver import solve
@@ -60,3 +61,43 @@ def test_solver_memory_grows_at_most_quadratically():
         finally:
             tracemalloc.stop()
     assert max(_ratios(peaks)) <= 4.5, peaks
+
+
+def test_unfolding_holds_linear_memory():
+    """Every C_i of a constant comb is unfolded under the binders of C_0 to
+    C_{i-1}, and D once below each of them.  The open binders are one set,
+    not a copy per pending subterm, so `translate_constant`'s traced peak
+    grows linearly in n.  The bound is 2.5, not 2.2: lists and sets grow
+    their storage in steps, so a linear peak can read a little over 2."""
+    peaks = []
+    for n in (250, 500, 1000):
+        spec = parse(specgen.constant_comb(n))
+        gates = translate.translate_symbols(spec)[0]
+        tracemalloc.start()
+        try:
+            translate.translate_constant(spec, gates, "C0")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(_ratios(peaks)) <= 2.5, peaks
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: each collapse step rebuilds every ancestor of its redex")
+def test_comb_collapse_rebuilds_linearly(monkeypatch):
+    """A comb n deep collapses in O(n) steps, but each step rebuilds the
+    spine above its redex, so the ancestors rebuilt grow quadratically
+    until productions come from one elimination, not from the tree."""
+    rebuilt = []
+    for n in (50, 100, 200):
+        calls = []
+
+        def counted(t, i, sub, replace=prodterm._replace_child):
+            calls.append(None)
+            return replace(t, i, sub)
+
+        monkeypatch.setattr(prodterm, "_replace_child", counted)
+        translate.decide(parse(specgen.comb(n)), root="C")
+        monkeypatch.undo()
+        rebuilt.append(len(calls))
+    assert max(_ratios(rebuilt)) <= 2.2, rebuilt
