@@ -99,16 +99,17 @@ class IOTerm:
     builds one from runs directly.  Equality and hashing go by the runs;
     `normal` (set on the normal forms that `normalize` and
     `remove_requirement` build) is left out.  A term is never changed
-    once built, so it keeps its hash from the first `hash` on.
+    once built, so it keeps its hash from the first `hash` on, and its
+    counter function's reader (`_reader`) from the first read on.
     """
 
-    __slots__ = ("prefix_runs", "loop_runs", "normal", "_hash")
+    __slots__ = ("prefix_runs", "loop_runs", "normal", "_hash", "_read")
 
     def __init__(self, prefix: str, loop: str = ""):
         self.prefix_runs = _runs(prefix)
         self.loop_runs = _runs(loop)
         self.normal = False
-        self._hash = None
+        self._hash = self._read = None
 
     def __eq__(self, other):
         if type(other) is not IOTerm:
@@ -151,7 +152,7 @@ def _term(prefix_runs: tuple, loop_runs: tuple, normal: bool = False) -> IOTerm:
     t.prefix_runs = prefix_runs
     t.loop_runs = loop_runs
     t.normal = normal
-    t._hash = None
+    t._hash = t._read = None
     return t
 
 
@@ -262,7 +263,11 @@ def _reader(u: IOTerm):
     """`interpret(u, n)` as a function of n, by bisection over the '-'
     counts at the end of each '-' run of `u`'s prefix and one loop pass,
     each with the output before that run, once n drops whole loop passes.
-    At TOP it reads TOP if the loop outputs, else the whole output."""
+    At TOP it reads TOP if the loop outputs, else the whole output.  Built
+    once per term and kept on it; the closure holds no reference to `u`,
+    so keeping it makes no reference cycle."""
+    if u._read is not None:
+        return u._read
     m, p, q = _shape(u)
     ends, outs, minus, plus = [], [], 0, 0
     for sym, k in u.prefix_runs + u.loop_runs:
@@ -282,6 +287,7 @@ def _reader(u: IOTerm):
         passes = (n - m) // p
         return outs[bisect.bisect_right(ends, n - passes * p)] + passes * q
 
+    u._read = read
     return read
 
 

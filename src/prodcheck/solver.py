@@ -302,10 +302,15 @@ def infimum(s: IOTerm, t: IOTerm, max_columns: int = Caps.DEFAULTS["max_columns"
     return _of_values([min(read[s](n), read[t](n)) for n in range(start + period + 1)], start)
 
 
-def evaluate(expr, values: dict, max_columns: int = Caps.DEFAULTS["max_columns"]) -> IOTerm:
+def evaluate(expr, values: dict, max_columns: int = Caps.DEFAULTS["max_columns"],
+             prepends: dict | None = None) -> IOTerm:
     """Canonical IO-term of `expr` when every variable it names has its
     canonical value in `values`: a run of steps prepends its whole word,
-    an infimum takes the closed form of its two operands' values."""
+    an infimum takes the closed form of its two operands' values.
+    `prepends`, if given, maps `(word, value)` to the normal form of the
+    word in front of the value; a caller that shares one dict across the
+    equations of one system computes each distinct prepend once."""
+    prepends = {} if prepends is None else prepends
     results: list = []
     todo: list = [expr]
     while todo:
@@ -326,5 +331,8 @@ def evaluate(expr, values: dict, max_columns: int = Caps.DEFAULTS["max_columns"]
             right = results.pop()
             results.append(infimum(results.pop(), right, max_columns=max_columns))
         else:  # a word, to go in front of the value just done
-            results.append(normalize(prepend(e, results.pop())))
+            key = (e, results.pop())
+            if key not in prepends:
+                prepends[key] = normalize(prepend(*key))
+            results.append(prepends[key])
     return results[0]

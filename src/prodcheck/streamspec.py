@@ -721,7 +721,13 @@ def _missing_vector(rows, col_sorts, by_sort):
     one of the whole table: a sort puts a wildcard of that sort in front,
     "cons" joins the first two terms, and a constructor's `SymbolInfo`
     joins its first arguments into an App.
+
+    A catch-all row, whose every pattern is a variable or a cons chain of
+    data variables over a stream variable, matches every vector, so the
+    search would find none: None at once.
     """
+    if any(all(map(_catch_all, r)) for r in rows):
+        return None
     todo = [([_linked(r, None) for r in rows], _linked(col_sorts, None), None)]
     while todo:
         rows, cols, then = todo.pop()
@@ -771,6 +777,12 @@ def _missing_vector(rows, col_sorts, by_sort):
                 ]
                 todo.append((sub_rows, _linked(info.arg_sorts, rest), (info, then)))
     return None
+
+
+def _catch_all(p) -> bool:
+    while isinstance(p, Cons) and isinstance(p.head, DVar):
+        p = p.tail
+    return isinstance(p, (SVar, DVar))
 
 
 def _linked(items, rest):

@@ -41,9 +41,10 @@ def translate_symbols(spec: StreamSpec, cls: Classification | None = None, caps:
     # the diagram only for a feedback vertex set; the rest is acyclic over it
     feedback, order = feedback_order(roots, refs.__getitem__)
     values = {v: solve(iospec, v, max_columns=caps.max_columns) for v in order if v in feedback}
+    prepends: dict = {}  # (word, value) -> normal form, shared by this call's evaluations
     for v in order:
         if v not in feedback:
-            values[v] = evaluate(iospec.equations[v], values, max_columns=caps.max_columns)
+            values[v] = evaluate(iospec.equations[v], values, caps.max_columns, prepends)
     gates = {}
     for name in functions:
         info = spec.signature.symbols[name]

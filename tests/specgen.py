@@ -33,10 +33,11 @@ def _spec(constants, functions, rules, arity=1) -> str:
     )
 
 
-def chain(n: int) -> str:
-    """C = 0:f00(C), f_i(x:s) = x:f_{i+1 mod n}(s)."""
-    fs = ["f%02d" % i for i in range(n)]
-    rules = ["C = 0:f00(C)"] + ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
+def chain(n: int, name: str = "f") -> str:
+    """C = 0:f00(C), f_i(x:s) = x:f_{i+1 mod n}(s), the functions named
+    `name` and two digits."""
+    fs = ["%s%02d" % (name, i) for i in range(n)]
+    rules = ["C = 0:%s(C)" % fs[0]] + ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
     return _spec(["C"], fs, rules)
 
 

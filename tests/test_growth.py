@@ -8,10 +8,12 @@ import tracemalloc
 import pytest
 
 import prodcheck.prodterm as prodterm
+import prodcheck.solver as solver
+import prodcheck.streamspec as streamspec
 import prodcheck.translate as translate
 from prodcheck.equations import arg
 from prodcheck.solver import solve
-from prodcheck.streamspec import parse
+from prodcheck.streamspec import parse, validate
 
 import specgen
 
@@ -45,6 +47,43 @@ def test_feedback_sweeps_read_linearly_many_columns(monkeypatch, family, sizes):
     assert sweeps[0] and len({len(s) for s in sweeps}) == 1, sweeps
     for per_size in zip(*sweeps):
         assert max(_ratios(per_size)) <= 2.2, per_size
+    if family == "chain":  # the same sweeps with the functions renamed
+        assert [_sweep_columns(monkeypatch, specgen.chain(n, "g")) for n in sizes] == sweeps
+
+
+def _calls(monkeypatch, module, name, run):
+    """How many times `run()` calls `module.name`."""
+    calls = []
+
+    def counted(*args, inner=getattr(module, name)):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+def test_chain_gates_prepend_and_validate_in_constant_work(monkeypatch):
+    """The n functions of a chain share one star value and one argument
+    value, so `translate_symbols` prepends each distinct word to each
+    distinct value once: as often at n = 32 as at 128, again as often in
+    a second analysis (no memo outlives one), and as often with the
+    functions renamed.  Each table has the catch-all row f_i(x:s), so
+    `validate` starts no exhaustiveness walk, whose first step links the
+    table's rows."""
+    prepends, walks = [], []
+    for name in ("f", "g"):
+        for n in (32, 64, 128):
+            spec = parse(specgen.chain(n, name))
+            for _ in range(2):
+                prepends.append(_calls(monkeypatch, solver, "prepend", lambda: translate.translate_symbols(spec)))
+            walks.append(_calls(monkeypatch, streamspec, "_linked", lambda: validate(spec)))
+    assert len(set(prepends)) == 1, prepends
+    assert walks == [0] * 6, walks
 
 
 def test_solver_memory_grows_at_most_quadratically():

@@ -502,6 +502,32 @@ def test_hash_is_kept_and_goes_by_the_runs():
             assert u._hash == hash(runs)
 
 
+def _spelled_read(t, n):
+    """The '+' count before the (n+1)-th '-' of `t`'s word, spelled with
+    the loop 41 times: TOP where no such '-' comes and the loop outputs,
+    the whole output where the word is finite."""
+    word = t.prefix + t.loop * 41
+    pieces = word.split("-")
+    if n == TOP or n >= len(pieces) - 1:
+        return TOP if "+" in t.loop else word.count("+")
+    return "".join(pieces[: n + 1]).count("+")
+
+
+def test_reader_is_kept_and_reads_the_word():
+    """A term builds its reader on the first read and keeps it; an equal
+    term built apart builds its own, and both read the spelled word, at
+    supplies 0 to 40 and at TOP."""
+    rng = random.Random(35)
+    for _ in range(300):
+        t = random_canonical(rng)
+        read = ioalg._reader(t)
+        assert ioalg._reader(t) is read
+        apart = ioalg._reader(IOTerm.of_runs(t.prefix_runs, t.loop_runs))
+        assert apart is not read
+        for n in list(range(41)) + [TOP]:
+            assert read(n) == apart(n) == _spelled_read(t, n), (t, n)
+
+
 # --- equality and notation ------------------------------------------------
 
 

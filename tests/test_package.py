@@ -133,7 +133,8 @@ def _cache_uses(tree, allowed=()):
 def test_no_cache_outlives_an_analysis():
     """Every operation is pure and keeps no state between analyses: a memo
     lives in one call.  Only the argument parser, the same for every
-    command line, is cached."""
+    command line, is cached.  A term's hash and reader are views kept on
+    the term, not memos: they live and die with it."""
     found = {}
     for path in SOURCES:
         allowed = ("_build_parser",) if path.name == "cli.py" else ()

@@ -637,23 +637,35 @@ def test_pattern_table_families():
     time on: a disjoint decision list (rule i: column 63-i is 0, the columns
     after it 1) and an overlapping list (rule i: column i is 0), the other
     columns variables.  Each validates at once, with its exact
-    diagnostics."""
+    diagnostics.  With one rule all variables, a catch-all row first or
+    last in the decision list or amid the overlapping list, no vector is
+    missing, and each rule overlaps the catch-all as before."""
     k = 64
-    missing = "non-exhaustive patterns for 'f': no rule matches f(%s_)" % ("1:" * k)
+    missing = [("warning", "non-exhaustive patterns for 'f': no rule matches f(%s_)" % ("1:" * k))]
     every_pair = [(a, b) for a in range(3, k + 3) for b in range(a + 1, k + 3)]  # rules start on line 3
     assert len(every_pair) == 2016
+
+    def decision(i, j):
+        return "0" if j == k - 1 - i else "1" if j > k - 1 - i else None
+
+    def overlapping(i, j):
+        return "0" if j == i else None
+
     families = [
-        (lambda i, j: "0" if j == k - 1 - i else "1" if j > k - 1 - i else None, []),
-        (lambda i, j: "0" if j == i else None, every_pair),
+        (decision, [], missing),
+        (overlapping, every_pair, missing),
+        (lambda i, j: i and decision(i, j), [(3, b) for b in range(4, k + 3)], []),
+        (lambda i, j: i < k - 1 and decision(i, j), [(a, k + 2) for a in range(3, k + 2)], []),
+        (lambda i, j: i != k // 2 and overlapping(i, j), every_pair, []),
     ]
-    for cell, overlaps in families:
+    for cell, overlaps, warnings in families:
         spec = _pattern_table(k, cell)
         start = time.perf_counter()
         diags = validate(spec)
         assert time.perf_counter() - start < 0.5
         assert [(d.severity, d.message) for d in diags] == [
             ("error", "overlapping rules for 'f' (lines %d and %d)" % pair) for pair in overlaps
-        ] + [("warning", missing)]
+        ] + warnings
 
 
 def test_deep_pattern_witness():
@@ -711,6 +723,16 @@ def test_validate_non_exhaustive():
     assert len(warnings) == 1
     assert "non-exhaustive" in warnings[0].message
     assert "f(1:" in warnings[0].message
+    # one constructor short of a catch-all row: the walk runs and names the gap
+    bit = "Signature( P : stream(bit), f : stream(bit) -> stream(bit), 0, 1 : bit )\nP = 0:f(P)\n"
+    nat = "Signature( P : stream(nat), f : stream(nat) -> stream(nat), s : nat -> nat, 0 : nat )\nP = 0:f(P)\n"
+    for head, rule, gap in [
+        (bit, "f(0:s) = 0:f(s)", "f(1:_)"),
+        (bit, "f(x:0:s) = x:f(s)", "f(_:1:_)"),
+        (nat, "f(s(x):t) = x:f(t)", "f(0:_)"),
+    ]:
+        diags = [(d.severity, d.message) for d in validate(parse(head + rule + "\n"))]
+        assert diags == [("warning", "non-exhaustive patterns for 'f': no rule matches %s" % gap)], rule
 
 
 def test_validate_duplicate_rule():
