@@ -15,11 +15,13 @@ binds looser than application, and any identifier not declared in the
 signature is a variable whose sort is inferred from its position.  Only
 "\\n", "\\r\\n" and "\\r" end a line: form feed, vertical tab and the
 other characters at which `str.splitlines()` ends one are whitespace, inside
-a comment too.
+a comment too.  The parser reads the token strings of one regex `findall`;
+a token's line and column are found again only for a diagnostic.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 # ---------------------------------------------------------------------------
@@ -49,49 +51,46 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # tokens
 
-_PUNCT = {"(": "LP", ")": "RP", ",": "COMMA", ":": "COLON", "=": "EQ"}
-
-# the whitespace in front of a token, then one alternative per token class;
-# the last one is any other character, an error.  `[\w']` and `\S` agree
-# with `str.isalnum()` plus `_'` and with `str.isspace()` on every code point
+# one alternative per token class, "\n" the line end; the last one, which
+# only a bad character reaches, lets `_positions` place it.  `_VALID` takes
+# the longest prefix free of bad characters.  `[\w']` and `\s` agree with
+# `str.isalnum()` plus `_'` and with `str.isspace()` on every code point
 # (the tests check this).
-_TOKEN = re.compile(r"(\s*)(?:(->)|([(),:=])|([\w']+)|(\S))")
+_TOKEN = re.compile(r"->|[(),:=\n]|[\w']+|\S")
+_VALID = re.compile(r"[\s\w'(),:=]*(?:->[\s\w'(),:=]*)*")
+_COMMENT = re.compile(r"--[^\n]*")
+_PUNCT = frozenset(("->", "(", ")", ",", ":", "=", "\n"))  # the tokens but identifiers
+
+
+def _clean(text: str) -> str:
+    """`text` with every line ended by "\\n", a last one too, and without
+    comments; `_clean(_clean(t)) == _clean(t)`."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if text and not text.endswith("\n"):
+        text += "\n"
+    return _COMMENT.sub("", text)
 
 
 def _tokenize(text: str, filename: str) -> list:
-    """The tokens of `text` as plain `(kind, value, line, col)` tuples, line
-    and column 1-based, with an `NL` token at the end of every line.
+    """The tokens of `text` as strings, "\\n" at the end of every line."""
+    text = _clean(text)
+    bad = _VALID.match(text).end()
+    if bad < len(text):
+        line, col = next(itertools.islice(_positions(text), len(_TOKEN.findall(text, 0, bad)), None))
+        raise ParseError(Diagnostic("error", "unexpected character %r" % text[bad], line, col, filename))
+    return _TOKEN.findall(text)
 
-    Only "\\n", "\\r\\n" and "\\r" end a line (`str.splitlines()` also ends
-    one at form feed and the other separators, even inside a comment).  One
-    `findall` per line yields each token with the whitespace in front of it,
-    so a column is a running sum; trailing whitespace is stripped first, or
-    the pattern would retry it at every position.
-    """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # after the last line's end, or an empty text
-    tokens = []
-    append = tokens.append
-    punct = _PUNCT
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("--", 1)[0]
-        col = 1
-        for space, arrow, sym, ident, other in _TOKEN.findall(line.rstrip()):
-            col += len(space)
-            if ident:
-                append(("IDENT", ident, lineno, col))
-                col += len(ident)
-            elif sym:
-                append((punct[sym], sym, lineno, col))
-                col += 1
-            elif arrow:
-                append(("ARROW", arrow, lineno, col))
-                col += 2
-            else:
-                raise ParseError(Diagnostic("error", "unexpected character %r" % other, lineno, col, filename))
-        append(("NL", "", lineno, len(line) + 1))
-    return tokens
+
+def _positions(text: str):
+    """The 1-based line and column of each token of `text`, in file order; a
+    bad character counts as a token."""
+    text = _clean(text)
+    line, start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN.finditer(text):
+        at = m.start()
+        yield line, at - start + 1
+        if text[at] == "\n":
+            line, start = line + 1, at + 1
 
 
 # ---------------------------------------------------------------------------
@@ -289,62 +288,67 @@ class StreamSpec:
 
 
 class _Parser:
-    """A cursor over the token list; a token is `(kind, value, line, col)`.
-    `data_sorts` holds one `DataSort` per sort name the signature names."""
+    """A cursor over the token strings of `text`.  `line` counts the line
+    ends skipped so far, so that after `skip_newlines` it is the line of the
+    next token.  `data_sorts` holds one `DataSort` per sort name the
+    signature names."""
 
-    def __init__(self, tokens, filename):
-        self.toks = tokens
+    def __init__(self, text, filename):
+        self.text = text
+        self.toks = _tokenize(text, filename)
         self.i = 0
+        self.line = 1
         self.filename = filename
         self.data_sorts: dict = {}
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def at(self, tok) -> bool:
+        """Whether the next token is `tok`."""
+        return self.i < len(self.toks) and self.toks[self.i] == tok
 
-    def at(self, kind) -> bool:
-        """Whether the next token is of `kind`."""
-        return self.i < len(self.toks) and self.toks[self.i][0] == kind
+    def failure(self, message, at=None) -> ParseError:
+        """An error at token `at`, by default the next one; at the end of
+        input, at the last token (the line end of the last line), or at 1:1
+        when there is none."""
+        line, col = 1, 1
+        for line, col in itertools.islice(_positions(self.text), (self.i if at is None else at) + 1):
+            pass
+        return ParseError(Diagnostic("error", message, line, col, self.filename))
 
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
+    def expect(self, tok, what):
+        if not self.at(tok):
+            raise self.failure("expected %s" % what)
+        self.i += 1
 
-    def fail(self, message, tok=None):
-        """At the end of input, the error is at the last token (the `NL` of
-        the last line), or at 1:1 when there is none."""
-        _, _, line, col = tok or self.peek() or (self.toks or [("NL", "", 1, 1)])[-1]
-        raise ParseError(Diagnostic("error", message, line, col, self.filename))
-
-    def expect(self, kind, what):
-        if not self.at(kind):
-            self.fail("expected %s" % what)
+    def name(self, what) -> str:
+        """The next token, which must be an identifier."""
+        if self.i == len(self.toks) or self.toks[self.i] in _PUNCT:
+            raise self.failure("expected %s" % what)
         self.i += 1
         return self.toks[self.i - 1]
 
     def skip_newlines(self):
         toks, i = self.toks, self.i
         end = len(toks)
-        while i < end and toks[i][0] == "NL":
+        while i < end and toks[i] == "\n":
             i += 1
+        self.line += i - self.i
         self.i = i
 
 
 def _parse_sort(p: _Parser):
-    name = p.expect("IDENT", "a sort")[1]
+    name = p.name("a sort")
     if name == "stream":
-        p.expect("LP", "'('")
-        param = p.expect("IDENT", "a sort name")[1]
-        p.expect("RP", "')'")
+        p.expect("(", "'('")
+        param = p.name("a sort name")
+        p.expect(")", "')'")
         return StreamSort(param)
     return p.data_sorts.setdefault(name, DataSort(name))
 
 
 def _parse_type(p: _Parser):
     sorts = [_parse_sort(p)]
-    while p.at("ARROW"):
-        p.next()
+    while p.at("->"):
+        p.i += 1
         p.skip_newlines()
         sorts.append(_parse_sort(p))
     return sorts
@@ -352,55 +356,57 @@ def _parse_type(p: _Parser):
 
 def _parse_signature(p: _Parser) -> Signature:
     p.skip_newlines()
-    head = p.peek()
-    if head is None:
-        p.fail("no stream constant declared")
-    if head[:2] != ("IDENT", "Signature"):
-        p.fail("expected 'Signature('")
-    p.next()
-    p.expect("LP", "'('")
+    if p.i == len(p.toks):
+        raise p.failure("no stream constant declared")
+    if not p.at("Signature"):
+        raise p.failure("expected 'Signature('")
+    p.i += 1
+    p.expect("(", "'('")
+    toks = p.toks
+    end = len(toks)
     symbols: dict = {}
     order: list = []
     while True:
         p.skip_newlines()
-        if p.at("RP"):
-            p.next()
+        if p.at(")"):
+            p.i += 1
             break
-        names = [p.expect("IDENT", "a symbol name")]
-        while p.at("COMMA"):
-            save = p.i
-            p.next()
-            p.skip_newlines()
-            after = p.toks[p.i + 1][0] if p.i + 1 < len(p.toks) else None
+        names = [p.i]  # the token of each name
+        p.name("a symbol name")
+        while p.at(","):
+            j = p.i + 1
+            while j < end and toks[j] == "\n":
+                j += 1
             # a comma continues the name list only when 'name :' or 'name ,' follows
-            if p.at("IDENT") and after in ("COLON", "COMMA"):
-                names.append(p.next())
-                continue
-            p.i = save
-            break
-        p.expect("COLON", "':'")
+            if not (j + 1 < end and toks[j] not in _PUNCT and toks[j + 1] in (":", ",")):
+                break
+            p.i += 1
+            p.skip_newlines()
+            names.append(p.i)
+            p.i += 1
+        p.expect(":", "':'")
         p.skip_newlines()
         sorts = _parse_type(p)
         arg_sorts, result = tuple(sorts[:-1]), sorts[-1]
-        for tok in names:
-            name = tok[1]
+        streams = sum(isinstance(s, StreamSort) for s in arg_sorts)
+        if isinstance(result, StreamSort):
+            kind = "func" if streams else "const"
+            ordered = all(isinstance(s, StreamSort) for s in arg_sorts[:streams])
+            clash = None if ordered else "stream arguments of %r must precede data arguments"
+        else:
+            kind = "data"
+            clash = "data symbol %r cannot take stream arguments" if streams else None
+        for at in names:
+            name = toks[at]
             if name in symbols:
-                p.fail("redeclaration of %r" % name, tok)
-            if isinstance(result, StreamSort):
-                streams = [s for s in arg_sorts if isinstance(s, StreamSort)]
-                datas = [s for s in arg_sorts if isinstance(s, DataSort)]
-                if streams and tuple(arg_sorts[: len(streams)]) != tuple(streams):
-                    p.fail("stream arguments of %r must precede data arguments" % name, tok)
-                kind = "func" if streams else "const"
-            else:
-                if any(isinstance(s, StreamSort) for s in arg_sorts):
-                    p.fail("data symbol %r cannot take stream arguments" % name, tok)
-                kind = "data"
-            symbols[name] = SymbolInfo(name, kind, tuple(arg_sorts), result)
+                raise p.failure("redeclaration of %r" % name, at)
+            if clash:
+                raise p.failure(clash % name, at)
+            symbols[name] = SymbolInfo(name, kind, arg_sorts, result)
             order.append(name)
         p.skip_newlines()
-        if p.at("COMMA"):
-            p.next()
+        if p.at(","):
+            p.i += 1
     return Signature(symbols, order, p.filename)
 
 
@@ -408,29 +414,28 @@ def _parse_term_tokens(p: _Parser):
     """term := app (':' term)? ; app := IDENT ['(' term {',' term} ')']
 
     Shift-reduce on an explicit stack, so that neither a long cons chain nor
-    deep nesting recurses.  A frame is an open application `[tok, args]`
-    or a pending cons `(colon, head)`; terms are raw tuples
-    `("app", tok, args)` and `("cons", colon, head, tail)`.
+    deep nesting recurses.  A frame is an open application `[at, args]` or
+    a pending cons `(colon, head)`; terms are raw tuples `("app", at, args)`
+    and `("cons", colon, head, tail)`, with the index of the symbol's or
+    the colon's token.  The token list ends with a line end, which no term
+    takes, so no index runs past it.
     """
     toks, i = p.toks, p.i
-    end = len(toks)
     stack: list = []
     while True:
-        tok = toks[i] if i < end else None
-        if tok is None or tok[0] != "IDENT":
+        if toks[i] in _PUNCT:
             p.i = i
-            p.fail("expected a term", tok)
+            raise p.failure("expected a term")
         i += 1
-        if i < end and toks[i][0] == "LP":
-            stack.append([tok, []])
+        if toks[i] == "(":
+            stack.append([i - 1, []])
             i += 1
             continue  # shift the first argument
-        term = ("app", tok, ())
+        term = ("app", i - 1, ())
         while True:  # reduce the finished application `term`
-            nxt = toks[i] if i < end else None
-            kind = nxt[0] if nxt is not None else None
-            if kind == "COLON":
-                stack.append((nxt, term))
+            tok = toks[i]
+            if tok == ":":
+                stack.append((i, term))
                 i += 1
                 break  # shift the tail
             while stack and type(stack[-1]) is tuple:
@@ -441,12 +446,12 @@ def _parse_term_tokens(p: _Parser):
                 return term
             frame = stack[-1]
             frame[1].append(term)
-            if kind == "COMMA":
+            if tok == ",":
                 i += 1
                 break  # shift the next argument
-            if kind != "RP":
+            if tok != ")":
                 p.i = i
-                p.fail("expected ')'", nxt)
+                raise p.failure("expected ')'")
             i += 1
             stack.pop()
             term = ("app", frame[0], tuple(frame[1]))
@@ -462,9 +467,9 @@ class _Sorter:
     sort variables of the rule before.
     """
 
-    def __init__(self, sig: Signature, filename: str, concrete: set):
+    def __init__(self, sig: Signature, parser, concrete: set):
         self.sig = sig
-        self.filename = filename
+        self.parser = parser
         self.concrete = concrete
         # the symbols whose every sort is concrete: an occurrence of one
         # has its declared sorts and makes no fresh sort variable
@@ -487,7 +492,7 @@ class _Sorter:
         self.bindings: dict = {}
 
     def fail(self, message, tok):
-        raise ParseError(Diagnostic("error", message, tok[2], tok[3], self.filename))
+        raise self.parser.failure(message, tok)
 
     def _freshen(self, sort, inst_map):
         if isinstance(sort, StreamSort):
@@ -553,6 +558,7 @@ def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
     """
     symbols = sorter.sig.symbols
     elements = sorter.elements
+    toks = sorter.parser.toks
     todo: list = [(raw, expected)]
     done: list = []
     while todo:
@@ -576,7 +582,7 @@ def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
             todo += (2, None), (tail, expected), (head, element)
             continue
         _, tok, args = raw
-        name = tok[1]
+        name = toks[tok]
         info = symbols.get(name)
         if info is not None:
             arg_sorts, result = sorter.instantiate(info)
@@ -603,48 +609,32 @@ def _resolve_term(raw, expected, sorter: _Sorter, varsorts: dict):
     return done[0]
 
 
-def _subterms(t: Term):
-    """Every subterm of `t`, in preorder, left to right."""
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        yield t
-        if isinstance(t, Cons):
-            todo += (t.tail, t.head)
-        elif isinstance(t, App):
-            todo.extend(reversed(t.args))
-
-
-def _term_vars(t: Term):
-    return (s for s in _subterms(t) if isinstance(s, (SVar, DVar)))
-
-
 def parse(text: str, filename: str = "<input>") -> StreamSpec:
     """Parse and sort-check a specification file."""
-    tokens = _tokenize(text, filename)
-    p = _Parser(tokens, filename)
+    p = _Parser(text, filename)
     sig = _parse_signature(p)
     if not sig.stream_constants() and not sig.stream_functions():
         raise ParseError(Diagnostic("error", "no stream constant declared", 1, 1, filename))
-    sorter = _Sorter(sig, filename, sig.concrete_sorts())
+    sorter = _Sorter(sig, p, sig.concrete_sorts())
+    toks = p.toks
     stream_rules: list = []
     data_rules: list = []
     by_root: dict = {}
     while True:
         p.skip_newlines()
-        if p.peek() is None:
+        if p.i == len(toks):
             break
-        _, _, line, col = p.peek()
+        first, line = p.i, p.line
         lhs_raw = _parse_term_tokens(p)
-        p.expect("EQ", "'='")
+        p.expect("=", "'='")
         rhs_raw = _parse_term_tokens(p)
-        if p.peek() is not None and not p.at("NL"):
-            p.fail("trailing tokens after rule")
+        if not p.at("\n"):
+            raise p.failure("trailing tokens after rule")
         if lhs_raw[0] == "cons":
-            raise ParseError(Diagnostic("error", "rule left-hand side cannot be a cons", line, col, filename))
-        root = lhs_raw[1][1]
+            raise p.failure("rule left-hand side cannot be a cons", first)
+        root = toks[lhs_raw[1]]
         if root not in sig.symbols:
-            raise ParseError(Diagnostic("error", "variable on left-hand side root", line, col, filename))
+            raise p.failure("variable on left-hand side root", first)
         info = sig.symbols[root]
         sorter.start_rule()
         varsorts: dict = {}
@@ -657,7 +647,7 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
         if len(varsorts) > bound:
             name = list(varsorts)[bound]
             kind = "stream" if isinstance(varsorts[name], StreamSort) else "data"
-            raise ParseError(Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, name), line, col, filename))
+            raise p.failure("unbound %s variable on rhs: %r" % (kind, name), first)
         rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
         by_root.setdefault(root, []).append(rule)
@@ -666,17 +656,6 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def _linear(rule: Rule, diags, spec):
-    seen = set()
-    for v in _term_vars(rule.lhs):
-        if v.name in seen:
-            diags.append(
-                Diagnostic("error", "non-left-linear rule for %r: repeated %r" % (rule.root, v.name), rule.line, 1, spec.filename)
-            )
-            return
-        seen.add(v.name)
 
 
 def _patterns_overlap(a: Term, b: Term) -> bool:
@@ -813,19 +792,31 @@ def validate(spec: StreamSpec):
 
     all_rules = spec.stream_rules + spec.data_rules
     for rule in all_rules:
-        _linear(rule, diags, spec)
-        # lhs arguments must be constructor patterns
-        for a in rule.lhs.args:
-            for t in _subterms(a):
-                if isinstance(t, App) and t.sym not in constructors:
-                    diags.append(
-                        Diagnostic("error", "defined symbol %r in a pattern of %r" % (t.sym, rule.root), rule.line, 1, spec.filename)
-                    )
+        # the lhs is left-linear and its arguments are constructor patterns:
+        # one preorder walk finds the first repeated variable, reported
+        # first, and every defined symbol
+        seen, repeated, defined = set(), [], []
+        todo = list(reversed(rule.lhs.args))
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Cons):
+                todo += (t.tail, t.head)
+            elif isinstance(t, App):
+                if t.sym not in constructors:
+                    defined.append("defined symbol %r in a pattern of %r" % (t.sym, rule.root))
+                todo.extend(reversed(t.args))
+            elif t.name not in seen:
+                seen.add(t.name)
+            elif not repeated:
+                repeated.append("non-left-linear rule for %r: repeated %r" % (rule.root, t.name))
+        diags += [Diagnostic("error", message, rule.line, 1, spec.filename) for message in repeated + defined]
 
-    later: dict = {}  # root -> its rules after the current one
+    before: dict = {}  # root -> how many of its rules came up to the current one
     for r1 in all_rules:
-        later[r1.root] = later.get(r1.root, spec.rules_of(r1.root))[1:]
-        for r2 in later[r1.root]:
+        rules = spec.rules_of(r1.root)
+        before[r1.root] = before.get(r1.root, 0) + 1
+        for k in range(before[r1.root], len(rules)):
+            r2 = rules[k]
             if _patterns_overlap(r1.lhs, r2.lhs):
                 diags.append(
                     Diagnostic("error", "overlapping rules for %r (lines %d and %d)" % (r1.root, r1.line, r2.line), r2.line, 1, spec.filename)
@@ -950,7 +941,13 @@ def classify(spec: StreamSpec) -> Classification:
     for name in stream_symbols:
         rules = spec.rules_of(name)
         shapes[name] = [rule_shape(spec, r) for r in rules]
-        depends[name] = {t.sym for r in rules for t in _subterms(r.rhs) if isinstance(t, App) and t.sym in edges}
+        todo = [r.rhs for r in rules]
+        for t in todo:  # the list grows as the walk goes
+            if isinstance(t, Cons):
+                todo.append(t.tail)  # the head is a data term: no stream symbol
+            elif isinstance(t, App):
+                todo += t.args
+        depends[name] = {t.sym for t in todo if isinstance(t, App) and t.sym in edges}
         for sh in shapes[name]:
             if sh.produce == 0:
                 _, tail = _peel_rhs(sh.rule.rhs)

@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import pytest
 
+from prodcheck import streamspec
 from prodcheck.streamspec import (
     App,
     Cons,
@@ -17,16 +18,16 @@ from prodcheck.streamspec import (
     StreamSort,
     StreamSpec,
     SVar,
+    SymbolInfo,
+    _PUNCT,
     _TOKEN,
+    _VALID,
     _tokenize,
     _constructors_of,
     _missing_vector,
-    _Parser,
-    _parse_signature,
     _peel_rhs,
+    _positions,
     _Sorter,
-    _subterms,
-    _term_vars,
     _wild,
     classify,
     feedback_order,
@@ -157,10 +158,12 @@ def test_roundtrip_through_printer(corpus):
 
 # --- the explicit-stack front end against the recursive one -----------------
 #
-# The recursive tokenizer, term parser, sort resolver, `parse` and
-# exhaustiveness search that the explicit-stack ones replaced, kept as the
-# reference: every input must give the same rules or the same first error,
-# and every pattern table the same witness.
+# The per-line tokenizer, token cursor, signature parser, recursive term
+# parser, sort resolver, `parse` and exhaustiveness search that the
+# package's ones replaced, kept as the reference: every input must give the
+# same tokens at the same positions, the same rules or the same first error,
+# and every pattern table the same witness.  Only `_Sorter`, the sort
+# unification, is shared with the package.
 
 
 class RefTok(NamedTuple):
@@ -218,14 +221,116 @@ def ref_tokenize(text, filename):
     return tokens
 
 
+class RefParser:
+    """A cursor over `RefTok`s; `failure` places an error at a token, or at the
+    last one (the `NL` of the last line) at the end of input, or at 1:1."""
+
+    def __init__(self, tokens, filename):
+        self.toks = tokens
+        self.i = 0
+        self.filename = filename
+        self.data_sorts = {}
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def at(self, kind):
+        return self.peek() is not None and self.peek().kind == kind
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.i += 1
+        return tok
+
+    def failure(self, message, tok=None):
+        tok = tok or self.peek() or (self.toks or [RefTok("NL", "", 1, 1)])[-1]
+        return ParseError(Diagnostic("error", message, tok.line, tok.col, self.filename))
+
+    def expect(self, kind, what):
+        if not self.at(kind):
+            raise self.failure("expected %s" % what)
+        return self.next()
+
+    def skip_newlines(self):
+        while self.at("NL"):
+            self.next()
+
+
+def ref_parse_signature(p):
+    def parse_sort():
+        name = p.expect("IDENT", "a sort").value
+        if name == "stream":
+            p.expect("LP", "'('")
+            param = p.expect("IDENT", "a sort name").value
+            p.expect("RP", "')'")
+            return StreamSort(param)
+        return p.data_sorts.setdefault(name, DataSort(name))
+
+    def parse_type():
+        sorts = [parse_sort()]
+        while p.at("ARROW"):
+            p.next()
+            p.skip_newlines()
+            sorts.append(parse_sort())
+        return sorts
+
+    p.skip_newlines()
+    if p.peek() is None:
+        raise p.failure("no stream constant declared")
+    if p.peek()[:2] != ("IDENT", "Signature"):
+        raise p.failure("expected 'Signature('")
+    p.next()
+    p.expect("LP", "'('")
+    symbols, order = {}, []
+    while True:
+        p.skip_newlines()
+        if p.at("RP"):
+            p.next()
+            break
+        names = [p.expect("IDENT", "a symbol name")]
+        while p.at("COMMA"):
+            save = p.i
+            p.next()
+            p.skip_newlines()
+            after = p.toks[p.i + 1].kind if p.i + 1 < len(p.toks) else None
+            if p.at("IDENT") and after in ("COLON", "COMMA"):
+                names.append(p.next())
+                continue
+            p.i = save
+            break
+        p.expect("COLON", "':'")
+        p.skip_newlines()
+        sorts = parse_type()
+        arg_sorts, result = tuple(sorts[:-1]), sorts[-1]
+        for tok in names:
+            if tok.value in symbols:
+                raise p.failure("redeclaration of %r" % tok.value, tok)
+            streams = [s for s in arg_sorts if isinstance(s, StreamSort)]
+            if isinstance(result, StreamSort):
+                if arg_sorts[: len(streams)] != tuple(streams):
+                    raise p.failure("stream arguments of %r must precede data arguments" % tok.value, tok)
+                kind = "func" if streams else "const"
+            else:
+                if streams:
+                    raise p.failure("data symbol %r cannot take stream arguments" % tok.value, tok)
+                kind = "data"
+            symbols[tok.value] = SymbolInfo(tok.value, kind, arg_sorts, result)
+            order.append(tok.value)
+        p.skip_newlines()
+        if p.at("COMMA"):
+            p.next()
+    return Signature(symbols, order, p.filename)
+
+
 def ref_parse_term_tokens(p):
     def parse_app():
         tok = p.expect("IDENT", "a term")
         args = []
-        if p.peek() is not None and p.peek().kind == "LP":
+        if p.at("LP"):
             p.next()
             args.append(parse_term())
-            while p.peek() is not None and p.peek().kind == "COMMA":
+            while p.at("COMMA"):
                 p.next()
                 args.append(parse_term())
             p.expect("RP", "')'")
@@ -233,13 +338,29 @@ def ref_parse_term_tokens(p):
 
     def parse_term():
         head = parse_app()
-        if p.peek() is not None and p.peek().kind == "COLON":
+        if p.at("COLON"):
             colon = p.next()
             tail = parse_term()
             return ("cons", colon, head, tail)
         return head
 
     return parse_term()
+
+
+def subterms(t):
+    """Every subterm of `t`, in preorder, left to right."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        if isinstance(t, Cons):
+            todo += (t.tail, t.head)
+        elif isinstance(t, App):
+            todo.extend(reversed(t.args))
+
+
+def term_vars(t):
+    return (s for s in subterms(t) if isinstance(s, (SVar, DVar)))
 
 
 def ref_resolve_term(raw, expected, sorter, varsorts):
@@ -272,8 +393,8 @@ def ref_resolve_term(raw, expected, sorter, varsorts):
 
 
 def ref_parse(text, filename="<input>"):
-    p = _Parser(ref_tokenize(text, filename), filename)
-    sig = _parse_signature(p)
+    p = RefParser(ref_tokenize(text, filename), filename)
+    sig = ref_parse_signature(p)
     if not sig.stream_constants() and not sig.stream_functions():
         raise ParseError(Diagnostic("error", "no stream constant declared", 1, 1, filename))
     stream_rules, data_rules = [], []
@@ -287,19 +408,19 @@ def ref_parse(text, filename="<input>"):
         rhs_raw = ref_parse_term_tokens(p)
         nl = p.peek()
         if nl is not None and nl.kind != "NL":
-            p.fail("trailing tokens after rule")
+            raise p.failure("trailing tokens after rule")
         if lhs_raw[0] == "cons":
             raise ParseError(Diagnostic("error", "rule left-hand side cannot be a cons", first.line, first.col, filename))
         root = lhs_raw[1].value
         if root not in sig.symbols:
             raise ParseError(Diagnostic("error", "variable on left-hand side root", first.line, first.col, filename))
         info = sig.symbols[root]
-        sorter = _Sorter(sig, filename, sig.concrete_sorts())
+        sorter = _Sorter(sig, p, sig.concrete_sorts())
         varsorts = {}
         lhs = ref_resolve_term(lhs_raw, info.result_sort, sorter, varsorts)
         rhs = ref_resolve_term(rhs_raw, info.result_sort, sorter, varsorts)
-        lhs_vars = {v.name for v in _term_vars(lhs)}
-        for v in _term_vars(rhs):
+        lhs_vars = {v.name for v in term_vars(lhs)}
+        for v in term_vars(rhs):
             if v.name not in lhs_vars:
                 kind = "stream" if isinstance(v, SVar) else "data"
                 raise ParseError(
@@ -400,7 +521,10 @@ def _front_end_inputs():
     inputs += [text for text, _ in FRONT_END_ERRORS + END_OF_INPUT_ERRORS]
     inputs += [random_flat_spec(random.Random(seed), max_feedback=2) for seed in range(200)]
     rng = random.Random(909)
-    inputs += [_mutate(rng, rng.choice(texts)) for _ in range(5000)]
+    mutated = [_mutate(rng, rng.choice(texts)) for _ in range(5000)]
+    inputs += mutated
+    # every tenth mutated text again with "\r\n" and with "\r" line ends
+    inputs += [text.replace("\n", end) for end in ("\r\n", "\r") for text in mutated[::10]]
     return inputs
 
 
@@ -442,7 +566,7 @@ def test_front_end_matches_recursive_reference():
                 isinstance(t, App) and sig.symbols[t.sym].kind != "data"
                 for row in table
                 for p in row
-                for t in _subterms(p)
+                for t in subterms(p)
             ):
                 sorts = list(sig.symbols[name].arg_sorts)
                 witness = _missing_vector(table, sorts, by_sort)
@@ -451,47 +575,101 @@ def test_front_end_matches_recursive_reference():
     assert parsed > 1000 and errors > 1000, (parsed, errors)
 
 
+def located_tokens(text):
+    """Each token of `text` with its line and column, as `_positions` finds
+    them."""
+    return [(tok, *where) for tok, where in zip(_tokenize(text, "m.spec"), _positions(text), strict=True)]
+
+
+def ref_located_tokens(text):
+    """The reference tokens in the same form, "\\n" for the `NL` token."""
+    tokens = [(tok.kind, tok.value or "\n", tok.line, tok.col) for tok in ref_tokenize(text, "m.spec")]
+    assert all((kind == "IDENT") == (value not in _PUNCT) for kind, value, _, _ in tokens)
+    return [tok[1:] for tok in tokens]
+
+
 def test_tokens_match_reference_tokenizer():
-    """Token by token, kind, value, line and column, or the same error: a
-    column that drifts shows here even where no diagnostic prints it."""
+    """Token by token, value, line and column, or the same first error, on
+    all three line ends: a column that drifts shows here even where no
+    diagnostic prints it."""
+    line_ends = set()
     for text in _front_end_inputs():
         try:
-            want = ref_tokenize(text, "m.spec")
+            want = ref_located_tokens(text)
         except ParseError as exc:
             with pytest.raises(ParseError) as err:
                 _tokenize(text, "m.spec")
             assert str(err.value) == str(exc), text
             continue
-        assert _tokenize(text, "m.spec") == [tuple(tok) for tok in want], text
+        assert located_tokens(text) == want, text
+        line_ends.add("\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n")
+    assert line_ends == {"\r\n", "\r", "\n"}
 
 
 def test_trailing_whitespace_tokenizes_in_linear_time():
-    """The token pattern starts with `\\s*`, which would match a run of
-    trailing whitespace from each of its positions and then fail: quadratic,
-    about 26 s for 20,000 trailing blanks on a 2 vCPU VM.  The tokenizer
-    strips them first."""
+    """A token pattern that starts with `\\s*` matches a run of trailing
+    whitespace from each of its positions and then fails: quadratic, about
+    26 s for 20,000 trailing blanks on a 2 vCPU VM.  The tokenizer's
+    patterns take a blank once."""
     text = "Signature( P : stream(nat), 0 : nat )" + " \t" * 10000 + "\nP = 0:P" + " " * 20000 + "-- x\n"
     start = time.perf_counter()
-    tokens = _tokenize(text, "m.spec")
+    _tokenize(text, "m.spec")
     assert time.perf_counter() - start < 2.0
-    assert tokens == [tuple(tok) for tok in ref_tokenize(text, "m.spec")]
+    assert located_tokens(text) == ref_located_tokens(text)
     assert len(parse(text).stream_rules) == 1
 
 
 def test_token_classes_match_str_predicates():
-    """`[\\w']` and `\\S` of the token pattern pick out what `str.isalnum()`
-    plus `_'` and `str.isspace()` did, on every code point, and `\\s`, the
-    whitespace in front of a token, is what `str.isspace()` accepts."""
+    """On every code point, the token pattern takes `str.isalnum()` plus
+    `_'` into identifiers, skips the blanks, `str.isspace()` but "\\n",
+    and takes each other character alone; the validity pattern accepts
+    exactly the blanks, "\\n", identifier characters and `(),:=`."""
     for cp in range(sys.maxunicode + 1):
         ch = chr(cp)
-        m = _TOKEN.match(ch)
-        if ch.isspace():
-            assert m is None, hex(cp)
-            assert _TOKEN.match(ch + "x").group(1) == ch, hex(cp)
-        elif ch in "(),:=":
-            assert m.lastindex == 3, hex(cp)
+        valid = _VALID.match(ch).end() == 1
+        tokens = _TOKEN.findall("a" + ch)
+        if ch.isspace() and ch != "\n":
+            assert valid and tokens == ["a"], hex(cp)
+        elif ch.isalnum() or ch in "_'":
+            assert valid and tokens == ["a" + ch], hex(cp)
         else:
-            assert m.lastindex == (4 if ch.isalnum() or ch in "_'" else 5), hex(cp)
+            assert valid == (ch in "(),:=\n") and tokens == ["a", ch], hex(cp)
+
+
+def test_positions_only_on_demand(monkeypatch):
+    """Parsing finds no token's line and column unless a diagnostic needs
+    them: with the lookup made to fail, every spec of tests/data, a
+    128-function chain and a 2,000-element prefix parse, and an input with
+    one error looks up positions once."""
+
+    def refuse(text):
+        raise AssertionError("a position was looked up")
+
+    monkeypatch.setattr(streamspec, "_positions", refuse)
+    texts = [path.read_text() for path in sorted(DATA.glob("*.spec"))]
+    for text in texts + [specgen.chain(128), specgen.prefix(2000)]:
+        parse(text)
+    monkeypatch.undo()
+
+    lookups = []
+    positions = streamspec._positions
+
+    def counted(text):
+        lookups.append(text)
+        return positions(text)
+
+    monkeypatch.setattr(streamspec, "_positions", counted)
+    bad = [
+        (specgen.prefix(2000).replace(" -> ", " -> ?"), "3:22: error: unexpected character '?'"),
+        (specgen.chain(128).replace("x:f127", "x f127"), "133:15: error: trailing tokens after rule"),
+        (specgen.chain(128).replace("f127(x:s)", "f127(x:x)"), "134:8: error: sort clash: data term where stream expected"),
+    ]
+    for text, message in bad + FRONT_END_ERRORS + END_OF_INPUT_ERRORS[:2]:
+        lookups.clear()
+        with pytest.raises(ParseError) as err:
+            parse(text, "m.spec")
+        assert str(err.value) == "m.spec:" + message
+        assert len(lookups) == 1, text
 
 
 def test_concrete_sorts_computed_once_per_parse(monkeypatch):
@@ -778,6 +956,13 @@ def test_validate_defined_symbols_in_pattern_preorder():
     """
     errors = [d.message for d in validate(parse(text)) if d.severity == "error"]
     assert errors == [
+        "defined symbol 'b' in a pattern of 'f'",
+        "defined symbol 'a' in a pattern of 'f'",
+    ]
+    # a repeated variable is reported first, though the walk meets it last
+    errors = [d.message for d in validate(parse(text.replace("f(b(a(x)):s)", "f(b(x):a(y):y:s)"))) if d.severity == "error"]
+    assert errors == [
+        "non-left-linear rule for 'f': repeated 'y'",
         "defined symbol 'b' in a pattern of 'f'",
         "defined symbol 'a' in a pattern of 'f'",
     ]
