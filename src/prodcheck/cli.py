@@ -34,7 +34,7 @@ import sys
 
 from . import dogame
 from .equations import CapError, Caps, TranslationError, var_str
-from .ioalg import _reader, conat_str, is_top, render
+from .ioalg import conat_str, interpret, is_top, render
 from .prodterm import derivation_texts
 from .solver import dump_diagram
 from .streamspec import ParseError, classify, parse, reachable_symbols, validate
@@ -165,7 +165,7 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
             continue
         g = gates[name]
         agree = True
-        tables = [[min(g.cap, read(n)) for n in range(5)] for read in map(_reader, g.args)]
+        tables = [[min(g.cap, interpret(u, n)) for n in range(5)] for u in g.args]
         for supplies in itertools.product(range(5), repeat=g.arity):
             gate_value = min((t[n] for t, n in zip(tables, supplies)), default=g.cap)
             game = dogame.do_low_function(cls, name, supplies, prod_cap=caps.oracle_prod_cap)
@@ -276,11 +276,14 @@ def main(argv=None) -> int:
         print("prodcheck: %s" % exc, file=sys.stderr)
         return 13
     except MemoryError:
-        print("prodcheck: out of memory in %s" % stage, file=sys.stderr)
-        return 16
+        # the traceback holds the failed stage's frames, and with them its
+        # data, until this clause ends: the line is written after the `try`
+        pass
     finally:
         if collecting:
             gc.enable()
+    print("prodcheck: out of memory in %s" % stage, file=sys.stderr)
+    return 16
 
 
 if __name__ == "__main__":

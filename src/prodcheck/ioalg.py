@@ -158,9 +158,8 @@ def _term(prefix_runs: tuple, loop_runs: tuple, normal: bool = False) -> IOTerm:
 
 EPSILON = IOTerm("", "")
 
-#: The successor n -> n+1 as a pebble spells it, and its normal form (+-).
+#: The successor n -> n+1 as a pebble spells it.
 PEB_SEQ = IOTerm("+", "-+")
-_SUCCESSOR = IOTerm("", "+-")
 
 
 def render(t: IOTerm) -> str:
@@ -329,13 +328,13 @@ def compose(s: IOTerm, t: IOTerm) -> IOTerm:
     A TOP read ends the result in (+), and an `s` with nothing left to
     output ends it as a finite word.
 
-    The successor, spelled +(-+) as by a pebble or (+-), is recognized
-    before either operand is normalized: after it, s loses its first '-',
-    which the extra element meets; before it, t gains one '+' in front.
+    The successor as a pebble spells it, +(-+), is recognized before either
+    operand is normalized: after it, s loses its first '-', which the extra
+    element meets; before it, t gains one '+' in front.
     """
-    if t == PEB_SEQ or t == _SUCCESSOR:
+    if t == PEB_SEQ:
         return remove_requirement(s)
-    if s == PEB_SEQ or s == _SUCCESSOR:
+    if s == PEB_SEQ:
         return normalize(prepend(PLUS, t))
     s, t = normalize(s), normalize(t)
     read, (m, p, _) = _reader(s), _shape(s)

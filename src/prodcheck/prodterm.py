@@ -22,7 +22,6 @@ from .ioalg import (
     TOP,
     CoNat,
     IOTerm,
-    _reader,
     conat_str,
     compose,
     interpret,
@@ -334,8 +333,7 @@ class Gate:
     def __init__(self, star: IOTerm, args: tuple):
         self.star = star
         self.args = args
-        read = _reader(star)
-        self.cap, self.port = read(TOP), read(0)  # port: the output count on no input
+        self.cap, self.port = interpret(star, TOP), interpret(star, 0)  # port: the output count on no input
 
     @property
     def arity(self) -> int:

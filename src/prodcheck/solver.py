@@ -10,20 +10,21 @@ its two operands' counter functions, as `prodcheck.ioalg` reads them
 (`infimum`).
 
 The unique solution for a variable of F is recovered from a trace graph: a
-node per position of every right-hand side, with silent edges for variable
-references and infimum forks and labelled edges for '-'/'+'.  The graph is
-the same for every root, so each system keeps one graph, checked to have no
-cycle of silent edges, and a root's diagram starts at the head of its
-equation.  `_columns` generates that two-dimensional diagram over the graph
-column by column (one column per input consumed, heights counting outputs),
-each with the solution's value at its supply: the lowest '-'-capable entry
-of the column.  The repetition search keeps each column it reads once, with
-the values, and finds two strips with the same node constellation whose low
-entries, swept alone from the earlier strip, reproduce its values and
-themselves shifted; the value sequence is then quasi-periodic and the
-rational IO-term is read off (`ioalg._of_values`, as for an infimum).  An
-exact repeat, every node at its earlier relative height, needs no second
-sweep: its low entries are the earlier column, which replays the strip.
+node per position of every right-hand side, with one successor list each,
+labelled '-' or '+' for a step and silent (None) for variable references and
+infimum forks.  The graph is the same for every root, so each system keeps
+one graph, checked to have no cycle of silent edges, and a root's diagram
+starts at the head of its equation.  `_columns` generates that
+two-dimensional diagram column by column (one column per input consumed,
+heights counting outputs), each with the solution's value at its supply:
+the lowest '-' node of the column, read off the next column's seed.  The
+repetition search in `solve` keeps each column once, with the values, and
+finds two strips with the same node constellation whose low entries, swept
+alone from the earlier strip, reproduce its values and themselves shifted;
+the value sequence is then quasi-periodic and the rational IO-term is read
+off (`ioalg._of_values`, as for an infimum).  An exact repeat, every node at
+its earlier relative height, needs no second sweep: its low entries are the
+earlier column, which replays the strip.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ from .streamspec import feedback_order
 
 
 class TraceGraph:
-    __slots__ = ("nodes", "eps", "out_plus", "out_minus", "heads", "refs")
+    __slots__ = ("nodes", "succ", "label", "heads", "refs")
 
-    def __init__(self, nodes: list, eps: list, out_plus: list, out_minus: list, heads: dict, refs: dict):
+    def __init__(self, nodes: list, succ: list, label: list, heads: dict, refs: dict):
         self.nodes = nodes  # (var, parent id, branch digit) labels, index = node id
-        self.eps = eps  # silent successors per node
-        self.out_plus = out_plus
-        self.out_minus = out_minus
+        self.succ = succ  # successors per node
+        self.label = label  # '-' or '+' for a labelled edge, None for silent ones
         self.heads = heads  # var -> node id of the top position of its right-hand side
         self.refs = refs  # var -> the variables its right-hand side names, in preorder
 
@@ -63,9 +63,8 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
     right, as `refs`.
     """
     nodes: list = []
-    eps: list = []
-    out_plus: list = []
-    out_minus: list = []
+    succ: list = []
+    label: list = []
     heads: dict = {}
     refs: dict = {}
     links: list = []  # (node id, variable) of every reference, in node order
@@ -77,30 +76,30 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
             e, parent, digit = todo.pop()
             nid = len(nodes)
             nodes.append((var, parent, digit))
-            eps.append([])
-            out_plus.append([])
-            out_minus.append([])
             if digit == 2:
-                eps[parent].append(nid)
+                succ[parent].append(nid)
             if isinstance(e, EVar):
                 links.append((nid, e.var))
                 named.append(e.var)
+                out, sym = [], None
             elif isinstance(e, EStep):
-                (out_minus if e.sym == "-" else out_plus)[nid].append(nid + 1)
                 todo.append((e.body, nid, 1))
+                out, sym = [nid + 1], e.sym
             elif isinstance(e, EInf):
-                eps[nid].append(nid + 1)
                 todo += ((e.right, nid, 2), (e.left, nid, 1))
+                out, sym = [nid + 1], None
             else:  # the end of the sequence: production freezes, inputs are ignored
-                out_minus[nid].append(nid)
+                out, sym = [nid], MINUS
+            succ.append(out)
+            label.append(sym)
     for nid, v in links:
         if v not in heads:
             raise TranslationError("undefined variable %s" % (v,))
-        eps[nid].append(heads[v])
+        succ[nid].append(heads[v])
 
-    if feedback_order(range(len(nodes)), eps.__getitem__)[0]:
+    if feedback_order(range(len(nodes)), lambda v: () if label[v] else succ[v])[0]:
         raise TranslationError("silent cycle: system is not weakly guarded")
-    return TraceGraph(nodes, eps, out_plus, out_minus, heads, refs)
+    return TraceGraph(nodes, succ, label, heads, refs)
 
 
 def _position(g: TraceGraph, node: int) -> str:
@@ -131,42 +130,39 @@ def build_graph(iospec: IOSpec, root) -> TraceGraph:
 
 def _vclose(g: TraceGraph, seed: dict) -> dict:
     """Least heights reachable from `seed` by silent (0) and '+' (1) moves."""
+    succ, label = g.succ, g.label
     best = dict(seed)
     heap = [(y, v) for v, y in seed.items()]
     heapq.heapify(heap)
     while heap:
         y, v = heapq.heappop(heap)
-        if best.get(v, TOP) < y:
+        if best[v] < y or label[v] == MINUS:
             continue
-        for w in g.eps[v]:
+        if label[v]:  # '+'
+            y += 1
+        for w in succ[v]:
             if y < best.get(w, TOP):
                 best[w] = y
                 heapq.heappush(heap, (y, w))
-        for w in g.out_plus[v]:
-            if y + 1 < best.get(w, TOP):
-                best[w] = y + 1
-                heapq.heappush(heap, (y + 1, w))
     return best
-
-
-def _step_right(g: TraceGraph, column: dict) -> dict:
-    seed: dict = {}
-    for v, y in column.items():
-        for w in g.out_minus[v]:
-            if y < seed.get(w, TOP):
-                seed[w] = y
-    return seed
 
 
 def _columns(g: TraceGraph, first: dict):
     """The columns of the omit-reduced diagram over `g`, left to right from
     `first` (node -> height; for a root, the head of its equation at 0),
-    each with its bound: the least height of a node that can consume."""
-    column = _vclose(g, first)
+    each with its bound, the least height of a node that can consume: its
+    '-' nodes seed the next column at their own heights."""
+    succ, label = g.succ, g.label
+    seed = first
     while True:
-        ys = [y for v, y in column.items() if g.out_minus[v]]
-        yield column, min(ys) if ys else TOP
-        column = _vclose(g, _step_right(g, column))
+        column = _vclose(g, seed)
+        seed = {}
+        for v, y in column.items():
+            if label[v] == MINUS:
+                w = succ[v][0]
+                if y < seed.get(w, TOP):
+                    seed[w] = y
+        yield column, min(seed.values(), default=TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +183,9 @@ def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
     """Per-column node/height table plus the repetition that closed the
     search (debug rendering for the CLI): every column the solver's sweep
     read, with its bound, replayed once the sweep has closed."""
-    g = build_graph(iospec, root)
     witness: list = []
-    _sweep(g, root, max_columns, witness)
+    solve(iospec, root, max_columns, witness)
+    g = build_graph(iospec, root)
     lines = ["diagram for %s" % var_str(root)]
     for x, (col, beta) in enumerate(_columns(g, {g.heads[root]: 0})):
         cells = sorted(col.items(), key=lambda kv: (kv[1], kv[0]))
@@ -202,15 +198,12 @@ def dump_diagram(iospec: IOSpec, root, max_columns: int) -> str:
 
 
 def solve(iospec: IOSpec, root, max_columns: int = Caps.DEFAULTS["max_columns"], trace=None) -> IOTerm:
-    """Canonical IO-term denoting the unique solution for `root`.  When a
-    repetition closes the search, `(x1, x2)`, the columns of its two strips,
-    is appended to `trace`."""
-    return _sweep(build_graph(iospec, root), root, max_columns, trace)
-
-
-def _sweep(g: TraceGraph, root, max_columns: int, trace) -> IOTerm:
-    """The repetition search of `solve` over `root`'s diagram.  Each column
-    is kept once, with its least height, and later ones compare with it."""
+    """Canonical IO-term denoting the unique solution for `root`, by a
+    repetition search over its diagram.  Each column is kept once, with its
+    least height, and later ones compare with it.  When a repetition closes
+    the search, `(x1, x2)`, the columns of its two strips, is appended to
+    `trace`."""
+    g = build_graph(iospec, root)
     bounds: list = []
     strips: dict = {}  # hash of the node set -> [(x, least height, column)]
     for x, (col, beta) in zip(range(max_columns), _columns(g, {g.heads[root]: 0})):

@@ -130,12 +130,11 @@ class SymbolInfo:
 
 
 class Signature:
-    __slots__ = ("symbols", "order", "filename")
+    __slots__ = ("symbols", "order")
 
-    def __init__(self, symbols: dict, order: list, filename: str = "<input>"):
+    def __init__(self, symbols: dict, order: list):
         self.symbols = symbols  # name -> SymbolInfo
         self.order = order  # declaration order
-        self.filename = filename
 
     def stream_constants(self):
         return [n for n in self.order if self.symbols[n].kind == "const"]
@@ -407,7 +406,7 @@ def _parse_signature(p: _Parser) -> Signature:
         p.skip_newlines()
         if p.at(","):
             p.i += 1
-    return Signature(symbols, order, p.filename)
+    return Signature(symbols, order)
 
 
 def _parse_term_tokens(p: _Parser):

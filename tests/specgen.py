@@ -11,9 +11,9 @@ flat specification.
 under `tests/data/`.  Random IO-expression systems, production terms and
 canonical IO-terms come with the rng they draw from, so a seed pins each
 one; `kleene_lfp` is the least fixed point by iteration, `children`
-the subterms of a production term, for walks over it, and `diagram` the
+the subterms of a production term, for walks over it, `diagram` the
 solver's diagram read as lists, the reference its solutions are checked
-against.
+against, and `edge_lists` a trace graph's silent, '+' and '-' edges.
 """
 
 import itertools
@@ -139,6 +139,16 @@ def diagram(g, first, n):
     from `first` (node -> height), and their bounds, as two lists."""
     pairs = list(itertools.islice(_columns(g, first), n))
     return [col for col, _ in pairs], [beta for _, beta in pairs]
+
+
+def edge_lists(g):
+    """The silent, '+' and '-' successors of every node of the trace graph
+    `g`, as three lists indexed by node id."""
+    lists = {None: [], "+": [], "-": []}
+    for out, sym in zip(g.succ, g.label):
+        for key, edges in lists.items():
+            edges.append(out if key == sym else [])
+    return lists[None], lists["+"], lists["-"]
 
 
 def random_system(rng, max_eqs=5, max_size=8):

@@ -291,9 +291,9 @@ def _run_module(args, python_flags=(), **kwargs):
 
 def test_out_of_memory_exit_sixteen(tmp_path):
     """A DAG of 15 constants, each feeding the one above it twice, runs out
-    of a 150 MB address space, limited on the child process only: exit 16
-    and a one-line message naming the stage, `decide`, whose collapse of
-    the production term runs out, with no traceback."""
+    of a 100 or 150 MB address space, limited on the child process only:
+    exit 16 and a one-line message naming the stage, `decide`, whose
+    collapse of the production term runs out, with no traceback."""
     resource = pytest.importorskip("resource")
     names = ["C%02d" % i for i in range(15)]
     p = tmp_path / "dag14.spec"
@@ -303,11 +303,47 @@ def test_out_of_memory_exit_sixteen(tmp_path):
         + "C14 = 0:C14\ng(x:s, t) = x:g(s, t)\n"
     )
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (150_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    for limit_mb in (100, 150):
 
-    done = _run_module([str(p), "--report", "json", "--root", "C00"], stdout=subprocess.PIPE, preexec_fn=limit_memory)
-    assert (done.returncode, done.stderr) == (16, b"prodcheck: out of memory in decide\n")
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit_mb * 1000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        done = _run_module([str(p), "--report", "json", "--root", "C00"], stdout=subprocess.PIPE, preexec_fn=limit_memory)
+        assert (done.returncode, done.stderr) == (16, b"prodcheck: out of memory in decide\n"), limit_mb
+
+
+def test_out_of_memory_line_waits_for_the_stage_to_be_freed(monkeypatch):
+    """The out-of-memory line is written once the failed stage's frames, and
+    the data they hold, are freed: while its traceback holds them, writing
+    the line could run out of memory a second time."""
+    import weakref
+
+    class Data:
+        pass
+
+    held = []
+
+    def failing_decide(*args, **kwargs):
+        data = Data()
+        held.append(weakref.ref(data))
+        raise MemoryError
+
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append((text, held[0]() is None))
+
+        def flush(self):
+            pass
+
+    err = Recorder()
+    monkeypatch.setattr(cli, "decide", failing_decide)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main([str(spec_path("nested_fb"))]) == 16
+    assert "".join(text for text, _ in err.writes) == "prodcheck: out of memory in decide\n"
+    assert all(freed for _, freed in err.writes), err.writes
 
 
 @pytest.mark.parametrize("name", ["ring6", "prefix20"])

@@ -481,7 +481,7 @@ def test_normalize_marks_its_results():
     n = normalize(t)
     assert n == T("(+-)") and n.normal and normalize(n) is n and not t.normal
     assert n == IOTerm("", "+-") and hash(n) == hash(IOTerm("", "+-"))
-    assert not any(c.normal for c in (EPSILON, ioalg._SUCCESSOR, prodterm.PEB_SEQ))
+    assert not any(c.normal for c in (EPSILON, prodterm.PEB_SEQ))
     assert is_normal(compose(t, T("-(-+)"))) and is_normal(remove_requirement(t))
     assert not prepend("-", n).normal
 
@@ -780,13 +780,14 @@ def _removal_case(t):
 
 
 def test_successor_fast_paths_are_exact():
-    """Composing with the successor, spelled +(-+) as by a pebble or (+-),
-    adds one to the supply; it skips normalizing, and its result equals
-    the general path's on the successor spelled +-(+-).  Each result of
+    """Composing with the successor, spelled +(-+) as by a pebble, adds one
+    to the supply; it skips normalizing, and its result equals the general
+    path's on the successor spelled (+-) and +-(+-).  Each result of
     `remove_requirement`, whichever edit it takes, is the normal form of
     its runs."""
     rng = random.Random(2908)
-    general = IOTerm("+-", "+-")  # normalizes to (+-), past the successor test
+    successor = IOTerm("", "+-")
+    general = IOTerm("+-", "+-")  # normalizes to (+-)
     cases = {}
     for k in range(1200):
         if k % 3 == 0:
@@ -798,10 +799,10 @@ def test_successor_fast_paths_are_exact():
         cases[_removal_case(s)] = cases.get(_removal_case(s), 0) + 1
         r = remove_requirement(s)
         assert is_normal(r), render(s)
-        after = [compose(s, prodterm.PEB_SEQ), compose(s, ioalg._SUCCESSOR)]
+        after = [compose(s, prodterm.PEB_SEQ), compose(s, successor)]
         assert after == [r, r] and r == compose(s, general), render(s)
         before = compose(prodterm.PEB_SEQ, s)
-        assert before == compose(ioalg._SUCCESSOR, s) == compose(general, s), render(s)
+        assert before == compose(successor, s) == compose(general, s), render(s)
         for n in range(41):
             assert interpret(r, n) == interpret(s, n + 1), (render(s), n)
             assert interpret(before, n) == interpret(s, n) + 1, (render(s), n)

@@ -18,7 +18,6 @@ from prodcheck.ioalg import TOP, IOTerm, interpret, parse_ioterm, render
 from prodcheck.solver import (
     _check_repetition,
     _position,
-    _step_right,
     _vclose,
     build_graph,
     dump_diagram,
@@ -29,7 +28,7 @@ from prodcheck.solver import (
 from prodcheck.streamspec import feedback_order
 
 import specgen
-from specgen import diagram, random_flat_spec, random_system, two_rule_width
+from specgen import diagram, edge_lists, random_flat_spec, random_system, two_rule_width
 
 X = ("v", "X")
 Y = ("v", "Y")
@@ -48,9 +47,9 @@ def test_graph_single_plus_loop():
     g = build_graph(iospec, X)
     assert g.size == 2
     head = g.heads[X]
-    assert g.out_plus[head] and not g.out_minus[head]
-    (target,) = g.out_plus[head]
-    assert g.eps[target] == [head]
+    assert g.label[head] == "+"
+    (target,) = g.succ[head]
+    assert g.label[target] is None and g.succ[target] == [head]
 
 
 def test_graph_translation_example():
@@ -61,7 +60,7 @@ def test_graph_translation_example():
     g = build_graph(iospec, X)
     # one node per position of each right-hand side, variables included
     assert g.size == 16
-    forks = [n for n in range(g.size) if len(g.eps[n]) == 2]
+    forks = [n for n in range(g.size) if g.label[n] is None and len(g.succ[n]) == 2]
     assert len(forks) == 2
     assert solve(iospec, X) == parse_ioterm("-(-+)")
 
@@ -117,7 +116,8 @@ def test_graph_of_a_long_word():
     g = build_graph(sys1(X=steps(word, EVar(X))), X)
     assert g.size == 20001
     assert g.nodes[19999] == (X, 19998, 1) and _position(g, 19999) == "1" * 19999
-    assert g.out_plus[19999] == [20000] and g.eps[20000] == [g.heads[X]]
+    assert g.label[19999] == "+" and g.succ[19999] == [20000]
+    assert g.label[20000] is None and g.succ[20000] == [g.heads[X]]
     assert _position(g, g.heads[X]) == "e"
     s, t = parse_ioterm("(%s+)" % ("-" * 20000)), parse_ioterm("(-+)")
     got = infimum(s, t, max_columns=30000)
@@ -247,9 +247,8 @@ def test_vclose_is_a_closure():
         Y=EInf(steps("++", EVar(X)), steps("-+", EVar(Y))),
     )
     g = build_graph(iospec, X)
-    col = _vclose(g, {g.heads[X]: 0})
+    col, nxt = diagram(g, {g.heads[X]: 0}, 2)[0]
     assert _vclose(g, dict(col)) == col
-    nxt = _vclose(g, _step_right(g, col))
     assert _vclose(g, dict(nxt)) == nxt
 
 
@@ -258,13 +257,14 @@ def test_vclose_is_a_closure():
 
 def no_omit_entries(g, root, xmax, ymax):
     """All diagram entries with bounded height, by saturation (no omit)."""
+    eps, out_plus, out_minus = edge_lists(g)
     entries = {(g.heads[root], 0, 0)}
     frontier = [(g.heads[root], 0, 0)]
     while frontier:
         v, x, y = frontier.pop()
-        moves = [(w, x, y) for w in g.eps[v]]
-        moves += [(w, x, y + 1) for w in g.out_plus[v]]
-        moves += [(w, x + 1, y) for w in g.out_minus[v]]
+        moves = [(w, x, y) for w in eps[v]]
+        moves += [(w, x, y + 1) for w in out_plus[v]]
+        moves += [(w, x + 1, y) for w in out_minus[v]]
         for e in moves:
             if e[1] <= xmax and e[2] <= ymax and e not in entries:
                 entries.add(e)
@@ -288,8 +288,9 @@ def test_omit_safety_random_systems():
         ymax = 25
         entries = no_omit_entries(g, root, xmax=12, ymax=ymax)
         bounds = diagram(g, {g.heads[root]: 0}, 12)[1]
+        out_minus = edge_lists(g)[2]
         for x in range(12):
-            ys = [y for (v, xx, y) in entries if xx == x and g.out_minus[v]]
+            ys = [y for (v, xx, y) in entries if xx == x and out_minus[v]]
             brute = min(ys) if ys else TOP
             ours = bounds[x]
             if brute == TOP or brute >= ymax:
@@ -431,7 +432,8 @@ def has_negative_cycle(g, nodes, num, den) -> bool:
     """Whether some cycle through `nodes`, a set closed under the trace
     graph's edges, has a '+'/'-' ratio below num/den: Bellman-Ford, from 0
     at every node, under the integer weights plus·den - num·minus."""
-    weighted = ((g.eps, 0), (g.out_plus, den), (g.out_minus, -num))
+    eps, out_plus, out_minus = edge_lists(g)
+    weighted = ((eps, 0), (out_plus, den), (out_minus, -num))
     edges = [(u, v, w) for u in nodes for succ, w in weighted for v in succ[u]]
     dist = dict.fromkeys(nodes, 0)
     for _ in range(len(nodes)):  # with no negative cycle, a round changes nothing
@@ -474,13 +476,14 @@ def test_gate_slopes_are_critical_cycle_ratios():
         for name, gate in gates.items():
             for i, u in enumerate(gate.args, 1):
                 g = build_graph(iospec, arg(name, i, 0))
-                nodes = set(reachable((g.heads[arg(name, i, 0)],), lambda n: g.eps[n] + g.out_plus[n] + g.out_minus[n]))
+                eps, out_plus, out_minus = edge_lists(g)
+                nodes = set(reachable((g.heads[arg(name, i, 0)],), lambda n: eps[n] + out_plus[n] + out_minus[n]))
                 _, p, q = _shape(u)
                 checked += 1
                 if q == TOP:
                     assert not has_negative_cycle(g, nodes, 1, 0), (text, name, i)
                     continue
-                minus_edges = sum(len(g.out_minus[n]) for n in nodes)
+                minus_edges = sum(len(out_minus[n]) for n in nodes)
                 r = Fraction(q, p)
                 above = r + Fraction(1, minus_edges * minus_edges + 1)
                 assert r.denominator <= minus_edges, (text, name, i)

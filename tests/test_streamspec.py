@@ -320,7 +320,7 @@ def ref_parse_signature(p):
         p.skip_newlines()
         if p.at("COMMA"):
             p.next()
-    return Signature(symbols, order, p.filename)
+    return Signature(symbols, order)
 
 
 def ref_parse_term_tokens(p):
