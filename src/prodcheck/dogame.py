@@ -186,7 +186,8 @@ def do_low_function(cls: Classification, f: str, supplies, prod_cap: int = Caps.
     The adversary picks any defining rule at every state; the search expands
     at most `_FUNCTION_EXPANSIONS` states.
     """
-    if cls.symbol_class.get(f) not in ("flat", "pure"):
+    # a constant's class is flat or pure even when it has a nesting rule
+    if cls.symbol_class.get(f) not in ("flat", "pure") or any(sh.nesting for sh in cls.shapes[f]):
         raise ValueError("%r is not a flat stream function" % f)
     supplies = tuple(int(n) for n in supplies)
     lo, exact = _game_value(cls.shapes.__getitem__, f, supplies, prod_cap, [_FUNCTION_EXPANSIONS])

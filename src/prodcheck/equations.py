@@ -184,28 +184,20 @@ class CapError(Exception):
 # the equation generator
 
 
-def _check_translatable(cls: Classification, symbol: str):
-    if cls.symbol_class.get(symbol) == "unfriendly":
-        bad = next(sh for sh in cls.shapes[symbol] if sh.nesting)
-        raise TranslationError("cannot translate %r: unfriendly nesting rule %r" % (symbol, str(bad.rule)))
-
-
 def rhs(cls: Classification, v) -> IOExpr:
     """The right-hand side of `v` in the infinite system of the classified
-    specification."""
+    specification: for a stream symbol's variable, the infimum over its
+    rules, or X_- when the symbol is unguarded."""
     if v == XM:
         return EEmpty()
     if v == XP:
         return EStep("+", EVar(XP))
     if v == XID:
         return EStep("-", EStep("+", EVar(XID)))
-    if v[0] == "star":
-        return _star_rhs(cls, v[1])
-    return _arg_rhs(cls, v[1], v[2], v[3])
-
-
-def _star_rhs(cls: Classification, f: str) -> IOExpr:
-    _check_translatable(cls, f)
+    f = v[1]
+    if cls.symbol_class[f] == "unfriendly":
+        bad = next(sh for sh in cls.shapes[f] if sh.nesting)
+        raise TranslationError("cannot translate %r: unfriendly nesting rule %r" % (f, str(bad.rule)))
     if not cls.guarded[f]:
         return EVar(XM)
     parts = []
@@ -213,39 +205,22 @@ def _star_rhs(cls: Classification, f: str) -> IOExpr:
         if sh.nesting:
             # a nesting rule keeps producing whatever it is fed
             parts.append(EVar(XID))
-        elif sh.tail_var is not None:
-            parts.append(EVar(XP))
+        elif v[0] == "star":
+            parts.append(EVar(XP) if sh.tail_var is not None else steps("+" * sh.produce, EVar(star(sh.callee))))
         else:
-            parts.append(steps("+" * sh.produce, EVar(star(sh.callee))))
-    return inf_all(parts)
-
-
-def _arg_rhs(cls: Classification, f: str, i: int, q: int) -> IOExpr:
-    _check_translatable(cls, f)
-    if not cls.guarded[f]:
-        return EVar(XM)
-    parts = []
-    for sh in cls.shapes[f]:
-        if sh.nesting:
-            parts.append(EVar(XID))
-            continue
-        c = sh.consume[i - 1]
-        p = max(c - q, 0)
-        q2 = max(q - c, 0)
-        word = "-" * p + "+" * sh.produce
-        if sh.tail_var is not None:
-            if sh.tail_var == i:
+            # argument i with q elements queued: the pattern takes c, each
+            # one past the queue costs a '-', and the queue's rest stays
+            _, _, i, q = v
+            c = sh.consume[i - 1]
+            q2 = max(q - c, 0)
+            if sh.tail_var is None:
+                members = [EVar(arg(sh.callee, j + 1, q2 + sh.feedback[j])) for j, k in enumerate(sh.perm) if k == i]
+                body = inf_all(members)
+            elif sh.tail_var == i:
                 body = steps("+" * q2, EVar(XID))
             else:
                 body = EVar(XP)
-        else:
-            members = [
-                EVar(arg(sh.callee, j + 1, q2 + sh.feedback[j]))
-                for j in range(len(sh.perm))
-                if sh.perm[j] == i
-            ]
-            body = inf_all(members)
-        parts.append(steps(word, body))
+            parts.append(steps("-" * max(c - q, 0) + "+" * sh.produce, body))
     return inf_all(parts)
 
 

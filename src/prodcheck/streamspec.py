@@ -130,20 +130,19 @@ class SymbolInfo:
 
 
 class Signature:
-    __slots__ = ("symbols", "order")
+    __slots__ = ("symbols",)
 
-    def __init__(self, symbols: dict, order: list):
-        self.symbols = symbols  # name -> SymbolInfo
-        self.order = order  # declaration order
+    def __init__(self, symbols: dict):
+        self.symbols = symbols  # name -> SymbolInfo, in declaration order
 
     def stream_constants(self):
-        return [n for n in self.order if self.symbols[n].kind == "const"]
+        return [n for n, info in self.symbols.items() if info.kind == "const"]
 
     def stream_functions(self):
-        return [n for n in self.order if self.symbols[n].kind == "func"]
+        return [n for n, info in self.symbols.items() if info.kind == "func"]
 
     def data_symbols(self):
-        return [n for n in self.order if self.symbols[n].kind == "data"]
+        return [n for n, info in self.symbols.items() if info.kind == "data"]
 
     def concrete_sorts(self):
         """Data sort names pinned down by some data symbol's result sort."""
@@ -248,12 +247,11 @@ def term_str(t: Term) -> str:
 
 
 class Rule(Node):
-    __slots__ = __match_args__ = ("lhs", "rhs", "layer", "line")
+    __slots__ = __match_args__ = ("lhs", "rhs", "line")
 
-    def __init__(self, lhs: Term, rhs: Term, layer: str, line: int):
+    def __init__(self, lhs: Term, rhs: Term, line: int):
         self.lhs = lhs
         self.rhs = rhs
-        self.layer = layer  # "stream" | "data"
         self.line = line
 
     @property
@@ -264,7 +262,7 @@ class Rule(Node):
         return "%s = %s" % (term_str(self.lhs), term_str(self.rhs))
 
     def __repr__(self):
-        return "Rule(%r, %r, %r, %d)" % (self.lhs, self.rhs, self.layer, self.line)
+        return "Rule(%r, %r, %d)" % (self.lhs, self.rhs, self.line)
 
 
 class StreamSpec:
@@ -364,7 +362,6 @@ def _parse_signature(p: _Parser) -> Signature:
     toks = p.toks
     end = len(toks)
     symbols: dict = {}
-    order: list = []
     while True:
         p.skip_newlines()
         if p.at(")"):
@@ -402,11 +399,10 @@ def _parse_signature(p: _Parser) -> Signature:
             if clash:
                 raise p.failure(clash % name, at)
             symbols[name] = SymbolInfo(name, kind, arg_sorts, result)
-            order.append(name)
         p.skip_newlines()
         if p.at(","):
             p.i += 1
-    return Signature(symbols, order)
+    return Signature(symbols)
 
 
 def _parse_term_tokens(p: _Parser):
@@ -647,7 +643,7 @@ def parse(text: str, filename: str = "<input>") -> StreamSpec:
             name = list(varsorts)[bound]
             kind = "stream" if isinstance(varsorts[name], StreamSort) else "data"
             raise p.failure("unbound %s variable on rhs: %r" % (kind, name), first)
-        rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", line)
+        rule = Rule(lhs, rhs, line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
         by_root.setdefault(root, []).append(rule)
     return StreamSpec(sig, stream_rules, data_rules, by_root, filename)
@@ -821,14 +817,12 @@ def validate(spec: StreamSpec):
                     Diagnostic("error", "overlapping rules for %r (lines %d and %d)" % (r1.root, r1.line, r2.line), r2.line, 1, spec.filename)
                 )
 
-    for name in sig.stream_constants():
-        if not spec.rules_of(name):
-            diags.append(Diagnostic("error", "stream constant %r has no defining rule" % name, 1, 1, spec.filename))
-    for name in sig.stream_functions():
+    for name in sig.stream_constants() + sig.stream_functions():
         rules = spec.rules_of(name)
         info = sig.symbols[name]
         if not rules:
-            diags.append(Diagnostic("error", "stream function %r has no defining rule" % name, 1, 1, spec.filename))
+            kind = "constant" if info.kind == "const" else "function"
+            diags.append(Diagnostic("error", "stream %s %r has no defining rule" % (kind, name), 1, 1, spec.filename))
             continue
         rows = [list(r.lhs.args) for r in rules]
         witness = _missing_vector(rows, list(info.arg_sorts), by_sort)
@@ -924,7 +918,7 @@ class Classification:
 
     def __init__(self, shapes: dict, symbol_class: dict, guarded: dict, depends: dict):
         self.shapes = shapes  # symbol -> [RuleShape]
-        self.symbol_class = symbol_class  # stream function -> "pure"|"flat"|"friendly"|"unfriendly"
+        self.symbol_class = symbol_class  # stream symbol -> "pure"|"flat"|"friendly"|"unfriendly"
         self.guarded = guarded  # stream symbol -> bool (weakly guarded)
         self.depends = depends  # stream symbol -> set of stream symbols in its rule rhss
 
@@ -956,9 +950,11 @@ def classify(spec: StreamSpec) -> Classification:
     guarded = {name: name not in unguarded for name in stream_symbols}
 
     symbol_class = {}
-    for name in sig.stream_functions():
+    for name in stream_symbols:
         shs = shapes[name]
-        nesting = [sh for sh in shs if sh.nesting]
+        # a constant's nesting rules are unfolded, not translated: its class
+        # only says whether its rules choose between shapes by data
+        nesting = [sh for sh in shs if sh.nesting] if sig.symbols[name].kind == "func" else []
         if not nesting:
             uniform = len({sh.signature for sh in shs}) == 1
             symbol_class[name] = "pure" if uniform else "flat"

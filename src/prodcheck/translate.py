@@ -124,7 +124,7 @@ class Verdict:
 
 def _context_for(cls: Classification, constant: str) -> str:
     reach = reachable_symbols(cls, constant)
-    classes = {cls.symbol_class[s] for s in reach if s in cls.symbol_class}
+    classes = {cls.symbol_class[s] for s in reach}
     if "friendly" in classes:
         return "friendly-nesting"
     if "flat" in classes:

@@ -59,8 +59,53 @@ def test_stuck_constant_not_productive(tmp_path):
     assert "The specification of C is productive." not in out, out
     code, out, _ = run_cli([str(p), "--report", "json"])
     verdicts = {c["name"]: c for c in json.loads(out)["constants"]}
-    assert code != 0 and verdicts["D"]["production"] == "1", out
+    assert code != 0 and verdicts["D"]["production"] == 1, out
     assert verdicts["C"]["verdict"] != "productive", out
+
+
+# C(s(0)) matches no rule, so D = C(0) -> 0:C(s(0)) stops after one element.
+STUCK_CONSTANT = "Signature( C : nat -> stream(nat), D : stream(nat), 0 : nat, s : nat -> nat )\nC(0) = 0:C(s(0))\nD = C(0)\n"
+
+
+def test_warning_for_a_non_exhaustive_constant(tmp_path):
+    """A stream constant's missing pattern gets the warning a function's
+    gets, in either report."""
+    p = tmp_path / "stuck.spec"
+    p.write_text(STUCK_CONSTANT)
+    for args in ([], ["--report", "json"]):
+        _, _, err = run_cli([str(p)] + args)
+        assert err == "%s:2:1: warning: non-exhaustive patterns for 'C': no rule matches C(s(_))\n" % p
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 14: a constant is unfolded as if its rules covered every argument")
+def test_stuck_data_constant_not_productive(tmp_path):
+    """The constant case of `test_stuck_constant_not_productive`: D stops
+    after one element, in the text report and in JSON."""
+    p = tmp_path / "stuck.spec"
+    p.write_text(STUCK_CONSTANT)
+    code, out, _ = run_cli([str(p)])
+    assert code != 0 and "The specification of D is productive." not in out, out
+    code, out, _ = run_cli([str(p), "--report", "json"])
+    verdicts = {c["name"]: c for c in json.loads(out)["constants"]}
+    assert code != 0 and verdicts["D"]["verdict"] != "productive", out
+
+
+def test_constant_choosing_its_rule_by_data_is_flat(tmp_path):
+    """D = C(0) -> 0:C(s(0)) -> 0:C(0) -> ... produces forever, but which of
+    C's two rule shapes applies depends on data, so the context is flat:
+    the adversary's production 0 reads not-do-productive, not a proof of
+    non-productivity.  A constant with two rules of one shape stays pure."""
+    p = tmp_path / "flat.spec"
+    p.write_text(STUCK_CONSTANT.replace("D = ", "C(s(x)) = C(x)\nD = "))
+    code, out, _ = run_cli([str(p)])
+    assert code == 1 and out.endswith("C : production = 0 : not-do-productive\nD : production = 0 : not-do-productive\n"), out
+    code, out, _ = run_cli([str(p), "--report", "json"])
+    verdicts = [(c["name"], c["production"], c["verdict"]) for c in json.loads(out)["constants"]]
+    assert code == 1 and verdicts == [("C", 0, "not-do-productive"), ("D", 0, "not-do-productive")], out
+    p.write_text("Signature( C : bit -> stream(bit), 0, 1 : bit )\nC(0) = 0:C(1)\nC(1) = 1:C(0)\n")
+    code, out, _ = run_cli([str(p)])
+    assert code == 0 and out.endswith("C : production = inf : productive\n"), out
 
 
 def test_pascal_productive_exit_zero():

@@ -45,6 +45,8 @@ def test_rejects_nesting_symbols(corpus):
     with pytest.raises(ValueError):
         do_low_function(cls, "conv", (3, 3))
     with pytest.raises(ValueError):
+        do_low_function(cls, "nats", ())
+    with pytest.raises(ValueError):
         do_low_constant(spec, cls, "nats")
 
 

@@ -48,8 +48,7 @@ def render_spec(spec):
     """Print a spec back in the input syntax."""
     sig = spec.signature
     decls = []
-    for name in sig.order:
-        info = sig.symbols[name]
+    for name, info in sig.symbols.items():
         sorts = list(info.arg_sorts) + [info.result_sort]
         decls.append("  %s : %s" % (name, " -> ".join(str(s) for s in sorts)))
     lines = ["Signature("] + [d + ("," if i < len(decls) - 1 else "") for i, d in enumerate(decls)] + [")"]
@@ -76,7 +75,7 @@ def test_parse_name_lists(corpus):
     sig = corpus["ternary_morse_pure"].signature
     assert sig.symbols["0"].kind == "data"
     assert sig.symbols["1"].kind == "data"
-    assert {n for n in sig.order if sig.symbols[n].kind == "const"} == {"Q", "M"}
+    assert set(sig.stream_constants()) == {"Q", "M"}
     assert sig.symbols["zip"].stream_arity == 2
 
 
@@ -282,7 +281,7 @@ def ref_parse_signature(p):
         raise p.failure("expected 'Signature('")
     p.next()
     p.expect("LP", "'('")
-    symbols, order = {}, []
+    symbols = {}
     while True:
         p.skip_newlines()
         if p.at("RP"):
@@ -316,11 +315,10 @@ def ref_parse_signature(p):
                     raise p.failure("data symbol %r cannot take stream arguments" % tok.value, tok)
                 kind = "data"
             symbols[tok.value] = SymbolInfo(tok.value, kind, arg_sorts, result)
-            order.append(tok.value)
         p.skip_newlines()
         if p.at("COMMA"):
             p.next()
-    return Signature(symbols, order)
+    return Signature(symbols)
 
 
 def ref_parse_term_tokens(p):
@@ -426,7 +424,7 @@ def ref_parse(text, filename="<input>"):
                 raise ParseError(
                     Diagnostic("error", "unbound %s variable on rhs: %r" % (kind, v.name), first.line, first.col, filename)
                 )
-        rule = Rule(lhs, rhs, "data" if info.kind == "data" else "stream", first.line)
+        rule = Rule(lhs, rhs, first.line)
         (data_rules if info.kind == "data" else stream_rules).append(rule)
     by_root = {}
     for rule in stream_rules + data_rules:
@@ -552,7 +550,7 @@ def test_front_end_matches_recursive_reference():
             errors += 1
             continue
         spec = parse(text, "m.spec")
-        assert spec.signature.order == want.signature.order, text
+        assert list(spec.signature.symbols) == list(want.signature.symbols), text
         assert spec.stream_rules == want.stream_rules, text
         assert spec.data_rules == want.data_rules, text
         assert spec.by_root == want.by_root, text

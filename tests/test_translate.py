@@ -191,7 +191,7 @@ def test_translate_constant_matches_recursive_reference():
     assert translated > 300
     broken = parse(_BROKEN)
     rule = broken.rules_of("E")[0]
-    broken.by_root["E"].append(Rule(rule.lhs, Cons(rule.rhs.head, SVar("s")), rule.layer, rule.line))
+    broken.by_root["E"].append(Rule(rule.lhs, Cons(rule.rhs.head, SVar("s")), rule.line))
     gates = gates_of(parse(_BROKEN))
     outcomes = [_translation_outcome(fn, broken, gates, c) for c in ("C0", "C1") for fn in (translate_constant, ref_translate_constant)]
     assert outcomes[0] == outcomes[1] == "stream constant 'D' has no defining rule"
