@@ -29,7 +29,7 @@ import itertools
 from operator import le, lt
 
 from .equations import Caps
-from .streamspec import Classification, Cons, Node, StreamSpec, SVar, reachable_symbols
+from .streamspec import Classification, Cons, Node, StreamSpec, SVar, reachable, reachable_symbols
 
 _INF_DEP = 10**9
 _FUNCTION_EXPANSIONS = 10000  # game states one do_low_function call may expand
@@ -180,6 +180,13 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
             return res[0], res[1]
 
 
+def nesting_entered(cls: Classification, starts):
+    """The first symbol with a nesting rule that a game from `starts` enters
+    by tail calls, or None: such a rule has no state in the game."""
+    entered = reachable(starts, lambda g: [sh.callee for sh in cls.shapes[g] if sh.callee is not None])
+    return next((g for g in entered if any(sh.nesting for sh in cls.shapes[g])), None)
+
+
 def do_low_function(cls: Classification, f: str, supplies, prod_cap: int = Caps.DEFAULTS["oracle_prod_cap"]):
     """Least production of f the adversary can force from finite supplies.
 
@@ -187,7 +194,7 @@ def do_low_function(cls: Classification, f: str, supplies, prod_cap: int = Caps.
     at most `_FUNCTION_EXPANSIONS` states.
     """
     # a constant's class is flat or pure even when it has a nesting rule
-    if cls.symbol_class.get(f) not in ("flat", "pure") or any(sh.nesting for sh in cls.shapes[f]):
+    if cls.symbol_class.get(f) not in ("flat", "pure") or nesting_entered(cls, (f,)) is not None:
         raise ValueError("%r is not a flat stream function" % f)
     supplies = tuple(int(n) for n in supplies)
     lo, exact = _game_value(cls.shapes.__getitem__, f, supplies, prod_cap, [_FUNCTION_EXPANSIONS])
@@ -236,6 +243,8 @@ def do_low_constant(
         if not spec.rules_of(s):
             raise ValueError("%r has no defining rule" % s)
     constants = [s for s in symbols if sig.symbols[s].kind == "const"]
+    if (g := nesting_entered(cls, [s for s in symbols if sig.symbols[s].kind == "func"])) is not None:
+        raise ValueError("game oracle does not cover nesting symbol %r" % g)
 
     def term_production(term, values, shapes_of, settled):
         # postorder on an explicit stack: an item 1 is a cons over the last

@@ -863,21 +863,12 @@ class RuleShape:
         return (self.nesting, self.consume, self.produce, self.tail_var, self.callee, self.perm, self.feedback)
 
 
-def _peel_rhs(rhs: Term):
-    produced = 0
-    while isinstance(rhs, Cons):
-        produced += 1
-        rhs = rhs.tail
-    return produced, rhs
-
-
-def _cons_prefix(t: Term):
-    """Split a stream term into (data prefix length, base) when it is a
-    cons-chain over a variable; otherwise (None, None)."""
-    depth, base = _peel_rhs(t)
-    if isinstance(base, SVar):
-        return depth, base.name
-    return None, None
+def _peel(t: Term):
+    depth = 0
+    while isinstance(t, Cons):
+        depth += 1
+        t = t.tail
+    return depth, t
 
 
 def rule_shape(spec: StreamSpec, rule: Rule) -> RuleShape:
@@ -887,12 +878,12 @@ def rule_shape(spec: StreamSpec, rule: Rule) -> RuleShape:
     consume = []
     vars_by_name = {}
     for i, pat in enumerate(stream_args):
-        depth, base = _cons_prefix(pat)
-        if base is None:
+        depth, base = _peel(pat)
+        if not isinstance(base, SVar):
             raise ValueError("stream pattern of %r is not a cons chain over a variable" % rule.root)
         consume.append(depth)
-        vars_by_name[base] = i + 1  # 1-based
-    produce, tail = _peel_rhs(rule.rhs)
+        vars_by_name[base.name] = i + 1  # 1-based
+    produce, tail = _peel(rule.rhs)
     if isinstance(tail, SVar):
         return RuleShape(rule, False, tuple(consume), produce, vars_by_name[tail.name], None, None, None)
     if not isinstance(tail, App):
@@ -904,10 +895,10 @@ def rule_shape(spec: StreamSpec, rule: Rule) -> RuleShape:
         perm = []
         feedback = []
         for arg in c_stream:
-            depth, base = _cons_prefix(arg)
-            if base is None or base not in vars_by_name:
+            depth, base = _peel(arg)
+            if not isinstance(base, SVar) or base.name not in vars_by_name:
                 return RuleShape(rule, True, tuple(consume), produce, None, None, None, None)
-            perm.append(vars_by_name[base])
+            perm.append(vars_by_name[base.name])
             feedback.append(depth)
         return RuleShape(rule, False, tuple(consume), produce, None, callee, tuple(perm), tuple(feedback))
     return RuleShape(rule, True, tuple(consume), produce, None, None, None, None)
@@ -941,22 +932,18 @@ def classify(spec: StreamSpec) -> Classification:
             elif isinstance(t, App):
                 todo += t.args
         depends[name] = {t.sym for t in todo if isinstance(t, App) and t.sym in edges}
-        for sh in shapes[name]:
-            if sh.produce == 0:
-                _, tail = _peel_rhs(sh.rule.rhs)
-                if isinstance(tail, App) and tail.sym in edges:
-                    edges[name].add(tail.sym)
+        edges[name].update(r.rhs.sym for r in rules if isinstance(r.rhs, App) and r.rhs.sym in edges)
     unguarded = reaches_cycle(edges)
     guarded = {name: name not in unguarded for name in stream_symbols}
 
     symbol_class = {}
     for name in stream_symbols:
         shs = shapes[name]
-        # a constant's nesting rules are unfolded, not translated: its class
-        # only says whether its rules choose between shapes by data
-        nesting = [sh for sh in shs if sh.nesting] if sig.symbols[name].kind == "func" else []
+        const = sig.symbols[name].kind == "const"
+        nesting = [] if const else [sh for sh in shs if sh.nesting]
         if not nesting:
-            uniform = len({sh.signature for sh in shs}) == 1
+            # a constant's rules are unfolded, not translated: only data choosing one makes it flat
+            uniform = len(shs if const else {sh.signature for sh in shs}) == 1
             symbol_class[name] = "pure" if uniform else "flat"
         else:
             friendly = all(sh.produce >= max(sh.consume, default=0) for sh in nesting)

@@ -5,8 +5,9 @@ Specification families as text: a cyclic `chain` of one-step functions, a
 `prefix`, a `comb` of n nested calls and a `constant_comb` of n constants,
 both over a two-argument function and a second constant, a constant under
 `nested_calls` of two-rule functions, a `two_rule_width` function whose
-second rule reads k elements, and `random_flat_spec`, a random exhaustive
-flat specification.
+second rule reads k elements, `random_flat_spec`, a random exhaustive
+flat specification, and `random_mixed_spec`, a random specification mixing
+every rule shape.
 `chain(16)`, `ring(6)` and `prefix(20)` are the files of the same names
 under `tests/data/`.  Random IO-expression systems, production terms and
 canonical IO-terms come with the rng they draw from, so a seed pins each
@@ -132,6 +133,51 @@ def random_flat_spec(rng, max_feedback=1):
         tail = "%s(%s)" % (f, args) if rng.random() < 0.8 else rng.choice(cons)
         rules.append("%s = %s" % (c, ":".join(out + [tail])))
     return "Signature( " + ", ".join(decls) + " )\n" + "\n".join(rules)
+
+
+def random_mixed_spec(rng, depth=3):
+    """Random specification over nat that mixes every rule shape: constants
+    with and without a data argument and with 1-3 rules, and functions of
+    stream arity 1-2 with cons-prefix patterns, of 1 rule or 2 split on the
+    head of their first argument.  Right-hand sides, at most `depth` deep,
+    mix conses, variables, tail calls, nested calls and calls to constants.
+    The result need not be exhaustive, guarded or productive."""
+    consts = {"C%d" % i: rng.random() < 0.5 for i in range(rng.randrange(1, 4))}  # name -> takes a data argument
+    funs = {"f%d" % i: rng.randrange(1, 3) for i in range(rng.randrange(1, 3))}
+
+    def data(dvars):
+        return rng.choice(["0", "s(0)"] + dvars)
+
+    def stream(svars, dvars, depth):
+        kind = rng.choice(["cons", "var", "call", "const"] if depth else ["var", "const"])
+        if kind == "cons":
+            return "%s:%s" % (data(dvars), stream(svars, dvars, depth - 1))
+        if kind == "var" and svars:
+            return rng.choice(svars)
+        if kind == "call":
+            g = rng.choice(sorted(funs))
+            return "%s(%s)" % (g, ", ".join(stream(svars, dvars, depth - 1) for _ in range(funs[g])))
+        c = rng.choice(sorted(consts))
+        return "%s(%s)" % (c, data(dvars)) if consts[c] else c
+
+    decls = ["%s : %sstream(nat)" % (c, "nat -> " if takes else "") for c, takes in consts.items()]
+    decls += ["%s : %sstream(nat)" % (f, "stream(nat) -> " * a) for f, a in funs.items()]
+    rules = []
+    for c, takes in consts.items():
+        for pat in [["x"], ["0", "s(x)"], ["0", "s(0)", "s(s(x))"]][rng.randrange(3)] if takes else [None]:
+            lhs = c if pat is None else "%s(%s)" % (c, pat)
+            rules.append("%s = %s" % (lhs, stream([], ["x"] if pat and "x" in pat else [], depth)))
+    for f, a in funs.items():
+        for head in rng.choice([[None], ["0", "s(y)"]]):
+            pats, dvars = [], ["y"] if head == "s(y)" else []
+            for i in range(a):
+                parts = ["x%d_%d" % (i, j) for j in range(rng.randrange(0, 3))]
+                if i == 0 and head is not None:
+                    parts = [head] + parts
+                dvars += [v for v in parts if v.startswith("x")]
+                pats.append(":".join(parts + ["t%d" % i]))
+            rules.append("%s(%s) = %s" % (f, ", ".join(pats), stream(["t%d" % i for i in range(a)], dvars, depth)))
+    return "Signature( %s, 0 : nat, s : nat -> nat )\n%s\n" % (", ".join(decls), "\n".join(rules))
 
 
 def diagram(g, first, n):

@@ -63,6 +63,29 @@ def test_stuck_constant_not_productive(tmp_path):
     assert verdicts["C"]["verdict"] != "productive", out
 
 
+# E -> C(0) -> 0:f(D) produces forever; f's gate is only a lower bound where
+# its tail call reaches C's nesting rule.  With C = 0:f(D), C is that constant.
+NESTING_TAIL = (
+    "Signature( C, D, E : stream(nat), f, g : stream(nat) -> stream(nat), 0 : nat )\n"
+    "C = 0:g(D)\nD = 0:D\nE = f(D)\nf(x:s) = C\ng(x:s) = x:g(s)\n"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: a tail call into a constant's nesting rule gets the gate port 0")
+def test_tail_call_into_nesting_constant_not_refuted(tmp_path):
+    """E = f(D) -> C -> 0:g(D) produces forever, and so does C in the
+    variant C = 0:f(D): no constant of either reads not-productive, in the
+    text report and in JSON."""
+    p = tmp_path / "nesting_tail.spec"
+    for text in (NESTING_TAIL, NESTING_TAIL.replace("C = 0:g(D)", "C = 0:f(D)")):
+        p.write_text(text)
+        _, out, _ = run_cli([str(p)])
+        assert ": not-productive" not in out, out
+        _, out, _ = run_cli([str(p), "--report", "json"])
+        assert all(c["verdict"] != "not-productive" for c in json.loads(out)["constants"]), out
+
+
 # C(s(0)) matches no rule, so D = C(0) -> 0:C(s(0)) stops after one element.
 STUCK_CONSTANT = "Signature( C : nat -> stream(nat), D : stream(nat), 0 : nat, s : nat -> nat )\nC(0) = 0:C(s(0))\nD = C(0)\n"
 
@@ -95,7 +118,8 @@ def test_constant_choosing_its_rule_by_data_is_flat(tmp_path):
     """D = C(0) -> 0:C(s(0)) -> 0:C(0) -> ... produces forever, but which of
     C's two rule shapes applies depends on data, so the context is flat:
     the adversary's production 0 reads not-do-productive, not a proof of
-    non-productivity.  A constant with two rules of one shape stays pure."""
+    non-productivity.  A constant with two rules is flat whatever their
+    shapes; the flat C(0) = 0:C(1), C(1) = 1:C(0) is still productive."""
     p = tmp_path / "flat.spec"
     p.write_text(STUCK_CONSTANT.replace("D = ", "C(s(x)) = C(x)\nD = "))
     code, out, _ = run_cli([str(p)])
@@ -106,6 +130,28 @@ def test_constant_choosing_its_rule_by_data_is_flat(tmp_path):
     p.write_text("Signature( C : bit -> stream(bit), 0, 1 : bit )\nC(0) = 0:C(1)\nC(1) = 1:C(0)\n")
     code, out, _ = run_cli([str(p)])
     assert code == 0 and out.endswith("C : production = inf : productive\n"), out
+
+
+def test_constant_with_two_nesting_rules_is_flat(tmp_path):
+    """E -> C(0) -> 0:f(D) produces forever, while C(1) -> 0:f(K) stops
+    after one element.  C's two rules have one nesting shape, but data picks
+    between them, so C and E read not-do-productive, not the exact claim
+    not-productive, in the text report and in JSON."""
+    p = tmp_path / "choice.spec"
+    p.write_text(
+        "Signature( C : nat -> stream(nat), D, K, E : stream(nat), f : stream(nat) -> stream(nat), 0, 1 : nat )\n"
+        "C(0) = 0:f(D)\nC(1) = 0:f(K)\nD = 0:D\nK = K\nE = C(0)\nf(x:s) = x:f(s)\n"
+    )
+    code, out, _ = run_cli([str(p)])
+    assert code == 1 and out.endswith(
+        "C : production = 1 : not-do-productive\nD : production = inf : productive\n"
+        "K : production = 0 : not-productive\nE : production = 1 : not-do-productive\n"
+    ), out
+    code, out, _ = run_cli([str(p), "--report", "json"])
+    verdicts = [(c["name"], c["production"], c["verdict"]) for c in json.loads(out)["constants"]]
+    assert code == 1 and verdicts == [
+        ("C", 1, "not-do-productive"), ("D", "inf", "productive"), ("K", 0, "not-productive"), ("E", 1, "not-do-productive")
+    ], out
 
 
 def test_pascal_productive_exit_zero():
@@ -633,6 +679,42 @@ def test_usage_error_exit_code_from_command_line():
         done = _run_module(args, stdout=subprocess.PIPE)
         assert done.returncode == code, (args, done.stderr)
         assert done.stderr.startswith(b"usage: prodcheck") == (code == 15), args
+
+
+def test_mixed_generated_specs_end_in_documented_exit_codes(tmp_path):
+    """Decide with either report and oracle-check, on 300 random specs that
+    mix every rule shape, each end in a documented exit code, and nothing
+    escapes `main`.  Oracle-check used to end in a TypeError where a
+    function game entered a nesting rule by a tail call."""
+    p = tmp_path / "mixed.spec"
+    for seed in range(300):
+        p.write_text(specgen.random_mixed_spec(random.Random(seed)))
+        for mode in ([], ["--report", "json"], ["--mode", "oracle-check"]):
+            try:
+                code, _, _ = run_cli([str(p)] + mode)
+            except Exception as exc:
+                pytest.fail("seed %d %s: %r" % (seed, mode, exc))
+            assert code in {0, 1, 2, 10, 11, 12, 13}, (seed, mode, code)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Signature( C : stream(nat), f, g : stream(nat) -> stream(nat), 0 : nat )\n"
+        "C = 0:f(C)\nf(x:s) = x:g(s)\ng(x:s) = x:g(g(s))\n",
+        "Signature( C, D : stream(nat), f : stream(nat) -> stream(nat), 0 : nat )\nC = 0:f(D)\nD = 0:D\nf(x:s) = C\n",
+    ],
+    ids=["nesting-function", "nesting-constant"],
+)
+def test_oracle_check_skips_a_game_entering_a_nesting_rule(text, tmp_path):
+    """f is flat, but its tail call enters a nesting rule, of the function
+    g or of the constant C, which has no game state: f's check and that of
+    each constant reaching it are skipped, with exit 0."""
+    p = tmp_path / "enters_nesting.spec"
+    p.write_text(text)
+    code, out, err = run_cli([str(p), "--mode", "oracle-check"])
+    assert (code, err) == (0, "") and out.startswith("f : skipped (nesting)\n"), out
+    assert "C : skipped (game oracle does not cover nesting symbol " in out, out
 
 
 @pytest.mark.parametrize("seed", [26, 50])

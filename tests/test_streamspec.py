@@ -25,7 +25,7 @@ from prodcheck.streamspec import (
     _tokenize,
     _constructors_of,
     _missing_vector,
-    _peel_rhs,
+    _peel,
     _positions,
     _Sorter,
     _wild,
@@ -759,7 +759,7 @@ def test_deep_terms_parse_without_recursion():
     m = 20000
     spec = parse("Signature( P : stream(nat), 0 : nat )\nP = " + "0:" * m + "P\n")
     (rule,) = spec.stream_rules
-    assert _peel_rhs(rule.rhs) == (m, App("P", ()))
+    assert _peel(rule.rhs) == (m, App("P", ()))
     assert str(rule) == "P = " + "0:" * m + "P"
     spec = parse("Signature( P : stream(nat), s : nat -> nat, 0 : nat )\nP = " + "s(" * m + "0" + ")" * m + ":P\n")
     t, depth = spec.stream_rules[0].rhs.head, 0
