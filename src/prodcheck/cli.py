@@ -160,15 +160,16 @@ def _oracle_check(spec, cls, gates, verdicts, caps, out):
     """Cross-check gates and verdicts against the game oracle."""
     failures = 0
     for name in spec.signature.stream_functions():
-        if cls.symbol_class[name] not in ("flat", "pure") or dogame.nesting_entered(cls, (name,)) is not None:
+        if dogame.function_game(cls, name) is None:
             out.write("%s : skipped (nesting)\n" % name)
             continue
         g = gates[name]
         agree = True
         tables = [[min(g.cap, interpret(u, n)) for n in range(5)] for u in g.args]
+        settled: dict = {}  # walks the sweep's games settle, kept where they have one rule per symbol
         for supplies in itertools.product(range(5), repeat=g.arity):
             gate_value = min((t[n] for t, n in zip(tables, supplies)), default=g.cap)
-            game = dogame.do_low_function(cls, name, supplies, prod_cap=caps.oracle_prod_cap)
+            game = dogame.do_low_function(cls, name, supplies, caps.oracle_prod_cap, settled)
             if isinstance(game, dogame.AtLeast):
                 ok = is_top(gate_value) or gate_value >= game.bound
             else:

@@ -15,8 +15,10 @@ dominated by an open frame of its symbol, with supplies at least as large
 in every argument, closes a cycle there (the Karp-Miller cut).  Under one
 committed assignment a walk is a single path, so the Kleene rounds of a
 constant reuse the states earlier rounds settled instead of walking them
-again.  A reused state is charged the expansions its walk spent, so reuse
-changes neither a value nor how much of `step_cap` is left.
+again, or a root game an earlier round played; a supply sweep over
+single-rule symbols shares its settled states the same way.  A reused state
+or game is charged the expansions its walk spent, so reuse changes neither
+a value nor how much of a budget is left.
 
 Results are either exact numbers or `AtLeast(b)` lower bounds; the oracle
 never asserts infinity on its own.  A game that reaches `prod_cap` output
@@ -92,12 +94,13 @@ def _game_value(shapes_of, f, supplies, prod_cap, budget, settled=None):
     spends one unit of `budget[0]`, which callers may share; past the budget
     or `prod_cap` output the value is an inexact lower bound.
 
-    `settled` may be given only when every symbol has one shape.  A walk is
-    then one path, the same from a state whichever call reaches it, and the
-    table keeps, across calls, each state whose path ended exact without
-    closing a cycle at or below it: state -> (value, expansions spent, peak
-    output above entry).  A state is taken from the table, and its
-    expansions charged to the budget, only where expanding it again would
+    `settled` may be given only when every symbol has one shape (the rounds
+    of a rule assignment share it, as do the calls of a supply sweep, each
+    with its own budget).  A walk is then one path, the same from a state
+    whichever call reaches it, and the table keeps, across calls, each state
+    whose path ended exact without closing a cycle at or below it: state ->
+    (value, expansions spent, peak output above entry).  A state is taken
+    from the table, and its expansions charged to the budget, only where expanding it again would
     hit neither `prod_cap` nor the budget, so results and budget use equal
     those of a search without the table.  Reuse stays so under the cut: if
     a settled state's path reached a state dominating a frame above it, the
@@ -187,17 +190,31 @@ def nesting_entered(cls: Classification, starts):
     return next((g for g in entered if any(sh.nesting for sh in cls.shapes[g])), None)
 
 
-def do_low_function(cls: Classification, f: str, supplies, prod_cap: int = Caps.DEFAULTS["oracle_prod_cap"]):
+def function_game(cls: Classification, f: str):
+    """None if f has no function game, else whether every symbol its games
+    reach has one rule, so that they may share a `settled` table; answered
+    once per symbol and kept on `cls`."""
+    if f not in cls.games:
+        # a constant's class is flat or pure even when it has a nesting rule
+        flat = cls.symbol_class.get(f) in ("flat", "pure") and nesting_entered(cls, (f,)) is None
+        cls.games[f] = all(len(cls.shapes[g]) == 1 for g in reachable_symbols(cls, f)) if flat else None
+    return cls.games[f]
+
+
+def do_low_function(
+    cls: Classification, f: str, supplies, prod_cap: int = Caps.DEFAULTS["oracle_prod_cap"], settled=None
+):
     """Least production of f the adversary can force from finite supplies.
 
     The adversary picks any defining rule at every state; the search expands
-    at most `_FUNCTION_EXPANSIONS` states.
+    at most `_FUNCTION_EXPANSIONS` states.  The calls of a supply sweep may
+    share one dict `settled` under one `prod_cap`; it is used only where
+    `function_game` allows it.
     """
-    # a constant's class is flat or pure even when it has a nesting rule
-    if cls.symbol_class.get(f) not in ("flat", "pure") or nesting_entered(cls, (f,)) is not None:
+    if (single := function_game(cls, f)) is None:
         raise ValueError("%r is not a flat stream function" % f)
-    supplies = tuple(int(n) for n in supplies)
-    lo, exact = _game_value(cls.shapes.__getitem__, f, supplies, prod_cap, [_FUNCTION_EXPANSIONS])
+    supplies, settled = tuple(int(n) for n in supplies), settled if single else None
+    lo, exact = _game_value(cls.shapes.__getitem__, f, supplies, prod_cap, [_FUNCTION_EXPANSIONS], settled)
     return _as_result(lo, exact, prod_cap)
 
 
@@ -221,10 +238,14 @@ def do_low_constant(
     production cap guarding divergence.  The function games of the whole
     enumeration share `step_cap - 1` expansions; the rounds of one
     assignment share a table of settled states, so each round walks only
-    the states no earlier round settled.  Past the budget every game is
-    (0, inexact) whatever its shapes: if each constant has one rule, the
-    first assignment that starts with the budget spent is the last one
-    played.  Nesting rules are outside this oracle's state space.
+    the states no earlier round settled, and a table of the root games
+    that ended with budget left.  A root game starts at output 0, so while
+    the budget lasts its result and spend depend only on its symbol and
+    supplies; an entry is taken, and its spend charged, only while the
+    budget covers that spend.  Past the budget every game is (0, inexact)
+    whatever its shapes: if each constant has one rule, the first
+    assignment that starts with the budget spent is the last one played.
+    Nesting rules are outside this oracle's state space.
 
     `decided` (constant -> result), shared under one `prod_cap` and
     `step_cap`, answers `name` if it holds it.  Otherwise the result of
@@ -246,33 +267,49 @@ def do_low_constant(
     if (g := nesting_entered(cls, [s for s in symbols if sig.symbols[s].kind == "func"])) is not None:
         raise ValueError("game oracle does not cover nesting symbol %r" % g)
 
-    def term_production(term, values, shapes_of, settled):
-        # postorder on an explicit stack: an item 1 is a cons over the last
-        # result, an item (symbol, n) plays the symbol's game on the last n
-        done: list = []
-        todo: list = [term]
+    # each right-hand side in postorder: 1 is a cons over the last result, a
+    # constant's name reads its value, (symbol, n) plays a game on the last n
+    program: dict = {}
+    for sh in itertools.chain.from_iterable(cls.shapes[c] for c in constants):
+        ops = program[sh] = []
+        todo: list = [sh.rule.rhs]
         while todo:
             term = todo.pop()
-            if isinstance(term, int):
-                lo, exact = done.pop()
-                done.append((lo + 1, exact))
-            elif isinstance(term, tuple):
-                sym, n = term
-                child = done[len(done) - n :]
-                del done[len(done) - n :]
-                supplies = tuple(min(lo, prod_cap) for lo, _ in child)
-                lo, exact = _game_value(shapes_of, sym, supplies, prod_cap, budget, settled)
-                done.append((lo, exact and all(ex for _, ex in child)))
+            if isinstance(term, (int, tuple)):
+                ops.append(term)
             elif isinstance(term, Cons):
                 todo += (1, term.tail)
             elif isinstance(term, SVar):
                 raise ValueError("open stream term under constant %r" % name)
             elif sig.symbols[term.sym].kind == "const":
-                done.append(values[term.sym])
+                ops.append(term.sym)
             else:
                 args = term.args[: sig.symbols[term.sym].stream_arity]
                 todo.append((term.sym, len(args)))
                 todo.extend(reversed(args))
+
+    def production(ops, values, shapes_of, settled, roots):
+        done: list = []
+        for op in ops:
+            if op.__class__ is int:
+                lo, exact = done[-1]
+                done[-1] = (lo + 1, exact)
+            elif op.__class__ is str:
+                done.append(values[op])
+            else:
+                sym, n = op
+                child = done[len(done) - n :]
+                del done[len(done) - n :]
+                supplies = tuple(min(lo, prod_cap) for lo, _ in child)
+                if (hit := roots.get(key := (sym, supplies))) and budget[0] >= hit[2]:
+                    lo, exact, spent = hit
+                    budget[0] -= spent
+                else:
+                    start = budget[0]
+                    lo, exact = _game_value(shapes_of, sym, supplies, prod_cap, budget, settled)
+                    if budget[0] > 0:  # no expansion was refused
+                        roots[key] = (lo, exact, start - budget[0])
+                done.append((lo, exact and all(ex for _, ex in child)))
         return done[0]
 
     # the constants each constant reaches, and its own enumeration's round limit
@@ -283,12 +320,13 @@ def do_low_constant(
     for picks in itertools.product(*(cls.shapes[s] for s in symbols)):
         last = budget[0] <= 0 and all(len(cls.shapes[c]) == 1 for c in constants)
         committed = {s: (sh,) for s, sh in zip(symbols, picks)}
-        rule_of = {c: committed[c][0].rule for c in constants}
+        ops_of = {c: program[committed[c][0]] for c in constants}
         values = {c: (0, True) for c in constants}
         changed_at = dict.fromkeys(constants, -1)  # the last round that changed each value
         settled: dict = {}  # game states whose path this assignment's rounds replay
+        roots: dict = {}  # (symbol, supplies) -> (value, exact, expansions spent) of its root game
         for k in range(limit[name]):
-            new = {c: term_production(rule_of[c].rhs, values, committed.__getitem__, settled) for c in constants}
+            new = {c: production(ops_of[c], values, committed.__getitem__, settled, roots) for c in constants}
             # a capped iterate is only a lower bound from here on
             capped = {c: (min(lo, prod_cap), ex and lo < prod_cap) for c, (lo, ex) in new.items()}
             changed_at.update((c, k) for c in constants if capped[c] != values[c])

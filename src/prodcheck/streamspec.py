@@ -905,13 +905,14 @@ def rule_shape(spec: StreamSpec, rule: Rule) -> RuleShape:
 
 
 class Classification:
-    __slots__ = ("shapes", "symbol_class", "guarded", "depends")
+    __slots__ = ("shapes", "symbol_class", "guarded", "depends", "games")
 
     def __init__(self, shapes: dict, symbol_class: dict, guarded: dict, depends: dict):
         self.shapes = shapes  # symbol -> [RuleShape]
         self.symbol_class = symbol_class  # stream symbol -> "pure"|"flat"|"friendly"|"unfriendly"
         self.guarded = guarded  # stream symbol -> bool (weakly guarded)
         self.depends = depends  # stream symbol -> set of stream symbols in its rule rhss
+        self.games: dict = {}  # stream symbol -> dogame.function_game's answer, filled as asked
 
 
 def classify(spec: StreamSpec) -> Classification:

@@ -4,7 +4,7 @@ from operator import le
 
 import pytest
 
-from prodcheck import dogame
+from prodcheck import cli, dogame
 from prodcheck.dogame import AtLeast, do_low_constant, do_low_function
 from prodcheck.equations import Caps
 from prodcheck.ioalg import interpret, is_top, parse_ioterm
@@ -119,6 +119,36 @@ def test_constant_rounds_reuse_settled_states(corpus, monkeypatch):
         assert do_low_constant(spec, cls, "P", prod_cap=prod_cap) == AtLeast(prod_cap)
         work.append(calls[0])
     assert work[1] <= 2.5 * work[0] and work[2] <= 2.5 * work[1], work
+
+
+@pytest.mark.parametrize("name, most", [("ternary_morse_flat", 186), ("ternary_morse_pure", 276)])
+def test_oracle_check_plays_no_root_game_twice(name, most, monkeypatch, capsys):
+    """A constant's Kleene rounds take a root game they played before from
+    its assignment's table, and a single-rule function's supply sweep walks
+    the paths of smaller supplies once.  The expansions, counted by `lt`
+    calls as above, are at most the pinned numbers; replaying every root
+    game and walking each sweep's paths again took 245 and 508."""
+    calls = [0]
+
+    def counting_lt(a, b):
+        calls[0] += 1
+        return a < b
+
+    played: dict = {}
+    game = dogame._game_value
+
+    def counting_game(shapes_of, f, supplies, *rest):
+        if isinstance(shapes_of(f), tuple):  # one committed rule per symbol: a constant's game
+            key = (frozenset((s, id(shs[0])) for s, shs in shapes_of.__self__.items()), f, supplies)
+            played[key] = played.get(key, 0) + 1
+        return game(shapes_of, f, supplies, *rest)
+
+    monkeypatch.setattr(dogame, "lt", counting_lt)
+    monkeypatch.setattr(dogame, "_game_value", counting_game)
+    assert cli.main([str(spec_path(name)), "--mode", "oracle-check"]) == 0
+    assert "agree" in capsys.readouterr().out
+    assert played and max(played.values()) == 1
+    assert calls[0] <= most
 
 
 def test_dominated_takes_the_deepest_frame_below_in_every_argument():
@@ -477,3 +507,61 @@ def test_enumeration_decides_the_constants_it_covers(corpus):
     decided = {}
     do_low_constant(spec, cls, "Q", step_cap=5, decided=decided)
     assert decided == {}
+
+
+def _unbounded_spend(spec, cls, name, prod_cap, monkeypatch):
+    """The expansions that the enumeration of `name` spends when its budget
+    never runs out, read from the budget its games share."""
+    budgets = []
+    game = dogame._game_value
+
+    def keeping(shapes_of, f, supplies, cap, budget, settled=None):
+        budgets.append(budget)
+        return game(shapes_of, f, supplies, cap, budget, settled)
+
+    with monkeypatch.context() as m:
+        m.setattr(dogame, "_game_value", keeping)
+        do_low_constant(spec, cls, name, prod_cap, 10**9)
+    return 10**9 - 1 - budgets[0][0] if budgets else 0
+
+
+def test_game_tables_keep_answers_at_every_budget(corpus, monkeypatch):
+    """A root game is taken from its assignment's table, and a settled state
+    from a sweep's shared table, only while the budget covers the spend the
+    game first had: at every budget up to the one that never runs out, each
+    constant gives the reference's answer, and each game of a supply sweep
+    sharing one table gives the reference's answer at its tuple.
+
+    The reference replays the enumeration at each budget, so its cost grows
+    with the square of the spend.  To keep the test near 3 s, three cases
+    are left out: `_TWO_RULE_CONSTANT` at `prod_cap` 12 and 32 (525 and
+    1,825 expansions) and `Qprime` at 32 (381), whose games are a part of
+    `Q`'s."""
+    cases = {name: corpus[name] for name in ("ternary_morse_flat", "ternary_morse_pure", "pascal", "morse_dol", "do_m", "intro_b")}
+    cases.update(silent_ring=parse(_SILENT_RING), two_rule=parse(_TWO_RULE_CONSTANT))
+    left_out = {("two_rule", "C", 12), ("two_rule", "C", 32), ("ternary_morse_flat", "Qprime", 32)}
+    checked = 0
+    for case, spec in cases.items():
+        cls = classify(spec)
+        for c in spec.signature.stream_constants():
+            for prod_cap in (4, 12, 32):
+                if (case, c, prod_cap) in left_out:
+                    continue
+                for step_cap in range(1, _unbounded_spend(spec, cls, c, prod_cap, monkeypatch) + 3):
+                    want = _constant_reference(spec, cls, c, prod_cap, step_cap)
+                    assert do_low_constant(spec, cls, c, prod_cap, step_cap) == want, (case, c, prod_cap, step_cap)
+                    checked += 1
+    shared = 0
+    for name in ("ternary_morse_pure", "nested_fb"):
+        spec, cls = setup(corpus, name)
+        for f in spec.signature.stream_functions():
+            assert dogame.function_game(cls, f) is True
+            for expansions in range(1, 41):
+                monkeypatch.setattr(dogame, "_FUNCTION_EXPANSIONS", expansions)
+                settled: dict = {}
+                for supplies in itertools.product(range(5), repeat=spec.signature.symbols[f].stream_arity):
+                    got = do_low_function(cls, f, supplies, 32, settled)
+                    assert got == _function_reference(cls, f, supplies, depth_cap=expansions), (f, expansions, supplies)
+                    checked += 1
+                shared += len(settled)
+    assert checked > 9000 and shared > 1000, (checked, shared)
