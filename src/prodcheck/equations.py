@@ -263,14 +263,20 @@ def finitize(cls: Classification, roots, cap: int = Caps.DEFAULTS["finitize_cap"
     removal eagerly, lowest supply level first.
 
     Reachability from the roots and the clean edges (occurrences with no '-'
-    above them) are kept up to date as equations are added.  A new equation
-    can only open a pseudo-cycle for a variable that reaches it through clean
-    edges, so only those are checked, and only after an argument equation
-    that adds a clean edge: every clean path ending at an equation with none
-    was checked when its last edge was added.  A replacement only removes
-    edges: it opens no pseudo-cycle, and reachability is recomputed only then.
+    above them) are kept up to date as equations are added.  Clean edges are
+    kept for argument equations only: star, X_+, X_- and X_id equations have
+    clean edges only to variables that are not argument variables, and so do
+    those variables' own equations, so no clean path through them reaches an
+    argument variable.  A new equation v can only open a pseudo-cycle along a
+    clean path through v, so the check runs only after an argument equation
+    with a clean edge (every clean path ending at an equation with none was
+    checked when its last edge was added), and it takes only v's clean
+    ancestors u whose place (f, i) v reaches at a level above u's, found by
+    one forward walk from v.  A replacement only removes edges: it opens no
+    pseudo-cycle, and reachability is recomputed only then.
     """
     roots = tuple(roots)
+    plus = EVar(XP)
     eqs: dict = {}
     names: dict = {}  # var -> the variables its equation names, left to right
     clean: dict = {}  # var -> variables occurring clean in its equation
@@ -296,7 +302,7 @@ def finitize(cls: Classification, roots, cap: int = Caps.DEFAULTS["finitize_cap"
         eqs[v] = e
         occurrences = list(expr_vars(e))
         names[v] = [w for w, _ in occurrences]
-        clean[v] = {w for w, is_clean in occurrences if is_clean}
+        clean[v] = {w for w, is_clean in occurrences if is_clean and v[0] == "arg"}
         for w in clean[v]:
             clean_rev.setdefault(w, set()).add(v)
 
@@ -314,18 +320,18 @@ def finitize(cls: Classification, roots, cap: int = Caps.DEFAULTS["finitize_cap"
         if len(eqs) > cap:
             raise CapError("finitization cap exceeded (%d equations)" % cap)
         reach(names[v])
-        # star, X_+, X_- and X_id equations have clean edges only to variables
-        # that are not argument variables, and so do those variables' own
-        # equations: no path through them reaches an argument variable, so
-        # they cannot open a pseudo-cycle; nor can an equation with no clean edge
-        if v[0] != "arg" or not clean[v]:
+        if not clean[v]:
             continue
+        top: dict = {}  # place (f, i) -> the highest level v reaches there
+        for w in reachable((v,), lambda w: clean.get(w, ())):
+            if w[0] == "arg" and top.get(w[1:3], -1) < w[3]:
+                top[w[1:3]] = w[3]
         ancestors = reachable((v,), lambda u: clean_rev.get(u, ()))
-        candidates = [u for u in ancestors if u[0] == "arg" and eqs[u] != EVar(XP)]
+        candidates = [u for u in ancestors if top.get(u[1:3], -1) > u[3] and eqs[u] != plus]
         replaced = False
         for u in sorted(candidates, key=_var_order_key):
             if pseudo_cycle(u):
-                set_equation(u, EVar(XP))
+                set_equation(u, plus)
                 replaced = True
         if replaced:
             seen.clear()

@@ -13,8 +13,11 @@ The unique solution for a variable of F is recovered from a trace graph: a
 node per position of every right-hand side, with one successor list each,
 labelled '-' or '+' for a step and silent (None) for variable references and
 infimum forks.  The graph is the same for every root, so each system keeps
-one graph, checked to have no cycle of silent edges, and a root's diagram
-starts at the head of its equation.  `_columns` generates that
+one graph, and a root's diagram starts at the head of its equation.  Silent
+edges lead from a head only to the references with infima alone above them
+(surface references), so the graph has no cycle of silent edges exactly when
+the variables have no cycle of surface references, which one walk over those
+checks.  `_columns` generates that
 two-dimensional diagram column by column (one column per input consumed,
 heights counting outputs), each with the solution's value at its supply:
 the lowest '-' node of the column, read off the next column's seed.  The
@@ -60,7 +63,8 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
     node's first child is the next node; an infimum's right child is linked
     when the walk reaches it, a variable reference once every head is known.
     The walk also lists the variables each right-hand side names, left to
-    right, as `refs`.
+    right, as `refs`, and those it names at the surface, which the
+    silent-cycle check walks from each variable that has one.
     """
     nodes: list = []
     succ: list = []
@@ -68,12 +72,13 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
     heads: dict = {}
     refs: dict = {}
     links: list = []  # (node id, variable) of every reference, in node order
+    surface: dict = {}  # var -> the variables its right-hand side names below infima only
     for var, expr in iospec.equations.items():
         heads[var] = len(nodes)
         named = refs[var] = []
-        todo = [(expr, None, None)]
+        todo = [(expr, None, None, True)]
         while todo:
-            e, parent, digit = todo.pop()
+            e, parent, digit, top = todo.pop()
             nid = len(nodes)
             nodes.append((var, parent, digit))
             if digit == 2:
@@ -81,12 +86,14 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
             if isinstance(e, EVar):
                 links.append((nid, e.var))
                 named.append(e.var)
+                if top:
+                    surface.setdefault(var, []).append(e.var)
                 out, sym = [], None
             elif isinstance(e, EStep):
-                todo.append((e.body, nid, 1))
+                todo.append((e.body, nid, 1, False))
                 out, sym = [nid + 1], e.sym
             elif isinstance(e, EInf):
-                todo += ((e.right, nid, 2), (e.left, nid, 1))
+                todo += ((e.right, nid, 2, top), (e.left, nid, 1, top))
                 out, sym = [nid + 1], None
             else:  # the end of the sequence: production freezes, inputs are ignored
                 out, sym = [nid], MINUS
@@ -97,7 +104,7 @@ def _system_graph(iospec: IOSpec) -> TraceGraph:
             raise TranslationError("undefined variable %s" % (v,))
         succ[nid].append(heads[v])
 
-    if feedback_order(range(len(nodes)), lambda v: () if label[v] else succ[v])[0]:
+    if feedback_order(surface, lambda v: surface.get(v, ()))[0]:
         raise TranslationError("silent cycle: system is not weakly guarded")
     return TraceGraph(nodes, succ, label, heads, refs)
 

@@ -956,11 +956,13 @@ def reaches_cycle(edges: dict) -> set:
     """Nodes from which some path runs into a directed cycle.
 
     `edges` maps each node to its successors; a target with no entry of its
-    own has none.  Every node of `feedback_order`'s F lies on a cycle, and in
-    its post-order each node comes after its successors outside F, so one
-    pass over that order adds every node with a successor already found.
+    own has none.  The walk starts only at nodes with a successor, as no
+    other node can reach a cycle.  Every node of `feedback_order`'s F lies on
+    a cycle, and in its post-order each node comes after its successors
+    outside F, so one pass over that order adds every node with a successor
+    already found.
     """
-    found, order = feedback_order(edges, lambda v: edges.get(v, ()))
+    found, order = feedback_order([v for v in edges if edges[v]], lambda v: edges.get(v, ()))
     for v in order:
         if not found.isdisjoint(edges.get(v, ())):
             found.add(v)

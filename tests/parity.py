@@ -17,9 +17,9 @@ The set is the union of two:
   --oracle-steps 20`;
 - report runs: the `tests/data` specs, the same `random_flat_spec` seeds and
   the families `chain` 1/16/64, `ring` 4/6/8, `prefix` 20, `two_rule_width`
-  2/8/64 and `nested_calls` 1-4, each in decide with the text and the JSON
-  report, in oracle-check and in gates with `--dump-equations
-  --dump-diagram`.
+  2/8/64, `nested_calls` 1-4 and `push_back_chain` 2/8/32, each in decide
+  with the text and the JSON report, in oracle-check and in gates with
+  `--dump-equations --dump-diagram`.
 
 The specs are written into a temporary directory under relative names, so
 the hash does not depend on where the checkout lies.  The package is
@@ -75,6 +75,7 @@ def specs():
     families += [("prefix20.spec", specgen.prefix(20))]
     families += [("width%d.spec" % k, specgen.two_rule_width(k)) for k in (2, 8, 64)]
     families += [("nested%d.spec" % n, specgen.nested_calls(n)) for n in range(1, 5)]
+    families += [("push_back%d.spec" % n, specgen.push_back_chain(n)) for n in (2, 8, 32)]
     return data + flat + mixed + [(name, text, REPORT_ARGS) for name, text in families]
 
 

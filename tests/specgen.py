@@ -1,6 +1,7 @@
 """Generators and oracles shared by the test modules.
 
 Specification families as text: a cyclic `chain` of one-step functions, a
+`push_back_chain` of functions that each push an element back, a
 `ring` of constants over a halving function, a constant behind a cons
 `prefix`, a `comb` of n nested calls and a `constant_comb` of n constants,
 both over a two-argument function and a second constant, a constant under
@@ -39,6 +40,14 @@ def chain(n: int, name: str = "f") -> str:
     `name` and two digits."""
     fs = ["%s%02d" % (name, i) for i in range(n)]
     rules = ["C = 0:%s(C)" % fs[0]] + ["%s(x:s) = x:%s(s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
+    return _spec(["C"], fs, rules)
+
+
+def push_back_chain(n: int, name: str = "f") -> str:
+    """C = 0:f00(C), f_i(x:y:s) = x:f_{i+1 mod n}(y:x:s), the functions
+    named `name` and two digits."""
+    fs = ["%s%02d" % (name, i) for i in range(n)]
+    rules = ["C = 0:%s(C)" % fs[0]] + ["%s(x:y:s) = x:%s(y:x:s)" % (fs[i], fs[(i + 1) % n]) for i in range(n)]
     return _spec(["C"], fs, rules)
 
 

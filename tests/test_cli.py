@@ -371,6 +371,17 @@ def test_json_report_prefix_of_800(tmp_path):
     assert json.loads(out)["constants"] == [{"name": "P", "production": "inf", "verdict": "productive"}]
 
 
+def test_json_report_push_back_chain(tmp_path):
+    """Each function of a push-back chain reads two elements, emits the
+    first and pushes both back, swapped: f00(C) waits for C's second
+    element, its own first output, so C produces only its first."""
+    p = tmp_path / "push_back128.spec"
+    p.write_text(specgen.push_back_chain(128))
+    code, out, err = run_cli([str(p), "--report", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["constants"] == [{"name": "C", "production": 1, "verdict": "not-productive"}]
+
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 

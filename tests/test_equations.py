@@ -380,6 +380,8 @@ def _finitize_cases(corpus):
     yield from corpus.items()
     yield "chain 24", parse(specgen.chain(24))
     yield "ring 8", parse(specgen.ring(8))
+    for n in range(2, 13):
+        yield "push-back chain %d" % n, parse(specgen.push_back_chain(n))
 
 
 def test_finitize_matches_from_scratch_sweep(corpus):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import prodcheck.equations as equations
 import prodcheck.prodterm as prodterm
 import prodcheck.solver as solver
 import prodcheck.streamspec as streamspec
@@ -84,6 +85,53 @@ def test_chain_gates_prepend_and_validate_in_constant_work(monkeypatch):
             walks.append(_calls(monkeypatch, streamspec, "_linked", lambda: validate(spec)))
     assert len(set(prepends)) == 1, prepends
     assert walks == [0] * 6, walks
+
+
+def test_push_back_chain_finitizes_in_linear_walks(monkeypatch):
+    """A push-back chain of n functions has one clean cycle of n argument
+    equations, all at one supply level, so no ancestor of a new equation
+    can gain a pseudo-cycle: `finitize` makes two clean walks per equation
+    and confirms no candidate, not even the equation itself.  The nodes
+    those walks yield grow at most quadratically, until the ancestor walk
+    is replaced by a summary (ROADMAP item 19)."""
+    sizes = (64, 128, 256)
+    calls, nodes = [], []
+    for n in sizes:
+        yielded = []
+
+        def counted(starts, successors, inner=equations.reachable):
+            calls[-1] += 1
+            for w in inner(starts, successors):
+                yielded.append(None)
+                yield w
+
+        calls.append(0)
+        monkeypatch.setattr(equations, "reachable", counted)
+        translate.translate_symbols(parse(specgen.push_back_chain(n)))
+        monkeypatch.undo()
+        nodes.append(len(yielded))
+    assert calls == [2 * n for n in sizes], calls
+    assert max(_ratios(nodes)) <= 4.5, nodes
+
+
+def test_chain_cycle_checks_start_nowhere(monkeypatch):
+    """No right-hand side of a chain names a variable with only infima
+    above it, and no rule's right-hand side is a bare call, so the
+    silent-cycle check of `build_graph` and the guardedness walk of
+    `classify` each start from no root, not from every node or symbol."""
+    roots = {}
+
+    def recorder(module):
+        def recorded(starts, successors, inner=module.feedback_order):
+            starts = list(starts)
+            roots.setdefault(module.__name__, []).append(len(starts))
+            return inner(starts, successors)
+        return recorded
+
+    for module in (solver, streamspec):
+        monkeypatch.setattr(module, "feedback_order", recorder(module))
+    translate.translate_symbols(parse(specgen.chain(128)))
+    assert roots == {"prodcheck.solver": [0], "prodcheck.streamspec": [0]}, roots
 
 
 def test_solver_memory_grows_at_most_quadratically():
